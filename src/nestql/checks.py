@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from .values import (
     LIST, MON, SET, UNIT, UNIT_T, make_tuple, value_equal, value_nodes,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 
 from . import bridge, checks, detree, lp, ma, reductions, xmlxq

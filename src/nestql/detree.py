@@ -4,9 +4,12 @@ A value is flattened to the set of its root-to-leaf paths over a single
 binary pairing constructor. Steps are either plain labels (atoms, tuple
 field names, member indexes, the reserved markers) or pairs of terms;
 pairs arise when operations merge indexes (flatten) or tag them (union,
-singleton). Queries in the atomic-equality core are evaluated directly
-on path sets by :func:`eval_det`, mirroring the rule-per-operation
-semantics used by the logic-program compilation.
+singleton). A label is its text alone, so steps compare and hash
+natively; whether a label names a field or an index is decided only
+when decoding, by the type if one is given. Queries in the
+atomic-equality core are evaluated directly on path sets by
+:func:`eval_det`, mirroring the rule-per-operation semantics used by
+the logic-program compilation.
 
 Emptiness conventions: the constant empty collection and the nullary
 tuple are the marker leaves "[]" and "<>". By default a computed-empty
@@ -21,7 +24,6 @@ marker next to surviving content is ignored by decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Tuple as Tup
 
 from .values import (
@@ -44,7 +46,6 @@ class PathTerm:
 @dataclass(frozen=True)
 class Lab(PathTerm):
     text: str
-    field: bool = False
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class PairT(PathTerm):
 
 S = Lab("s")
 _MARKER_PATH = (Lab(MARK_EMPTY),)
+_MARKERS = (Lab(MARK_EMPTY), Lab(MARK_UNIT))
 
 Path = Tup[PathTerm, ...]
 PathSet = frozenset
@@ -68,10 +70,6 @@ def term_key(t: PathTerm):
             return (0, 0, int(t.text), "")
         return (0, 1, 0, t.text)
     return (1, term_key(t.left), term_key(t.right))
-
-
-def path_key(p: Path):
-    return tuple(term_key(t) for t in p)
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +102,19 @@ def print_pathset(v: Iterable[Path]) -> str:
 _STEP_CHARS = "[]<>"
 
 
-def _parse_step(sc: _Scanner, final: bool) -> PathTerm:
+def _parse_step(sc: _Scanner) -> PathTerm:
     sc.skip_ws()
     if sc.try_tok("("):
-        parts = [_parse_step(sc, final=False)]
+        parts = [_parse_step(sc)]
         while sc.try_tok("."):
-            parts.append(_parse_step(sc, final=False))
+            parts.append(_parse_step(sc))
         sc.expect(")")
         return _fold_term(parts)
     if sc.try_tok(MARK_EMPTY):
         return Lab(MARK_EMPTY)
     if sc.try_tok(MARK_UNIT):
         return Lab(MARK_UNIT)
-    word = sc.atom()
-    if final or word.isdigit() or word == "s":
-        return Lab(word)
-    return Lab(word, field=True)
+    return Lab(sc.atom())
 
 
 def _fold_term(parts) -> PathTerm:
@@ -129,19 +124,15 @@ def _fold_term(parts) -> PathTerm:
 
 
 def parse_path(text: str) -> Path:
-    """Parse a dotted path. Non-final bare labels other than numerals and
-    "s" are read as tuple field labels; numeric tuple labels cannot be
-    written in this format (they read as member indexes)."""
+    """Parse a dotted path. Steps are plain labels or parenthesised
+    pairs; whether a label names a tuple field or a member index is
+    left to decoding (see :func:`decode_det`)."""
     sc = _Scanner(text)
-    steps = [_parse_step(sc, final=False)]
+    steps = [_parse_step(sc)]
     while sc.try_tok("."):
-        steps.append(_parse_step(sc, final=False))
+        steps.append(_parse_step(sc))
     if not sc.at_end():
         sc.error("trailing input")
-    # re-classify the final step: it is a leaf (atom or marker), not a field
-    last = steps[-1]
-    if isinstance(last, Lab) and last.field:
-        steps[-1] = Lab(last.text)
     return tuple(steps)
 
 
@@ -165,7 +156,7 @@ def _encode(v: Value):
             return [(Lab(MARK_UNIT),)]
         out = []
         for l, x in v.fields:
-            head = Lab(l, field=True)
+            head = Lab(l)
             out.extend((head,) + p for p in _encode(x))
         return out
     assert isinstance(v, Coll)
@@ -211,14 +202,14 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
     if isinstance(q, ma.Compose):
         return eval_det(q.g, eval_det(q.f, V, em), em)
     if isinstance(q, ma.Proj):
-        head = Lab(q.label, field=True)
+        head = Lab(q.label)
         return frozenset(p[1:] for p in V if p[0] == head and len(p) > 1)
     if isinstance(q, ma.TupleCons):
         if not q.fields:
             return frozenset({(Lab(MARK_UNIT),)})
         out = set()
         for l, f in q.fields:
-            head = Lab(l, field=True)
+            head = Lab(l)
             out.update((head,) + p for p in eval_det(f, V, em))
         return frozenset(out)
     if isinstance(q, ma.Flatten):
@@ -238,7 +229,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
         out = set()
         empties = 0
         for tag in ("1", "2"):
-            head = Lab(tag, field=True)
+            head = Lab(tag)
             out.update((PairT(Lab(tag), p[1]),) + p[2:]
                        for p in V if p[0] == head and len(p) >= 3)
             if (head, Lab(MARK_EMPTY)) in V:
@@ -268,7 +259,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
             out.add(_MARKER_PATH)
         return frozenset(out)
     if isinstance(q, ma.PairWith):
-        head = Lab(q.label, field=True)
+        head = Lab(q.label)
         members = [p for p in V if p[0] == head and len(p) >= 3]
         others = [p for p in V if p[0] != head and len(p) >= 2]
         indexes = {p[1] for p in members}
@@ -286,7 +277,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
 
 def _path_suffixes(V: PathSet, path) -> set:
     """Suffixes of V under a dotted field path."""
-    heads = tuple(Lab(l, field=True) for l in path)
+    heads = tuple(Lab(l) for l in path)
     n = len(heads)
     return {p[n:] for p in V if len(p) > n and p[:n] == heads}
 
@@ -297,11 +288,12 @@ def _path_suffixes(V: PathSet, path) -> set:
 def decode_det(V: PathSet, t: Optional[Type] = None) -> Value:
     """Rebuild the list-semantics value described by a path set.
 
-    Without a type, the shape is inferred from the steps (tuple field
-    labels vs. member indexes) and a fully absent subtree reads as the
-    empty list. With a type, computed-empty collections are placed at
-    their collection-typed positions and tuple field order follows the
-    type.
+    Without a type, every collection decodes as a list: numeral and "s"
+    steps, markers and pairs read as member indexes, other non-final
+    labels as tuple fields, and a fully absent subtree reads as the
+    empty list. With a type, sets and bags are rebuilt, computed-empty
+    collections are placed at their collection-typed positions, tuple
+    fields (numeral labels too) follow the type.
     """
     if t is not None:
         return _decode_typed(V, t)
@@ -314,15 +306,15 @@ def _decode(V: PathSet) -> Value:
     if len(V) == 1:
         (p,) = V
         if len(p) == 1 and isinstance(p[0], Lab):
-            if p[0].text == MARK_EMPTY and not p[0].field:
+            if p[0].text == MARK_EMPTY:
                 return make_coll(LIST, ())
-            if p[0].text == MARK_UNIT and not p[0].field:
+            if p[0].text == MARK_UNIT:
                 return UNIT
-            if not p[0].field:
-                return Atom(p[0].text)
-    heads = {p[0] for p in V if len(p) > 1 or not _is_marker(p[0])}
-    field_heads = {h for h in heads if isinstance(h, Lab) and h.field}
-    if field_heads and field_heads != heads:
+            return Atom(p[0].text)
+    field_heads = {p[0] for p in V if _is_field_step(p)}
+    heads = {p[0] for p in V if not _is_field_step(p)
+             and (len(p) > 1 or not _is_marker(p[0]))}
+    if field_heads and heads:
         raise ValueError_("mixed field and index steps below one node")
     if field_heads:
         fields = []
@@ -340,9 +332,17 @@ def _decode(V: PathSet) -> Value:
     return make_coll(LIST, members)
 
 
+def _is_field_step(p: Path) -> bool:
+    """Untyped decoding reads the first step of p as a tuple field when
+    it is a plain label with a continuation, other than a numeral, "s"
+    or a marker."""
+    h = p[0]
+    return (len(p) > 1 and isinstance(h, Lab) and not h.text.isdigit()
+            and h.text != "s" and not _is_marker(h))
+
+
 def _is_marker(t: PathTerm) -> bool:
-    return isinstance(t, Lab) and not t.field and t.text in (MARK_EMPTY,
-                                                             MARK_UNIT)
+    return t in _MARKERS
 
 
 def _decode_typed(V: PathSet, t: Type) -> Value:
@@ -360,11 +360,8 @@ def _decode_typed(V: PathSet, t: Type) -> Value:
             return UNIT
         fields = []
         for l, ft in t.fields:
-            # match the field label by text only: paths coming back from
-            # the logic-program layer may have lost the field flag
-            sub = frozenset(p[1:] for p in V
-                            if isinstance(p[0], Lab) and p[0].text == l
-                            and len(p) > 1)
+            head = Lab(l)
+            sub = frozenset(p[1:] for p in V if p[0] == head and len(p) > 1)
             if not sub and not isinstance(ft, CollType):
                 raise ValueError_("field %s absent but not collection-typed"
                                   % l)
@@ -387,9 +384,6 @@ def listify_type(t: Type) -> Type:
     if isinstance(t, TupleType):
         return TupleType(tuple((l, listify_type(x)) for l, x in t.fields))
     return t
-
-
-BASE = frozenset({(Lab("dummy"),)})
 
 
 def eval_closed(q: MAExpr, empty_markers: bool = False) -> PathSet:

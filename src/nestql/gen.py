@@ -20,11 +20,11 @@ consuming check understands:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple as Tup
+from typing import List, Tuple as Tup
 
 from .values import (
-    ATOMIC, Atom, Coll, CollType, DEEP, DOM, DomType, LIST, SET, Tuple,
-    TupleType, Type, UNIT_T, Value, make_coll, make_tuple,
+    ATOMIC, Atom, CollType, DEEP, DOM, DomType, LIST, SET, TupleType,
+    Type, UNIT_T, Value, make_coll, make_tuple,
 )
 from . import ma
 from .ma import (
@@ -369,9 +369,19 @@ def _plq(rng: random.Random, t: Type, depth: int) -> MAExpr:
     if op == "flatten":
         return Flatten()
     assert op == "select"
-    labels = t.elem.labels()
-    return Select(PathEqPath((rng.choice(labels),), (rng.choice(labels),),
-                             DEEP))
+    fields = t.elem.fields
+    a, ta = rng.choice(fields)
+    # compare only fields whose types join, or the selection is ill-typed
+    b = rng.choice([l for l, tb in fields if _joinable(ta, tb)])
+    return Select(PathEqPath((a,), (b,), DEEP))
+
+
+def _joinable(a: Type, b: Type) -> bool:
+    try:
+        ma.type_join(a, b, "select")
+    except ma.MATypeError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ everything else is a label.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple as Tup
 
 from .values import Value, ValueError_, _Scanner
@@ -96,9 +96,6 @@ class UnAtom:
     negated: bool = False
 
 
-Atom_ = object  # BinAtom | UnAtom
-
-
 @dataclass(frozen=True)
 class Rule:
     head: object
@@ -119,8 +116,8 @@ _V_REST = SuffixPat((), "v")
 _EMPTY_SUF = SuffixPat((PLab(Lab(MARK_EMPTY)),), None)
 
 
-def _plab(text: str, field: bool = False) -> PLab:
-    return PLab(Lab(text, field))
+def _plab(text: str) -> PLab:
+    return PLab(Lab(text))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +168,7 @@ class _Compiler:
             self.emit(
                 BinAtom(out, _ARG1_X, _V_REST),
                 [BinAtom(inp, _ARG1_X,
-                         SuffixPat((_plab(q.label, True),), "v"))],
+                         SuffixPat((_plab(q.label),), "v"))],
                 "pi_%s" % q.label)
             return out
         if isinstance(q, ma.TupleCons):
@@ -182,7 +179,7 @@ class _Compiler:
             for l, pf in outs:
                 self.emit(
                     BinAtom(out, _ARG1_X,
-                            SuffixPat((_plab(l, True),), "v")),
+                            SuffixPat((_plab(l),), "v")),
                     [BinAtom(pf, _ARG1_X, _V_REST)], "create_tuple")
             return out
         if isinstance(q, ma.Union):
@@ -196,16 +193,16 @@ class _Compiler:
                     BinAtom(out, _ARG1_X,
                             SuffixPat((PPair(_plab(tag), PVar("i")),), "v")),
                     [BinAtom(inp, _ARG1_X,
-                             SuffixPat((_plab(tag, True), PVar("i")), "v"))],
+                             SuffixPat((_plab(tag), PVar("i")), "v"))],
                     "union")
             if self.empty_markers:
                 self.emit(
                     BinAtom(out, _ARG1_X, _EMPTY_SUF),
                     [BinAtom(inp, _ARG1_X,
-                             SuffixPat((_plab("1", True),
+                             SuffixPat((_plab("1"),
                                         _plab(MARK_EMPTY)), None)),
                      BinAtom(inp, _ARG1_X,
-                             SuffixPat((_plab("2", True),
+                             SuffixPat((_plab("2"),
                                         _plab(MARK_EMPTY)), None))],
                     "union of empties")
             return out
@@ -231,8 +228,8 @@ class _Compiler:
             return out
         if isinstance(q, ma.EqAtomic):
             out = self.fresh()
-            pa = tuple(_plab(l, True) for l in q.pa)
-            pb = tuple(_plab(l, True) for l in q.pb)
+            pa = tuple(_plab(l) for l in q.pa)
+            pb = tuple(_plab(l) for l in q.pb)
             self.emit(
                 BinAtom(out, _ARG1_X,
                         SuffixPat((_plab("s"), _plab(MARK_UNIT)), None)),
@@ -251,7 +248,7 @@ class _Compiler:
             return out
         if isinstance(q, ma.PairWith):
             out = self.fresh()
-            b = _plab(q.label, True)
+            b = _plab(q.label)
             self.emit(
                 BinAtom(out, _ARG1_X,
                         SuffixPat((PVar("i"), b), "v")),
@@ -337,34 +334,22 @@ def compile_lp(q: MAExpr, closed: bool = True,
 
 def _match_term(pat: TPat, t: PathTerm, env: dict) -> bool:
     if isinstance(pat, PLab):
-        # labels compare by text; the field flag is a decoding aid only
-        return isinstance(t, Lab) and t.text == pat.term.text
+        return t == pat.term
     if isinstance(pat, PVar):
         if pat.name in env:
-            return _term_eq(env[pat.name], t)
+            return env[pat.name] == t
         env[pat.name] = t
         return True
     if isinstance(pat, PVarNe):
         if isinstance(t, Lab) and t.text == pat.exclude:
             return False
         if pat.name in env:
-            return _term_eq(env[pat.name], t)
+            return env[pat.name] == t
         env[pat.name] = t
         return True
     assert isinstance(pat, PPair)
     return (isinstance(t, PairT) and _match_term(pat.left, t.left, env)
             and _match_term(pat.right, t.right, env))
-
-
-def _term_eq(a, b) -> bool:
-    if isinstance(a, Lab) and isinstance(b, Lab):
-        return a.text == b.text
-    if isinstance(a, PairT) and isinstance(b, PairT):
-        return _term_eq(a.left, b.left) and _term_eq(a.right, b.right)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(_term_eq(x, y)
-                                        for x, y in zip(a, b))
-    return False
 
 
 def _match_prefix(pat: PrefixPat, pre: Path, env: dict) -> bool:
@@ -377,7 +362,7 @@ def _match_prefix(pat: PrefixPat, pre: Path, env: dict) -> bool:
             return False
     else:
         if pat.var in env:
-            if not _term_eq(env[pat.var], head):
+            if env[pat.var] != head:
                 return False
         else:
             env[pat.var] = head
@@ -399,7 +384,7 @@ def _match_suffix(pat: SuffixPat, path: Path, env: dict) -> bool:
     if pat.rest is not None:
         rest = path[n:]
         if pat.rest in env:
-            return _term_eq(env[pat.rest], rest)
+            return env[pat.rest] == rest
         env[pat.rest] = rest
     return True
 
@@ -487,7 +472,7 @@ def _apply(r: Rule, bin_rels, un_rels):
             if atom.negated:
                 for env in envs:
                     pre = _inst_prefix(atom.arg1, env)
-                    if not any(_term_eq(pre, q) for q in rel):
+                    if pre not in rel:
                         new.append(env)
             else:
                 for env in envs:
@@ -518,8 +503,7 @@ def goal_paths(prog: LogicProgram, bin_rels) -> PathSet:
 def goal_true(prog: LogicProgram, bin_rels) -> bool:
     """The boolean reading: some goal fact at the empty prefix has a path
     i.<> with i a member index."""
-    return any(len(p) == 2 and isinstance(p[1], Lab)
-               and p[1].text == MARK_UNIT
+    return any(len(p) == 2 and p[1] == Lab(MARK_UNIT)
                for p in goal_paths(prog, bin_rels))
 
 
@@ -682,46 +666,28 @@ def _parse_prefix(sc: _Scanner) -> PrefixPat:
         sc.error("prefix must start with a variable or e")
     ext = []
     while sc.try_tok("."):
-        ext.append(_parse_pat(sc, final=False))
+        ext.append(_parse_pat(sc))
     return PrefixPat(var, tuple(ext))
 
 
 def _parse_suffix(sc: _Scanner) -> SuffixPat:
-    pats = [_parse_pat(sc, final=True)]
+    pats = [_parse_pat(sc)]
     while sc.try_tok("."):
-        pats.append(_parse_pat(sc, final=True))
+        pats.append(_parse_pat(sc))
     rest = None
     last = pats[-1]
     if isinstance(last, PVar):
         rest = last.name
         pats = pats[:-1]
-    # non-final labels are tuple fields unless numerals or s (heuristic
-    # shared with the path format); the final literal is a plain leaf
-    items = []
-    for k, p in enumerate(pats):
-        items.append(_classify(p, final=(rest is None
-                                         and k == len(pats) - 1)))
-    return SuffixPat(tuple(items), rest)
+    return SuffixPat(tuple(pats), rest)
 
 
-def _classify(p: TPat, final: bool) -> TPat:
-    if isinstance(p, PLab):
-        t = p.term.text
-        if final or t.isdigit() or t in ("s", MARK_EMPTY, MARK_UNIT):
-            return PLab(Lab(t))
-        return PLab(Lab(t, field=True))
-    if isinstance(p, PPair):
-        return PPair(_classify(p.left, final=False),
-                     _classify(p.right, final=True))
-    return p
-
-
-def _parse_pat(sc: _Scanner, final: bool) -> TPat:
+def _parse_pat(sc: _Scanner) -> TPat:
     sc.skip_ws()
     if sc.try_tok("("):
-        parts = [_parse_pat(sc, final=False)]
+        parts = [_parse_pat(sc)]
         while sc.try_tok("."):
-            parts.append(_parse_pat(sc, final=False))
+            parts.append(_parse_pat(sc))
         sc.expect(")")
         out = parts[-1]
         for p in reversed(parts[:-1]):

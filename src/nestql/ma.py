@@ -14,14 +14,15 @@ unit tuple is true, the empty collection is false.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Tuple as Tup
+from typing import Tuple as Tup
 
 from .values import (
     ATOMIC, BAG, DEEP, LIST, MON, SET,
     Atom, Coll, CollType, DomType, DOM, Tuple, TupleType, Type, UNIT, UNIT_T,
-    Value, ValueError_, make_coll, make_tuple, print_atom, print_value,
-    sort_key, value_equal, _Scanner,
+    Value, ValueError_, make_coll, make_tuple, print_type, print_value,
+    value_equal,
 )
 
 Path = Tup[str, ...]
@@ -297,14 +298,7 @@ def type_join(a: Type, b: Type, ctx: str) -> Type:
             (l, type_join(x, y, ctx))
             for (l, x), (_, y) in zip(a.fields, b.fields)))
     raise MATypeError("%s: incompatible types %s and %s"
-                      % (ctx, _tn(a), _tn(b)))
-
-
-def _tn(t: Type) -> str:
-    from .values import print_type
-    if isinstance(t, AnyType):
-        return "?"
-    return print_type(t)
+                      % (ctx, print_type(a), print_type(b)))
 
 
 def bool_type(sem: str) -> CollType:
@@ -315,12 +309,12 @@ def path_type(t: Type, p: Path, ctx: str) -> Type:
     for label in p:
         if not isinstance(t, TupleType):
             raise MATypeError("%s: path %s leaves tuple territory at %s"
-                              % (ctx, ".".join(p), _tn(t)))
+                              % (ctx, ".".join(p), print_type(t)))
         try:
             t = t.field(label)
         except ValueError_:
             raise MATypeError("%s: no field %s in %s"
-                              % (ctx, label, _tn(t)))
+                              % (ctx, label, print_type(t)))
     return t
 
 
@@ -332,7 +326,7 @@ def _mon_type(t: Type, ctx: str):
             _mon_type(ft, ctx)
         return
     raise MATypeError("%s: mon equality needs a collection-free type, got %s"
-                      % (ctx, _tn(t)))
+                      % (ctx, print_type(t)))
 
 
 def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
@@ -377,7 +371,7 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
             return tt.field(q.label)
         except ValueError_:
             raise MATypeError("pi[%s]: no such field in %s"
-                              % (q.label, _tn(tt)))
+                              % (q.label, print_type(tt)))
     if isinstance(q, Compose):
         return infer_type(q.g, infer_type(q.f, t, sem), sem)
     if isinstance(q, Union):
@@ -390,7 +384,7 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
         tt = _need_tuple(t, "union")
         if tt.labels() != ("1", "2"):
             raise MATypeError("union expects a <1: _, 2: _> tuple, got %s"
-                              % _tn(tt))
+                              % print_type(tt))
         a = _coerce_coll(tt.field("1"), sem)
         b = _coerce_coll(tt.field("2"), sem)
         return type_join(a, b, "union")
@@ -399,7 +393,7 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
             pt = path_type(_need_tuple(t, "eqatom"), p, "eqatom")
             if not isinstance(pt, (DomType, AnyType)):
                 raise MATypeError("eqatom: path %s has non-atomic type %s"
-                                  % (".".join(p), _tn(pt)))
+                                  % (".".join(p), print_type(pt)))
         return bool_type(sem)
     if isinstance(q, NotOp):
         _need_coll(t, sem, "not")
@@ -460,7 +454,8 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
         tt = _need_tuple(ct.elem, "nest")
         missing = [g for g in q.grouped if g not in tt.labels()]
         if missing:
-            raise MATypeError("nest: no fields %r in %s" % (missing, _tn(tt)))
+            raise MATypeError("nest: no fields %r in %s"
+                              % (missing, print_type(tt)))
         keys = tuple((l, x) for l, x in tt.fields if l not in q.grouped)
         grouped = tuple((l, x) for l, x in tt.fields if l in q.grouped)
         if q.label in [l for l, _ in keys]:
@@ -478,7 +473,7 @@ def _need_coll(t: Type, sem: str, ctx: str) -> CollType:
     t = _coerce_coll(t, sem)
     if not isinstance(t, CollType):
         raise MATypeError("%s: expected a %s collection, got %s"
-                          % (ctx, sem, _tn(t)))
+                          % (ctx, sem, print_type(t)))
     if t.kind != sem:
         raise MATypeError("%s: %s collection under %s semantics"
                           % (ctx, t.kind, sem))
@@ -493,7 +488,8 @@ def _coerce_coll(t: Type, sem: str) -> Type:
 
 def _need_tuple(t: Type, ctx: str) -> TupleType:
     if not isinstance(t, TupleType):
-        raise MATypeError("%s: expected a tuple, got %s" % (ctx, _tn(t)))
+        raise MATypeError("%s: expected a tuple, got %s"
+                          % (ctx, print_type(t)))
     return t
 
 
@@ -513,7 +509,7 @@ def _check_cond(c: SelCond, t: Type, sem: str):
                 if not isinstance(pt, (DomType, AnyType)):
                     raise MATypeError(
                         "select: atomic comparison on %s at %s"
-                        % (_tn(pt), ".".join(p)))
+                        % (print_type(pt), ".".join(p)))
         if c.mode == MON:
             _mon_type(ta, "select")
     elif isinstance(c, (PathEqConst, PathInSet)):
@@ -522,9 +518,10 @@ def _check_cond(c: SelCond, t: Type, sem: str):
                                               c.p, "select"))
         if isinstance(c, PathEqConst) and c.mode == ATOMIC:
             if not isinstance(pt, (DomType, AnyType)):
-                raise MATypeError("select: atomic comparison on %s" % _tn(pt))
+                raise MATypeError("select: atomic comparison on %s"
+                                  % print_type(pt))
         if isinstance(c, PathInSet) and not isinstance(pt, (DomType, AnyType)):
-            raise MATypeError("select: membership test on %s" % _tn(pt))
+            raise MATypeError("select: membership test on %s" % print_type(pt))
     else:
         raise MATypeError("bad selection condition %r" % (c,))
 
@@ -642,20 +639,17 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
         t = _as_tuple(v, "monus")
         a = _as_coll(t.field("1"), "monus")
         b = _as_coll(t.field("2"), "monus")
-        out = list(a.elems)
-        for y in b.elems:
-            for i, x in enumerate(out):
-                if x is not None and value_equal(x, y, DEEP):
-                    out[i] = None
-                    break
-        return make_coll(sem, (x for x in out if x is not None))
-    if isinstance(q, Unique):
-        c = _as_coll(v, "unique")
+        # each member of field 2 cancels the first equal member of field 1
+        cancel = Counter(b.elems)
         out = []
-        for x in c.elems:
-            if not any(value_equal(x, y, DEEP) for y in out):
+        for x in a.elems:
+            if cancel[x]:
+                cancel[x] -= 1
+            else:
                 out.append(x)
         return make_coll(sem, out)
+    if isinstance(q, Unique):
+        return make_coll(sem, dict.fromkeys(_as_coll(v, "unique").elems))
     if isinstance(q, (EqMon, EqDeep)):
         mode = MON if isinstance(q, EqMon) else DEEP
         t = _as_tuple(v, "eq")
@@ -668,45 +662,36 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
         t = _as_tuple(v, "diff")
         a = _as_coll(t.field("1"), "diff")
         b = _as_coll(t.field("2"), "diff")
-        return make_coll(sem, (x for x in a.elems
-                               if not any(value_equal(x, y, DEEP)
-                                          for y in b.elems)))
+        drop = set(b.elems)
+        return make_coll(sem, (x for x in a.elems if x not in drop))
     if isinstance(q, Intersect):
         t = _as_tuple(v, "cap")
         a = _as_coll(t.field("1"), "cap")
         b = _as_coll(t.field("2"), "cap")
-        return make_coll(sem, (x for x in a.elems
-                               if any(value_equal(x, y, DEEP)
-                                      for y in b.elems)))
+        keep = set(b.elems)
+        return make_coll(sem, (x for x in a.elems if x in keep))
     if isinstance(q, SubsetEq):
         t = _as_tuple(v, "subseteq")
         a = _as_coll(_proj_path(t, q.pa), "subseteq")
         b = _as_coll(_proj_path(t, q.pb), "subseteq")
-        ok = all(any(value_equal(x, y, DEEP) for y in b.elems)
-                 for x in a.elems)
-        return bool_val(ok, sem)
+        return bool_val(set(a.elems) <= set(b.elems), sem)
     if isinstance(q, MemberOf):
         t = _as_tuple(v, "in")
         x = _proj_path(t, q.pa)
         b = _as_coll(_proj_path(t, q.pb), "in")
-        return bool_val(any(value_equal(x, y, DEEP) for y in b.elems), sem)
+        return bool_val(x in b.elems, sem)
     if isinstance(q, Nest):
         c = _as_coll(v, "nest")
-        groups = []
+        groups = {}
         for x in c.elems:
             t = _as_tuple(x, "nest")
             key = make_tuple((l, w) for l, w in t.fields
                              if l not in q.grouped)
             part = make_tuple((l, w) for l, w in t.fields if l in q.grouped)
-            for k, members in groups:
-                if value_equal(k, key, DEEP):
-                    members.append(part)
-                    break
-            else:
-                groups.append((key, [part]))
+            groups.setdefault(key, []).append(part)
         return make_coll(sem, (
-            make_tuple(tuple(k.fields) + ((q.label, make_coll(sem, ms)),))
-            for k, ms in groups))
+            make_tuple(k.fields + ((q.label, make_coll(sem, ms)),))
+            for k, ms in groups.items()))
     if isinstance(q, CartProd):
         a = _as_coll(eval_ma(q.f, v, sem), "cart")
         b = _as_coll(eval_ma(q.g, v, sem), "cart")
@@ -719,15 +704,6 @@ def _as_tuple(v: Value, ctx: str) -> Tuple:
     if not isinstance(v, Tuple):
         raise ValueError_("%s: expected tuple, got %s" % (ctx, print_value(v)))
     return v
-
-
-def eval_ma_checked(q: MAExpr, v: Value, sem: str = SET,
-                    t: Optional[Type] = None) -> Value:
-    """Type-check q against the type of v (or the provided t), then run."""
-    if t is None:
-        t = type_of(v, sem)
-    infer_type(q, t, sem)
-    return eval_ma(q, v, sem)
 
 
 def type_of(v: Value, sem: str = SET) -> Type:
@@ -822,10 +798,13 @@ def _cond_pred(c: SelCond, t: Type, sem: str) -> MAExpr:
         b = _cond_pred(c.b, t, sem)
         return _disj([_conj([a, b]), _conj([_negate(a), _negate(b)])], sem)
     if isinstance(c, PathEqPath):
-        ta = path_type(t, c.p, "select") if c.p else t
+        # both sides decide the expansion: one may be an empty literal
+        # of unknown element type while the other is a collection
+        ta = type_join(path_type(t, c.p, "select"),
+                       path_type(t, c.q, "select"), "select")
         if c.mode == ATOMIC:
             return EqAtomic(c.p, c.q) if (c.p and c.q) else \
-                _pair_eq(Proj_chain(c.p), Proj_chain(c.q), ATOMIC, ta, sem)
+                _pair_eq(Proj_chain(c.p), Proj_chain(c.q))
         if c.mode == MON or (c.mode == DEEP and _is_mon_type(ta)):
             return Compose(TupleCons((("A", Proj_chain(c.p)),
                                       ("B", Proj_chain(c.q)))),
@@ -845,7 +824,7 @@ def _cond_pred(c: SelCond, t: Type, sem: str) -> MAExpr:
     raise MATypeError("bad selection condition %r" % (c,))
 
 
-def _pair_eq(fa, fb, mode, ta, sem):
+def _pair_eq(fa, fb):
     return Compose(TupleCons((("A", fa), ("B", fb))),
                    EqAtomic(("A",), ("B",)))
 
@@ -926,13 +905,13 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
             Map(TupleCons((("1", Proj("1")), ("m", inner)))),
             _sigma(empty_m),
             Map(Proj("1")))
-        return _desugar_partial(body, t, sem)
+        return _desugar(body, t, sem)
     if isinstance(q, Intersect):
         body = compose(
             _cart(Proj("1"), Proj("2")),
             Select(PathEqPath(("1",), ("2",), DEEP)),
             Map(Proj("1")))
-        return _desugar_partial(body, t, sem)
+        return _desugar(body, t, sem)
     if isinstance(q, SubsetEq):
         body = Compose(
             TupleCons((("A", Proj_chain(q.pa)),
@@ -940,13 +919,13 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
                                                  ("2", Proj_chain(q.pb)))),
                                       Intersect())))),
             EqDeep(("A",), ("A2",)))
-        return _desugar_partial(body, t, sem)
+        return _desugar(body, t, sem)
     if isinstance(q, MemberOf):
         body = Compose(
             TupleCons((("1", Compose(Proj_chain(q.pa), Sng())),
                        ("2", Proj_chain(q.pb)))),
             SubsetEq(("1",), ("2",)))
-        return _desugar_partial(body, t, sem)
+        return _desugar(body, t, sem)
     if isinstance(q, Nest):
         ct = _need_coll(t, sem, "nest")
         tt = _need_tuple(_elem(ct, sem), "nest")
@@ -971,16 +950,12 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
             Map(TupleCons(
                 tuple((l, Compose(Proj("1"), Proj(l))) for l in keys)
                 + ((q.label, group),))))
-        return _desugar_partial(body, t, sem)
+        return _desugar(body, t, sem)
     if isinstance(q, (Id, Const, EmptyColl, UnitTuple, Sng, Flatten,
                       PairWith, Proj, UnionT, EqAtomic, NotOp, TrueOp,
                       Monus, Unique)):
         return q
     raise MATypeError("cannot desugar %r" % (q,))
-
-
-def _desugar_partial(body: MAExpr, t: Type, sem: str) -> MAExpr:
-    return _desugar(body, t, sem)
 
 
 def _elem(ct: CollType, sem: str) -> Type:

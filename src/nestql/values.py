@@ -61,6 +61,9 @@ class Tuple(Value):
 
 @dataclass(frozen=True)
 class Coll(Value):
+    """A collection. Build it only with :func:`make_coll`: native ``==``
+    and ``hash`` are structural equality because sets and bags are kept
+    in that canonical form."""
     kind: str
     elems: Tup[Value, ...]
 
@@ -154,6 +157,8 @@ UNIT_T = TupleType(())
 
 
 def print_type(t: Type) -> str:
+    """Type text; a type the format cannot write (the unknown element
+    type of an empty literal) prints as "?"."""
     if isinstance(t, DomType):
         return "Dom"
     if isinstance(t, CollType):
@@ -163,9 +168,10 @@ def print_type(t: Type) -> str:
         if t.kind == LIST:
             return "[%s]" % inner
         return "{|%s|}" % inner
-    assert isinstance(t, TupleType)
-    return "<%s>" % ", ".join("%s: %s" % (l, print_type(x))
-                              for l, x in t.fields)
+    if isinstance(t, TupleType):
+        return "<%s>" % ", ".join("%s: %s" % (l, print_type(x))
+                                  for l, x in t.fields)
+    return "?"
 
 
 def check_type(v: Value, t: Type, path: str = "") -> Tup[bool, Optional[str]]:
@@ -217,44 +223,21 @@ def _set_free(v: Value) -> bool:
 
 
 def value_equal(a: Value, b: Value, mode: str = DEEP) -> bool:
+    """Structural equality after the mode check: ATOMIC needs atoms, MON
+    needs collection-free values, DEEP takes anything."""
     if mode == ATOMIC:
         if not isinstance(a, Atom) or not isinstance(b, Atom):
             bad = a if not isinstance(a, Atom) else b
             raise ValueError_("atomic equality on non-atom %s"
                               % print_value(bad))
-        return a.label == b.label
-    if mode == MON:
+    elif mode == MON:
         for v in (a, b):
             if not _set_free(v):
                 raise ValueError_("mon equality on collection-bearing value %s"
                                   % print_value(v))
-        return _deep_eq(a, b)
-    if mode == DEEP:
-        return _deep_eq(a, b)
-    raise ValueError_("unknown equality mode %r" % (mode,))
-
-
-def _deep_eq(a: Value, b: Value) -> bool:
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return a.label == b.label
-    if isinstance(a, Tuple) and isinstance(b, Tuple):
-        return (a.labels() == b.labels()
-                and all(_deep_eq(x, y)
-                        for (_, x), (_, y) in zip(a.fields, b.fields)))
-    if isinstance(a, Coll) and isinstance(b, Coll):
-        if a.kind != b.kind:
-            return False
-        if a.kind == LIST:
-            return (len(a.elems) == len(b.elems)
-                    and all(_deep_eq(x, y)
-                            for x, y in zip(a.elems, b.elems)))
-        # sets and bags are stored canonically, so pointwise comparison
-        # of the canonical forms decides extensional/multiset equality
-        ca, cb = make_coll(a.kind, a.elems), make_coll(b.kind, b.elems)
-        return (len(ca.elems) == len(cb.elems)
-                and all(_deep_eq(x, y)
-                        for x, y in zip(ca.elems, cb.elems)))
-    return False
+    elif mode != DEEP:
+        raise ValueError_("unknown equality mode %r" % (mode,))
+    return a == b
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ sequence [<yes/>] when they hold and to [] otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple as Tup
+from typing import Tuple as Tup
 
 from .values import ATOMIC, DEEP, ValueError_, _Scanner
 
@@ -196,10 +196,6 @@ class PathExpr(XQExpr):
     steps: Tup[Tup[str, str], ...]  # (axis, test), at least two
 
 
-CORE = (EmptyElem, Elem, EmptySeq, Seq, Var, AxisStep, For, Let, If,
-        VarEq, QueryEq)
-
-
 def xq_size(q: XQExpr) -> int:
     n = 1
     for f in getattr(q, "__dataclass_fields__", {}):
@@ -346,7 +342,6 @@ def eval_xq(q: XQExpr, env: Env) -> list:
         return _yes(True)
     if isinstance(q, PathExpr):
         nodes = [_lookup(q.var, env)]
-        first = True
         for axis, test in q.steps:
             nxt = []
             for t in nodes:
@@ -358,7 +353,6 @@ def eval_xq(q: XQExpr, env: Env) -> list:
                     cand = [n for n in cand if n.label == test]
                 nxt.extend(cand)
             nodes = nxt
-            first = False
         return nodes
     raise ValueError_("cannot evaluate %r" % (q,))
 

@@ -57,6 +57,15 @@ def test_algebra_to_tree_translation(seed):
     assert check_thm63(q, v, t)
 
 
+def test_pairlist_queries_are_well_typed():
+    """gen_pairlist_query type-checks what it returns; seed 901 once drew
+    a selection comparing fields of different types."""
+    for seed in [901] + list(range(400)):
+        rng = random.Random(seed)
+        t = gen.gen_pairlist_type(rng, 2)
+        gen.gen_pairlist_query(rng, t, 3)
+
+
 def test_value_to_tree_image_tags_structure():
     v = parse_value("[<A: a, B: b>]")
     t = encode_T(v)

@@ -98,6 +98,22 @@ def test_detree_encode_eval_decode(files):
     assert dec.stdout == "{a, b}\n"
 
 
+def test_detree_eval_projects_numeral_fields(files):
+    enc = run_cli("detree-encode", "--input", files("v.val", "<1: a, 2: b>"))
+    assert enc.stdout == "1.a\n2.b\n"
+    out = run_cli("detree-eval", "--query", files("q.ma", "pi[1]"),
+                  "--paths", files("v.paths", enc.stdout))
+    assert (out.returncode, out.stdout) == (0, "a\n")
+
+
+def test_type_error_with_unknown_element_type_exits_2(files):
+    q = files("q.ma", "empty ; sng ; pi[A] ; cart(id, id)")
+    r = run_cli("ma2lp", "--query", q)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert "[[?]]" in r.stderr
+
+
 def test_gen_dexp_eval_and_node_guard():
     r = run_cli("gen-dexp", "--m", "0", "--eval")
     assert (r.returncode, r.stdout) == (0, "{0, 1}\n")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nestql import gen
-from nestql.detree import decode_det, listify_type, print_pathset
+from nestql.detree import decode_det, listify_type
 from nestql.lp import (
     compile_lp, eval_lp, goal_paths, goal_true, parse_lp, print_lp,
     run_lp,
@@ -34,10 +34,8 @@ def test_program_print_parse_roundtrip():
         prog = compile_lp(q, empty_markers=True)
         again = parse_lp(print_lp(prog))
         assert print_lp(again) == print_lp(prog)
-        # the text format encodes labels by text only (the field flag is
-        # a decoding aid), so goal paths are compared by their printed form
-        assert print_pathset(goal_paths(again, eval_lp(again)[0])) == \
-            print_pathset(goal_paths(prog, eval_lp(prog)[0]))
+        assert goal_paths(again, eval_lp(again)[0]) == \
+            goal_paths(prog, eval_lp(prog)[0])
 
 
 @given(st.integers(0, 10 ** 6))
