@@ -33,9 +33,9 @@ from .ma import (
 )
 from . import xmlxq as xq
 from .xmlxq import (
-    And, AxisStep, CHILD, Elem, EmptyElem, EmptySeq, Every, For, If, Let,
-    Not, Or, PathExpr, QueryEq, Seq, Some, STAR, Tree, Var, VarEq, XQExpr,
-    eval_xq, check_lets,
+    AxisStep, CHILD, Elem, EmptyElem, EmptySeq, For, If, Let, Not,
+    PathExpr, QueryEq, Seq, STAR, Tree, Var, VarEq, XQExpr, eval_xq,
+    check_lets,
 )
 
 
@@ -91,12 +91,17 @@ def _lookup_ma(level: int) -> MAExpr:
         Map(Proj("V")))
 
 
+# C-image of the <yes/> tree that comparisons and negations yield
+_YES = TupleCons((("label", Const("yes")), ("children", EmptyColl())))
+
+
 def xq_to_ma(q: XQExpr, atomic_eq: Optional[bool] = None) -> MAExpr:
     """Translate a child-axis tree query. The resulting query maps an
     environment [<N: name, V: value>, ...] to the list of C-images of
     the result sequence. Equality mode follows each VarEq node; pass
-    atomic_eq to force one mode."""
-    return _ma(q, 1, atomic_eq)
+    atomic_eq to force one mode. The derived forms are translated
+    through their desugaring."""
+    return _ma(xq.xq_desugar(q), 1, atomic_eq)
 
 
 def _ma(q: XQExpr, depth: int, am: Optional[bool]) -> MAExpr:
@@ -138,7 +143,8 @@ def _ma(q: XQExpr, depth: int, am: Optional[bool]) -> MAExpr:
             PairWith("2"),
             FlatMap(Compose(Proj("1"), _ma(q.then, depth, am))))
     if isinstance(q, Not):
-        return compose(_ma(q.a, depth, am), Map(UnitTuple()), NotOp())
+        return compose(_ma(q.a, depth, am), Map(UnitTuple()), NotOp(),
+                       Map(_YES))
     if isinstance(q, VarEq):
         atomic = q.mode == ATOMIC if am is None else am
         if atomic:
@@ -153,17 +159,8 @@ def _ma(q: XQExpr, depth: int, am: Optional[bool]) -> MAExpr:
                                                 ATOMIC))))),
             PairWith("1"),
             FlatMap(PairWith("2")),
-            Select(cond))
-    if isinstance(q, And):
-        return _ma(If(q.a, q.b), depth, am)
-    if isinstance(q, Or):
-        return _ma(Seq(q.a, q.b), depth, am)
-    if isinstance(q, Some):
-        return _ma(For(q.source, q.body), depth, am)
-    if isinstance(q, Every):
-        return _ma(Not(Some(q.source, Not(q.body))), depth, am)
-    if isinstance(q, PathExpr):
-        return _ma(xq.xq_desugar(q, depth), depth, am)
+            Select(cond),
+            Map(_YES))
     raise ValueError_("cannot translate %r" % (q,))
 
 

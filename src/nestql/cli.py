@@ -299,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("detree-decode", cmd_detree_decode,
              "decode a path set back to a value")
     sp.add_argument("--paths", required=True)
-    sp.add_argument("--type", help="target type (lists need it)")
+    sp.add_argument("--type",
+                    help="target type; restores sets and bags, computed "
+                         "empties and numeral tuple labels (without it, "
+                         "collections decode as lists)")
 
     sp = add("gen-tm", cmd_gen_tm,
              "generate the machine acceptance query")

@@ -1,15 +1,16 @@
 """Deterministic-tree semantics: values as sets of root-to-leaf paths.
 
 A value is flattened to the set of its root-to-leaf paths over a single
-binary pairing constructor. Steps are either plain labels (atoms, tuple
-field names, member indexes, the reserved markers) or pairs of terms;
+binary pairing constructor. Steps are plain labels (atoms, tuple field
+names, member indexes), the two reserved markers, or pairs of terms;
 pairs arise when operations merge indexes (flatten) or tag them (union,
-singleton). A label is its text alone, so steps compare and hash
-natively; whether a label names a field or an index is decided only
-when decoding, by the type if one is given. Queries in the
-atomic-equality core are evaluated directly on path sets by
-:func:`eval_det`, mirroring the rule-per-operation semantics used by
-the logic-program compilation.
+singleton). A label is its text alone and a marker is a step of its own
+class, so steps compare and hash natively and an atom spelled like a
+marker never equals one (in text, such an atom is quoted). Whether a
+label names a field or an index is decided only when decoding, by the
+type if one is given. Queries in the atomic-equality core are evaluated
+directly on path sets by :func:`eval_det`, mirroring the
+rule-per-operation semantics used by the logic-program compilation.
 
 Emptiness conventions: the constant empty collection and the nullary
 tuple are the marker leaves "[]" and "<>". By default a computed-empty
@@ -28,14 +29,10 @@ from typing import Iterable, Optional, Tuple as Tup
 
 from .values import (
     Atom, Coll, CollType, DomType, LIST, Tuple, TupleType, Type, UNIT,
-    Value, ValueError_, make_coll, make_tuple, _Scanner,
+    Value, ValueError_, make_coll, make_tuple, print_atom, _Scanner,
 )
 from . import ma
 from .ma import AnyType, MAExpr
-
-
-MARK_EMPTY = "[]"
-MARK_UNIT = "<>"
 
 
 @dataclass(frozen=True)
@@ -49,23 +46,33 @@ class Lab(PathTerm):
 
 
 @dataclass(frozen=True)
+class Mark(PathTerm):
+    """A reserved leaf: "[]" for the empty collection, "<>" for the
+    unit tuple. It never equals the label of the same text."""
+    text: str
+
+
+MARK_EMPTY = Mark("[]")
+MARK_UNIT = Mark("<>")
+
+
+@dataclass(frozen=True)
 class PairT(PathTerm):
     left: PathTerm
     right: PathTerm
 
 
 S = Lab("s")
-_MARKER_PATH = (Lab(MARK_EMPTY),)
-_MARKERS = (Lab(MARK_EMPTY), Lab(MARK_UNIT))
+_MARKER_PATH = (MARK_EMPTY,)
 
 Path = Tup[PathTerm, ...]
 PathSet = frozenset
 
 
 def term_key(t: PathTerm):
-    """Total order on path terms: labels before pairs, numeral labels
-    numerically, then other labels byte-lexicographically."""
-    if isinstance(t, Lab):
+    """Total order on path terms: labels and markers before pairs,
+    numeral labels numerically, then the others byte-lexicographically."""
+    if isinstance(t, (Lab, Mark)):
         if t.text.isdigit():
             return (0, 0, int(t.text), "")
         return (0, 1, 0, t.text)
@@ -76,8 +83,10 @@ def term_key(t: PathTerm):
 # Text format
 
 def print_term(t: PathTerm) -> str:
-    if isinstance(t, Lab):
+    if isinstance(t, Mark):
         return t.text
+    if isinstance(t, Lab):
+        return print_atom(t.text)
     parts = [_wrap(t.left)]
     r = t.right
     while isinstance(r, PairT):
@@ -99,9 +108,6 @@ def print_pathset(v: Iterable[Path]) -> str:
     return "\n".join(sorted(print_path(p) for p in v))
 
 
-_STEP_CHARS = "[]<>"
-
-
 def _parse_step(sc: _Scanner) -> PathTerm:
     sc.skip_ws()
     if sc.try_tok("("):
@@ -110,10 +116,9 @@ def _parse_step(sc: _Scanner) -> PathTerm:
             parts.append(_parse_step(sc))
         sc.expect(")")
         return _fold_term(parts)
-    if sc.try_tok(MARK_EMPTY):
-        return Lab(MARK_EMPTY)
-    if sc.try_tok(MARK_UNIT):
-        return Lab(MARK_UNIT)
+    for mark in (MARK_EMPTY, MARK_UNIT):
+        if sc.try_tok(mark.text):
+            return mark
     return Lab(sc.atom())
 
 
@@ -153,7 +158,7 @@ def _encode(v: Value):
         return [(Lab(v.label),)]
     if isinstance(v, Tuple):
         if not v.fields:
-            return [(Lab(MARK_UNIT),)]
+            return [(MARK_UNIT,)]
         out = []
         for l, x in v.fields:
             head = Lab(l)
@@ -161,7 +166,7 @@ def _encode(v: Value):
         return out
     assert isinstance(v, Coll)
     if not v.elems:
-        return [(Lab(MARK_EMPTY),)]
+        return [_MARKER_PATH]
     out = []
     for k, x in enumerate(v.elems, 1):
         head = Lab(str(k))
@@ -194,9 +199,9 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
     if isinstance(q, ma.Const):
         return frozenset({(Lab(q.label),)})
     if isinstance(q, ma.EmptyColl):
-        return frozenset({(Lab(MARK_EMPTY),)})
+        return frozenset({_MARKER_PATH})
     if isinstance(q, ma.UnitTuple):
-        return frozenset({(Lab(MARK_UNIT),)})
+        return frozenset({(MARK_UNIT,)})
     if isinstance(q, ma.Sng):
         return frozenset((S,) + p for p in V)
     if isinstance(q, ma.Compose):
@@ -206,7 +211,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
         return frozenset(p[1:] for p in V if p[0] == head and len(p) > 1)
     if isinstance(q, ma.TupleCons):
         if not q.fields:
-            return frozenset({(Lab(MARK_UNIT),)})
+            return frozenset({(MARK_UNIT,)})
         out = set()
         for l, f in q.fields:
             head = Lab(l)
@@ -215,7 +220,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
     if isinstance(q, ma.Flatten):
         out = set((PairT(p[0], p[1]),) + p[2:] for p in V if len(p) >= 3)
         if em and (_MARKER_PATH in V
-                   or any(len(p) == 2 and p[1] == Lab(MARK_EMPTY)
+                   or any(len(p) == 2 and p[1] == MARK_EMPTY
                           for p in V)):
             # outer collection empty, or some member collection empty:
             # either way the result may be empty; the marker is ignored
@@ -232,7 +237,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
             head = Lab(tag)
             out.update((PairT(Lab(tag), p[1]),) + p[2:]
                        for p in V if p[0] == head and len(p) >= 3)
-            if (head, Lab(MARK_EMPTY)) in V:
+            if (head, MARK_EMPTY) in V:
                 empties += 1
         if em and empties == 2:
             out.add(_MARKER_PATH)
@@ -241,7 +246,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
         va = _path_suffixes(V, q.pa)
         vb = _path_suffixes(V, q.pb)
         if va & vb:
-            return frozenset({(S, Lab(MARK_UNIT))})
+            return frozenset({(S, MARK_UNIT)})
         if em:
             return frozenset({_MARKER_PATH})
         return frozenset()
@@ -269,7 +274,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
         for i in indexes:
             for p in others:
                 out.add((i,) + p)
-        if em and (head, Lab(MARK_EMPTY)) in V:
+        if em and (head, MARK_EMPTY) in V:
             out.add(_MARKER_PATH)
         return frozenset(out)
     raise ValueError_("eval_det cannot handle %r; desugar first" % (q,))
@@ -305,15 +310,15 @@ def _decode(V: PathSet) -> Value:
         return make_coll(LIST, ())
     if len(V) == 1:
         (p,) = V
+        if p == _MARKER_PATH:
+            return make_coll(LIST, ())
+        if p == (MARK_UNIT,):
+            return UNIT
         if len(p) == 1 and isinstance(p[0], Lab):
-            if p[0].text == MARK_EMPTY:
-                return make_coll(LIST, ())
-            if p[0].text == MARK_UNIT:
-                return UNIT
             return Atom(p[0].text)
     field_heads = {p[0] for p in V if _is_field_step(p)}
     heads = {p[0] for p in V if not _is_field_step(p)
-             and (len(p) > 1 or not _is_marker(p[0]))}
+             and (len(p) > 1 or not isinstance(p[0], Mark))}
     if field_heads and heads:
         raise ValueError_("mixed field and index steps below one node")
     if field_heads:
@@ -334,15 +339,11 @@ def _decode(V: PathSet) -> Value:
 
 def _is_field_step(p: Path) -> bool:
     """Untyped decoding reads the first step of p as a tuple field when
-    it is a plain label with a continuation, other than a numeral, "s"
-    or a marker."""
+    it is a plain label with a continuation, other than a numeral or
+    "s"."""
     h = p[0]
     return (len(p) > 1 and isinstance(h, Lab) and not h.text.isdigit()
-            and h.text != "s" and not _is_marker(h))
-
-
-def _is_marker(t: PathTerm) -> bool:
-    return t in _MARKERS
+            and h.text != "s")
 
 
 def _decode_typed(V: PathSet, t: Type) -> Value:
@@ -369,7 +370,7 @@ def _decode_typed(V: PathSet, t: Type) -> Value:
         return make_tuple(fields)
     assert isinstance(t, CollType)
     members = []
-    heads = {p[0] for p in V if not (len(p) == 1 and _is_marker(p[0]))}
+    heads = {p[0] for p in V if not (len(p) == 1 and isinstance(p[0], Mark))}
     for h in sorted(heads, key=term_key):
         sub = frozenset(p[1:] for p in V if p[0] == h and len(p) > 1)
         members.append(_decode_typed(sub, t.elem))
@@ -389,4 +390,4 @@ def listify_type(t: Type) -> Type:
 def eval_closed(q: MAExpr, empty_markers: bool = False) -> PathSet:
     """Evaluate a closed core query; the input is the dummy base value
     (closed queries start with constants and ignore it)."""
-    return eval_det(q, frozenset({(Lab(MARK_UNIT),)}), empty_markers)
+    return eval_det(q, frozenset({(MARK_UNIT,)}), empty_markers)

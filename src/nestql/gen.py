@@ -10,11 +10,16 @@ consuming check understands:
   and the compiled logic program;
 - gen_bool_query: closed Boolean queries with negation;
 - gen_typed_query: well-typed core queries against a given input type;
+- gen_pairlist_query: the same draw in the tuple/list fragment accepted
+  by the tree-query translation, with single-field deep-equality
+  selections in place of atomic equality tests;
 - gen_tree_query: child-axis tree queries with variable equality only
   in condition position (atomic equality only between variables that
-  are provably bound to leaf nodes);
-- gen_pairlist_query: queries in the tuple/list fragment accepted by
-  the tree-query translation.
+  are provably bound to leaf nodes); it draws and, or, not and some,
+  never every or multi-step paths.
+
+The printed draws for fixed seeds are pinned by tests: the property
+suites and the benchmark depend on them.
 """
 
 from __future__ import annotations
@@ -102,7 +107,11 @@ def _atom_paths(t: Type, prefix=()) -> List[Tup[str, ...]]:
     return []
 
 
-def _typed(rng: random.Random, t: Type, depth: int, sem: str) -> MAExpr:
+def _typed(rng: random.Random, t: Type, depth: int, sem: str,
+           select: bool = False) -> MAExpr:
+    """The shared draw of gen_typed_query and gen_pairlist_query; with
+    select, atomic-equality tests give way to single-field deep-equality
+    selections, the fragment the tree translation accepts."""
     opts = ["id", "const", "unit", "sng", "empty"]
     if depth > 0:
         opts += ["compose", "compose", "tuple"]
@@ -115,13 +124,19 @@ def _typed(rng: random.Random, t: Type, depth: int, sem: str) -> MAExpr:
                     and t.fields[0][1] == t.fields[1][1]
                     and isinstance(t.fields[0][1], CollType)):
                 opts.append("uniont")
-        if isinstance(t, TupleType) and _atom_paths(t):
+        if not select and isinstance(t, TupleType) and _atom_paths(t):
             opts.append("eqatom")
         if isinstance(t, CollType):
             opts += ["map", "map", "union"]
             if isinstance(t.elem, CollType):
                 opts += ["flatten", "flatten"]
+            if select and isinstance(t.elem, TupleType) and t.elem.fields:
+                opts.append("select")
     op = rng.choice(opts)
+
+    def sub(t: Type) -> MAExpr:
+        return _typed(rng, t, depth - 1, sem, select)
+
     if op == "id":
         return Id()
     if op == "const":
@@ -131,17 +146,13 @@ def _typed(rng: random.Random, t: Type, depth: int, sem: str) -> MAExpr:
     if op == "empty":
         return EmptyColl()
     if op == "sng":
-        return Compose(_typed(rng, t, depth - 1, sem), Sng()) \
-            if depth > 0 else Sng()
+        return Compose(sub(t), Sng()) if depth > 0 else Sng()
     if op == "compose":
-        f = _typed(rng, t, depth - 1, sem)
-        tf = ma.infer_type(f, t, sem)
-        return Compose(f, _typed(rng, tf, depth - 1, sem))
+        f = sub(t)
+        return Compose(f, sub(ma.infer_type(f, t, sem)))
     if op == "tuple":
         n = rng.randint(0, 2)
-        return TupleCons(tuple(
-            (str(i + 1), _typed(rng, t, depth - 1, sem))
-            for i in range(n)))
+        return TupleCons(tuple((str(i + 1), sub(t)) for i in range(n)))
     if op == "proj":
         return Proj(rng.choice(t.labels()))
     if op == "pairwith":
@@ -153,16 +164,21 @@ def _typed(rng: random.Random, t: Type, depth: int, sem: str) -> MAExpr:
         paths = _atom_paths(t)
         return EqAtomic(rng.choice(paths), rng.choice(paths))
     if op == "map":
-        return Map(_typed(rng, t.elem, depth - 1, sem))
+        return Map(sub(t.elem))
     if op == "union":
-        f = _typed(rng, t, depth - 1, sem)
-        tf = ma.infer_type(f, t, sem)
-        if isinstance(tf, CollType):
+        f = sub(t)
+        if isinstance(ma.infer_type(f, t, sem), CollType):
             g = EmptyColl() if rng.random() < 0.5 else f
             return Union(f, g)
         return Union(Compose(f, Sng()), EmptyColl())
-    assert op == "flatten"
-    return Flatten()
+    if op == "flatten":
+        return Flatten()
+    assert op == "select"
+    fields = t.elem.fields
+    a, ta = rng.choice(fields)
+    # compare only fields whose types join, or the selection is ill-typed
+    b = rng.choice([l for l, tb in fields if _joinable(ta, tb)])
+    return Select(PathEqPath((a,), (b,), DEEP))
 
 
 def gen_closed_query(rng: random.Random, depth: int = 4,
@@ -306,74 +322,9 @@ def gen_pairlist_type(rng: random.Random, depth: int) -> Type:
 def gen_pairlist_query(rng: random.Random, t: Type, depth: int) -> MAExpr:
     """A query in the fragment covered by the tree translation: core
     tuple/list operators plus single-field deep-equality selections."""
-    q = _plq(rng, t, depth)
+    q = _typed(rng, t, depth, LIST, select=True)
     ma.infer_type(q, t, LIST)
     return q
-
-
-def _plq(rng: random.Random, t: Type, depth: int) -> MAExpr:
-    opts = ["id", "const", "unit", "sng", "empty"]
-    if depth > 0:
-        opts += ["compose", "compose", "tuple"]
-        if isinstance(t, TupleType):
-            if t.fields:
-                opts += ["proj", "proj"]
-            if any(isinstance(ft, CollType) for _, ft in t.fields):
-                opts += ["pairwith", "pairwith"]
-            if (t.labels() == ("1", "2")
-                    and t.fields[0][1] == t.fields[1][1]
-                    and isinstance(t.fields[0][1], CollType)):
-                opts.append("uniont")
-        if isinstance(t, CollType):
-            opts += ["map", "map", "union"]
-            if isinstance(t.elem, CollType):
-                opts += ["flatten", "flatten"]
-            if isinstance(t.elem, TupleType) and t.elem.fields:
-                opts.append("select")
-    op = rng.choice(opts)
-    if op == "id":
-        return Id()
-    if op == "const":
-        return Const(rng.choice(ATOMS))
-    if op == "unit":
-        return UnitTuple()
-    if op == "empty":
-        return EmptyColl()
-    if op == "sng":
-        return Compose(_plq(rng, t, depth - 1), Sng()) if depth > 0 \
-            else Sng()
-    if op == "compose":
-        f = _plq(rng, t, depth - 1)
-        tf = ma.infer_type(f, t, LIST)
-        return Compose(f, _plq(rng, tf, depth - 1))
-    if op == "tuple":
-        n = rng.randint(0, 2)
-        return TupleCons(tuple(
-            (str(i + 1), _plq(rng, t, depth - 1)) for i in range(n)))
-    if op == "proj":
-        return Proj(rng.choice(t.labels()))
-    if op == "pairwith":
-        colls = [l for l, ft in t.fields if isinstance(ft, CollType)]
-        return PairWith(rng.choice(colls))
-    if op == "uniont":
-        return UnionT()
-    if op == "map":
-        return Map(_plq(rng, t.elem, depth - 1))
-    if op == "union":
-        f = _plq(rng, t, depth - 1)
-        tf = ma.infer_type(f, t, LIST)
-        if isinstance(tf, CollType):
-            g = EmptyColl() if rng.random() < 0.5 else f
-            return Union(f, g)
-        return Union(Compose(f, Sng()), EmptyColl())
-    if op == "flatten":
-        return Flatten()
-    assert op == "select"
-    fields = t.elem.fields
-    a, ta = rng.choice(fields)
-    # compare only fields whose types join, or the selection is ill-typed
-    b = rng.choice([l for l, tb in fields if _joinable(ta, tb)])
-    return Select(PathEqPath((a,), (b,), DEEP))
 
 
 def _joinable(a: Type, b: Type) -> bool:

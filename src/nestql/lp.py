@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple as Tup
 
-from .values import Value, ValueError_, _Scanner
+from .values import Value, ValueError_, _Scanner, print_atom
 from . import ma
 from .ma import MAExpr
 from .detree import (
@@ -43,7 +43,7 @@ class TPat:
 
 @dataclass(frozen=True)
 class PLab(TPat):
-    term: Lab
+    term: PathTerm  # a label or a marker
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,9 @@ class LogicProgram:
 X = "X"
 _ARG1_X = PrefixPat(X)
 _V_REST = SuffixPat((), "v")
-_EMPTY_SUF = SuffixPat((PLab(Lab(MARK_EMPTY)),), None)
+_EMPTY = PLab(MARK_EMPTY)
+_UNIT = PLab(MARK_UNIT)
+_EMPTY_SUF = SuffixPat((_EMPTY,), None)
 
 
 def _plab(text: str) -> PLab:
@@ -147,15 +149,15 @@ class _Compiler:
             return self.compile(q.g, mid, frame)
         if isinstance(q, (ma.Const, ma.EmptyColl, ma.UnitTuple)):
             if isinstance(q, ma.Const):
-                c, what = q.label, "constant %s" % q.label
+                c, what = _plab(q.label), "constant " + print_atom(q.label)
             elif isinstance(q, ma.EmptyColl):
-                c, what = MARK_EMPTY, "constant empty"
+                c, what = _EMPTY, "constant empty"
             else:
-                c, what = MARK_UNIT, "constant unit"
+                c, what = _UNIT, "constant unit"
             out = self.fresh()
             # constants ignore their input; guard with the frame so they
             # exist at every prefix of the current depth
-            self.emit(BinAtom(out, _ARG1_X, SuffixPat((_plab(c),), None)),
+            self.emit(BinAtom(out, _ARG1_X, SuffixPat((c,), None)),
                       [BinAtom(frame, _ARG1_X, _V_REST)], what)
             return out
         if isinstance(q, ma.Sng):
@@ -199,11 +201,9 @@ class _Compiler:
                 self.emit(
                     BinAtom(out, _ARG1_X, _EMPTY_SUF),
                     [BinAtom(inp, _ARG1_X,
-                             SuffixPat((_plab("1"),
-                                        _plab(MARK_EMPTY)), None)),
+                             SuffixPat((_plab("1"), _EMPTY), None)),
                      BinAtom(inp, _ARG1_X,
-                             SuffixPat((_plab("2"),
-                                        _plab(MARK_EMPTY)), None))],
+                             SuffixPat((_plab("2"), _EMPTY), None))],
                     "union of empties")
             return out
         if isinstance(q, ma.Flatten):
@@ -222,8 +222,7 @@ class _Compiler:
                 # decoding ignores the marker when content survives
                 self.emit(BinAtom(out, _ARG1_X, _EMPTY_SUF),
                           [BinAtom(inp, _ARG1_X,
-                                   SuffixPat((PVar("i"),
-                                              _plab(MARK_EMPTY)), None))],
+                                   SuffixPat((PVar("i"), _EMPTY), None))],
                           "flatten of empty member")
             return out
         if isinstance(q, ma.EqAtomic):
@@ -232,7 +231,7 @@ class _Compiler:
             pb = tuple(_plab(l) for l in q.pb)
             self.emit(
                 BinAtom(out, _ARG1_X,
-                        SuffixPat((_plab("s"), _plab(MARK_UNIT)), None)),
+                        SuffixPat((_plab("s"), _UNIT), None)),
                 [BinAtom(inp, _ARG1_X, SuffixPat(pa, "v")),
                  BinAtom(inp, _ARG1_X, SuffixPat(pb, "v"))],
                 "eqatom")
@@ -265,7 +264,7 @@ class _Compiler:
                 self.emit(
                     BinAtom(out, _ARG1_X, _EMPTY_SUF),
                     [BinAtom(inp, _ARG1_X,
-                             SuffixPat((b, _plab(MARK_EMPTY)), None))],
+                             SuffixPat((b, _EMPTY), None))],
                     "pairwith_%s over empty" % q.label)
             return out
         if isinstance(q, ma.Map):
@@ -295,7 +294,7 @@ class _Compiler:
             out = self.fresh()
             self.emit(
                 BinAtom(out, _ARG1_X,
-                        SuffixPat((_plab("s"), _plab(MARK_UNIT)), None)),
+                        SuffixPat((_plab("s"), _UNIT), None)),
                 [UnAtom(set_p, _ARG1_X), UnAtom(ne_p, _ARG1_X, True)],
                 "not")
             if self.empty_markers:
@@ -503,7 +502,7 @@ def goal_paths(prog: LogicProgram, bin_rels) -> PathSet:
 def goal_true(prog: LogicProgram, bin_rels) -> bool:
     """The boolean reading: some goal fact at the empty prefix has a path
     i.<> with i a member index."""
-    return any(len(p) == 2 and p[1] == Lab(MARK_UNIT)
+    return any(len(p) == 2 and p[1] == MARK_UNIT
                for p in goal_paths(prog, bin_rels))
 
 
@@ -693,10 +692,9 @@ def _parse_pat(sc: _Scanner) -> TPat:
         for p in reversed(parts[:-1]):
             out = PPair(p, out)
         return out
-    if sc.try_tok(MARK_EMPTY):
-        return PLab(Lab(MARK_EMPTY))
-    if sc.try_tok(MARK_UNIT):
-        return PLab(Lab(MARK_UNIT))
+    for mark in (_EMPTY, _UNIT):
+        if sc.try_tok(mark.term.text):
+            return mark
     word = sc.atom()
     if _VAR_RE.fullmatch(word):
         if sc.try_tok("\\"):

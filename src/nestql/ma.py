@@ -319,14 +319,14 @@ def path_type(t: Type, p: Path, ctx: str) -> Type:
 
 
 def _mon_type(t: Type, ctx: str):
-    if isinstance(t, (DomType, AnyType)):
-        return
-    if isinstance(t, TupleType):
-        for _, ft in t.fields:
-            _mon_type(ft, ctx)
-        return
-    raise MATypeError("%s: mon equality needs a collection-free type, got %s"
-                      % (ctx, print_type(t)))
+    if not _is_mon_type(t):
+        raise MATypeError("%s: mon equality needs a collection-free type, "
+                          "got %s" % (ctx, print_type(t)))
+
+
+# the operators on the two collection fields of a <1: R, 2: S> tuple
+_PAIR_OPS = {UnionT: "union", Monus: "monus", Diff: "diff",
+             Intersect: "cap"}
 
 
 def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
@@ -380,14 +380,17 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
         _need_coll(a, sem, "union (left)")
         _need_coll(b, sem, "union (right)")
         return type_join(a, b, "union")
-    if isinstance(q, UnionT):
-        tt = _need_tuple(t, "union")
+    if isinstance(q, (UnionT, Monus, Diff, Intersect)):
+        name = _PAIR_OPS[type(q)]
+        if isinstance(q, Monus) and sem != BAG:
+            raise MATypeError("monus is only available under bag semantics")
+        tt = _need_tuple(t, name)
         if tt.labels() != ("1", "2"):
-            raise MATypeError("union expects a <1: _, 2: _> tuple, got %s"
-                              % print_type(tt))
+            raise MATypeError("%s expects a <1: _, 2: _> tuple, got %s"
+                              % (name, print_type(tt)))
         a = _coerce_coll(tt.field("1"), sem)
         b = _coerce_coll(tt.field("2"), sem)
-        return type_join(a, b, "union")
+        return type_join(a, b, name)
     if isinstance(q, EqAtomic):
         for p in (q.pa, q.pb):
             pt = path_type(_need_tuple(t, "eqatom"), p, "eqatom")
@@ -403,15 +406,6 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
             raise MATypeError("true is not available under set semantics")
         _need_coll(t, sem, "true")
         return bool_type(sem)
-    if isinstance(q, Monus):
-        if sem != BAG:
-            raise MATypeError("monus is only available under bag semantics")
-        tt = _need_tuple(t, "monus")
-        if tt.labels() != ("1", "2"):
-            raise MATypeError("monus expects a <1: _, 2: _> tuple")
-        a = _coerce_coll(tt.field("1"), sem)
-        b = _coerce_coll(tt.field("2"), sem)
-        return type_join(a, b, "monus")
     if isinstance(q, Unique):
         if sem != BAG:
             raise MATypeError("unique is only available under bag semantics")
@@ -430,14 +424,6 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
         if not isinstance(ct.elem, AnyType):
             _check_cond(q.cond, ct.elem, sem)
         return ct
-    if isinstance(q, (Diff, Intersect)):
-        name = "diff" if isinstance(q, Diff) else "cap"
-        tt = _need_tuple(t, name)
-        if tt.labels() != ("1", "2"):
-            raise MATypeError("%s expects a <1: _, 2: _> tuple" % name)
-        a = _coerce_coll(tt.field("1"), sem)
-        b = _coerce_coll(tt.field("2"), sem)
-        return type_join(a, b, name)
     if isinstance(q, SubsetEq):
         tt = _need_tuple(t, "subseteq")
         for p in (q.pa, q.pb):
@@ -572,10 +558,6 @@ def cond_holds(c: SelCond, v: Value) -> bool:
     raise ValueError_("bad selection condition %r" % (c,))
 
 
-def _union_vals(a: Coll, b: Coll, sem: str) -> Coll:
-    return make_coll(sem, a.elems + b.elems)
-
-
 def _as_coll(v: Value, ctx: str) -> Coll:
     if not isinstance(v, Coll):
         raise ValueError_("%s: expected collection, got %s"
@@ -622,11 +604,10 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
     if isinstance(q, Union):
         a = _as_coll(eval_ma(q.f, v, sem), "union")
         b = _as_coll(eval_ma(q.g, v, sem), "union")
-        return _union_vals(a, b, sem)
+        return make_coll(sem, a.elems + b.elems)
     if isinstance(q, UnionT):
-        t = _as_tuple(v, "union")
-        return _union_vals(_as_coll(t.field("1"), "union"),
-                           _as_coll(t.field("2"), "union"), sem)
+        a, b = _coll_pair(v, "union")
+        return make_coll(sem, a.elems + b.elems)
     if isinstance(q, EqAtomic):
         a = _proj_path(_as_tuple(v, "eqatom"), q.pa)
         b = _proj_path(_as_tuple(v, "eqatom"), q.pb)
@@ -636,9 +617,7 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
     if isinstance(q, TrueOp):
         return bool_val(bool(_as_coll(v, "true").elems), sem)
     if isinstance(q, Monus):
-        t = _as_tuple(v, "monus")
-        a = _as_coll(t.field("1"), "monus")
-        b = _as_coll(t.field("2"), "monus")
+        a, b = _coll_pair(v, "monus")
         # each member of field 2 cancels the first equal member of field 1
         cancel = Counter(b.elems)
         out = []
@@ -659,15 +638,11 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
         c = _as_coll(v, "select")
         return make_coll(sem, (x for x in c.elems if cond_holds(q.cond, x)))
     if isinstance(q, Diff):
-        t = _as_tuple(v, "diff")
-        a = _as_coll(t.field("1"), "diff")
-        b = _as_coll(t.field("2"), "diff")
+        a, b = _coll_pair(v, "diff")
         drop = set(b.elems)
         return make_coll(sem, (x for x in a.elems if x not in drop))
     if isinstance(q, Intersect):
-        t = _as_tuple(v, "cap")
-        a = _as_coll(t.field("1"), "cap")
-        b = _as_coll(t.field("2"), "cap")
+        a, b = _coll_pair(v, "cap")
         keep = set(b.elems)
         return make_coll(sem, (x for x in a.elems if x in keep))
     if isinstance(q, SubsetEq):
@@ -704,6 +679,12 @@ def _as_tuple(v: Value, ctx: str) -> Tuple:
     if not isinstance(v, Tuple):
         raise ValueError_("%s: expected tuple, got %s" % (ctx, print_value(v)))
     return v
+
+
+def _coll_pair(v: Value, ctx: str):
+    """The two collection fields of a <1: R, 2: S> tuple."""
+    t = _as_tuple(v, ctx)
+    return _as_coll(t.field("1"), ctx), _as_coll(t.field("2"), ctx)
 
 
 def type_of(v: Value, sem: str = SET) -> Type:
@@ -842,11 +823,8 @@ def _concrete(t: Type) -> Type:
 
 
 def Proj_chain(p: Path) -> MAExpr:
-    out: MAExpr = Id()
-    for label in p:
-        out = Compose(out, Proj(label)) if not isinstance(out, Id) \
-            else Proj(label)
-    return out if p else Id()
+    """Projection along a dotted path, composed left to right."""
+    return compose(*(Proj(label) for label in p)) if p else Id()
 
 
 def desugar(q: MAExpr, t: Type, sem: str = SET) -> MAExpr:
@@ -867,10 +845,11 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
         return Compose(_desugar(q.f, t, sem), _desugar(q.g, mid, sem))
     if isinstance(q, Map):
         ct = _need_coll(t, sem, "map")
-        return Map(_desugar(q.f, _elem(ct, sem), sem))
+        return Map(_desugar(q.f, _concrete(ct.elem), sem))
     if isinstance(q, FlatMap):
         ct = _need_coll(t, sem, "flatmap")
-        return Compose(Map(_desugar(q.f, _elem(ct, sem), sem)), Flatten())
+        return Compose(Map(_desugar(q.f, _concrete(ct.elem), sem)),
+                       Flatten())
     if isinstance(q, TupleCons):
         return TupleCons(tuple((l, _desugar(f, t, sem)) for l, f in q.fields))
     if isinstance(q, Union):
@@ -880,7 +859,7 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
         return _desugar(_cart(q.f, q.g), t, sem)
     if isinstance(q, Select):
         ct = _need_coll(t, sem, "select")
-        gamma = _cond_pred(q.cond, _elem(ct, sem), sem)
+        gamma = _cond_pred(q.cond, _concrete(ct.elem), sem)
         return _sigma(gamma)
     if isinstance(q, EqMon):
         ta = path_type(_need_tuple(t, "eqmon"), q.pa, "eqmon")
@@ -928,7 +907,7 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
         return _desugar(body, t, sem)
     if isinstance(q, Nest):
         ct = _need_coll(t, sem, "nest")
-        tt = _need_tuple(_elem(ct, sem), "nest")
+        tt = _need_tuple(_concrete(ct.elem), "nest")
         keys = [l for l in tt.labels() if l not in q.grouped]
         key_eq: SelCond
         conds = [PathEqPath(("1", l), ("2", l), DEEP) for l in keys]
@@ -951,15 +930,10 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
                 tuple((l, Compose(Proj("1"), Proj(l))) for l in keys)
                 + ((q.label, group),))))
         return _desugar(body, t, sem)
-    if isinstance(q, (Id, Const, EmptyColl, UnitTuple, Sng, Flatten,
-                      PairWith, Proj, UnionT, EqAtomic, NotOp, TrueOp,
-                      Monus, Unique)):
+    if isinstance(q, CORE_NODES):
+        # the core nodes with subexpressions are handled above
         return q
     raise MATypeError("cannot desugar %r" % (q,))
-
-
-def _elem(ct: CollType, sem: str) -> Type:
-    return DOM if isinstance(ct.elem, AnyType) else ct.elem
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .ma import (
     CAnd, CIff, CNot, COr, CartProd, Compose, Const, Diff, EmptyColl,
     EqAtomic, EqDeep, EqMon, FlatMap, Flatten, Id, Intersect, MAExpr, Map,
     MemberOf, Monus, Nest, NotOp, PairWith, Path, PathEqConst, PathEqPath,
-    PathInSet, Proj, SelCond, Select, Sng, SubsetEq, TrueOp, TupleCons,
-    Union, UnionT, UnitTuple, Unique,
+    PathInSet, Proj, Proj_chain, SelCond, Select, Sng, SubsetEq, TrueOp,
+    TupleCons, Union, UnionT, UnitTuple, Unique,
 )
 
 
@@ -75,11 +75,7 @@ def _parse_one(sc: _Scanner) -> MAExpr:
     if word == "union":
         return UnionT()
     if word == "pi":
-        p = _bracket_path(sc)
-        out: MAExpr = Proj(p[0])
-        for label in p[1:]:
-            out = Compose(out, Proj(label))
-        return out
+        return Proj_chain(_bracket_path(sc))
     if word == "pairwith":
         p = _bracket_path(sc)
         if len(p) != 1:

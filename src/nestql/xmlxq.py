@@ -4,8 +4,10 @@ language over them.
 Trees carry a label and an ordered children sequence; no attributes or
 text nodes. The query language has element constructors, sequence
 concatenation, variables, child/descendant axis steps, for, let,
-conditionals, and equality tests; the derived forms (and, or, not,
-some, every, multi-step paths) desugar into the core.
+conditionals, equality tests and negation. The derived forms (and,
+or, some, every, multi-step paths) have one meaning: the core query
+:func:`xq_desugar` rewrites them to. The evaluator and the translation
+to the algebra both run on that core.
 
 Variables are de Bruijn levels: the variable bound by the k-th
 enclosing binder (counting the pre-bound document variable $root as
@@ -13,8 +15,8 @@ level 1) is Var(k), printed $root or $x<k>. Environments are tuples of
 trees, one per level.
 
 Conditions are ordinary queries; a condition holds iff its result
-sequence is nonempty. Equality tests evaluate to the one-element
-sequence [<yes/>] when they hold and to [] otherwise.
+sequence is nonempty. Equality tests and negations evaluate to the
+one-element sequence [<yes/>] when they hold and to [] otherwise.
 """
 
 from __future__ import annotations
@@ -151,14 +153,19 @@ class VarEq(XQExpr):
 @dataclass(frozen=True)
 class QueryEq(XQExpr):
     """Pointwise deep equality of two result sequences; an extension of
-    the core grammar needed to express negation and translated
-    selections."""
+    the core grammar needed to express translated selections (negation
+    is the core form Not)."""
     a: XQExpr
     b: XQExpr
     mode: str = DEEP
 
 
-# derived forms
+@dataclass(frozen=True)
+class Not(XQExpr):
+    a: XQExpr
+
+
+# derived forms, removed by xq_desugar
 
 @dataclass(frozen=True)
 class And(XQExpr):
@@ -170,11 +177,6 @@ class And(XQExpr):
 class Or(XQExpr):
     a: XQExpr
     b: XQExpr
-
-
-@dataclass(frozen=True)
-class Not(XQExpr):
-    a: XQExpr
 
 
 @dataclass(frozen=True)
@@ -194,15 +196,6 @@ class PathExpr(XQExpr):
     """A multi-step path $x/s1/s2/...; one step is just an AxisStep."""
     var: int
     steps: Tup[Tup[str, str], ...]  # (axis, test), at least two
-
-
-def xq_size(q: XQExpr) -> int:
-    n = 1
-    for f in getattr(q, "__dataclass_fields__", {}):
-        v = getattr(q, f)
-        if isinstance(v, XQExpr):
-            n += xq_size(v)
-    return n
 
 
 def is_singleton_form(q: XQExpr) -> bool:
@@ -231,15 +224,17 @@ def check_lets(q: XQExpr):
 
 def xq_desugar(q: XQExpr, depth: int = 1) -> XQExpr:
     """Remove the derived forms; depth is the number of variables in
-    scope (binders introduced here bind level depth + 1)."""
+    scope (binders introduced here bind level depth + 1). This is the
+    only definition of the derived forms: "a and b" is "if (a) then b",
+    "a or b" is "a b", "some" is "for", "every $x in s satisfies c" is
+    "not(some $x in s satisfies not(c))", and a multi-step path is a
+    chain of for loops over single axis steps."""
     if isinstance(q, And):
         return If(xq_desugar(q.a, depth), xq_desugar(q.b, depth))
     if isinstance(q, Or):
         return Seq(xq_desugar(q.a, depth), xq_desugar(q.b, depth))
     if isinstance(q, Not):
-        phi = xq_desugar(q.a, depth)
-        return QueryEq(Elem("a", If(phi, EmptyElem("b"))),
-                       EmptyElem("a"), DEEP)
+        return Not(xq_desugar(q.a, depth))
     if isinstance(q, Some):
         return For(xq_desugar(q.source, depth),
                    xq_desugar(q.body, depth + 1))
@@ -280,14 +275,20 @@ Env = Tup[Tree, ...]
 
 
 def eval_xq(q: XQExpr, env: Env) -> list:
+    """Evaluate q in env; the derived forms mean what xq_desugar makes
+    of them."""
+    return _eval(xq_desugar(q, len(env)), env)
+
+
+def _eval(q: XQExpr, env: Env) -> list:
     if isinstance(q, EmptyElem):
         return [Tree(q.label)]
     if isinstance(q, Elem):
-        return [Tree(q.label, tuple(eval_xq(q.body, env)))]
+        return [Tree(q.label, tuple(_eval(q.body, env)))]
     if isinstance(q, EmptySeq):
         return []
     if isinstance(q, Seq):
-        return eval_xq(q.a, env) + eval_xq(q.b, env)
+        return _eval(q.a, env) + _eval(q.b, env)
     if isinstance(q, Var):
         return [_lookup(q.i, env)]
     if isinstance(q, AxisStep):
@@ -301,59 +302,29 @@ def eval_xq(q: XQExpr, env: Env) -> list:
         return nodes
     if isinstance(q, For):
         out = []
-        for t in eval_xq(q.source, env):
-            out.extend(eval_xq(q.body, env + (t,)))
+        for t in _eval(q.source, env):
+            out.extend(_eval(q.body, env + (t,)))
         return out
     if isinstance(q, Let):
-        r = eval_xq(q.bound, env)
+        r = _eval(q.bound, env)
         if len(r) != 1:
             raise ValueError_("let-bound expression produced %d trees"
                               % len(r))
-        return eval_xq(q.body, env + (r[0],))
+        return _eval(q.body, env + (r[0],))
     if isinstance(q, If):
-        if eval_xq(q.cond, env):
-            return eval_xq(q.then, env)
+        if _eval(q.cond, env):
+            return _eval(q.then, env)
         return []
     if isinstance(q, VarEq):
         a, b = _lookup(q.i, env), _lookup(q.j, env)
         return _yes(_tree_eq(a, b, q.mode))
     if isinstance(q, QueryEq):
-        ra, rb = eval_xq(q.a, env), eval_xq(q.b, env)
+        ra, rb = _eval(q.a, env), _eval(q.b, env)
         ok = (len(ra) == len(rb)
               and all(_tree_eq(x, y, q.mode) for x, y in zip(ra, rb)))
         return _yes(ok)
-    if isinstance(q, And):
-        if eval_xq(q.a, env):
-            return eval_xq(q.b, env)
-        return []
-    if isinstance(q, Or):
-        return eval_xq(q.a, env) + eval_xq(q.b, env)
     if isinstance(q, Not):
-        return _yes(not eval_xq(q.a, env))
-    if isinstance(q, Some):
-        out = []
-        for t in eval_xq(q.source, env):
-            out.extend(eval_xq(q.body, env + (t,)))
-        return out
-    if isinstance(q, Every):
-        for t in eval_xq(q.source, env):
-            if not eval_xq(q.body, env + (t,)):
-                return []
-        return _yes(True)
-    if isinstance(q, PathExpr):
-        nodes = [_lookup(q.var, env)]
-        for axis, test in q.steps:
-            nxt = []
-            for t in nodes:
-                if axis == CHILD:
-                    cand = list(t.children)
-                else:
-                    cand = _descendants(t)
-                if test != STAR:
-                    cand = [n for n in cand if n.label == test]
-                nxt.extend(cand)
-            nodes = nxt
-        return nodes
+        return _yes(not _eval(q.a, env))
     raise ValueError_("cannot evaluate %r" % (q,))
 
 

@@ -10,7 +10,7 @@ from nestql.bridge import (
 )
 from nestql.ma import eval_ma
 from nestql.values import LIST, parse_value
-from nestql.xmlxq import eval_xq, parse_xml, print_xml
+from nestql.xmlxq import eval_xq, parse_xml, parse_xq, print_xml
 
 
 @given(st.integers(0, 10 ** 6))
@@ -70,3 +70,18 @@ def test_value_to_tree_image_tags_structure():
     v = parse_value("[<A: a, B: b>]")
     t = encode_T(v)
     assert print_xml(t).startswith("<list>")
+
+
+@pytest.mark.parametrize("text", [
+    "($root = $root)",
+    "(not($root/z))",
+    "for $x2 in $root/* return ($x2 eq $x2)",
+    "(some $x2 in $root/* satisfies ($x2 = $x2))",
+])
+def test_comparisons_and_negations_as_items_translate(text):
+    """Used as items, comparisons and negations yield <yes/> trees, and so
+    must their translations."""
+    q = parse_xq(text)
+    doc = parse_xml("<r><a/><b/></r>")
+    assert [print_xml(t) for t in eval_xq(q, (doc,))][:1] == ["<yes/>"]
+    assert check_thm62(q, doc)

@@ -73,3 +73,12 @@ def test_eval_det_on_open_input():
     t = parse_type("{Dom}")
     out = eval_det(q, encode_det(v))
     assert decode_det(out, infer_type(q, t, SET)) == eval_ma(q, v, SET)
+
+
+def test_atoms_spelled_like_markers_stay_atoms():
+    """The empty and unit markers are steps of their own; atoms with the
+    same spelling print quoted and decode back to atoms."""
+    v = parse_value('<A: "[]", B: "<>">')
+    text = print_pathset(encode_det(v))
+    assert text == 'A."[]"\nB."<>"'
+    assert decode_det(parse_pathset(text)) == v

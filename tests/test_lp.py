@@ -76,3 +76,12 @@ def test_predicate_dependencies_are_acyclic():
         prog = compile_lp(q, empty_markers=True)
         # evaluation orders predicates topologically and raises on cycles
         eval_lp(prog)
+
+
+def test_constant_spelled_like_a_marker_stays_an_atom():
+    q = parse_ma("'\"[]\"' ; sng")
+    text = print_lp(compile_lp(q))
+    assert 'p1(X, "[]") :- input(X, v).' in text
+    prog = parse_lp(text)
+    rels, _ = eval_lp(prog)
+    assert decode_det(goal_paths(prog, rels)) == eval_ma(q, UNIT, LIST)

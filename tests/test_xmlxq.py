@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nestql import gen
+from nestql.bridge import check_thm62
 from nestql.values import ATOMIC, DEEP, ValueError_
 from nestql.xmlxq import (
     CHILD, DESCENDANT, AxisStep, Elem, EmptyElem, EmptySeq, For, If, Let,
@@ -126,3 +127,72 @@ def test_desugared_query_agrees(seed):
     q = gen.gen_tree_query(rng, 4)
     doc = gen.gen_doc(rng, 15)
     assert eval_xq(xq_desugar(q), (doc,)) == eval_xq(q, (doc,))
+
+
+# The derived forms mean what xq_desugar makes of them; these expected
+# results pin that meaning independently of the desugarer. Each form
+# appears at top level and under a for loop.
+
+DERIVED_DOC = parse_xml(
+    "<r><a><c><t/></c><t/></a><b><c/><a><t/></a></b><a/></r>")
+
+DERIVED_CASES = [
+    ("and", "if ($root/a and $root/b) then <y/>", ["<y/>"]),
+    ("and-item", "($root/a and $root/z)", []),
+    ("and-for", "for $x2 in $root/* return <w>{($x2/t and $x2/c)}</w>",
+     ["<w><c><t/></c></w>", "<w/>", "<w/>"]),
+    ("or", "($root/z or $root/b or $root/a/c)",
+     ["<b><c/><a><t/></a></b>", "<c><t/></c>"]),
+    ("or-for", "for $x2 in $root/* return <w>{($x2/c or $x2/t)}</w>",
+     ["<w><c><t/></c><t/></w>", "<w><c/></w>", "<w/>"]),
+    ("not", "(not($root/z))", ["<yes/>"]),
+    ("not-cond", "if (not($root/a)) then <y/>", []),
+    ("not-for", "for $x2 in $root/* return <w>{(not($x2/c))}</w>",
+     ["<w/>", "<w/>", "<w><yes/></w>"]),
+    ("some", "(some $x2 in $root/* satisfies $x2/c)",
+     ["<c><t/></c>", "<c/>"]),
+    ("some-for",
+     "for $x2 in $root/* return <w>{(some $x3 in $x2/* satisfies $x3/t)}</w>",
+     ["<w><t/></w>", "<w><t/></w>", "<w/>"]),
+    ("every-false", "(every $x2 in $root/a satisfies $x2/c)", []),
+    ("every-true", "(every $x2 in $root/* satisfies not($x2/z))",
+     ["<yes/>"]),
+    ("every-for",
+     "for $x2 in $root/* return <w>{(every $x3 in $x2/* satisfies $x3/*)}</w>",
+     ["<w/>", "<w/>", "<w><yes/></w>"]),
+    ("every-not-for",
+     "for $x2 in $root/* return "
+     "<w>{(every $x3 in $x2/* satisfies not($x3/t))}</w>",
+     ["<w/>", "<w/>", "<w><yes/></w>"]),
+    ("path", "$root/a/c", ["<c><t/></c>"]),
+    ("path-3", "$root/*/*/t", ["<t/>", "<t/>"]),
+    ("path-for", "for $x2 in $root/* return <w>{$x2/*/t}</w>",
+     ["<w><t/></w>", "<w><t/></w>", "<w/>"]),
+    ("desc-path", "$root/b/descendant::t", ["<t/>"]),
+    ("path-desc", "$root/descendant::c/t", ["<t/>"]),
+    ("desc-path-for",
+     "for $x2 in $root/* return <w>{$x2/descendant::*/t}</w>",
+     ["<w><t/></w>", "<w><t/></w>", "<w/>"]),
+    ("path-desc-for",
+     "for $x2 in $root/* return <w>{$x2/c/descendant::t}</w>",
+     ["<w><t/></w>", "<w/>", "<w/>"]),
+]
+
+
+@pytest.mark.parametrize("name,text,want", DERIVED_CASES,
+                         ids=[c[0] for c in DERIVED_CASES])
+def test_derived_forms_meaning(name, text, want):
+    q = parse_xq(text)
+    assert show(run(q, DERIVED_DOC)) == want
+    if "descendant" not in text:
+        # only the child axis translates to the algebra
+        assert check_thm62(q, DERIVED_DOC)
+
+
+def test_every_evaluates_its_whole_desugaring():
+    """every is not(some ... satisfies not(...)) and does not stop at the
+    first failing member: the body's atomic comparison reaches the
+    non-leaf <a> although <t/> already fails the body."""
+    q = parse_xq("(every $x2 in $root/* satisfies ($x2 eq $x2) and $x2/z)")
+    with pytest.raises(ValueError_, match="atomic equality on non-leaf"):
+        run(q, parse_xml("<r><t/><a><c/></a></r>"))
