@@ -563,11 +563,14 @@ def _print_arg2(p: SuffixPat) -> str:
 
 def _print_pat(t: TPat) -> str:
     if isinstance(t, PLab):
+        if isinstance(t.term, Lab) and _VAR_RE.fullmatch(t.term.text):
+            # quoted, or it would read back as a variable
+            return '"%s"' % t.term.text
         return print_term(t.term)
     if isinstance(t, PVar):
         return t.name
     if isinstance(t, PVarNe):
-        return "%s\\%s" % (t.name, t.exclude)
+        return "%s\\%s" % (t.name, print_atom(t.exclude))
     return "(%s)" % _print_pair_body(t)
 
 
@@ -695,8 +698,9 @@ def _parse_pat(sc: _Scanner) -> TPat:
     for mark in (_EMPTY, _UNIT):
         if sc.try_tok(mark.term.text):
             return mark
+    quoted = sc.peek() == '"'
     word = sc.atom()
-    if _VAR_RE.fullmatch(word):
+    if not quoted and _VAR_RE.fullmatch(word):
         if sc.try_tok("\\"):
             return PVarNe(word, sc.atom())
         return PVar(word)

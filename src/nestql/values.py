@@ -5,6 +5,17 @@ duplicate-free), lists (ordered, duplicates kept) and bags (multiplicities
 kept, order canonical). A small text format with tuple brackets ``<...>``,
 set braces ``{...}``, list brackets ``[...]`` and bag braces ``{|...|}``
 round-trips through :func:`parse_value` / :func:`print_value`.
+
+Each tuple and collection node stores what would otherwise mean walking
+its whole subtree: its canonical sort key (:func:`sort_key`), its hash,
+whether it is free of collections (the mon-equality check), its node
+count (:func:`value_nodes`) and, for tuples, its label tuple. Each is
+built on first use from the members' stored ones, so a node computes it
+once. Native ``hash`` is the stored hash and native ``==`` compares
+fields, so both are structural, which holds only because
+:func:`make_coll` keeps sets and bags in canonical order. Stored hashes
+depend on ``PYTHONHASHSEED``, so values must not be pickled or
+persisted.
 """
 
 from __future__ import annotations
@@ -29,14 +40,47 @@ _KIND_RANK = {SET: 0, LIST: 1, BAG: 2}
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_#+\-]+")
 
 
+class _once:
+    """A per-node fact, computed on first use and stored on the node.
+
+    The result becomes an instance attribute, which shadows this
+    non-data descriptor from then on. It is set with
+    ``object.__setattr__`` (the dataclasses are frozen) rather than
+    through ``__dict__``: that would turn the instance's inline attribute
+    values into a dict and slow every later attribute read. Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, v, cls):
+        out = self.fn(v)
+        object.__setattr__(v, self.name, out)
+        return out
+
+
 @dataclass(frozen=True)
 class Value:
-    pass
+    """A value node. Equality is the dataclass's field-by-field
+    comparison. Tuples and collections return their stored hash; the
+    decorator keeps a ``__hash__`` only when it is written in that
+    class's own body."""
 
 
 @dataclass(frozen=True)
 class Atom(Value):
     label: str
+
+    _set_free = True
+    _nodes = 1
+
+    # rebuilt when asked: atoms are many, and a parent reads the key of
+    # its members once, when it builds its own
+    @property
+    def _key(self):
+        return (0, self.label)
 
 
 @dataclass(frozen=True)
@@ -44,9 +88,9 @@ class Tuple(Value):
     fields: Tup[Tup[str, Value], ...]
 
     def __post_init__(self):
-        labels = [l for l, _ in self.fields]
-        if len(set(labels)) != len(labels):
-            raise ValueError_("duplicate tuple label in %r" % (labels,))
+        if len({l for l, _ in self.fields}) != len(self.fields):
+            raise ValueError_("duplicate tuple label in %r"
+                              % ([l for l, _ in self.fields],))
 
     def field(self, label: str) -> Value:
         for l, v in self.fields:
@@ -56,47 +100,83 @@ class Tuple(Value):
                           % (label, [l for l, _ in self.fields]))
 
     def labels(self) -> Tup[str, ...]:
-        return tuple(l for l, _ in self.fields)
+        return self._labels
+
+    def __hash__(self):
+        return self._hash
+
+    @_once
+    def _labels(self):
+        return tuple([l for l, _ in self.fields])
+
+    @_once
+    def _key(self):
+        f = self.fields
+        return (1, tuple([l for l, _ in f]), tuple([x._key for _, x in f]))
+
+    @_once
+    def _hash(self):
+        return hash(self.fields)
+
+    @_once
+    def _set_free(self):
+        return all(x._set_free for _, x in self.fields)
+
+    @_once
+    def _nodes(self):
+        return 1 + sum([x._nodes for _, x in self.fields])
 
 
 @dataclass(frozen=True)
 class Coll(Value):
     """A collection. Build it only with :func:`make_coll`: native ``==``
-    and ``hash`` are structural equality because sets and bags are kept
-    in that canonical form."""
+    and ``hash`` are structural equality only because sets and bags are
+    kept in that canonical form (sets deduped, sets and bags sorted by
+    :func:`sort_key`)."""
     kind: str
     elems: Tup[Value, ...]
+
+    _set_free = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError_("bad collection kind %r" % (self.kind,))
+
+    def __hash__(self):
+        return self._hash
+
+    @_once
+    def _key(self):
+        return (2, _KIND_RANK[self.kind], len(self.elems),
+                tuple([x._key for x in self.elems]))
+
+    @_once
+    def _hash(self):
+        return hash((self.kind, self.elems))
+
+    @_once
+    def _nodes(self):
+        return 1 + sum([x._nodes for x in self.elems])
 
 
 UNIT = Tuple(())
 
 
 def sort_key(v: Value):
-    """Total order on values: atoms < tuples < collections."""
-    if isinstance(v, Atom):
-        return (0, v.label)
-    if isinstance(v, Tuple):
-        return (1, v.labels(), tuple(sort_key(x) for _, x in v.fields))
-    assert isinstance(v, Coll)
-    return (2, _KIND_RANK[v.kind], len(v.elems),
-            tuple(sort_key(x) for x in v.elems))
+    """Total order on values: atoms < tuples < collections. The key is
+    stored on the node, so sorting never walks a member twice."""
+    return v._key
 
 
 def make_coll(kind: str, elems: Iterable[Value]) -> Coll:
-    """Build a collection in canonical form (sets deduped + sorted,
-    bags sorted, lists as given)."""
-    elems = list(elems)
-    if kind == SET:
-        seen = {}
-        for e in elems:
-            seen.setdefault(sort_key(e), e)
-        elems = [seen[k] for k in sorted(seen)]
-    elif kind == BAG:
+    """Build a collection in canonical form (sets and bags sorted by
+    :func:`sort_key`, sets then deduped; lists as given). The sort is
+    stable, so a set keeps the first-seen member of each equal group."""
+    if kind != LIST:
         elems = sorted(elems, key=sort_key)
+        if kind == SET:
+            elems = [x for i, x in enumerate(elems)
+                     if not i or x._key != elems[i - 1]._key]
     return Coll(kind, tuple(elems))
 
 
@@ -106,12 +186,8 @@ def make_tuple(fields: Iterable[Tup[str, Value]]) -> Tuple:
 
 def value_nodes(v: Value) -> int:
     """Number of nodes in the value tree (atoms count 1, tuples and
-    collections count 1 plus their members)."""
-    if isinstance(v, Atom):
-        return 1
-    if isinstance(v, Tuple):
-        return 1 + sum(value_nodes(x) for _, x in v.fields)
-    return 1 + sum(value_nodes(x) for x in v.elems)
+    collections count 1 plus their members), stored on the node."""
+    return v._nodes
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +290,6 @@ MON = "mon"
 DEEP = "deep"
 
 
-def _set_free(v: Value) -> bool:
-    if isinstance(v, Atom):
-        return True
-    if isinstance(v, Tuple):
-        return all(_set_free(x) for _, x in v.fields)
-    return False
-
-
 def value_equal(a: Value, b: Value, mode: str = DEEP) -> bool:
     """Structural equality after the mode check: ATOMIC needs atoms, MON
     needs collection-free values, DEEP takes anything."""
@@ -232,7 +300,7 @@ def value_equal(a: Value, b: Value, mode: str = DEEP) -> bool:
                               % print_value(bad))
     elif mode == MON:
         for v in (a, b):
-            if not _set_free(v):
+            if not v._set_free:
                 raise ValueError_("mon equality on collection-bearing value %s"
                                   % print_value(v))
     elif mode != DEEP:
@@ -250,18 +318,31 @@ def print_atom(label: str) -> str:
 
 
 def print_value(v: Value) -> str:
+    """Value text. Each sub-value object is printed once per call and its
+    text reused wherever the object occurs again; the ids stay unique
+    during the call because v keeps every node alive."""
+    return _print(v, {})
+
+
+def _print(v: Value, memo: dict) -> str:
     if isinstance(v, Atom):
         return print_atom(v.label)
+    out = memo.get(id(v))
+    if out is not None:
+        return out
     if isinstance(v, Tuple):
-        return "<%s>" % ", ".join("%s: %s" % (l, print_value(x))
-                                  for l, x in v.fields)
-    assert isinstance(v, Coll)
-    body = ", ".join(print_value(x) for x in v.elems)
-    if v.kind == SET:
-        return "{%s}" % body
-    if v.kind == LIST:
-        return "[%s]" % body
-    return "{|%s|}" % body
+        out = "<%s>" % ", ".join(["%s: %s" % (l, _print(x, memo))
+                                  for l, x in v.fields])
+    else:
+        body = ", ".join([_print(x, memo) for x in v.elems])
+        if v.kind == SET:
+            out = "{%s}" % body
+        elif v.kind == LIST:
+            out = "[%s]" % body
+        else:
+            out = "{|%s|}" % body
+    memo[id(v)] = out
+    return out
 
 
 class _Scanner:

@@ -11,7 +11,9 @@ from nestql.lp import (
 )
 from nestql.ma import UNIT_T, eval_ma, infer_type
 from nestql.ma_text import parse_ma
-from nestql.values import LIST, SET, UNIT, parse_type, parse_value
+from nestql.values import (
+    LIST, SET, UNIT, parse_type, parse_value, print_atom,
+)
 
 
 def test_closed_program_text_is_stable():
@@ -85,3 +87,17 @@ def test_constant_spelled_like_a_marker_stays_an_atom():
     prog = parse_lp(text)
     rels, _ = eval_lp(prog)
     assert decode_det(goal_paths(prog, rels)) == eval_ma(q, UNIT, LIST)
+
+
+@pytest.mark.parametrize("c", ["i", "v", "w1", "X", "ok", "a b"])
+def test_constant_spelled_like_a_variable_roundtrips(c):
+    """Constants and field labels spelled like rule variables print
+    quoted, so the printed program reads back with the same meaning; so
+    do labels that need quotes, also where a step variable excludes
+    them."""
+    a = print_atom(c)
+    q = parse_ma("tup[%s = '%s' ; sng, B = 'b'] ; pairwith[%s]" % (a, a, a))
+    prog = parse_lp(print_lp(compile_lp(q)))
+    rels, _ = eval_lp(prog)
+    lt = listify_type(infer_type(q, UNIT_T, LIST))
+    assert decode_det(goal_paths(prog, rels), lt) == eval_ma(q, UNIT, LIST)
