@@ -300,12 +300,27 @@ def decode_det(V: PathSet, t: Optional[Type] = None) -> Value:
     collections are placed at their collection-typed positions, tuple
     fields (numeral labels too) follow the type.
     """
-    if t is not None:
-        return _decode_typed(V, t)
-    return _decode(frozenset(V))
+    V = frozenset(V)
+    return _decode(V) if t is None else _decode_typed(V, t)
 
 
-def _decode(V: PathSet) -> Value:
+def _children(V):
+    """The paths of V grouped by first step, in one pass. Returns a dict
+    from each step with a continuation to the list of the paths' rests
+    after it, and the set of steps that end a path. The paths of V are
+    distinct, so the rests under one step are too: decoding passes these
+    lists down instead of building a set of paths per node."""
+    rests: dict = {}
+    ends = set()
+    for p in V:
+        if len(p) > 1:
+            rests.setdefault(p[0], []).append(p[1:])
+        else:
+            ends.add(p[0])
+    return rests, ends
+
+
+def _decode(V) -> Value:
     if not V:
         return make_coll(LIST, ())
     if len(V) == 1:
@@ -316,39 +331,34 @@ def _decode(V: PathSet) -> Value:
             return UNIT
         if len(p) == 1 and isinstance(p[0], Lab):
             return Atom(p[0].text)
-    field_heads = {p[0] for p in V if _is_field_step(p)}
-    heads = {p[0] for p in V if not _is_field_step(p)
-             and (len(p) > 1 or not isinstance(p[0], Mark))}
+    rests, ends = _children(V)
+    field_heads = [h for h in rests if _is_field_label(h)]
+    # a step that ends a path is an index, unless it is a marker
+    heads = ({h for h in rests if not _is_field_label(h)}
+             | {h for h in ends if not isinstance(h, Mark)})
     if field_heads and heads:
         raise ValueError_("mixed field and index steps below one node")
     if field_heads:
-        fields = []
-        for h in sorted(field_heads, key=term_key):
-            sub = frozenset(p[1:] for p in V if p[0] == h and len(p) > 1)
-            fields.append((h.text, _decode(sub)))
-        return make_tuple(fields)
+        return make_tuple((h.text, _decode(rests[h]))
+                          for h in sorted(field_heads, key=term_key))
     members = []
     for h in sorted(heads, key=term_key):
-        sub = frozenset(p[1:] for p in V if p[0] == h and len(p) > 1)
-        if not sub:
+        if h not in rests:
             raise ValueError_("index step %s has no continuation"
                               % print_term(h))
-        members.append(_decode(sub))
+        members.append(_decode(rests[h]))
     return make_coll(LIST, members)
 
 
-def _is_field_step(p: Path) -> bool:
-    """Untyped decoding reads the first step of p as a tuple field when
-    it is a plain label with a continuation, other than a numeral or
-    "s"."""
-    h = p[0]
-    return (len(p) > 1 and isinstance(h, Lab) and not h.text.isdigit()
-            and h.text != "s")
+def _is_field_label(h: PathTerm) -> bool:
+    """Untyped decoding reads a step with a continuation as a tuple field
+    when it is a plain label other than a numeral or "s"."""
+    return isinstance(h, Lab) and not h.text.isdigit() and h.text != "s"
 
 
-def _decode_typed(V: PathSet, t: Type) -> Value:
+def _decode_typed(V, t: Type) -> Value:
     if isinstance(t, AnyType):
-        return _decode(frozenset(V))
+        return _decode(V)
     if isinstance(t, DomType):
         labs = {p[0].text for p in V
                 if len(p) == 1 and isinstance(p[0], Lab)}
@@ -359,22 +369,21 @@ def _decode_typed(V: PathSet, t: Type) -> Value:
     if isinstance(t, TupleType):
         if not t.fields:
             return UNIT
+        rests, _ = _children(V)
         fields = []
         for l, ft in t.fields:
-            head = Lab(l)
-            sub = frozenset(p[1:] for p in V if p[0] == head and len(p) > 1)
+            sub = rests.get(Lab(l), [])
             if not sub and not isinstance(ft, CollType):
                 raise ValueError_("field %s absent but not collection-typed"
                                   % l)
             fields.append((l, _decode_typed(sub, ft)))
         return make_tuple(fields)
     assert isinstance(t, CollType)
-    members = []
-    heads = {p[0] for p in V if not (len(p) == 1 and isinstance(p[0], Mark))}
-    for h in sorted(heads, key=term_key):
-        sub = frozenset(p[1:] for p in V if p[0] == h and len(p) > 1)
-        members.append(_decode_typed(sub, t.elem))
-    return make_coll(t.kind, members)
+    rests, ends = _children(V)
+    # a marker that only ends a path is no member
+    heads = rests.keys() | {h for h in ends if not isinstance(h, Mark)}
+    return make_coll(t.kind, [_decode_typed(rests.get(h, []), t.elem)
+                              for h in sorted(heads, key=term_key)])
 
 
 def listify_type(t: Type) -> Type:

@@ -13,6 +13,14 @@ A closed program starts from the base fact input(e, dummy) and its goal
 predicate is true iff some goal fact at the empty prefix has a path of
 the shape i.<> (a member index followed by the unit-tuple leaf).
 
+eval_lp evaluates bottom-up, each predicate after every predicate it
+reads, and joins a rule's body atoms by hash join. Each rule is planned
+once per call. An atom whose prefix earlier atoms have bound reads only
+the facts under that prefix, from the relation's prefix index (a unary
+one is a membership test); any other atom scans its relation. Where a
+variable dies, the environments are projected onto the live ones and
+deduplicated. See the Evaluation section.
+
 In rule text, identifiers i, j, k, u, v, w (optionally digit-suffixed)
 are variables, X is the prefix variable and e is the empty prefix;
 everything else is a label.
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple as Tup
 
 from .values import Value, ValueError_, _Scanner, print_atom
@@ -330,109 +339,210 @@ def compile_lp(q: MAExpr, closed: bool = True,
 
 # ---------------------------------------------------------------------------
 # Evaluation (bottom-up, stratified, predicate by predicate)
+#
+# Predicates are evaluated in topological order, so a relation is
+# complete before any rule reads it (no rule may read its own head,
+# directly or not). Each rule is planned once, when it runs: for every
+# body atom the plan records whether variables bound by the atoms before
+# it fix its whole prefix (a variable, or e, with no extension), and
+# which variables are still live after it (read by a later atom or by
+# the head). The atoms then run left to right over a list of
+# environments (dicts from variables to values):
+#   - an atom with a fixed prefix takes only the facts under that prefix,
+#     from the relation's prefix index; the index maps each prefix to its
+#     paths and is built once per relation, on first use. A unary atom
+#     with a fixed prefix is a set-membership test, as negation is;
+#   - any other atom (every first atom with a prefix variable, and atoms
+#     with a prefix extension or a prefix variable not bound yet) scans
+#     its whole relation.
+# Where a variable dies after an atom (no later atom and not the head
+# reads it), the environments are projected onto the live variables and
+# deduplicated: the join then runs once per distinct live binding, not
+# once per fact that only differs in a dead variable. Heads are sets, so
+# the projection changes no result.
+#
+# Matching interprets an atom's patterns fact by fact. Most rules of
+# compiled programs read one or two facts, so building a specialised
+# matcher per rule costs more than it saves.
+
+_UNBOUND = object()
+
+
+def _bind(env: dict, name: str, value) -> bool:
+    old = env.get(name, _UNBOUND)
+    if old is _UNBOUND:
+        env[name] = value
+        return True
+    return old == value
+
 
 def _match_term(pat: TPat, t: PathTerm, env: dict) -> bool:
-    if isinstance(pat, PLab):
+    if type(pat) is PLab:
         return t == pat.term
-    if isinstance(pat, PVar):
-        if pat.name in env:
-            return env[pat.name] == t
-        env[pat.name] = t
-        return True
-    if isinstance(pat, PVarNe):
-        if isinstance(t, Lab) and t.text == pat.exclude:
-            return False
-        if pat.name in env:
-            return env[pat.name] == t
-        env[pat.name] = t
-        return True
-    assert isinstance(pat, PPair)
-    return (isinstance(t, PairT) and _match_term(pat.left, t.left, env)
-            and _match_term(pat.right, t.right, env))
-
-
-def _match_prefix(pat: PrefixPat, pre: Path, env: dict) -> bool:
-    k = len(pat.ext)
-    if len(pre) < k:
+    if type(pat) is PPair:
+        return (type(t) is PairT and _match_term(pat.left, t.left, env)
+                and _match_term(pat.right, t.right, env))
+    if type(pat) is PVarNe and type(t) is Lab and t.text == pat.exclude:
         return False
-    head, tail = pre[:len(pre) - k], pre[len(pre) - k:]
-    if pat.var is None:
-        if head:
-            return False
-    else:
-        if pat.var in env:
-            if env[pat.var] != head:
-                return False
-        else:
-            env[pat.var] = head
-    return all(_match_term(p, t, env) for p, t in zip(pat.ext, tail))
+    return _bind(env, pat.name, t)
 
 
-def _match_suffix(pat: SuffixPat, path: Path, env: dict) -> bool:
-    n = len(pat.items)
-    if pat.rest is None:
-        if len(path) != n:
-            return False
-    elif len(path) < n + 1:
-        # a rest variable must cover at least one step, so a bare marker
-        # leaf never counts as a set member
-        return False
-    if not all(_match_term(p, t, env)
-               for p, t in zip(pat.items, path[:n])):
-        return False
-    if pat.rest is not None:
-        rest = path[n:]
-        if pat.rest in env:
-            return env[pat.rest] == rest
-        env[pat.rest] = rest
-    return True
+def _match(atom, pre: Path, path: Path, env: dict) -> Optional[dict]:
+    """env extended by matching the atom against the fact (pre, path), or
+    None; a unary atom ignores path."""
+    ext, var = atom.arg1.ext, atom.arg1.var
+    m = len(pre) - len(ext)
+    if m < 0 or (var is None and m):
+        return None
+    e = dict(env)
+    if type(atom) is BinAtom:
+        items, rest = atom.arg2.items, atom.arg2.rest
+        n = len(items)
+        # a rest variable covers at least one step, so a bare marker leaf
+        # never counts as a set member
+        if len(path) != n if rest is None else len(path) <= n:
+            return None
+        for p, t in zip(items, path):
+            if type(p) is PLab:
+                if t != p.term:
+                    return None
+            elif not _match_term(p, t, e):
+                return None
+        if rest is not None and not _bind(e, rest, path[n:]):
+            return None
+    for p, t in zip(ext, pre[m:]):
+        if not _match_term(p, t, e):
+            return None
+    if var is not None and not _bind(e, var, pre[:m]):
+        return None
+    return e
 
 
 def _inst_term(pat: TPat, env: dict) -> PathTerm:
-    if isinstance(pat, PLab):
+    if type(pat) is PLab:
         return pat.term
-    if isinstance(pat, (PVar, PVarNe)):
-        return env[pat.name]
-    return PairT(_inst_term(pat.left, env), _inst_term(pat.right, env))
+    if type(pat) is PPair:
+        return PairT(_inst_term(pat.left, env), _inst_term(pat.right, env))
+    return env[pat.name]
 
 
-def _inst_prefix(pat: PrefixPat, env: dict) -> Path:
-    base = env[pat.var] if pat.var is not None else ()
-    return tuple(base) + tuple(_inst_term(p, env) for p in pat.ext)
+def _inst(atom, env: dict):
+    """The atom's fact under env: (prefix, path), or the prefix alone for
+    a unary atom."""
+    arg1 = atom.arg1
+    pre = () if arg1.var is None else env[arg1.var]
+    if arg1.ext:
+        pre = pre + tuple([_inst_term(p, env) for p in arg1.ext])
+    if type(atom) is UnAtom:
+        return pre
+    path = tuple([_inst_term(p, env) for p in atom.arg2.items])
+    if atom.arg2.rest is not None:
+        path = path + env[atom.arg2.rest]
+    return pre, path
 
 
-def _inst_suffix(pat: SuffixPat, env: dict) -> Path:
-    out = tuple(_inst_term(p, env) for p in pat.items)
-    if pat.rest is not None:
-        out = out + tuple(env[pat.rest])
+def _names(atom) -> Set[str]:
+    """The variables of an atom."""
+    out = set() if atom.arg1.var is None else {atom.arg1.var}
+    pats = list(atom.arg1.ext)
+    if type(atom) is BinAtom:
+        pats.extend(atom.arg2.items)
+        if atom.arg2.rest is not None:
+            out.add(atom.arg2.rest)
+    while pats:
+        p = pats.pop()
+        if type(p) is PPair:
+            pats += (p.left, p.right)
+        elif type(p) is not PLab:
+            out.add(p.name)
     return out
 
 
-def _rule_deps(r: Rule):
-    return [a.pred for a in r.body]
+def _plan(r: Rule):
+    """(atom, fixed, live) for each body atom of r: fixed tells whether
+    the atoms before it bind its whole prefix; live lists the variables
+    bound so far that a later atom or the head reads, or is None where
+    none of them dies there (the last atom's matches go to the head)."""
+    plan, bound = [], set()
+    last = len(r.body) - 1
+    for i, atom in enumerate(r.body):
+        var = atom.arg1.var
+        fixed = not atom.arg1.ext and (var is None or var in bound)
+        live = None
+        if i < last:
+            if not (type(atom) is UnAtom and atom.negated):
+                bound |= _names(atom)
+            later = _names(r.head).union(*map(_names, r.body[i + 1:]))
+            if not later.issuperset(bound):
+                live = sorted(bound & later)
+        plan.append((atom, fixed, live))
+    return plan
 
 
-def _topo_preds(rules: List[Rule]) -> List[str]:
-    by_head: Dict[str, List[Rule]] = {}
-    for r in rules:
-        by_head.setdefault(r.head.pred, []).append(r)
+def _apply(r: Rule, bin_rels, un_rels, index) -> None:
+    """Add the facts rule r derives. index(pred) maps each prefix of the
+    binary relation pred to its paths."""
+    head = r.head
+    out = (bin_rels if type(head) is BinAtom else un_rels).setdefault(
+        head.pred, set())
+    envs = [{}]
+    for atom, fixed, live in _plan(r):
+        if type(atom) is UnAtom and (fixed or atom.negated):
+            rel = un_rels.get(atom.pred, ())
+            found = [e for e in envs
+                     if (_inst(atom, e) in rel) != atom.negated]
+        elif fixed:
+            by_prefix, var = index(atom.pred), atom.arg1.var
+            found = []
+            for env in envs:
+                pre = () if var is None else env[var]
+                for path in by_prefix.get(pre, ()):
+                    e = _match(atom, pre, path, env)
+                    if e is not None:
+                        found.append(e)
+        else:
+            if type(atom) is BinAtom:
+                facts = bin_rels.get(atom.pred, ())
+            else:
+                facts = [(pre, ()) for pre in un_rels.get(atom.pred, ())]
+            found = []
+            for env in envs:
+                for pre, path in facts:
+                    e = _match(atom, pre, path, env)
+                    if e is not None:
+                        found.append(e)
+        if live is not None:
+            # one environment per distinct binding of the live variables
+            key = itemgetter(*live) if live else (lambda e: ())
+            found = list({key(e): e for e in found}.values())
+        envs = found
+        if not envs:
+            return
+    for e in envs:
+        out.add(_inst(head, e))
+
+
+def _topo_preds(by_head: Dict[str, List[Rule]]) -> List[str]:
+    """Every predicate, each after the predicates its rules read; by_head
+    maps each head predicate to its rules."""
     order: List[str] = []
     state: Dict[str, int] = {}
 
     def visit(p: str):
-        if state.get(p) == 2:
-            return
-        if state.get(p) == 1:
-            raise ValueError_("recursive predicate %s" % p)
         state[p] = 1
-        for r in by_head.get(p, []):
-            for d in _rule_deps(r):
-                visit(d)
+        for r in by_head.get(p, ()):
+            for a in r.body:
+                s = state.get(a.pred)
+                if s is None:
+                    visit(a.pred)
+                elif s == 1:
+                    raise ValueError_("recursive predicate %s" % a.pred)
         state[p] = 2
         order.append(p)
 
-    for r in rules:
-        visit(r.head.pred)
+    for p in by_head:
+        if p not in state:
+            visit(p)
     return order
 
 
@@ -444,54 +554,23 @@ def eval_lp(prog: LogicProgram, facts: Optional[dict] = None):
     un_rels: Dict[str, Set[Path]] = {}
     for p, fs in (facts or {}).items():
         bin_rels.setdefault(p, set()).update(fs)
+    indexes: Dict[str, Dict[Path, List[Path]]] = {}
+
+    def index(pred: str) -> Dict[Path, List[Path]]:
+        if pred not in indexes:
+            by_prefix = indexes[pred] = {}
+            for pre, path in bin_rels.get(pred, ()):
+                by_prefix.setdefault(pre, []).append(path)
+        return indexes[pred]
+
     by_head: Dict[str, List[Rule]] = {}
     for r in prog.rules:
         by_head.setdefault(r.head.pred, []).append(r)
-    for pred in _topo_preds(prog.rules):
+    for pred in _topo_preds(by_head):
         for r in by_head.get(pred, []):
-            _apply(r, bin_rels, un_rels)
+            _apply(r, bin_rels, un_rels, index)
         bin_rels.setdefault(pred, set())
     return bin_rels, un_rels
-
-
-def _apply(r: Rule, bin_rels, un_rels):
-    envs = [dict()]
-    for atom in r.body:
-        new = []
-        if isinstance(atom, BinAtom):
-            rel = bin_rels.get(atom.pred, set())
-            for env in envs:
-                for pre, path in rel:
-                    e = dict(env)
-                    if (_match_prefix(atom.arg1, pre, e)
-                            and _match_suffix(atom.arg2, path, e)):
-                        new.append(e)
-        else:
-            rel = un_rels.get(atom.pred, set())
-            if atom.negated:
-                for env in envs:
-                    pre = _inst_prefix(atom.arg1, env)
-                    if pre not in rel:
-                        new.append(env)
-            else:
-                for env in envs:
-                    for pre in rel:
-                        e = dict(env)
-                        if _match_prefix(atom.arg1, pre, e):
-                            new.append(e)
-        envs = new
-        if not envs:
-            break
-    head = r.head
-    if isinstance(head, BinAtom):
-        out = bin_rels.setdefault(head.pred, set())
-        for env in envs:
-            out.add((_inst_prefix(head.arg1, env),
-                     _inst_suffix(head.arg2, env)))
-    else:
-        out = un_rels.setdefault(head.pred, set())
-        for env in envs:
-            out.add(_inst_prefix(head.arg1, env))
 
 
 def goal_paths(prog: LogicProgram, bin_rels) -> PathSet:

@@ -1,18 +1,23 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nestql import gen
-from nestql.detree import decode_det, listify_type
+from nestql.detree import (
+    decode_det, encode_det, eval_det, listify_type, print_path,
+)
 from nestql.lp import (
     compile_lp, eval_lp, goal_paths, goal_true, parse_lp, print_lp,
     run_lp,
 )
-from nestql.ma import UNIT_T, eval_ma, infer_type
+from nestql.ma import UNIT_T, desugar, eval_ma, infer_type
 from nestql.ma_text import parse_ma
+from nestql.reductions import flat_encode, gen_vprime
 from nestql.values import (
-    LIST, SET, UNIT, parse_type, parse_value, print_atom,
+    LIST, SET, UNIT, CollType, ValueError_, make_coll, parse_type,
+    parse_value, print_atom,
 )
 
 
@@ -101,3 +106,196 @@ def test_constant_spelled_like_a_variable_roundtrips(c):
     rels, _ = eval_lp(prog)
     lt = listify_type(infer_type(q, UNIT_T, LIST))
     assert decode_det(goal_paths(prog, rels), lt) == eval_ma(q, UNIT, LIST)
+
+
+def test_recursive_predicate_is_rejected():
+    with pytest.raises(ValueError_, match="recursive predicate p"):
+        eval_lp(parse_lp("a(e, x).\np(X, v) :- a(X, v), p(X, v).\n"))
+
+
+# ---------------------------------------------------------------------------
+# Join planning. Each program's derived relations were recorded with the
+# nested-loop evaluator that the planned hash join replaced.
+
+def _fact_text(pred, pre, path=None) -> str:
+    where = ".".join(["e"] + ([print_path(pre)] if pre else []))
+    if path is None:
+        return "%s(%s)" % (pred, where)
+    return "%s(%s, %s)" % (pred, where, print_path(path))
+
+
+def _printed_facts(rels) -> list:
+    bin_rels, un_rels = rels
+    return sorted([_fact_text(p, pre, path) for p, fs in bin_rels.items()
+                   for pre, path in fs]
+                  + [_fact_text(p, pre) for p, fs in un_rels.items()
+                     for pre in fs])
+
+
+PLANNER_CASES = {
+    # a later atom whose prefix variable no earlier atom binds
+    "unbound prefix": ("""\
+a(e, 1.x).
+a(e.p, 2.y).
+a(e.p.q, 3.z).
+b(e, m.n).
+r(X, v) :- b(X, w), a(u, v).
+s(u, k.v) :- b(X, k.w), a(u, v).
+""", ["a(e, 1.x)", "a(e.p, 2.y)", "a(e.p.q, 3.z)", "b(e, m.n)",
+      "r(e, 1.x)", "r(e, 2.y)", "r(e, 3.z)",
+      "s(e, m.1.x)", "s(e.p, m.2.y)", "s(e.p.q, m.3.z)"]),
+    # a prefix extension, after a bound prefix variable and as first atom
+    "extended prefix": ("""\
+a(e, 1.x).
+a(e.p, 2.y).
+a(e.p.q, 3.z).
+b(e, m).
+c(X, i.v) :- b(X, w), a(X.i, v).
+d(X, i.v) :- a(X.i, v).
+""", ["a(e, 1.x)", "a(e.p, 2.y)", "a(e.p.q, 3.z)", "b(e, m)",
+      "c(e, p.2.y)", "d(e, p.2.y)", "d(e.p, q.3.z)"]),
+    # a step variable shared by two atoms; the rule comes before the
+    # facts it reads
+    "shared step": ("""\
+s(X, i.j.w) :- a(X, i.j.v), b(X, i.w).
+a(e, 1.x.o).
+a(e, 2.y.o).
+a(e.p, 1.z.o).
+b(e, 1.t).
+b(e, 3.t).
+b(e.p, 1.y).
+""", ["a(e, 1.x.o)", "a(e, 2.y.o)", "a(e.p, 1.z.o)",
+      "b(e, 1.t)", "b(e, 3.t)", "b(e.p, 1.y)",
+      "s(e, 1.x.t)", "s(e.p, 1.z.y)"]),
+    # k\1 in a first atom, unbound in a later one, and bound
+    "exclusion": ("""\
+a(e, 1.x).
+a(e, 2.y).
+a(e, c.z).
+b(e, 1.p).
+b(e, 2.q).
+t1(X, k.w) :- a(X, k\\1.w).
+t2(X, i.k.w) :- a(X, i.v), b(X, k\\1.w).
+t3(X, k.w) :- a(X, k.v), b(X, k\\1.w).
+""", ["a(e, 1.x)", "a(e, 2.y)", "a(e, c.z)", "b(e, 1.p)", "b(e, 2.q)",
+      "t1(e, 2.y)", "t1(e, c.z)",
+      "t2(e, 1.2.q)", "t2(e, 2.2.q)", "t2(e, c.2.q)", "t3(e, 2.q)"]),
+    # unary atoms: positive and negated with a bound prefix, positive as
+    # a first atom, and a unary head
+    "unary": ("""\
+a(e, 1.x).
+a(e.p, 2.y).
+a(e.p.q, 3.z).
+has(e.p).
+pos(X, v) :- a(X, v), has(X).
+neg(X, v) :- a(X, v), not has(X).
+some(u, ok) :- has(u).
+seen(X) :- a(X, 2.v).
+""", ["a(e, 1.x)", "a(e.p, 2.y)", "a(e.p.q, 3.z)", "has(e.p)",
+      "neg(e, 1.x)", "neg(e.p.q, 3.z)", "pos(e.p, 2.y)", "seen(e.p)",
+      "some(e.p, ok)"]),
+    # v is dead after the first atom: its two bindings under i = 1 must
+    # not derive the head facts twice
+    "dead variable": ("""\
+a(e, 1.x).
+a(e, 1.y).
+a(e, 2.z).
+b(e, m).
+b(e, n).
+dup(X, i.w) :- a(X, i.v), b(X, w).
+""", ["a(e, 1.x)", "a(e, 1.y)", "a(e, 2.z)", "b(e, m)", "b(e, n)",
+      "dup(e, 1.m)", "dup(e, 1.n)", "dup(e, 2.m)", "dup(e, 2.n)"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANNER_CASES))
+def test_join_plan_derives_the_recorded_facts(case):
+    text, want = PLANNER_CASES[case]
+    assert _printed_facts(eval_lp(parse_lp(text))) == want
+
+
+def _closed_programs(markers):
+    for seed in range(200):
+        q = gen.gen_closed_query(random.Random(seed), 4, LIST)
+        yield compile_lp(q, empty_markers=markers), None
+
+
+def _bool_programs():
+    for seed in range(200):
+        q = gen.gen_bool_query(random.Random(seed), 3, LIST)
+        yield compile_lp(q, empty_markers=True), None
+
+
+# the flat-encodable types up to depth 2, and the list reading of
+# flat_encode's relations, the reassembly programs' input type
+FLAT_TYPES = [
+    "Dom", "<1: Dom, 2: Dom>", "{Dom}",
+    "<1: <1: Dom, 2: Dom>, 2: Dom>", "<1: <1: Dom, 2: Dom>, 2: {Dom}>",
+    "<1: <1: Dom, 2: Dom>, 2: <1: Dom, 2: Dom>>",
+    "<1: Dom, 2: <1: Dom, 2: Dom>>", "<1: Dom, 2: {Dom}>",
+    "<1: {Dom}, 2: Dom>", "<1: {Dom}, 2: <1: Dom, 2: Dom>>",
+    "<1: {Dom}, 2: {Dom}>", "{<1: Dom, 2: Dom>}", "{{Dom}}",
+]
+FLAT_DB_TYPE = ("<atomic: [<1: Dom, 2: Dom>], set: [<1: Dom, 2: Dom>], "
+                "pair: [<1: Dom, 2: Dom, 3: Dom>]>")
+
+
+def _flat_programs():
+    rng = random.Random(5)
+    db_type = parse_type(FLAT_DB_TYPE)
+    for text in FLAT_TYPES:
+        t = parse_type(text)
+        v = gen.gen_flat_value(rng, t)
+        prog = compile_lp(desugar(gen_vprime(t), db_type, LIST),
+                          closed=False)
+        paths = encode_det(flat_encode(v))
+        yield prog, {prog.input_pred: {((), p) for p in paths}}
+
+
+PINNED_FACTS = {
+    "closed": (
+        lambda: _closed_programs(False),
+        "9386b422cdd57e2680fe38dd1b8603abd93369b4a93df308824948565be74839"),
+    "closed with empty markers": (
+        lambda: _closed_programs(True),
+        "3cb238e3195044eea5786b3a301dd0e6d82b77a1749b8e4fa10debb8dee1a038"),
+    "bool": (
+        _bool_programs,
+        "5e55435dd34a44be488b652bcaec2ffa89db505af9df7b88a1fdece316e23f50"),
+    "flat reassembly": (
+        _flat_programs,
+        "94259fa2b86864e55ce8bdba6a4ace1273022d87da0b61e399f83598872a1a33"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_FACTS))
+def test_every_derived_fact_is_pinned(family):
+    """A sha256 over the printed facts of every relation eval_lp returns,
+    program by program, recorded with the nested-loop evaluator."""
+    programs, want = PINNED_FACTS[family]
+    h = hashlib.sha256()
+    for prog, facts in programs():
+        h.update(("\n".join(_printed_facts(eval_lp(prog, facts)))
+                  + "\n--\n").encode())
+    assert h.hexdigest() == want
+
+
+@pytest.mark.parametrize("text", [
+    "<1: <1: Dom, 2: <1: Dom, 2: Dom>>, 2: <1: <1: Dom, 2: Dom>, 2: Dom>>",
+    "{{{Dom}}}",
+    "<1: {<1: Dom, 2: Dom>}, 2: {Dom}>",
+    "{<1: {Dom}, 2: Dom>}",
+    "<1: {{Dom}}, 2: <1: Dom, 2: Dom>>",
+])
+def test_depth3_flat_reassembly_through_both_path_routes(text):
+    """The reassembly query rebuilds {v} from v's flat relations, on path
+    sets and as a compiled program."""
+    t = parse_type(text)
+    v = gen.gen_flat_value(random.Random(3), t)
+    q = desugar(gen_vprime(t), parse_type(FLAT_DB_TYPE), LIST)
+    paths = encode_det(flat_encode(v))
+    prog = compile_lp(q, closed=False)
+    rels, _ = eval_lp(prog, {prog.input_pred: {((), p) for p in paths}})
+    want = make_coll(SET, [v])
+    for got in (eval_det(q, paths), goal_paths(prog, rels)):
+        assert decode_det(got, CollType(SET, t)) == want
