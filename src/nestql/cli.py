@@ -74,6 +74,7 @@ def cmd_eval_xq(a) -> int:
     q = xmlxq.parse_xq(_read(a.query))
     doc = xmlxq.parse_xml(_read(a.doc))
     trees = xmlxq.eval_xq(q, (doc,))
+    _guard(sum(map(xmlxq.tree_nodes, trees)), "the result")
     _out("\n".join(xmlxq.print_xml(t) for t in trees) if trees else "")
     return 0
 

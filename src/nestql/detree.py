@@ -1,16 +1,17 @@
 """Deterministic-tree semantics: values as sets of root-to-leaf paths.
 
 A value is flattened to the set of its root-to-leaf paths over a single
-binary pairing constructor. Steps are plain labels (atoms, tuple field
-names, member indexes), the two reserved markers, or pairs of terms;
-pairs arise when operations merge indexes (flatten) or tag them (union,
-singleton). A label is its text alone and a marker is a step of its own
-class, so steps compare and hash natively and an atom spelled like a
-marker never equals one (in text, such an atom is quoted). Whether a
-label names a field or an index is decided only when decoding, by the
-type if one is given. Queries in the atomic-equality core are evaluated
-directly on path sets by :func:`eval_det`, mirroring the
-rule-per-operation semantics used by the logic-program compilation.
+binary pairing constructor. Steps are labels (atoms, tuple field names,
+member indexes), the two reserved markers, or pairs of steps; pairs
+arise when operations merge indexes (flatten) or tag them (union,
+singleton). Steps are plain data: a label is its str, a pair is the
+2-tuple (left, right), and a marker is one of two objects compared by
+identity, so steps compare and hash as Python's own types do and an atom
+spelled like a marker never equals one (in text, such an atom is
+quoted). Whether a label names a field or an index is decided only when
+decoding, by the type if one is given. Queries in the atomic-equality
+core are evaluated directly on path sets by :func:`eval_det`, mirroring
+the rule-per-operation semantics used by the logic-program compilation.
 
 Emptiness conventions: the constant empty collection and the nullary
 tuple are the marker leaves "[]" and "<>". By default a computed-empty
@@ -24,8 +25,7 @@ marker next to surviving content is ignored by decoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple as Tup
+from typing import Iterable, Optional, Tuple as Tup, Union
 
 from .values import (
     Atom, Coll, CollType, DomType, LIST, Tuple, TupleType, Type, UNIT,
@@ -35,69 +35,63 @@ from . import ma
 from .ma import AnyType, MAExpr
 
 
-@dataclass(frozen=True)
-class PathTerm:
-    pass
+class Marker:
+    """A reserved leaf step: "[]" for the empty collection, "<>" for the
+    unit tuple. There are exactly two, MARK_EMPTY and MARK_UNIT; they
+    compare and hash by identity, so a marker never equals the label of
+    the same text."""
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return "Marker(%r)" % self.text
 
 
-@dataclass(frozen=True)
-class Lab(PathTerm):
-    text: str
+MARK_EMPTY = Marker("[]")
+MARK_UNIT = Marker("<>")
 
-
-@dataclass(frozen=True)
-class Mark(PathTerm):
-    """A reserved leaf: "[]" for the empty collection, "<>" for the
-    unit tuple. It never equals the label of the same text."""
-    text: str
-
-
-MARK_EMPTY = Mark("[]")
-MARK_UNIT = Mark("<>")
-
-
-@dataclass(frozen=True)
-class PairT(PathTerm):
-    left: PathTerm
-    right: PathTerm
-
-
-S = Lab("s")
 _MARKER_PATH = (MARK_EMPTY,)
 
-Path = Tup[PathTerm, ...]
+# A step is a label (its str), a marker, or a pair: a 2-tuple of steps.
+Step = Union[str, Marker, Tup]
+Path = Tup[Step, ...]
 PathSet = frozenset
 
 
-def term_key(t: PathTerm):
-    """Total order on path terms: labels and markers before pairs,
-    numeral labels numerically, then the others byte-lexicographically."""
-    if isinstance(t, (Lab, Mark)):
-        if t.text.isdigit():
-            return (0, 0, int(t.text), "")
-        return (0, 1, 0, t.text)
-    return (1, term_key(t.left), term_key(t.right))
+def term_key(t: Step):
+    """Total order on steps: labels and markers before pairs, numeral
+    labels numerically, then the others byte-lexicographically; numerals
+    of equal value by their text ("01" before "1"), and a label before
+    the marker of the same text."""
+    if type(t) is tuple:
+        return (1, term_key(t[0]), term_key(t[1]))
+    text, kind = (t, 0) if type(t) is str else (t.text, 1)
+    if text.isdecimal():
+        return (0, 0, int(text), text, kind)
+    return (0, 1, 0, text, kind)
 
 
 # ---------------------------------------------------------------------------
 # Text format
 
-def print_term(t: PathTerm) -> str:
-    if isinstance(t, Mark):
+def print_term(t: Step) -> str:
+    if type(t) is str:
+        return print_atom(t)
+    if type(t) is not tuple:
         return t.text
-    if isinstance(t, Lab):
-        return print_atom(t.text)
-    parts = [_wrap(t.left)]
-    r = t.right
-    while isinstance(r, PairT):
-        parts.append(_wrap(r.left))
-        r = r.right
+    parts = [_wrap(t[0])]
+    r = t[1]
+    while type(r) is tuple:
+        parts.append(_wrap(r[0]))
+        r = r[1]
     parts.append(_wrap(r))
     return ".".join(parts)
 
 
-def _wrap(t: PathTerm) -> str:
-    return "(%s)" % print_term(t) if isinstance(t, PairT) else print_term(t)
+def _wrap(t: Step) -> str:
+    return "(%s)" % print_term(t) if type(t) is tuple else print_term(t)
 
 
 def print_path(p: Path) -> str:
@@ -108,7 +102,7 @@ def print_pathset(v: Iterable[Path]) -> str:
     return "\n".join(sorted(print_path(p) for p in v))
 
 
-def _parse_step(sc: _Scanner) -> PathTerm:
+def _parse_step(sc: _Scanner) -> Step:
     sc.skip_ws()
     if sc.try_tok("("):
         parts = [_parse_step(sc)]
@@ -119,13 +113,13 @@ def _parse_step(sc: _Scanner) -> PathTerm:
     for mark in (MARK_EMPTY, MARK_UNIT):
         if sc.try_tok(mark.text):
             return mark
-    return Lab(sc.atom())
+    return sc.atom()
 
 
-def _fold_term(parts) -> PathTerm:
+def _fold_term(parts) -> Step:
     if len(parts) == 1:
         return parts[0]
-    return PairT(parts[0], _fold_term(parts[1:]))
+    return (parts[0], _fold_term(parts[1:]))
 
 
 def parse_path(text: str) -> Path:
@@ -155,21 +149,20 @@ def encode_det(v: Value) -> PathSet:
 
 def _encode(v: Value):
     if isinstance(v, Atom):
-        return [(Lab(v.label),)]
+        return [(v.label,)]
     if isinstance(v, Tuple):
         if not v.fields:
             return [(MARK_UNIT,)]
         out = []
         for l, x in v.fields:
-            head = Lab(l)
-            out.extend((head,) + p for p in _encode(x))
+            out.extend((l,) + p for p in _encode(x))
         return out
     assert isinstance(v, Coll)
     if not v.elems:
         return [_MARKER_PATH]
     out = []
     for k, x in enumerate(v.elems, 1):
-        head = Lab(str(k))
+        head = str(k)
         out.extend((head,) + p for p in _encode(x))
     return out
 
@@ -197,28 +190,27 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
     if isinstance(q, ma.Id):
         return V
     if isinstance(q, ma.Const):
-        return frozenset({(Lab(q.label),)})
+        return frozenset({(q.label,)})
     if isinstance(q, ma.EmptyColl):
         return frozenset({_MARKER_PATH})
     if isinstance(q, ma.UnitTuple):
         return frozenset({(MARK_UNIT,)})
     if isinstance(q, ma.Sng):
-        return frozenset((S,) + p for p in V)
+        return frozenset(("s",) + p for p in V)
     if isinstance(q, ma.Compose):
         return eval_det(q.g, eval_det(q.f, V, em), em)
     if isinstance(q, ma.Proj):
-        head = Lab(q.label)
+        head = q.label
         return frozenset(p[1:] for p in V if p[0] == head and len(p) > 1)
     if isinstance(q, ma.TupleCons):
         if not q.fields:
             return frozenset({(MARK_UNIT,)})
         out = set()
         for l, f in q.fields:
-            head = Lab(l)
-            out.update((head,) + p for p in eval_det(f, V, em))
+            out.update((l,) + p for p in eval_det(f, V, em))
         return frozenset(out)
     if isinstance(q, ma.Flatten):
-        out = set((PairT(p[0], p[1]),) + p[2:] for p in V if len(p) >= 3)
+        out = set(((p[0], p[1]),) + p[2:] for p in V if len(p) >= 3)
         if em and (_MARKER_PATH in V
                    or any(len(p) == 2 and p[1] == MARK_EMPTY
                           for p in V)):
@@ -234,10 +226,9 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
         out = set()
         empties = 0
         for tag in ("1", "2"):
-            head = Lab(tag)
-            out.update((PairT(Lab(tag), p[1]),) + p[2:]
-                       for p in V if p[0] == head and len(p) >= 3)
-            if (head, MARK_EMPTY) in V:
+            out.update(((tag, p[1]),) + p[2:]
+                       for p in V if p[0] == tag and len(p) >= 3)
+            if (tag, MARK_EMPTY) in V:
                 empties += 1
         if em and empties == 2:
             out.add(_MARKER_PATH)
@@ -246,7 +237,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
         va = _path_suffixes(V, q.pa)
         vb = _path_suffixes(V, q.pb)
         if va & vb:
-            return frozenset({(S, MARK_UNIT)})
+            return frozenset({("s", MARK_UNIT)})
         if em:
             return frozenset({_MARKER_PATH})
         return frozenset()
@@ -264,7 +255,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
             out.add(_MARKER_PATH)
         return frozenset(out)
     if isinstance(q, ma.PairWith):
-        head = Lab(q.label)
+        head = q.label
         members = [p for p in V if p[0] == head and len(p) >= 3]
         others = [p for p in V if p[0] != head and len(p) >= 2]
         indexes = {p[1] for p in members}
@@ -282,9 +273,8 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
 
 def _path_suffixes(V: PathSet, path) -> set:
     """Suffixes of V under a dotted field path."""
-    heads = tuple(Lab(l) for l in path)
-    n = len(heads)
-    return {p[n:] for p in V if len(p) > n and p[:n] == heads}
+    n = len(path)
+    return {p[n:] for p in V if len(p) > n and p[:n] == path}
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +319,17 @@ def _decode(V) -> Value:
             return make_coll(LIST, ())
         if p == (MARK_UNIT,):
             return UNIT
-        if len(p) == 1 and isinstance(p[0], Lab):
-            return Atom(p[0].text)
+        if len(p) == 1 and type(p[0]) is str:
+            return Atom(p[0])
     rests, ends = _children(V)
     field_heads = [h for h in rests if _is_field_label(h)]
     # a step that ends a path is an index, unless it is a marker
     heads = ({h for h in rests if not _is_field_label(h)}
-             | {h for h in ends if not isinstance(h, Mark)})
+             | {h for h in ends if type(h) is not Marker})
     if field_heads and heads:
         raise ValueError_("mixed field and index steps below one node")
     if field_heads:
-        return make_tuple((h.text, _decode(rests[h]))
+        return make_tuple((h, _decode(rests[h]))
                           for h in sorted(field_heads, key=term_key))
     members = []
     for h in sorted(heads, key=term_key):
@@ -350,18 +340,17 @@ def _decode(V) -> Value:
     return make_coll(LIST, members)
 
 
-def _is_field_label(h: PathTerm) -> bool:
+def _is_field_label(h: Step) -> bool:
     """Untyped decoding reads a step with a continuation as a tuple field
     when it is a plain label other than a numeral or "s"."""
-    return isinstance(h, Lab) and not h.text.isdigit() and h.text != "s"
+    return type(h) is str and not h.isdecimal() and h != "s"
 
 
 def _decode_typed(V, t: Type) -> Value:
     if isinstance(t, AnyType):
         return _decode(V)
     if isinstance(t, DomType):
-        labs = {p[0].text for p in V
-                if len(p) == 1 and isinstance(p[0], Lab)}
+        labs = {p[0] for p in V if len(p) == 1 and type(p[0]) is str}
         if len(labs) != 1:
             raise ValueError_("expected a single atom leaf, got %d paths"
                               % len(V))
@@ -372,7 +361,7 @@ def _decode_typed(V, t: Type) -> Value:
         rests, _ = _children(V)
         fields = []
         for l, ft in t.fields:
-            sub = rests.get(Lab(l), [])
+            sub = rests.get(l, [])
             if not sub and not isinstance(ft, CollType):
                 raise ValueError_("field %s absent but not collection-typed"
                                   % l)
@@ -381,7 +370,7 @@ def _decode_typed(V, t: Type) -> Value:
     assert isinstance(t, CollType)
     rests, ends = _children(V)
     # a marker that only ends a path is no member
-    heads = rests.keys() | {h for h in ends if not isinstance(h, Mark)}
+    heads = rests.keys() | {h for h in ends if type(h) is not Marker}
     return make_coll(t.kind, [_decode_typed(rests.get(h, []), t.elem)
                               for h in sorted(heads, key=term_key)])
 

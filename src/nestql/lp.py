@@ -37,8 +37,7 @@ from .values import Value, ValueError_, _Scanner, print_atom
 from . import ma
 from .ma import MAExpr
 from .detree import (
-    Lab, MARK_EMPTY, MARK_UNIT, Path, PairT, PathSet, PathTerm,
-    encode_det, print_term,
+    MARK_EMPTY, MARK_UNIT, Path, PathSet, Step, encode_det, print_term,
 )
 
 
@@ -52,7 +51,7 @@ class TPat:
 
 @dataclass(frozen=True)
 class PLab(TPat):
-    term: PathTerm  # a label or a marker
+    term: Step  # a label (str) or a marker
 
 
 @dataclass(frozen=True)
@@ -127,10 +126,6 @@ _UNIT = PLab(MARK_UNIT)
 _EMPTY_SUF = SuffixPat((_EMPTY,), None)
 
 
-def _plab(text: str) -> PLab:
-    return PLab(Lab(text))
-
-
 # ---------------------------------------------------------------------------
 # Compilation
 
@@ -158,7 +153,7 @@ class _Compiler:
             return self.compile(q.g, mid, frame)
         if isinstance(q, (ma.Const, ma.EmptyColl, ma.UnitTuple)):
             if isinstance(q, ma.Const):
-                c, what = _plab(q.label), "constant " + print_atom(q.label)
+                c, what = PLab(q.label), "constant " + print_atom(q.label)
             elif isinstance(q, ma.EmptyColl):
                 c, what = _EMPTY, "constant empty"
             else:
@@ -171,7 +166,7 @@ class _Compiler:
             return out
         if isinstance(q, ma.Sng):
             out = self.fresh()
-            self.emit(BinAtom(out, _ARG1_X, SuffixPat((_plab("s"),), "v")),
+            self.emit(BinAtom(out, _ARG1_X, SuffixPat((PLab("s"),), "v")),
                       [BinAtom(inp, _ARG1_X, _V_REST)], "sng")
             return out
         if isinstance(q, ma.Proj):
@@ -179,7 +174,7 @@ class _Compiler:
             self.emit(
                 BinAtom(out, _ARG1_X, _V_REST),
                 [BinAtom(inp, _ARG1_X,
-                         SuffixPat((_plab(q.label),), "v"))],
+                         SuffixPat((PLab(q.label),), "v"))],
                 "pi_%s" % q.label)
             return out
         if isinstance(q, ma.TupleCons):
@@ -190,7 +185,7 @@ class _Compiler:
             for l, pf in outs:
                 self.emit(
                     BinAtom(out, _ARG1_X,
-                            SuffixPat((_plab(l),), "v")),
+                            SuffixPat((PLab(l),), "v")),
                     [BinAtom(pf, _ARG1_X, _V_REST)], "create_tuple")
             return out
         if isinstance(q, ma.Union):
@@ -202,17 +197,17 @@ class _Compiler:
             for tag in ("1", "2"):
                 self.emit(
                     BinAtom(out, _ARG1_X,
-                            SuffixPat((PPair(_plab(tag), PVar("i")),), "v")),
+                            SuffixPat((PPair(PLab(tag), PVar("i")),), "v")),
                     [BinAtom(inp, _ARG1_X,
-                             SuffixPat((_plab(tag), PVar("i")), "v"))],
+                             SuffixPat((PLab(tag), PVar("i")), "v"))],
                     "union")
             if self.empty_markers:
                 self.emit(
                     BinAtom(out, _ARG1_X, _EMPTY_SUF),
                     [BinAtom(inp, _ARG1_X,
-                             SuffixPat((_plab("1"), _EMPTY), None)),
+                             SuffixPat((PLab("1"), _EMPTY), None)),
                      BinAtom(inp, _ARG1_X,
-                             SuffixPat((_plab("2"), _EMPTY), None))],
+                             SuffixPat((PLab("2"), _EMPTY), None))],
                     "union of empties")
             return out
         if isinstance(q, ma.Flatten):
@@ -236,11 +231,11 @@ class _Compiler:
             return out
         if isinstance(q, ma.EqAtomic):
             out = self.fresh()
-            pa = tuple(_plab(l) for l in q.pa)
-            pb = tuple(_plab(l) for l in q.pb)
+            pa = tuple(PLab(l) for l in q.pa)
+            pb = tuple(PLab(l) for l in q.pb)
             self.emit(
                 BinAtom(out, _ARG1_X,
-                        SuffixPat((_plab("s"), _UNIT), None)),
+                        SuffixPat((PLab("s"), _UNIT), None)),
                 [BinAtom(inp, _ARG1_X, SuffixPat(pa, "v")),
                  BinAtom(inp, _ARG1_X, SuffixPat(pb, "v"))],
                 "eqatom")
@@ -256,7 +251,7 @@ class _Compiler:
             return out
         if isinstance(q, ma.PairWith):
             out = self.fresh()
-            b = _plab(q.label)
+            b = PLab(q.label)
             self.emit(
                 BinAtom(out, _ARG1_X,
                         SuffixPat((PVar("i"), b), "v")),
@@ -303,7 +298,7 @@ class _Compiler:
             out = self.fresh()
             self.emit(
                 BinAtom(out, _ARG1_X,
-                        SuffixPat((_plab("s"), _UNIT), None)),
+                        SuffixPat((PLab("s"), _UNIT), None)),
                 [UnAtom(set_p, _ARG1_X), UnAtom(ne_p, _ARG1_X, True)],
                 "not")
             if self.empty_markers:
@@ -332,7 +327,7 @@ def compile_lp(q: MAExpr, closed: bool = True,
     c = _Compiler(input_pred, empty_markers)
     if closed:
         c.emit(BinAtom(input_pred, PrefixPat(None),
-                       SuffixPat((_plab("dummy"),), None)), [], "base fact")
+                       SuffixPat((PLab("dummy"),), None)), [], "base fact")
     goal = c.compile(q, input_pred, input_pred)
     return LogicProgram(c.rules, goal, input_pred)
 
@@ -363,7 +358,11 @@ def compile_lp(q: MAExpr, closed: bool = True,
 #
 # Matching interprets an atom's patterns fact by fact. Most rules of
 # compiled programs read one or two facts, so building a specialised
-# matcher per rule costs more than it saves.
+# matcher per rule costs more than it saves. Facts hold paths of plain
+# steps (see detree), so matching compares and hashes them natively.
+#
+# Rules are assumed safe: compile_lp emits only safe rules, and parse_lp
+# rejects the others (see _check_safe).
 
 _UNBOUND = object()
 
@@ -376,13 +375,13 @@ def _bind(env: dict, name: str, value) -> bool:
     return old == value
 
 
-def _match_term(pat: TPat, t: PathTerm, env: dict) -> bool:
+def _match_term(pat: TPat, t: Step, env: dict) -> bool:
     if type(pat) is PLab:
         return t == pat.term
     if type(pat) is PPair:
-        return (type(t) is PairT and _match_term(pat.left, t.left, env)
-                and _match_term(pat.right, t.right, env))
-    if type(pat) is PVarNe and type(t) is Lab and t.text == pat.exclude:
+        return (type(t) is tuple and _match_term(pat.left, t[0], env)
+                and _match_term(pat.right, t[1], env))
+    if type(pat) is PVarNe and t == pat.exclude:
         return False
     return _bind(env, pat.name, t)
 
@@ -418,11 +417,11 @@ def _match(atom, pre: Path, path: Path, env: dict) -> Optional[dict]:
     return e
 
 
-def _inst_term(pat: TPat, env: dict) -> PathTerm:
+def _inst_term(pat: TPat, env: dict) -> Step:
     if type(pat) is PLab:
         return pat.term
     if type(pat) is PPair:
-        return PairT(_inst_term(pat.left, env), _inst_term(pat.right, env))
+        return (_inst_term(pat.left, env), _inst_term(pat.right, env))
     return env[pat.name]
 
 
@@ -441,21 +440,60 @@ def _inst(atom, env: dict):
     return pre, path
 
 
-def _names(atom) -> Set[str]:
-    """The variables of an atom."""
-    out = set() if atom.arg1.var is None else {atom.arg1.var}
+def _vars(atom) -> Tup[Set[str], Set[str]]:
+    """The variables of an atom, split in two: those binding a sequence
+    of steps (the prefix and rest variables) and those binding a single
+    step."""
+    seqs = set() if atom.arg1.var is None else {atom.arg1.var}
     pats = list(atom.arg1.ext)
     if type(atom) is BinAtom:
         pats.extend(atom.arg2.items)
         if atom.arg2.rest is not None:
-            out.add(atom.arg2.rest)
+            seqs.add(atom.arg2.rest)
+    steps = set()
     while pats:
         p = pats.pop()
         if type(p) is PPair:
             pats += (p.left, p.right)
         elif type(p) is not PLab:
-            out.add(p.name)
-    return out
+            steps.add(p.name)
+    return seqs, steps
+
+
+def _names(atom) -> Set[str]:
+    """The variables of an atom."""
+    seqs, steps = _vars(atom)
+    return seqs | steps
+
+
+def _check_safe(r: Rule, raw: str) -> None:
+    """Reject a rule the evaluator cannot run: a head variable that no
+    positive body atom binds, a variable of a negated atom that no
+    earlier positive atom binds, or a variable that stands for a
+    sequence of steps in one place and for a single step in another (a
+    sequence put in step position would read as a pair step)."""
+    bound: Set[str] = set()
+    seqs, steps = _vars(r.head)
+    head = seqs | steps
+    for a in r.body:
+        a_seqs, a_steps = _vars(a)
+        seqs |= a_seqs
+        steps |= a_steps
+        names = a_seqs | a_steps
+        if type(a) is not UnAtom or not a.negated:
+            bound |= names
+        elif not names <= bound:
+            raise ValueError_(
+                "variable %s of a negated atom is bound by no earlier "
+                "positive atom in %r" % (min(names - bound), raw))
+    free = head - bound
+    if free:
+        raise ValueError_("head variable %s is bound by no positive body "
+                          "atom in %r" % (min(free), raw))
+    both = seqs & steps
+    if both:
+        raise ValueError_("variable %s is used both as a sequence of steps "
+                          "and as a single step in %r" % (min(both), raw))
 
 
 def _plan(r: Rule):
@@ -642,9 +680,9 @@ def _print_arg2(p: SuffixPat) -> str:
 
 def _print_pat(t: TPat) -> str:
     if isinstance(t, PLab):
-        if isinstance(t.term, Lab) and _VAR_RE.fullmatch(t.term.text):
+        if type(t.term) is str and _VAR_RE.fullmatch(t.term):
             # quoted, or it would read back as a variable
-            return '"%s"' % t.term.text
+            return '"%s"' % t.term
         return print_term(t.term)
     if isinstance(t, PVar):
         return t.name
@@ -697,7 +735,9 @@ def parse_lp(text: str) -> LogicProgram:
             raise ValueError_("negated head in %r" % raw)
         if input_pred is None and not body:
             input_pred = head.pred
-        rules.append(Rule(head, body, comment))
+        rule = Rule(head, body, comment)
+        _check_safe(rule, raw)
+        rules.append(rule)
     if goal is None:
         if not rules:
             raise ValueError_("empty program")
@@ -783,4 +823,4 @@ def _parse_pat(sc: _Scanner) -> TPat:
         if sc.try_tok("\\"):
             return PVarNe(word, sc.atom())
         return PVar(word)
-    return PLab(Lab(word))
+    return PLab(word)

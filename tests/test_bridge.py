@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nestql import gen
 from nestql.bridge import (
@@ -39,7 +39,8 @@ def test_translated_query_runs_on_the_initial_environment():
 
 
 @given(st.integers(0, 10 ** 6))
-@settings(max_examples=60)
+@example(2235)
+@settings(max_examples=60, deadline=None)
 def test_tree_to_algebra_translation(seed):
     rng = random.Random(seed)
     q = gen.gen_tree_query(rng, 5)

@@ -64,6 +64,17 @@ def test_eval_xq_lists_result_trees(files):
     assert r.stdout == "<c/>\n<c/>\n"
 
 
+def test_eval_xq_result_node_guard(files):
+    d = files("d.xml", "<r><a/><b/><c/></r>")
+    q = files("q.xq", "for $x2 in $root/* return <w>{$root}</w>")
+    r = run_cli("eval-xq", "--query", q, "--doc", d)
+    assert (r.returncode, r.stdout.count("<w>")) == (0, 3)
+    r = run_cli("eval-xq", "--query", q, "--doc", d,
+                env_extra={"NESTQL_MAX_VALUE_NODES": "10"})
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "the result needs about 15 value nodes" in r.stderr
+
+
 def test_xq2ma_emits_a_parseable_algebra_query(files):
     q = files("q.xq", "for $x2 in $root/a return <b/>")
     r = run_cli("xq2ma", "--query", q)
@@ -104,6 +115,21 @@ def test_detree_eval_projects_numeral_fields(files):
     out = run_cli("detree-eval", "--query", files("q.ma", "pi[1]"),
                   "--paths", files("v.paths", enc.stdout))
     assert (out.returncode, out.stdout) == (0, "a\n")
+
+
+@pytest.mark.parametrize("paths, type_args", [
+    ("01.a\n1.b\n", ()),
+    ('"[]".a\n[].b\n', ("--type", "[Dom]")),
+])
+def test_detree_decode_orders_tied_steps_under_any_hash_seed(
+        files, paths, type_args):
+    """Numerals of equal value, and a label and the marker of the same
+    text, are ordered by their text and kind, not by set iteration."""
+    p = files("v.paths", paths)
+    outs = {run_cli("detree-decode", "--paths", p, *type_args,
+                    env_extra={"PYTHONHASHSEED": s}).stdout
+            for s in ("0", "1", "2", "3", "4", "5")}
+    assert outs == {"[a, b]\n"}
 
 
 def test_type_error_with_unknown_element_type_exits_2(files):

@@ -30,6 +30,11 @@ def test_pathset_print_parse_roundtrip(seed):
     v = gen.gen_value(rng, t)
     paths = encode_det(v)
     assert parse_pathset(print_pathset(paths)) == paths
+    # computed path sets also hold pair steps (flatten, union)
+    q = gen.gen_closed_query(rng, 4, LIST)
+    for em in (False, True):
+        paths = eval_closed(q, em)
+        assert parse_pathset(print_pathset(paths)) == paths
 
 
 @given(st.integers(0, 10 ** 6))
@@ -82,3 +87,10 @@ def test_atoms_spelled_like_markers_stay_atoms():
     text = print_pathset(encode_det(v))
     assert text == 'A."[]"\nB."<>"'
     assert decode_det(parse_pathset(text)) == v
+
+
+def test_steps_that_int_cannot_read_order_as_labels():
+    """The label "²" passes str.isdigit but int() rejects it, so ordering
+    it as a numeral crashed decoding. It orders after the numerals."""
+    paths = parse_pathset('"²".a\n1.b\n')
+    assert decode_det(paths, parse_type("[Dom]")) == parse_value("[b, a]")

@@ -299,3 +299,24 @@ def test_depth3_flat_reassembly_through_both_path_routes(text):
     want = make_coll(SET, [v])
     for got in (eval_det(q, paths), goal_paths(prog, rels)):
         assert decode_det(got, CollType(SET, t)) == want
+
+
+@pytest.mark.parametrize("rule, error", [
+    ("h(X, w) :- a(X, v).", "head variable w is bound by no positive"),
+    ("h(X, v) :- a(X, v), not b(u), a(u, w).",
+     "variable u of a negated atom is bound by no earlier positive"),
+    ("h(X, i.w) :- a(X, w.i).",
+     "variable i is used both as a sequence of steps and as a single"),
+])
+def test_unsafe_rules_are_rejected(rule, error):
+    with pytest.raises(ValueError_, match=error):
+        parse_lp("a(e, x.y.z).\nb(e).\n%s\n" % rule)
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_FACTS))
+def test_compiled_programs_pass_the_safety_check(family):
+    """Every compiled program of the pinned families (gen_closed_query
+    seeds 0-199 among them) prints to text that parse_lp accepts."""
+    programs, _ = PINNED_FACTS[family]
+    for prog, _ in programs():
+        assert parse_lp(print_lp(prog)).rules == prog.rules
