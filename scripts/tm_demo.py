@@ -8,7 +8,7 @@ import time
 
 from nestql.checks import TM_WORDS
 from nestql.reductions import (
-    BUNDLED, decide_tm_query, simulate_ntm, tm_config_space,
+    BUNDLED, MAX_CONFIG_PAIRS, decide_tm_query, simulate_ntm, tm_config_space,
     tm_query_sizes,
 )
 
@@ -18,7 +18,7 @@ def main():
     ap.add_argument("--k", type=int, default=1)
     ap.add_argument("--machine", choices=sorted(BUNDLED),
                     help="run one machine instead of all")
-    ap.add_argument("--max-pairs", type=int, default=2 * 10 ** 6,
+    ap.add_argument("--max-pairs", type=int, default=MAX_CONFIG_PAIRS,
                     help="skip machines whose configuration-pair "
                          "space is larger than this")
     a = ap.parse_args()

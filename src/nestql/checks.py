@@ -159,7 +159,8 @@ TM_WORDS = {
 }
 
 
-def suite_tm(K: int = 1, max_pairs: int = 2 * 10 ** 6) -> SuiteResult:
+def suite_tm(K: int = 1,
+             max_pairs: int = reductions.MAX_CONFIG_PAIRS) -> SuiteResult:
     """The machine acceptance query agrees with the direct simulation.
     Machines whose configuration-pair space exceeds max_pairs at this K
     are skipped (the enumeration would not fit the time budget)."""

@@ -440,16 +440,17 @@ def _inst(atom, env: dict):
     return pre, path
 
 
-def _vars(atom) -> Tup[Set[str], Set[str]]:
-    """The variables of an atom, split in two: those binding a sequence
-    of steps (the prefix and rest variables) and those binding a single
-    step."""
-    seqs = set() if atom.arg1.var is None else {atom.arg1.var}
+def _vars(atom) -> Tup[Set[str], Set[str], Set[str]]:
+    """The variables of an atom, split in three: the prefix variable,
+    the rest variable (each binding a sequence of steps) and those
+    binding a single step."""
+    pre = set() if atom.arg1.var is None else {atom.arg1.var}
+    rest = set()
     pats = list(atom.arg1.ext)
     if type(atom) is BinAtom:
         pats.extend(atom.arg2.items)
         if atom.arg2.rest is not None:
-            seqs.add(atom.arg2.rest)
+            rest.add(atom.arg2.rest)
     steps = set()
     while pats:
         p = pats.pop()
@@ -457,29 +458,31 @@ def _vars(atom) -> Tup[Set[str], Set[str]]:
             pats += (p.left, p.right)
         elif type(p) is not PLab:
             steps.add(p.name)
-    return seqs, steps
+    return pre, rest, steps
 
 
 def _names(atom) -> Set[str]:
     """The variables of an atom."""
-    seqs, steps = _vars(atom)
-    return seqs | steps
+    return set().union(*_vars(atom))
 
 
 def _check_safe(r: Rule, raw: str) -> None:
     """Reject a rule the evaluator cannot run: a head variable that no
     positive body atom binds, a variable of a negated atom that no
-    earlier positive atom binds, or a variable that stands for a
-    sequence of steps in one place and for a single step in another (a
-    sequence put in step position would read as a pair step)."""
+    earlier positive atom binds, a variable that stands for a sequence
+    of steps in one place and for a single step in another (a sequence
+    put in step position would read as a pair step), or a prefix
+    variable also used as a rest (a prefix may be empty, a rest covers
+    at least one step, so the head could get a path of no steps)."""
     bound: Set[str] = set()
-    seqs, steps = _vars(r.head)
-    head = seqs | steps
+    pres, rests, steps = _vars(r.head)
+    head = pres | rests | steps
     for a in r.body:
-        a_seqs, a_steps = _vars(a)
-        seqs |= a_seqs
+        a_pres, a_rests, a_steps = _vars(a)
+        pres |= a_pres
+        rests |= a_rests
         steps |= a_steps
-        names = a_seqs | a_steps
+        names = a_pres | a_rests | a_steps
         if type(a) is not UnAtom or not a.negated:
             bound |= names
         elif not names <= bound:
@@ -490,10 +493,14 @@ def _check_safe(r: Rule, raw: str) -> None:
     if free:
         raise ValueError_("head variable %s is bound by no positive body "
                           "atom in %r" % (min(free), raw))
-    both = seqs & steps
+    both = (pres | rests) & steps
     if both:
         raise ValueError_("variable %s is used both as a sequence of steps "
                           "and as a single step in %r" % (min(both), raw))
+    both = pres & rests
+    if both:
+        raise ValueError_("variable %s is used both as a prefix and as a "
+                          "rest in %r" % (min(both), raw))
 
 
 def _plan(r: Rule):

@@ -10,13 +10,23 @@ equalities) that :func:`desugar` rewrites into the core.
 Composition is applied left to right: ``Compose(f, g)`` means g after f.
 Predicates follow the usual convention: the singleton collection of the
 unit tuple is true, the empty collection is false.
+
+:func:`eval_ma` evaluates a well-typed query that has a Cartesian
+product through an evaluation plan (:func:`plan`): selections move
+through unions and tuple-building maps towards the products they
+filter, and a product followed by a selection becomes a hash join on
+the selection's cross-side equalities. The plan gives the same value
+under set, list and bag semantics. It is made once per call, from the
+query alone; a query that does not type-check against its input runs
+as written, so its errors are the evaluator's own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Tuple as Tup
+from functools import reduce
+from typing import Optional, Tuple as Tup
 
 from .values import (
     ATOMIC, BAG, DEEP, LIST, MON, SET,
@@ -239,29 +249,41 @@ class FlatMap(MAExpr):
     f: MAExpr
 
 
+# built by plan() only, never parsed, printed, typed or desugared
+
+@dataclass(frozen=True)
+class HashJoin(MAExpr):
+    """``cart(f, g) ; select[c]`` as evaluated: the pairs <1: x, 2: y>
+    with x.p == y.q for each (p, q) in keys, that satisfy cond (None: no
+    further test). Pairs come in the product's order."""
+    f: MAExpr
+    g: MAExpr
+    keys: Tup[Tup[Path, Path], ...]
+    cond: Optional[SelCond]
+
+
 CORE_NODES = (Id, Const, EmptyColl, UnitTuple, Sng, Map, Flatten, PairWith,
               TupleCons, Proj, Compose, Union, UnionT, EqAtomic, NotOp,
               TrueOp, Monus, Unique)
 
 
-def is_core(q: MAExpr) -> bool:
+def _subexprs(q: MAExpr) -> tuple:
+    """The direct subexpressions of q."""
+    if isinstance(q, (Compose, Union, CartProd, HashJoin)):
+        return q.f, q.g
     if isinstance(q, (Map, FlatMap)):
-        return type(q) is Map and is_core(q.f)
-    if isinstance(q, (Compose, Union)):
-        return is_core(q.f) and is_core(q.g)
+        return q.f,
     if isinstance(q, TupleCons):
-        return all(is_core(f) for _, f in q.fields)
-    return isinstance(q, CORE_NODES)
+        return tuple(f for _, f in q.fields)
+    return ()
+
+
+def is_core(q: MAExpr) -> bool:
+    return isinstance(q, CORE_NODES) and all(map(is_core, _subexprs(q)))
 
 
 def ast_size(q: MAExpr) -> int:
-    if isinstance(q, (Compose, Union, CartProd)):
-        return 1 + ast_size(q.f) + ast_size(q.g)
-    if isinstance(q, (Map, FlatMap)):
-        return 1 + ast_size(q.f)
-    if isinstance(q, TupleCons):
-        return 1 + sum(ast_size(f) for _, f in q.fields)
-    return 1
+    return 1 + sum(map(ast_size, _subexprs(q)))
 
 
 def compose(*parts: MAExpr) -> MAExpr:
@@ -498,6 +520,7 @@ def _check_cond(c: SelCond, t: Type, sem: str):
                         % (print_type(pt), ".".join(p)))
         if c.mode == MON:
             _mon_type(ta, "select")
+            _mon_type(tb, "select")
     elif isinstance(c, (PathEqConst, PathInSet)):
         pt = path_type(t, c.p, "select") if isinstance(t, TupleType) \
             else (t if not c.p else path_type(_need_tuple(t, "select"),
@@ -506,6 +529,8 @@ def _check_cond(c: SelCond, t: Type, sem: str):
             if not isinstance(pt, (DomType, AnyType)):
                 raise MATypeError("select: atomic comparison on %s"
                                   % print_type(pt))
+        if isinstance(c, PathEqConst) and c.mode == MON:
+            _mon_type(pt, "select")
         if isinstance(c, PathInSet) and not isinstance(pt, (DomType, AnyType)):
             raise MATypeError("select: membership test on %s" % print_type(pt))
     else:
@@ -529,7 +554,7 @@ def bool_val(b: bool, sem: str) -> Coll:
 
 def _proj_path(v: Value, p: Path) -> Value:
     for label in p:
-        if not isinstance(v, Tuple):
+        if type(v) is not Tuple:
             raise ValueError_("path %s hits non-tuple %s"
                               % (".".join(p), print_value(v)))
         v = v.field(label)
@@ -537,19 +562,23 @@ def _proj_path(v: Value, p: Path) -> Value:
 
 
 def cond_holds(c: SelCond, v: Value) -> bool:
-    if isinstance(c, CAnd):
+    t = type(c)
+    if t is PathEqConst:
+        x = _proj_path(v, c.p)
+        if type(x) is Atom:   # equal under every mode iff the labels are
+            return x.label == c.label
+        return value_equal(x, Atom(c.label), c.mode)
+    if t is CAnd:
         return cond_holds(c.a, v) and cond_holds(c.b, v)
-    if isinstance(c, COr):
+    if t is COr:
         return cond_holds(c.a, v) or cond_holds(c.b, v)
-    if isinstance(c, CNot):
-        return not cond_holds(c.a, v)
-    if isinstance(c, CIff):
-        return cond_holds(c.a, v) == cond_holds(c.b, v)
-    if isinstance(c, PathEqPath):
+    if t is PathEqPath:
         return value_equal(_proj_path(v, c.p), _proj_path(v, c.q), c.mode)
-    if isinstance(c, PathEqConst):
-        return value_equal(_proj_path(v, c.p), Atom(c.label), c.mode)
-    if isinstance(c, PathInSet):
+    if t is CNot:
+        return not cond_holds(c.a, v)
+    if t is CIff:
+        return cond_holds(c.a, v) == cond_holds(c.b, v)
+    if t is PathInSet:
         x = _proj_path(v, c.p)
         if not isinstance(x, Atom):
             raise ValueError_("membership test on non-atom %s"
@@ -566,6 +595,27 @@ def _as_coll(v: Value, ctx: str) -> Coll:
 
 
 def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
+    """The value of q on v under semantics sem.
+
+    When q has a product and type-checks against the type of v, the
+    tree evaluated is its plan (see :func:`plan`), which has the same
+    value. Any other query is evaluated as written. Only a query that
+    fails the type check can fail at run time, so every error and its
+    message are what evaluating q as written gives.
+    """
+    if _has_cart(q):
+        try:
+            t = type_of(v, sem)
+            infer_type(q, t, sem)
+        except (MATypeError, ValueError_, RecursionError):
+            pass
+        else:
+            q = plan(q)
+    return _eval(q, v, sem)
+
+
+def _eval(q: MAExpr, v: Value, sem: str) -> Value:
+    """The evaluator: each operator's meaning, on the tree as given."""
     if isinstance(q, Id):
         return v
     if isinstance(q, Const):
@@ -578,9 +628,9 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
         return make_coll(sem, (v,))
     if isinstance(q, Map):
         c = _as_coll(v, "map")
-        return make_coll(sem, (eval_ma(q.f, x, sem) for x in c.elems))
+        return make_coll(sem, (_eval(q.f, x, sem) for x in c.elems))
     if isinstance(q, FlatMap):
-        return eval_ma(Compose(Map(q.f), Flatten()), v, sem)
+        return _eval(Compose(Map(q.f), Flatten()), v, sem)
     if isinstance(q, Flatten):
         c = _as_coll(v, "flatten")
         out = []
@@ -596,14 +646,14 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
                 (l, x if l == q.label else w) for l, w in t.fields))
         return make_coll(sem, out)
     if isinstance(q, TupleCons):
-        return make_tuple((l, eval_ma(f, v, sem)) for l, f in q.fields)
+        return make_tuple((l, _eval(f, v, sem)) for l, f in q.fields)
     if isinstance(q, Proj):
         return _as_tuple(v, "pi").field(q.label)
     if isinstance(q, Compose):
-        return eval_ma(q.g, eval_ma(q.f, v, sem), sem)
+        return _eval(q.g, _eval(q.f, v, sem), sem)
     if isinstance(q, Union):
-        a = _as_coll(eval_ma(q.f, v, sem), "union")
-        b = _as_coll(eval_ma(q.g, v, sem), "union")
+        a = _as_coll(_eval(q.f, v, sem), "union")
+        b = _as_coll(_eval(q.g, v, sem), "union")
         return make_coll(sem, a.elems + b.elems)
     if isinstance(q, UnionT):
         a, b = _coll_pair(v, "union")
@@ -668,10 +718,25 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
             make_tuple(k.fields + ((q.label, make_coll(sem, ms)),))
             for k, ms in groups.items()))
     if isinstance(q, CartProd):
-        a = _as_coll(eval_ma(q.f, v, sem), "cart")
-        b = _as_coll(eval_ma(q.g, v, sem), "cart")
+        a = _as_coll(_eval(q.f, v, sem), "cart")
+        b = _as_coll(_eval(q.g, v, sem), "cart")
         return make_coll(sem, (make_tuple((("1", x), ("2", y)))
                                for x in a.elems for y in b.elems))
+    if isinstance(q, HashJoin):
+        a = _as_coll(_eval(q.f, v, sem), "cart")
+        b = _as_coll(_eval(q.g, v, sem), "cart")
+        match = {}
+        for y in b.elems:
+            match.setdefault(tuple([_proj_path(y, r) for _, r in q.keys]),
+                             []).append(y)
+        out = []
+        for x in a.elems:
+            for y in match.get(tuple([_proj_path(x, r) for r, _ in q.keys]),
+                               ()):
+                xy = make_tuple((("1", x), ("2", y)))
+                if q.cond is None or cond_holds(q.cond, xy):
+                    out.append(xy)
+        return make_coll(sem, out)
     raise ValueError_("cannot evaluate %r" % (q,))
 
 
@@ -700,6 +765,271 @@ def type_of(v: Value, sem: str = SET) -> Type:
     for x in v.elems:
         t = type_join(t, type_of(x, sem), "collection elements")
     return CollType(v.kind, t)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation plan
+#
+# plan() rewrites a well-typed query into one with the same value under
+# set, list and bag semantics that filters before it pairs:
+#   1. x ; (sel_a u sel_b)  ->  (x ; sel_a) u (x ; sel_b), for a union
+#      whose branches each start with a selection, where x ends in a
+#      product or in a union of chains that hold one, followed by maps
+#      and selections. Only that suffix of x is copied into the
+#      branches; the stages before it run once. Distributing on the
+#      right keeps list order branch-major.
+#   2. (f u g) ; sel  ->  (f ; sel) u (g ; sel); consecutive selections
+#      become one conjunction.
+#   3. map(f) ; select[c]  ->  select[c'] ; map(f) for the conjuncts of c
+#      whose paths f maps back onto paths of its input (through id,
+#      projections, compositions and tuple fields); c' reads them there.
+#   4. cart(f, g) ; select[c] becomes a HashJoin. The conjuncts on one
+#      side go into f ; select or g ; select. Each equality between a
+#      side-1 and a side-2 path becomes a join key, under any mode. The
+#      other conjuncts are tested on each joined pair, and what they
+#      imply of one side (such as a disjunct's side-1 conjuncts, in each
+#      disjunct) filters that side first.
+# _pushdown applies rules 1-3, then _joins rule 4. Neither needs types:
+# a query gets a plan only when it type-checks, and the type check
+# shows the paths of an atomic equality atomic and both paths of a mon
+# equality collection-free, so no condition raises a mode error and
+# native == decides every key.
+
+_MAX_BRANCHES = 1024   # rule 1 stops copying beyond this many branches
+
+
+def plan(q: MAExpr) -> MAExpr:
+    """The tree :func:`eval_ma` evaluates for q, which must type-check
+    against the type of its input."""
+    return _joins(_pushdown(q))
+
+
+def _has_cart(q: MAExpr) -> bool:
+    todo = [q]
+    while todo:
+        q = todo.pop()
+        if type(q) is CartProd:
+            return True
+        todo.extend(_subexprs(q))
+    return False
+
+
+def _rebuild(q: MAExpr, fn) -> MAExpr:
+    """q with fn applied to each of its direct subexpressions."""
+    if isinstance(q, (Compose, Union, CartProd)):
+        return type(q)(fn(q.f), fn(q.g))
+    if isinstance(q, (Map, FlatMap)):
+        return type(q)(fn(q.f))
+    if isinstance(q, TupleCons):
+        return TupleCons(tuple((l, fn(f)) for l, f in q.fields))
+    return q
+
+
+def _flat(q: MAExpr, node: type) -> list:
+    """The operands of a chain of node (Compose or Union), left to
+    right."""
+    out, todo = [], [q]
+    while todo:
+        q = todo.pop()
+        if type(q) is node:
+            todo += (q.g, q.f)
+        else:
+            out.append(q)
+    return out
+
+
+def _union(qs: list) -> MAExpr:
+    """The union of qs, left to right, as a tree of depth log2 len(qs),
+    which a long chain of copies would exceed the recursion limit of."""
+    if len(qs) == 1:
+        return qs[0]
+    h = len(qs) // 2
+    return Union(_union(qs[:h]), _union(qs[h:]))
+
+
+def _conjuncts(c: SelCond) -> list:
+    out, todo = [], [c]
+    while todo:
+        c = todo.pop()
+        if type(c) is CAnd:
+            todo += (c.b, c.a)
+        else:
+            out.append(c)
+    return out
+
+
+def _and(cs: list) -> SelCond:
+    return reduce(CAnd, cs)
+
+
+def _paths(c: SelCond) -> list:
+    if isinstance(c, (CAnd, COr, CIff)):
+        return _paths(c.a) + _paths(c.b)
+    if isinstance(c, CNot):
+        return _paths(c.a)
+    if isinstance(c, PathEqPath):
+        return [c.p, c.q]
+    return [c.p]
+
+
+def _on_paths(c: SelCond, fn) -> SelCond:
+    """c with each path p read as fn(p)."""
+    if isinstance(c, (CAnd, COr, CIff)):
+        return type(c)(_on_paths(c.a, fn), _on_paths(c.b, fn))
+    if isinstance(c, CNot):
+        return CNot(_on_paths(c.a, fn))
+    if isinstance(c, PathEqPath):
+        return PathEqPath(fn(c.p), fn(c.q), c.mode)
+    if isinstance(c, PathEqConst):
+        return PathEqConst(fn(c.p), c.label, c.mode)
+    return PathInSet(fn(c.p), c.labels)
+
+
+def _resolve(f: MAExpr, p: Path) -> Optional[Path]:
+    """A path r with x.r = f(x).p for every x, or None."""
+    if type(f) is Id:
+        return p
+    if type(f) is Proj:
+        return (f.label,) + p
+    if type(f) is Compose:
+        r = _resolve(f.g, p)
+        return None if r is None else _resolve(f.f, r)
+    if type(f) is TupleCons and p:
+        for l, g in f.fields:
+            if l == p[0]:
+                return _resolve(g, p[1:])
+    return None
+
+
+def _pushdown(q: MAExpr) -> MAExpr:
+    """Rules 1-3, everywhere in q."""
+    if type(q) is Compose:
+        return compose(*_chain(_flat(q, Compose)))
+    return _rebuild(q, _pushdown)
+
+
+def _chain(stages: list, acc: list = ()) -> list:
+    """The stages of acc ; stages, each of stages moved into acc as far
+    as the rules allow; the stages of acc are already rewritten."""
+    acc = list(acc)
+    for s in stages:
+        if type(s) is Select:
+            acc = _push(acc, s.cond)
+            continue
+        if type(s) is Union:
+            branches = _flat(s, Union)
+            i = _suffix(acc)
+            if (i is not None
+                    and len(branches) * len(_flat(acc[i], Union))
+                    <= _MAX_BRANCHES
+                    and all(type(_flat(b, Compose)[0]) is Select
+                            for b in branches)):
+                acc[i:] = [_union([
+                    compose(*_chain(_flat(b, Compose), acc[i:]))
+                    for b in branches])]
+                continue
+        acc.append(_pushdown(s))
+    return acc
+
+
+def _suffix(acc: list) -> Optional[int]:
+    """Where the suffix that rule 1 copies starts in acc: at its last
+    product, or union holding one, with only maps and selections after
+    it."""
+    for i in range(len(acc) - 1, -1, -1):
+        s = acc[i]
+        if type(s) is CartProd or (type(s) is Union and _has_cart(s)):
+            return i
+        if type(s) not in (Map, Select):
+            return None
+    return None
+
+
+def _push(acc: list, c: SelCond) -> list:
+    """The stages of acc ; select[c], the selection moved into acc as far
+    as rules 2 and 3 allow."""
+    if not acc:
+        return [Select(c)]
+    *rest, s = acc
+    if type(s) is Select:
+        # s.cond went as far as it could; c may go further
+        out = _push(rest, c)
+        if type(out[-1]) is Select:
+            return out[:-1] + [Select(CAnd(s.cond, out[-1].cond))]
+        return out + [s]
+    if type(s) is Union:
+        return rest + [_union([compose(*_push(_flat(b, Compose), c))
+                               for b in _flat(s, Union)])]
+    if type(s) is Map:
+        moved, kept = [], []
+        for x in _conjuncts(c):
+            there = {p: _resolve(s.f, p) for p in _paths(x)}
+            if None in there.values():
+                kept.append(x)
+            else:
+                moved.append(_on_paths(x, there.get))
+        if moved:
+            rest = _push(rest, _and(moved))
+        return rest + [s] + ([Select(_and(kept))] if kept else [])
+    return acc + [Select(c)]
+
+
+def _joins(q: MAExpr) -> MAExpr:
+    """q with each product that a selection follows turned into a
+    HashJoin (rule 4)."""
+    if type(q) is not Compose:
+        return _rebuild(q, _joins)
+    out = []
+    for s in _flat(q, Compose):
+        if type(s) is Select and out and type(out[-1]) is CartProd:
+            out[-1] = _hash_join(out[-1], s.cond)
+        else:
+            out.append(s)
+    return compose(*(s if type(s) is HashJoin else _joins(s) for s in out))
+
+
+def _hash_join(cart: CartProd, c: SelCond) -> HashJoin:
+    keys, rest = [], []
+    for x in _conjuncts(c):
+        key = _join_key(x)
+        if key:
+            keys.append(key)
+        elif _side(x) is None:
+            rest.append(x)
+    f, g = ((e if d is None else compose(*_push(_flat(e, Compose), d)))
+            for e, d in ((cart.f, _implied(c, "1")),
+                         (cart.g, _implied(c, "2"))))
+    return HashJoin(_joins(f), _joins(g), tuple(keys),
+                    _and(rest) if rest else None)
+
+
+def _side(c: SelCond) -> Optional[str]:
+    """The side of a product ("1" or "2") that all paths of c read, or
+    None."""
+    heads = {p[:1] for p in _paths(c)}
+    return heads.pop()[0] if heads in ({("1",)}, {("2",)}) else None
+
+
+def _implied(c: SelCond, side: str) -> Optional[SelCond]:
+    """A condition on the elements of one side of a product that holds
+    there for every pair that satisfies c, or None for none found."""
+    if type(c) in (CAnd, COr):
+        a, b = _implied(c.a, side), _implied(c.b, side)
+        if type(c) is COr:
+            return None if a is None or b is None else COr(a, b)
+        return b if a is None else a if b is None else CAnd(a, b)
+    return _on_paths(c, lambda p: p[1:]) if _side(c) == side else None
+
+
+def _join_key(c: SelCond):
+    """(p, q) when c is an equality of the paths 1.p and 2.q (either way
+    round), or None."""
+    if type(c) is not PathEqPath:
+        return None
+    ends = {c.p[:1]: c.p[1:], c.q[:1]: c.q[1:]}
+    if set(ends) != {("1",), ("2",)}:
+        return None
+    return ends[("1",)], ends[("2",)]
 
 
 # ---------------------------------------------------------------------------

@@ -368,24 +368,61 @@ def gen_tm_query(tm: TMSpec, word: Sequence[str], K: int,
     """
     validate_tm(tm)
     c_start = gen_start_config(tm, word, K)
-    sigma = tuple(tm.alphabet)
-    sigma_prime = sigma + tuple(marker(s) for s in sigma)
 
-    # all tapes, all configurations, the accepting ones
-    tapes = compose(_atom_set(sigma_prime),
-                    *(CartProd(Id(), Id()),) * K)
-    configs = compose(CartProd(tapes, _atom_set(tm.states)),
-                      Map(TupleCons((("t", Proj("1")), ("q", Proj("2"))))))
+    # all configurations, the accepting ones
+    configs = tm_configs_query(tm, K)
     accepting = compose(configs, _union_all(
         [Select(PathEqConst(("q",), f)) for f in tm.finals]))
 
+    phi_succ = compose(configs, *_step_stages(tm, K, expand_eq))
+
+    # Savitch-style doubling: psi after i rounds relates configurations
+    # exactly 2^i steps apart
+    psi = phi_succ
+    for _ in range(K):
+        psi = compose(
+            psi, CartProd(Id(), Id()),
+            _sel_config_eq(("1", "2"), ("2", "1"), K, expand_eq),
+            Map(TupleCons((("1", Proj_chain(("1", "1"))),
+                           ("2", Proj_chain(("2", "2")))))))
+
+    reached = compose(_pair(c_start, psi), PairWith("2"),
+                      _sel_config_eq(("1",), ("2", "1"), K, expand_eq),
+                      Map(Proj_chain(("2", "2"))))
+    return compose(CartProd(reached, accepting),
+                   Map(_config_eq_bool(("1",), ("2",), K, expand_eq)),
+                   Flatten())
+
+
+def tm_configs_query(tm: TMSpec, K: int) -> MAExpr:
+    """Closed query for the set of all configurations <t: tape, q: state>
+    of tm at K: every tape of length 2^K over the symbols and their
+    marked copies, with every state."""
+    sigma = tuple(tm.alphabet)
+    sigma_prime = sigma + tuple(marker(s) for s in sigma)
+    tapes = compose(_atom_set(sigma_prime),
+                    *(CartProd(Id(), Id()),) * K)
+    return compose(CartProd(tapes, _atom_set(tm.states)),
+                   Map(TupleCons((("t", Proj("1")), ("q", Proj("2"))))))
+
+
+def tm_step_query(tm: TMSpec, K: int, expand_eq: bool = False) -> MAExpr:
+    """The successor relation inside the acceptance query: from a set of
+    configurations, the pairs <1: c, 2: d> of them with d one step of tm
+    after c."""
+    return compose(*_step_stages(tm, K, expand_eq))
+
+
+def _step_stages(tm: TMSpec, K: int, expand_eq: bool) -> List[MAExpr]:
+    sigma = tuple(tm.alphabet)
+
     # pairs of configurations with their difference windows; field v
     # plays the primed copy of w
-    prepare = compose(
-        configs, CartProd(Id(), Id()),
+    prepare = [
+        CartProd(Id(), Id()),
         Map(TupleCons((("s", Id()),
                        ("w", Proj_chain(("1", "t"))),
-                       ("v", Proj_chain(("2", "t")))))))
+                       ("v", Proj_chain(("2", "t"))))))]
 
     def zoom(d: int) -> MAExpr:
         keep = lambda side: compose(
@@ -404,10 +441,9 @@ def gen_tm_query(tm: TMSpec, word: Sequence[str], K: int,
                            ("v", compose(Proj("v"), swap))))))
         return _union_all([keep("2"), keep("1"), middle])
 
-    witness = compose(prepare, *(zoom(d) for d in range(K, 1, -1)))
-    witness = compose(witness, _union_all(
+    witness = prepare + [zoom(d) for d in range(K, 1, -1)] + [_union_all(
         [Select(PathEqConst(("w", h), marker(s)))
-         for h in ("1", "2") for s in sigma]))
+         for h in ("1", "2") for s in sigma])]
 
     def gamma(q: str, s: str, q2: str, s2: str, mv: int) -> SelCond:
         at = PathEqConst
@@ -430,27 +466,8 @@ def gen_tm_query(tm: TMSpec, word: Sequence[str], K: int,
             win = COr(side("1", "2"), side("2", "1"))
         return CAnd(state, win)
 
-    phi_succ = compose(
-        witness,
-        _union_all([Select(gamma(*tr)) for tr in tm.delta]),
-        Map(Proj("s")))
-
-    # Savitch-style doubling: psi after i rounds relates configurations
-    # exactly 2^i steps apart
-    psi = phi_succ
-    for _ in range(K):
-        psi = compose(
-            psi, CartProd(Id(), Id()),
-            _sel_config_eq(("1", "2"), ("2", "1"), K, expand_eq),
-            Map(TupleCons((("1", Proj_chain(("1", "1"))),
-                           ("2", Proj_chain(("2", "2")))))))
-
-    reached = compose(_pair(c_start, psi), PairWith("2"),
-                      _sel_config_eq(("1",), ("2", "1"), K, expand_eq),
-                      Map(Proj_chain(("2", "2"))))
-    return compose(CartProd(reached, accepting),
-                   Map(_config_eq_bool(("1",), ("2",), K, expand_eq)),
-                   Flatten())
+    return witness + [_union_all([Select(gamma(*tr)) for tr in tm.delta]),
+                      Map(Proj("s"))]
 
 
 def tm_query_sizes(tm: TMSpec, word: Sequence[str], K: int) -> Tup[int, int]:
@@ -463,6 +480,12 @@ def decide_tm_query(tm: TMSpec, word: Sequence[str], K: int,
                     expand_eq: bool = False) -> bool:
     out = ma.eval_ma(gen_tm_query(tm, word, K, expand_eq), UNIT, SET)
     return bool(out.elems)
+
+
+# the largest configuration-pair space the checks and the demo script
+# decide; above it a machine is skipped. The acceptor at K=2 has
+# 15,116,544 pairs.
+MAX_CONFIG_PAIRS = 2 * 10 ** 7
 
 
 def tm_config_space(tm: TMSpec, K: int) -> int:

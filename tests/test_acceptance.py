@@ -121,7 +121,7 @@ def test_c08_machine_acceptance_queries():
             ok = ok and got == want
         assert time.monotonic() - t0 < 60, "%s at K=1" % name
     for name, tm in reductions.BUNDLED.items():
-        if reductions.tm_config_space(tm, 2) > 2 * 10 ** 6:
+        if reductions.tm_config_space(tm, 2) > reductions.MAX_CONFIG_PAIRS:
             continue
         for w in checks.TM_WORDS[name]:
             got = reductions.decide_tm_query(tm, w, 2)

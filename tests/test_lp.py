@@ -307,6 +307,9 @@ def test_depth3_flat_reassembly_through_both_path_routes(text):
      "variable u of a negated atom is bound by no earlier positive"),
     ("h(X, i.w) :- a(X, w.i).",
      "variable i is used both as a sequence of steps and as a single"),
+    # a prefix may be empty, a rest may not: this rule derived h = {((), ())}
+    ("h(u, u) :- a(u, v).",
+     "variable u is used both as a prefix and as a rest"),
 ])
 def test_unsafe_rules_are_rejected(rule, error):
     with pytest.raises(ValueError_, match=error):

@@ -1,0 +1,297 @@
+"""The evaluation plan of eval_ma gives the plain evaluator's results.
+
+eval_ma rewrites a well-typed query with a product before it evaluates
+it (ma.plan); ma._eval is the evaluator itself, run here on the query as
+written. A generator local to this file draws pipelines of products,
+tuple-building maps, unions and selections over generated inputs under
+set, list and bag semantics; some draws are ill-typed on purpose, and
+those must fail with the same exception and message. The last tests
+take their queries from the Turing machine acceptance query.
+"""
+
+import random
+
+import pytest
+
+from nestql import ma, reductions
+from nestql.gen import ATOMS, gen_value
+from nestql.ma import (
+    CAnd, CNot, COr, CartProd, Compose, Const, HashJoin, Id, Map,
+    PathEqConst, PathEqPath, PathInSet, Proj_chain, Select, TupleCons,
+    Union, compose, eval_ma, infer_type, plan, type_of,
+)
+from nestql.ma_text import parse_ma
+from nestql.values import (
+    ATOMIC, DEEP, DOM, KINDS, MON, SET, UNIT, Atom, CollType, TupleType,
+    ValueError_, make_coll, print_value,
+)
+
+PAIR_T = TupleType((("1", DOM), ("2", DOM)))
+
+
+def _elem_type(rng, sem):
+    fields = []
+    for label in ("A", "B", "C")[:rng.randint(1, 3)]:
+        r = rng.random()
+        ft = DOM if r < 0.6 else PAIR_T if r < 0.85 else CollType(sem, DOM)
+        fields.append((label, ft))
+    return TupleType(tuple(fields))
+
+
+def _paths(t, prefix=()):
+    """(path, type) for every nonempty tuple path of t."""
+    out = []
+    if isinstance(t, TupleType):
+        for label, ft in t.fields:
+            out.append((prefix + (label,), ft))
+            out += _paths(ft, prefix + (label,))
+    return out
+
+
+def _cond(rng, t, depth=1):
+    paths = _paths(t) + [((), t)]
+    r = rng.random()
+    if depth and r < 0.12:
+        return CAnd(_cond(rng, t, depth - 1), _cond(rng, t, depth - 1))
+    if depth and r < 0.2:
+        return COr(_cond(rng, t, depth - 1), _cond(rng, t, depth - 1))
+    if depth and r < 0.25:
+        return CNot(_cond(rng, t, depth - 1))
+    p, pt = rng.choice(paths)
+    if r < 0.6:
+        if rng.random() < 0.1:
+            # anything goes: often ill-typed
+            return PathEqPath(p, rng.choice(paths)[0],
+                              rng.choice((ATOMIC, MON, DEEP)))
+        same = [q for q, qt in paths if qt == pt]
+        # across the sides of a product, when there is one
+        cross = [q for q in same if q[:1] != p[:1]]
+        q = rng.choice(cross if cross and rng.random() < 0.6 else same)
+        modes = ((ATOMIC, MON, DEEP) if pt == DOM else (MON, DEEP)
+                 if ma._is_mon_type(pt) else (DEEP,))
+        return PathEqPath(p, q, rng.choice(modes))
+    if pt != DOM and rng.random() < 0.8:
+        p = rng.choice([q for q, qt in paths if qt == DOM] or [p])
+    if r < 0.9:
+        return PathEqConst(p, rng.choice(ATOMS),
+                           rng.choice((ATOMIC, ATOMIC, MON, DEEP)))
+    return PathInSet(p, tuple(rng.sample(ATOMS, 2)))
+
+
+def _field(rng, t):
+    """(expression, type) of a field of a tuple-building map."""
+    paths = _paths(t)
+    r = rng.random()
+    if r < 0.5:
+        p, pt = rng.choice(paths)
+        return Proj_chain(p), pt
+    if r < 0.6:
+        return Id(), t
+    if r < 0.7:
+        return Const(rng.choice(ATOMS)), DOM
+    inner = [p for p in paths if isinstance(p[1], TupleType)]
+    if r < 0.85 and inner:
+        # a projection followed by a tuple of paths below it, like the
+        # swap in the machine query's zoom
+        (p, pt) = rng.choice(inner)
+        (a, at), (b, bt) = rng.choice(_paths(pt)), rng.choice(_paths(pt))
+        return (Compose(Proj_chain(p), TupleCons(
+            (("1", Proj_chain(a)), ("2", Proj_chain(b))))),
+            TupleType((("1", at), ("2", bt))))
+    (a, at), (b, bt) = rng.choice(paths), rng.choice(paths)
+    return (TupleCons((("1", Proj_chain(a)), ("2", Proj_chain(b)))),
+            TupleType((("1", at), ("2", bt))))
+
+
+def _map(rng, t):
+    fields = [(label,) + _field(rng, t)
+              for label in ("A", "B", "C")[:rng.randint(1, 3)]]
+    return (Map(TupleCons(tuple((l, f) for l, f, _ in fields))),
+            TupleType(tuple((l, ft) for l, _, ft in fields)))
+
+
+def _map_like(rng, t, like):
+    """A map to the tuple type like, through other paths of t where it
+    has them."""
+    m, mt = like
+    fields = []
+    for (label, f), (_, ft) in zip(m.f.fields, mt.fields):
+        other = [p for p, pt in _paths(t) if pt == ft]
+        fields.append((label, Proj_chain(rng.choice(other)) if other else f))
+    return Map(TupleCons(tuple(fields)))
+
+
+def _small(t):
+    return len(_paths(t)) <= 14
+
+
+def _side(rng, t):
+    """A side of a product: (expression, element type)."""
+    r = rng.random()
+    if r < 0.5:
+        return Id(), t
+    if r < 0.7:
+        return compose(Id(), Select(_cond(rng, t))), t
+    if r < 0.85 and _small(t):
+        return _map(rng, t)
+    return Union(Select(_cond(rng, t)), Select(_cond(rng, t))), t
+
+
+def _union(rng, t):
+    """A union of branches that start with a selection (mostly), all
+    with one map after it or none."""
+    n = rng.randint(2, 3)
+    tail = _map(rng, t) if rng.random() < 0.4 and _small(t) else None
+    branches = []
+    for _ in range(n):
+        parts = [Select(_cond(rng, t))]
+        if rng.random() < 0.2:
+            parts.append(Select(_cond(rng, t)))
+        if tail is not None:
+            # same labels and types, other paths: the zoom's shape
+            parts.append(tail[0] if rng.random() < 0.5
+                         else _map_like(rng, t, tail))
+        if rng.random() < 0.1:
+            parts = [Id()] + parts[1:] if len(parts) > 1 else [Id()]
+        branches.append(compose(*parts))
+    out = branches[0]
+    for b in branches[1:]:
+        out = Union(out, b)
+    return out, t if tail is None else tail[1]
+
+
+def gen_pipeline(rng, t, sem):
+    """A query on collections of element type t."""
+    stages = [Id()] if rng.random() < 0.2 else []
+    n = rng.randint(2, 6)
+    first_cart = rng.randrange(min(n, 3))
+    carts = 2
+    for i in range(n):
+        ops = ["select", "select", "union", "map"]
+        if carts and _small(t):
+            ops += ["cart", "cart"]
+        op = "cart" if i == first_cart and carts else rng.choice(ops)
+        if op == "cart":
+            carts -= 1
+            (f, ft), (g, gt) = _side(rng, t), _side(rng, t)
+            stages.append(CartProd(f, g))
+            t = TupleType((("1", ft), ("2", gt)))
+        elif op == "select":
+            stages.append(Select(_cond(rng, t)))
+        elif op == "union":
+            u, t = _union(rng, t)
+            stages.append(u)
+        elif _small(t):
+            m, t = _map(rng, t)
+            stages.append(m)
+    return compose(*stages)
+
+
+def _outcome(run):
+    try:
+        return "value", print_value(run())
+    except Exception as e:   # the error itself is the result compared
+        return type(e).__name__, str(e)
+
+
+def _has_join(q):
+    """Whether q has a HashJoin with a key."""
+    todo = [q]
+    while todo:
+        q = todo.pop()
+        if type(q) is HashJoin and q.keys:
+            return True
+        todo.extend(ma._subexprs(q))
+    return False
+
+
+@pytest.mark.parametrize("sem", KINDS)
+def test_planned_evaluation_equals_plain_evaluation(sem):
+    typed = joined = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        t = _elem_type(rng, sem)
+        q = gen_pipeline(rng, t, sem)
+        # now and then an input of another collection kind
+        kind = sem if rng.random() < 0.95 else rng.choice(KINDS)
+        v = make_coll(kind, [gen_value(rng, _with_kind(t, kind))
+                             for _ in range(rng.randint(1, 5))])
+        want = _outcome(lambda: ma._eval(q, v, sem))
+        assert _outcome(lambda: eval_ma(q, v, sem)) == want, (seed, q)
+        try:
+            infer_type(q, type_of(v, sem), sem)
+        except (ma.MATypeError, ValueError_):
+            continue
+        typed += 1
+        assert want[0] == "value", (seed, q)
+        joined += _has_join(plan(q))
+    # the draws must reach the planned route, and its joins, often
+    assert typed >= 300 and joined >= 80, (typed, joined)
+
+
+def _with_kind(t, kind):
+    if isinstance(t, CollType):
+        return CollType(kind, _with_kind(t.elem, kind))
+    if isinstance(t, TupleType):
+        return TupleType(tuple((l, _with_kind(x, kind)) for l, x in t.fields))
+    return t
+
+
+def _same_as_plain(q, v, sem=SET):
+    got = eval_ma(q, v, sem)
+    assert print_value(got) == print_value(ma._eval(q, v, sem))
+    return got
+
+
+def _configs(tm, K):
+    return eval_ma(reductions.tm_configs_query(tm, K), UNIT, SET)
+
+
+def test_machine_step_relation_at_k1():
+    """The witness and gamma selections over all 108² pairs of the
+    acceptor's configurations: each of the 30 witness-and-gamma branches
+    filters both sides of its own product."""
+    tm = reductions.ACCEPTOR
+    configs = _configs(tm, 1)
+    assert len(configs.elems) == 108
+    q = reductions.tm_step_query(tm, 1)
+    branches = ma._flat(ma._flat(plan(q), Compose)[0], Union)
+    assert len(branches) == 30
+    for b in branches:
+        join = ma._flat(b, Compose)[0]
+        assert type(join) is HashJoin
+        for side in (join.f, join.g):
+            assert Select in map(type, ma._flat(side, Compose))
+    assert _same_as_plain(q, configs).elems
+
+
+def test_machine_step_relation_through_the_k2_zoom():
+    """The zoom at K=2 turns the window equalities into join keys; a
+    sample of the guesser's 2,592 configurations keeps the plain
+    evaluation small."""
+    tm = reductions.GUESSER
+    configs = _configs(tm, 2)
+    sample = make_coll(SET, configs.elems[::50] + configs.elems[:30])
+    q = reductions.tm_step_query(tm, 2)
+    assert _has_join(plan(q))
+    assert _same_as_plain(q, sample).elems
+
+
+def test_savitch_doubling_is_a_hash_join():
+    tm = reductions.ACCEPTOR
+    steps = eval_ma(reductions.tm_step_query(tm, 1), _configs(tm, 1), SET)
+    q = parse_ma("cart(id, id) ; select[1.2 =mon 2.1] ; "
+                 "map(tup[1 = pi[1] ; pi[1], 2 = pi[2] ; pi[2]])")
+    p = plan(q)
+    assert p.f == HashJoin(Id(), Id(), ((("2",), ("1",)),), None)
+    assert _same_as_plain(q, steps).elems
+
+
+def test_branch_copies_are_capped():
+    """Twelve unions of two selections after a product would make 4,096
+    branches; the copying stops at ma._MAX_BRANCHES."""
+    q = parse_ma("cart(id, id)" + " ; union(select[1 = 'a'], select[2 = 'b'])"
+                 * 12)
+    p = plan(q)
+    assert ma.ast_size(p) < 10 * ma._MAX_BRANCHES
+    _same_as_plain(q, make_coll(SET, [Atom(x) for x in ATOMS]))

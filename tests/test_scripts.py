@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["size_law.py", "--k-max", "3"],
     ["tm_demo.py", "--k", "1", "--machine", "rejector"],
     ["growth_demo.py", "--m-max", "2"],
+    ["tm_demo.py", "--k", "2", "--machine", "rejector"],
 ])
 def test_script_runs(args):
     env = dict(os.environ)
@@ -26,3 +27,6 @@ def test_script_runs(args):
                        capture_output=True, text=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
+    if args[0] == "tm_demo.py":
+        # each decision agrees with the simulation
+        assert all(" ok (" in line for line in r.stdout.splitlines())
