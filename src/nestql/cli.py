@@ -173,7 +173,14 @@ def cmd_gen_tm(a) -> int:
     if not a.decide:
         _out(print_ma(q))
         return 0
-    _guard(reductions.tm_config_space(tm, a.k), "the configuration space")
+    if a.expand_eq:
+        # the spelled-out equalities are flatmaps, which the plan does
+        # not turn into joins: every configuration pair is built
+        _guard(reductions.tm_config_space(tm, a.k), "the configuration space")
+    else:
+        # the plan joins the pairs on their equalities and builds the
+        # configuration set
+        _guard(reductions.tm_config_nodes(tm, a.k), "the configuration set")
     ok = bool(ma.eval_ma(q, UNIT, SET).elems)
     _out("true" if ok else "false")
     return 0 if ok else 1

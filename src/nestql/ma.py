@@ -18,7 +18,8 @@ filter, and a product followed by a selection becomes a hash join on
 the selection's cross-side equalities. The plan gives the same value
 under set, list and bag semantics. It is made once per call, from the
 query alone; a query that does not type-check against its input runs
-as written, so its errors are the evaluator's own.
+as written, so its errors are the evaluator's own. Either tree is
+compiled into Python closures once per call before it runs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import reduce
 from typing import Optional, Tuple as Tup
 
 from .values import (
-    ATOMIC, BAG, DEEP, LIST, MON, SET,
+    ATOMIC, BAG, DEEP, KINDS, LIST, MON, SET,
     Atom, Coll, CollType, DomType, DOM, Tuple, TupleType, Type, UNIT, UNIT_T,
     Value, ValueError_, make_coll, make_tuple, print_type, print_value,
     value_equal,
@@ -269,11 +270,12 @@ CORE_NODES = (Id, Const, EmptyColl, UnitTuple, Sng, Map, Flatten, PairWith,
 
 def _subexprs(q: MAExpr) -> tuple:
     """The direct subexpressions of q."""
-    if isinstance(q, (Compose, Union, CartProd, HashJoin)):
+    t = type(q)
+    if t in (Compose, Union, CartProd, HashJoin):
         return q.f, q.g
-    if isinstance(q, (Map, FlatMap)):
+    if t in (Map, FlatMap):
         return q.f,
-    if isinstance(q, TupleCons):
+    if t is TupleCons:
         return tuple(f for _, f in q.fields)
     return ()
 
@@ -539,59 +541,18 @@ def _check_cond(c: SelCond, t: Type, sem: str):
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# A query is compiled before it runs: each node becomes a Python closure
+# over the closures of its subexpressions, so a node's operator is looked
+# up once per evaluation rather than once per value the node meets.
+# Compose and Union chains become loops over their stages and branches,
+# and a selection condition becomes a test on one element. The closures
+# use no types: they check what they receive as each operator's meaning
+# requires, in the same order and with the same messages for every
+# query, well-typed or not.
 
-def true_val(sem: str) -> Coll:
-    return make_coll(sem, (UNIT,))
-
-
-def false_val(sem: str) -> Coll:
-    return make_coll(sem, ())
-
-
-def bool_val(b: bool, sem: str) -> Coll:
-    return true_val(sem) if b else false_val(sem)
-
-
-def _proj_path(v: Value, p: Path) -> Value:
-    for label in p:
-        if type(v) is not Tuple:
-            raise ValueError_("path %s hits non-tuple %s"
-                              % (".".join(p), print_value(v)))
-        v = v.field(label)
-    return v
-
-
-def cond_holds(c: SelCond, v: Value) -> bool:
-    t = type(c)
-    if t is PathEqConst:
-        x = _proj_path(v, c.p)
-        if type(x) is Atom:   # equal under every mode iff the labels are
-            return x.label == c.label
-        return value_equal(x, Atom(c.label), c.mode)
-    if t is CAnd:
-        return cond_holds(c.a, v) and cond_holds(c.b, v)
-    if t is COr:
-        return cond_holds(c.a, v) or cond_holds(c.b, v)
-    if t is PathEqPath:
-        return value_equal(_proj_path(v, c.p), _proj_path(v, c.q), c.mode)
-    if t is CNot:
-        return not cond_holds(c.a, v)
-    if t is CIff:
-        return cond_holds(c.a, v) == cond_holds(c.b, v)
-    if t is PathInSet:
-        x = _proj_path(v, c.p)
-        if not isinstance(x, Atom):
-            raise ValueError_("membership test on non-atom %s"
-                              % print_value(x))
-        return x.label in c.labels
-    raise ValueError_("bad selection condition %r" % (c,))
-
-
-def _as_coll(v: Value, ctx: str) -> Coll:
-    if not isinstance(v, Coll):
-        raise ValueError_("%s: expected collection, got %s"
-                          % (ctx, print_value(v)))
-    return v
+# true and false under each semantics
+_BOOLS = {sem: (make_coll(sem, (UNIT,)), make_coll(sem, ())) for sem in KINDS}
 
 
 def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
@@ -601,72 +562,276 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
     tree evaluated is its plan (see :func:`plan`), which has the same
     value. Any other query is evaluated as written. Only a query that
     fails the type check can fail at run time, so every error and its
-    message are what evaluating q as written gives.
+    message are what evaluating q as written gives. Compiling q shows
+    whether it has a product.
     """
-    if _has_cart(q):
+    cc = _Compiler(sem)
+    run = cc(q)
+    if cc.cart:
         try:
             t = type_of(v, sem)
             infer_type(q, t, sem)
         except (MATypeError, ValueError_, RecursionError):
             pass
         else:
-            q = plan(q)
-    return _eval(q, v, sem)
+            run = _Compiler(sem)(plan(q))
+    return run(v)
 
 
-def _eval(q: MAExpr, v: Value, sem: str) -> Value:
-    """The evaluator: each operator's meaning, on the tree as given."""
-    if isinstance(q, Id):
+class _Compiler:
+    """One compilation under semantics sem. Each distinct conjunct of the
+    selection conditions is compiled once: the plan makes many equal
+    copies of them."""
+
+    def __init__(self, sem: str):
+        if sem not in _BOOLS:
+            raise ValueError_("bad collection kind %r" % (sem,))
+        self.sem = sem
+        self.yes, self.no = _BOOLS[sem]
+        self.cart = False   # whether a product was compiled
+        self._tests = {}   # conjunct -> test
+
+    def __call__(self, q: MAExpr):
+        """q as a function from its input to its value."""
+        return _COMPILE.get(type(q), _c_unknown)(q, self)
+
+    def pred(self, c: SelCond):
+        """Selection condition c as a test on one element."""
+        tests = []
+        for x in _conjuncts(c):
+            t = self._tests.get(x)
+            if t is None:
+                t = self._tests[x] = _PRED.get(type(x), _p_unknown)(x, self)
+            tests.append(t)
+        return tests[0] if len(tests) == 1 else _all(tests)
+
+
+def _expected(v: Value, ctx: str, what: str):
+    raise ValueError_("%s: expected %s, got %s" % (ctx, what, print_value(v)))
+
+
+def _as_coll(v: Value, ctx: str) -> Coll:
+    if type(v) is not Coll:
+        _expected(v, ctx, "collection")
+    return v
+
+
+def _as_tuple(v: Value, ctx: str) -> Tuple:
+    if type(v) is not Tuple:
+        _expected(v, ctx, "tuple")
+    return v
+
+
+def _coll_pair(v: Value, ctx: str):
+    """The two collection fields of a <1: R, 2: S> tuple."""
+    t = _as_tuple(v, ctx)
+    return _as_coll(t.field("1"), ctx), _as_coll(t.field("2"), ctx)
+
+
+def _ident(v: Value) -> Value:
+    return v
+
+
+def _getter(p: Path):
+    """The function v -> v.p."""
+    if not p:
+        return _ident
+
+    def get(v):
+        for label in p:
+            if type(v) is not Tuple:
+                _hits(p, v)
+            v = v.field(label)
         return v
-    if isinstance(q, Const):
-        return Atom(q.label)
-    if isinstance(q, EmptyColl):
-        return false_val(sem)
-    if isinstance(q, UnitTuple):
-        return UNIT
-    if isinstance(q, Sng):
-        return make_coll(sem, (v,))
-    if isinstance(q, Map):
-        c = _as_coll(v, "map")
-        return make_coll(sem, (_eval(q.f, x, sem) for x in c.elems))
-    if isinstance(q, FlatMap):
-        return _eval(Compose(Map(q.f), Flatten()), v, sem)
-    if isinstance(q, Flatten):
-        c = _as_coll(v, "flatten")
+    return get
+
+
+def _hits(p: Path, v: Value):
+    raise ValueError_("path %s hits non-tuple %s"
+                      % (".".join(p), print_value(v)))
+
+
+def _key(paths: list):
+    """The function v -> the values at paths (the value itself for one
+    path), the key a HashJoin matches on."""
+    if len(paths) == 1:
+        return _getter(paths[0])
+    gets = [_getter(p) for p in paths]
+    return lambda v: tuple([g(v) for g in gets])
+
+
+def _c_unknown(q, cc):
+    def run(v):
+        raise ValueError_("cannot evaluate %r" % (q,))
+    return run
+
+
+def _c_id(q, cc):
+    return _ident
+
+
+def _c_const(q, cc):
+    a = Atom(q.label)
+    return lambda v: a
+
+
+def _c_empty(q, cc):
+    no = cc.no
+    return lambda v: no
+
+
+def _c_unit(q, cc):
+    return lambda v: UNIT
+
+
+def _c_sng(q, cc):
+    sem = cc.sem
+    return lambda v: make_coll(sem, (v,))
+
+
+def _c_map(q, cc):
+    f, sem = cc(q.f), cc.sem
+
+    def run(v):
+        if type(v) is not Coll:
+            _expected(v, "map", "collection")
+        return make_coll(sem, [f(x) for x in v.elems])
+    return run
+
+
+def _c_flatmap(q, cc):
+    """map(f) ; flatten, without the mapped collection between them."""
+    f, sem = cc(q.f), cc.sem
+
+    def run(v):
+        if type(v) is not Coll:
+            _expected(v, "map", "collection")
+        ys = [f(x) for x in v.elems]
         out = []
-        for x in c.elems:
-            out.extend(_as_coll(x, "flatten member").elems)
-        return make_coll(sem, out)
-    if isinstance(q, PairWith):
-        t = _as_tuple(v, "pairwith")
-        src = _as_coll(t.field(q.label), "pairwith field")
+        for y in ys:
+            if type(y) is not Coll:
+                break
+            out += y.elems
+        else:
+            return make_coll(sem, out)
+        # fail on the member that flatten meets first in the mapped
+        # collection
+        for y in make_coll(sem, ys).elems:
+            _as_coll(y, "flatten member")
+    return run
+
+
+def _c_flatten(q, cc):
+    sem = cc.sem
+
+    def run(v):
+        if type(v) is not Coll:
+            _expected(v, "flatten", "collection")
         out = []
-        for x in src.elems:
-            out.append(make_tuple(
-                (l, x if l == q.label else w) for l, w in t.fields))
+        for x in v.elems:
+            if type(x) is not Coll:
+                _expected(x, "flatten member", "collection")
+            out += x.elems
         return make_coll(sem, out)
-    if isinstance(q, TupleCons):
-        return make_tuple((l, _eval(f, v, sem)) for l, f in q.fields)
-    if isinstance(q, Proj):
-        return _as_tuple(v, "pi").field(q.label)
-    if isinstance(q, Compose):
-        return _eval(q.g, _eval(q.f, v, sem), sem)
-    if isinstance(q, Union):
-        a = _as_coll(_eval(q.f, v, sem), "union")
-        b = _as_coll(_eval(q.g, v, sem), "union")
-        return make_coll(sem, a.elems + b.elems)
-    if isinstance(q, UnionT):
+    return run
+
+
+def _c_pairwith(q, cc):
+    label, sem = q.label, cc.sem
+
+    def run(v):
+        if type(v) is not Tuple:
+            _expected(v, "pairwith", "tuple")
+        src = v.field(label)
+        if type(src) is not Coll:
+            _expected(src, "pairwith field", "collection")
+        i = v.labels().index(label)
+        pre, post = v.fields[:i], v.fields[i + 1:]
+        return make_coll(sem, [Tuple(pre + ((label, x),) + post)
+                               for x in src.elems])
+    return run
+
+
+def _c_tuple(q, cc):
+    fields = [(l, cc(f)) for l, f in q.fields]
+    return lambda v: Tuple(tuple([(l, f(v)) for l, f in fields]))
+
+
+def _c_proj(q, cc):
+    label = q.label
+
+    def run(v):
+        if type(v) is not Tuple:
+            _expected(v, "pi", "tuple")
+        return v.field(label)
+    return run
+
+
+def _c_compose(q, cc):
+    stages = [cc(s) for s in _flat(q, Compose) if type(s) is not Id]
+    if len(stages) == 1:
+        return stages[0]
+    if len(stages) == 2:
+        f, g = stages
+        return lambda v: g(f(v))
+
+    def run(v):
+        for s in stages:
+            v = s(v)
+        return v
+    return run
+
+
+def _c_union(q, cc):
+    branches, sem = [cc(b) for b in _flat(q, Union)], cc.sem
+
+    def run(v):
+        out = []
+        for b in branches:
+            c = b(v)
+            if type(c) is not Coll:
+                _expected(c, "union", "collection")
+            out += c.elems
+        return make_coll(sem, out)
+    return run
+
+
+def _c_uniont(q, cc):
+    sem = cc.sem
+
+    def run(v):
         a, b = _coll_pair(v, "union")
         return make_coll(sem, a.elems + b.elems)
-    if isinstance(q, EqAtomic):
-        a = _proj_path(_as_tuple(v, "eqatom"), q.pa)
-        b = _proj_path(_as_tuple(v, "eqatom"), q.pb)
-        return bool_val(value_equal(a, b, ATOMIC), sem)
-    if isinstance(q, NotOp):
-        return bool_val(not _as_coll(v, "not").elems, sem)
-    if isinstance(q, TrueOp):
-        return bool_val(bool(_as_coll(v, "true").elems), sem)
-    if isinstance(q, Monus):
+    return run
+
+
+def _c_eqatomic(q, cc):
+    ga, gb, yes, no = _getter(q.pa), _getter(q.pb), cc.yes, cc.no
+
+    def run(v):
+        if type(v) is not Tuple:
+            _expected(v, "eqatom", "tuple")
+        a, b = ga(v), gb(v)
+        if type(a) is Atom and type(b) is Atom:
+            return yes if a.label == b.label else no
+        return yes if value_equal(a, b, ATOMIC) else no
+    return run
+
+
+def _c_not(q, cc):
+    yes, no = cc.yes, cc.no
+    return lambda v: no if _as_coll(v, "not").elems else yes
+
+
+def _c_true(q, cc):
+    yes, no = cc.yes, cc.no
+    return lambda v: yes if _as_coll(v, "true").elems else no
+
+
+def _c_monus(q, cc):
+    sem = cc.sem
+
+    def run(v):
         a, b = _coll_pair(v, "monus")
         # each member of field 2 cancels the first equal member of field 1
         cancel = Counter(b.elems)
@@ -677,79 +842,208 @@ def _eval(q: MAExpr, v: Value, sem: str) -> Value:
             else:
                 out.append(x)
         return make_coll(sem, out)
-    if isinstance(q, Unique):
-        return make_coll(sem, dict.fromkeys(_as_coll(v, "unique").elems))
-    if isinstance(q, (EqMon, EqDeep)):
-        mode = MON if isinstance(q, EqMon) else DEEP
+    return run
+
+
+def _c_unique(q, cc):
+    sem = cc.sem
+    return lambda v: make_coll(sem, dict.fromkeys(_as_coll(v, "unique").elems))
+
+
+def _c_eq(q, cc):
+    ga, gb, yes, no = _getter(q.pa), _getter(q.pb), cc.yes, cc.no
+    mode = MON if type(q) is EqMon else DEEP
+
+    def run(v):
         t = _as_tuple(v, "eq")
-        return bool_val(
-            value_equal(_proj_path(t, q.pa), _proj_path(t, q.pb), mode), sem)
-    if isinstance(q, Select):
-        c = _as_coll(v, "select")
-        return make_coll(sem, (x for x in c.elems if cond_holds(q.cond, x)))
-    if isinstance(q, Diff):
+        return yes if value_equal(ga(t), gb(t), mode) else no
+    return run
+
+
+def _c_select(q, cc):
+    test, sem = cc.pred(q.cond), cc.sem
+
+    def run(v):
+        if type(v) is not Coll:
+            _expected(v, "select", "collection")
+        return make_coll(sem, [x for x in v.elems if test(x)])
+    return run
+
+
+def _c_diff(q, cc):
+    sem = cc.sem
+
+    def run(v):
         a, b = _coll_pair(v, "diff")
         drop = set(b.elems)
-        return make_coll(sem, (x for x in a.elems if x not in drop))
-    if isinstance(q, Intersect):
+        return make_coll(sem, [x for x in a.elems if x not in drop])
+    return run
+
+
+def _c_intersect(q, cc):
+    sem = cc.sem
+
+    def run(v):
         a, b = _coll_pair(v, "cap")
         keep = set(b.elems)
-        return make_coll(sem, (x for x in a.elems if x in keep))
-    if isinstance(q, SubsetEq):
+        return make_coll(sem, [x for x in a.elems if x in keep])
+    return run
+
+
+def _c_subseteq(q, cc):
+    ga, gb, yes, no = _getter(q.pa), _getter(q.pb), cc.yes, cc.no
+
+    def run(v):
         t = _as_tuple(v, "subseteq")
-        a = _as_coll(_proj_path(t, q.pa), "subseteq")
-        b = _as_coll(_proj_path(t, q.pb), "subseteq")
-        return bool_val(set(a.elems) <= set(b.elems), sem)
-    if isinstance(q, MemberOf):
+        a = _as_coll(ga(t), "subseteq")
+        b = _as_coll(gb(t), "subseteq")
+        return yes if set(a.elems) <= set(b.elems) else no
+    return run
+
+
+def _c_member(q, cc):
+    ga, gb, yes, no = _getter(q.pa), _getter(q.pb), cc.yes, cc.no
+
+    def run(v):
         t = _as_tuple(v, "in")
-        x = _proj_path(t, q.pa)
-        b = _as_coll(_proj_path(t, q.pb), "in")
-        return bool_val(x in b.elems, sem)
-    if isinstance(q, Nest):
-        c = _as_coll(v, "nest")
+        x = ga(t)
+        return yes if x in _as_coll(gb(t), "in").elems else no
+    return run
+
+
+def _c_nest(q, cc):
+    label, grouped, sem = q.label, q.grouped, cc.sem
+
+    def run(v):
         groups = {}
-        for x in c.elems:
+        for x in _as_coll(v, "nest").elems:
             t = _as_tuple(x, "nest")
             key = make_tuple((l, w) for l, w in t.fields
-                             if l not in q.grouped)
-            part = make_tuple((l, w) for l, w in t.fields if l in q.grouped)
+                             if l not in grouped)
+            part = make_tuple((l, w) for l, w in t.fields if l in grouped)
             groups.setdefault(key, []).append(part)
         return make_coll(sem, (
-            make_tuple(k.fields + ((q.label, make_coll(sem, ms)),))
+            make_tuple(k.fields + ((label, make_coll(sem, ms)),))
             for k, ms in groups.items()))
-    if isinstance(q, CartProd):
-        a = _as_coll(_eval(q.f, v, sem), "cart")
-        b = _as_coll(_eval(q.g, v, sem), "cart")
-        return make_coll(sem, (make_tuple((("1", x), ("2", y)))
-                               for x in a.elems for y in b.elems))
-    if isinstance(q, HashJoin):
-        a = _as_coll(_eval(q.f, v, sem), "cart")
-        b = _as_coll(_eval(q.g, v, sem), "cart")
+    return run
+
+
+def _c_cart(q, cc):
+    fa, fb, sem = cc(q.f), cc(q.g), cc.sem
+    cc.cart = True
+
+    def run(v):
+        a = _as_coll(fa(v), "cart")
+        b = _as_coll(fb(v), "cart")
+        return make_coll(sem, [Tuple((("1", x), ("2", y)))
+                               for x in a.elems for y in b.elems])
+    return run
+
+
+def _c_hash_join(q, cc):
+    fa, fb, sem = cc(q.f), cc(q.g), cc.sem
+    ka = _key([p for p, _ in q.keys])
+    kb = _key([r for _, r in q.keys])
+    test = None if q.cond is None else cc.pred(q.cond)
+
+    def run(v):
+        a = _as_coll(fa(v), "cart")
+        b = _as_coll(fb(v), "cart")
         match = {}
         for y in b.elems:
-            match.setdefault(tuple([_proj_path(y, r) for _, r in q.keys]),
-                             []).append(y)
+            match.setdefault(kb(y), []).append(y)
         out = []
         for x in a.elems:
-            for y in match.get(tuple([_proj_path(x, r) for r, _ in q.keys]),
-                               ()):
-                xy = make_tuple((("1", x), ("2", y)))
-                if q.cond is None or cond_holds(q.cond, xy):
+            for y in match.get(ka(x), ()):
+                xy = Tuple((("1", x), ("2", y)))
+                if test is None or test(xy):
                     out.append(xy)
         return make_coll(sem, out)
-    raise ValueError_("cannot evaluate %r" % (q,))
+    return run
 
 
-def _as_tuple(v: Value, ctx: str) -> Tuple:
-    if not isinstance(v, Tuple):
-        raise ValueError_("%s: expected tuple, got %s" % (ctx, print_value(v)))
-    return v
+_COMPILE = {
+    Id: _c_id, Const: _c_const, EmptyColl: _c_empty, UnitTuple: _c_unit,
+    Sng: _c_sng, Map: _c_map, FlatMap: _c_flatmap, Flatten: _c_flatten,
+    PairWith: _c_pairwith, TupleCons: _c_tuple, Proj: _c_proj,
+    Compose: _c_compose, Union: _c_union, UnionT: _c_uniont,
+    EqAtomic: _c_eqatomic, NotOp: _c_not, TrueOp: _c_true,
+    Monus: _c_monus, Unique: _c_unique, EqMon: _c_eq, EqDeep: _c_eq,
+    Select: _c_select, Diff: _c_diff, Intersect: _c_intersect,
+    SubsetEq: _c_subseteq, MemberOf: _c_member, Nest: _c_nest,
+    CartProd: _c_cart, HashJoin: _c_hash_join,
+}
 
 
-def _coll_pair(v: Value, ctx: str):
-    """The two collection fields of a <1: R, 2: S> tuple."""
-    t = _as_tuple(v, ctx)
-    return _as_coll(t.field("1"), ctx), _as_coll(t.field("2"), ctx)
+def _all(tests: list):
+    def test(v):
+        for t in tests:
+            if not t(v):
+                return False
+        return True
+    return test
+
+
+def _p_unknown(c, cc):
+    def test(v):
+        raise ValueError_("bad selection condition %r" % (c,))
+    return test
+
+
+def _p_any(c, cc):
+    tests = [cc.pred(x) for x in _conjuncts(c, COr)]
+
+    def test(v):
+        for t in tests:
+            if t(v):
+                return True
+        return False
+    return test
+
+
+def _p_not(c, cc):
+    a = cc.pred(c.a)
+    return lambda v: not a(v)
+
+
+def _p_iff(c, cc):
+    a, b = cc.pred(c.a), cc.pred(c.b)
+    return lambda v: a(v) == b(v)
+
+
+def _p_eq_path(c, cc):
+    ga, gb, mode = _getter(c.p), _getter(c.q), c.mode
+    return lambda v: value_equal(ga(v), gb(v), mode)
+
+
+def _p_eq_const(c, cc):
+    p, label, mode = c.p, c.label, c.mode
+
+    def test(v):
+        for l in p:   # as _getter(p), the hottest test's own walk
+            if type(v) is not Tuple:
+                _hits(p, v)
+            v = v.field(l)
+        if type(v) is Atom:   # equal under every mode iff the labels are
+            return v.label == label
+        return value_equal(v, Atom(label), mode)
+    return test
+
+
+def _p_in_set(c, cc):
+    get, labels = _getter(c.p), c.labels
+
+    def test(v):
+        x = get(v)
+        if type(x) is not Atom:
+            raise ValueError_("membership test on non-atom %s"
+                              % print_value(x))
+        return x.label in labels
+    return test
+
+
+_PRED = {COr: _p_any, CNot: _p_not, CIff: _p_iff, PathEqPath: _p_eq_path,
+         PathEqConst: _p_eq_const, PathInSet: _p_in_set}
 
 
 def type_of(v: Value, sem: str = SET) -> Type:
@@ -816,11 +1110,12 @@ def _has_cart(q: MAExpr) -> bool:
 
 def _rebuild(q: MAExpr, fn) -> MAExpr:
     """q with fn applied to each of its direct subexpressions."""
-    if isinstance(q, (Compose, Union, CartProd)):
-        return type(q)(fn(q.f), fn(q.g))
-    if isinstance(q, (Map, FlatMap)):
-        return type(q)(fn(q.f))
-    if isinstance(q, TupleCons):
+    t = type(q)
+    if t in (Compose, Union, CartProd):
+        return t(fn(q.f), fn(q.g))
+    if t in (Map, FlatMap):
+        return t(fn(q.f))
+    if t is TupleCons:
         return TupleCons(tuple((l, fn(f)) for l, f in q.fields))
     return q
 
@@ -847,11 +1142,12 @@ def _union(qs: list) -> MAExpr:
     return Union(_union(qs[:h]), _union(qs[h:]))
 
 
-def _conjuncts(c: SelCond) -> list:
+def _conjuncts(c: SelCond, node: type = CAnd) -> list:
+    """The operands of a chain of node (CAnd or COr), left to right."""
     out, todo = [], [c]
     while todo:
         c = todo.pop()
-        if type(c) is CAnd:
+        if type(c) is node:
             todo += (c.b, c.a)
         else:
             out.append(c)
@@ -863,24 +1159,26 @@ def _and(cs: list) -> SelCond:
 
 
 def _paths(c: SelCond) -> list:
-    if isinstance(c, (CAnd, COr, CIff)):
+    t = type(c)
+    if t in (CAnd, COr, CIff):
         return _paths(c.a) + _paths(c.b)
-    if isinstance(c, CNot):
+    if t is CNot:
         return _paths(c.a)
-    if isinstance(c, PathEqPath):
+    if t is PathEqPath:
         return [c.p, c.q]
     return [c.p]
 
 
 def _on_paths(c: SelCond, fn) -> SelCond:
     """c with each path p read as fn(p)."""
-    if isinstance(c, (CAnd, COr, CIff)):
-        return type(c)(_on_paths(c.a, fn), _on_paths(c.b, fn))
-    if isinstance(c, CNot):
+    t = type(c)
+    if t in (CAnd, COr, CIff):
+        return t(_on_paths(c.a, fn), _on_paths(c.b, fn))
+    if t is CNot:
         return CNot(_on_paths(c.a, fn))
-    if isinstance(c, PathEqPath):
+    if t is PathEqPath:
         return PathEqPath(fn(c.p), fn(c.q), c.mode)
-    if isinstance(c, PathEqConst):
+    if t is PathEqConst:
         return PathEqConst(fn(c.p), c.label, c.mode)
     return PathInSet(fn(c.p), c.labels)
 
@@ -997,8 +1295,7 @@ def _hash_join(cart: CartProd, c: SelCond) -> HashJoin:
         elif _side(x) is None:
             rest.append(x)
     f, g = ((e if d is None else compose(*_push(_flat(e, Compose), d)))
-            for e, d in ((cart.f, _implied(c, "1")),
-                         (cart.g, _implied(c, "2"))))
+            for e, d in zip((cart.f, cart.g), _implied(c)))
     return HashJoin(_joins(f), _joins(g), tuple(keys),
                     _and(rest) if rest else None)
 
@@ -1010,15 +1307,22 @@ def _side(c: SelCond) -> Optional[str]:
     return heads.pop()[0] if heads in ({("1",)}, {("2",)}) else None
 
 
-def _implied(c: SelCond, side: str) -> Optional[SelCond]:
-    """A condition on the elements of one side of a product that holds
-    there for every pair that satisfies c, or None for none found."""
-    if type(c) in (CAnd, COr):
-        a, b = _implied(c.a, side), _implied(c.b, side)
-        if type(c) is COr:
-            return None if a is None or b is None else COr(a, b)
-        return b if a is None else a if b is None else CAnd(a, b)
-    return _on_paths(c, lambda p: p[1:]) if _side(c) == side else None
+def _implied(c: SelCond) -> list:
+    """For side 1 and side 2 of a product, a condition on its elements
+    that holds there for every pair that satisfies c, or None for none
+    found."""
+    t = type(c)
+    if t is COr:
+        return [None if a is None or b is None else COr(a, b)
+                for a, b in zip(_implied(c.a), _implied(c.b))]
+    if t is CAnd:
+        return [b if a is None else a if b is None else CAnd(a, b)
+                for a, b in zip(_implied(c.a), _implied(c.b))]
+    out = [None, None]
+    side = _side(c)
+    if side is not None:
+        out[int(side) - 1] = _on_paths(c, lambda p: p[1:])
+    return out
 
 
 def _join_key(c: SelCond):
@@ -1122,6 +1426,8 @@ def _cond_pred(c: SelCond, t: Type, sem: str) -> MAExpr:
                            expand_mon_eq(_concrete(ta)))
         return EqDeep(c.p, c.q)
     if isinstance(c, PathEqConst):
+        if not isinstance(path_type(t, c.p, "select"), (DomType, AnyType)):
+            return EmptyColl()   # a tuple or collection is never an atom
         if c.mode == ATOMIC or c.mode == MON:
             return Compose(TupleCons((("A", Proj_chain(c.p)),
                                       ("B", Const(c.label)))),
@@ -1166,27 +1472,59 @@ def desugar(q: MAExpr, t: Type, sem: str = SET) -> MAExpr:
     and conditions compiled from negations use the core "not".
     """
     infer_type(q, t, sem)
-    return _desugar(q, t, sem)
+    return _desugar(q, t, sem)[0]
 
 
-def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
-    if isinstance(q, Compose):
-        mid = infer_type(q.f, t, sem)
-        return Compose(_desugar(q.f, t, sem), _desugar(q.g, mid, sem))
-    if isinstance(q, Map):
-        ct = _need_coll(t, sem, "map")
-        return Map(_desugar(q.f, _concrete(ct.elem), sem))
-    if isinstance(q, FlatMap):
-        ct = _need_coll(t, sem, "flatmap")
-        return Compose(Map(_desugar(q.f, _concrete(ct.elem), sem)),
-                       Flatten())
-    if isinstance(q, TupleCons):
-        return TupleCons(tuple((l, _desugar(f, t, sem)) for l, f in q.fields))
-    if isinstance(q, Union):
-        return Compose(TupleCons((("1", _desugar(q.f, t, sem)),
-                                  ("2", _desugar(q.g, t, sem)))), UnionT())
-    if isinstance(q, CartProd):
-        return _desugar(_cart(q.f, q.g), t, sem)
+def _desugar(q: MAExpr, t: Type, sem: str, typed: bool = False):
+    """(the core form of q on input type t, and with typed the type
+    infer_type gives q on t, else None). Each subexpression is typed
+    once, while it is desugared, and only where a composition needs the
+    type of its first stage."""
+    kind = type(q)
+    if kind is Compose:
+        f, mid = _desugar(q.f, t, sem, True)
+        g, out = _desugar(q.g, mid, sem, typed)
+        return Compose(f, g), out
+    if kind in (Map, FlatMap):
+        ct = _need_coll(t, sem, "map" if kind is Map else "flatmap")
+        elem = _concrete(ct.elem)
+        f, ft = _desugar(q.f, elem, sem, typed and elem is ct.elem)
+        if kind is FlatMap:
+            f = Compose(Map(f), Flatten())
+        else:
+            f = Map(f)
+        if not typed:
+            return f, None
+        if ft is None:
+            # the body was desugared on Dom for the unknown element type
+            ft = infer_type(q.f, ct.elem, sem)
+        out = CollType(sem, ft)
+        if kind is FlatMap:
+            out = infer_type(Flatten(), out, sem)
+        return f, out
+    if kind is TupleCons:
+        fields = [(l,) + _desugar(f, t, sem, typed) for l, f in q.fields]
+        out = None
+        if typed:
+            out = TupleType(tuple((l, ft) for l, _, ft in fields))
+        return TupleCons(tuple((l, f) for l, f, _ in fields)), out
+    if kind is Union:
+        f, a = _desugar(q.f, t, sem, typed)
+        g, b = _desugar(q.g, t, sem, typed)
+        out = None
+        if typed:
+            _need_coll(a, sem, "union (left)")
+            _need_coll(b, sem, "union (right)")
+            out = type_join(a, b, "union")
+        return Compose(TupleCons((("1", f), ("2", g))), UnionT()), out
+    if kind is CartProd:
+        return _desugar(_cart(q.f, q.g), t, sem, typed)
+    return _expand(q, t, sem), (infer_type(q, t, sem) if typed else None)
+
+
+def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
+    """The core form of q, an operator without subexpressions, on input
+    type t."""
     if isinstance(q, Select):
         ct = _need_coll(t, sem, "select")
         gamma = _cond_pred(q.cond, _concrete(ct.elem), sem)
@@ -1199,7 +1537,7 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
     if isinstance(q, EqDeep):
         ta = path_type(_need_tuple(t, "eq"), q.pa, "eq")
         if _is_mon_type(ta):
-            return _desugar(EqMon(q.pa, q.pb), t, sem)
+            return _expand(EqMon(q.pa, q.pb), t, sem)
         return q
     if isinstance(q, Diff):
         # keep the members of field 1 with no deep-equal partner in field 2;
@@ -1214,13 +1552,13 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
             Map(TupleCons((("1", Proj("1")), ("m", inner)))),
             _sigma(empty_m),
             Map(Proj("1")))
-        return _desugar(body, t, sem)
+        return _desugar(body, t, sem)[0]
     if isinstance(q, Intersect):
         body = compose(
             _cart(Proj("1"), Proj("2")),
             Select(PathEqPath(("1",), ("2",), DEEP)),
             Map(Proj("1")))
-        return _desugar(body, t, sem)
+        return _desugar(body, t, sem)[0]
     if isinstance(q, SubsetEq):
         body = Compose(
             TupleCons((("A", Proj_chain(q.pa)),
@@ -1228,13 +1566,13 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
                                                  ("2", Proj_chain(q.pb)))),
                                       Intersect())))),
             EqDeep(("A",), ("A2",)))
-        return _desugar(body, t, sem)
+        return _desugar(body, t, sem)[0]
     if isinstance(q, MemberOf):
         body = Compose(
             TupleCons((("1", Compose(Proj_chain(q.pa), Sng())),
                        ("2", Proj_chain(q.pb)))),
             SubsetEq(("1",), ("2",)))
-        return _desugar(body, t, sem)
+        return _desugar(body, t, sem)[0]
     if isinstance(q, Nest):
         ct = _need_coll(t, sem, "nest")
         tt = _need_tuple(_concrete(ct.elem), "nest")
@@ -1259,9 +1597,9 @@ def _desugar(q: MAExpr, t: Type, sem: str) -> MAExpr:
             Map(TupleCons(
                 tuple((l, Compose(Proj("1"), Proj(l))) for l in keys)
                 + ((q.label, group),))))
-        return _desugar(body, t, sem)
+        return _desugar(body, t, sem)[0]
     if isinstance(q, CORE_NODES):
-        # the core nodes with subexpressions are handled above
+        # the core nodes with subexpressions are handled by _desugar
         return q
     raise MATypeError("cannot desugar %r" % (q,))
 

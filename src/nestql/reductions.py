@@ -488,11 +488,22 @@ def decide_tm_query(tm: TMSpec, word: Sequence[str], K: int,
 MAX_CONFIG_PAIRS = 2 * 10 ** 7
 
 
+def tm_configs(tm: TMSpec, K: int) -> int:
+    """Number of configurations <t: tape, q: state> of tm at K."""
+    return (2 * len(tm.alphabet)) ** (2 ** K) * len(tm.states)
+
+
 def tm_config_space(tm: TMSpec, K: int) -> int:
     """Number of configuration pairs the successor construction must
     enumerate; a cheap feasibility estimate for evaluation."""
-    tapes = (2 * len(tm.alphabet)) ** (2 ** K)
-    return (tapes * len(tm.states)) ** 2
+    return tm_configs(tm, K) ** 2
+
+
+def tm_config_nodes(tm: TMSpec, K: int) -> int:
+    """Value nodes of the configuration set: each configuration is a
+    tuple of a state and a tape of 2^K cells as nested pairs, 2^(K+1) + 1
+    nodes in all."""
+    return tm_configs(tm, K) * (2 ** (K + 1) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,14 @@ def sort_key(v: Value):
 def make_coll(kind: str, elems: Iterable[Value]) -> Coll:
     """Build a collection in canonical form (sets and bags sorted by
     :func:`sort_key`, sets then deduped; lists as given). The sort is
-    stable, so a set keeps the first-seen member of each equal group."""
-    if kind != LIST:
-        elems = sorted(elems, key=sort_key)
+    stable, so a set keeps the first-seen member of each equal group.
+    Fewer than two members are canonical as given, and their keys are
+    not built."""
+    if kind == LIST:
+        return Coll(kind, tuple(elems))
+    elems = list(elems)
+    if len(elems) > 1:
+        elems.sort(key=sort_key)
         if kind == SET:
             elems = [x for i, x in enumerate(elems)
                      if not i or x._key != elems[i - 1]._key]

@@ -32,6 +32,13 @@ def test_eval_ma_prints_the_value(files):
     assert r2.stdout == "{a}\n"
 
 
+def test_eval_ma_runs_a_long_composition_chain(files):
+    """A chain of 1,200 stages is a loop, not 1,200 nested calls."""
+    q = files("q.ma", " ; ".join(["id"] * 1200))
+    r = run_cli("eval-ma", "--query", q)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "<>\n", "")
+
+
 def test_identical_invocations_are_byte_identical(files):
     q = files("q.ma", "union('b' ; sng, 'a' ; sng)")
     a = run_cli("eval-ma", "--query", q)
@@ -156,6 +163,19 @@ def test_gen_tm_decide_exit_codes():
     r = run_cli("gen-tm", "--machine", "rejector", "--word", "",
                 "--k", "1", "--decide")
     assert (r.returncode, r.stdout) == (1, "false\n")
+
+
+def test_gen_tm_decide_guards_what_the_evaluation_builds():
+    """With built-in equality the plan joins the configuration pairs, so
+    the K=2 acceptor is decided; spelled out, its 15,116,544 pairs are
+    built, over the default limit."""
+    r = run_cli("gen-tm", "--machine", "acceptor", "--word", "1",
+                "--k", "2", "--decide")
+    assert (r.returncode, r.stdout) == (0, "true\n")
+    r = run_cli("gen-tm", "--machine", "acceptor", "--word", "1",
+                "--k", "2", "--decide", "--expand-eq")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "15116544 value nodes" in r.stderr
 
 
 def test_gen_tm_prints_a_query_without_decide():

@@ -13,10 +13,10 @@ from nestql.lp import (
     run_lp,
 )
 from nestql.ma import UNIT_T, desugar, eval_ma, infer_type
-from nestql.ma_text import parse_ma
-from nestql.reductions import flat_encode, gen_vprime
+from nestql.ma_text import parse_ma, print_ma
+from nestql.reductions import BUNDLED, flat_encode, gen_tm_query, gen_vprime
 from nestql.values import (
-    LIST, SET, UNIT, CollType, ValueError_, make_coll, parse_type,
+    BAG, LIST, SET, UNIT, CollType, ValueError_, make_coll, parse_type,
     parse_value, print_atom,
 )
 
@@ -250,6 +250,34 @@ def _flat_programs():
                           closed=False)
         paths = encode_det(flat_encode(v))
         yield prog, {prog.input_pred: {((), p) for p in paths}}
+
+
+# sha256 of the printed desugared forms of the reassembly query of each
+# flat type, the K=1 acceptance query of each bundled machine with both
+# equalities, and gen_typed_query seeds 0-99 under each semantics,
+# recorded when desugar typed each composition level anew
+DESUGAR_DIGEST = (
+    "2e5651d6c093877a0d8af2aae728e6bf"
+    "bcebd23c00493c4c8e7c1af3c3491996")
+
+
+def test_desugared_queries_are_pinned():
+    db = parse_type(FLAT_DB_TYPE)
+    lines = [print_ma(desugar(gen_vprime(parse_type(t)), db, LIST))
+             for t in FLAT_TYPES]
+    for name, word in (("acceptor", ["1"]), ("guesser", ["1"]),
+                       ("rejector", [])):
+        for expand in (False, True):
+            q = gen_tm_query(BUNDLED[name], word, 1, expand)
+            lines.append(print_ma(desugar(q, UNIT_T, SET)))
+    for sem in (SET, LIST, BAG):
+        for seed in range(100):
+            rng = random.Random(seed)
+            t = gen.gen_type(rng, 3, sem)
+            lines.append(print_ma(desugar(gen.gen_typed_query(rng, t, 3, sem),
+                                          t, sem)))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == DESUGAR_DIGEST
 
 
 PINNED_FACTS = {

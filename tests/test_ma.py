@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from nestql import gen
 from nestql.ma import (
-    CartProd, Compose, Const, EqAtomic, Flatten, Id, MAExpr, MATypeError,
-    Map, PairWith, Proj, Proj_chain, Sng, TupleCons, Union, UnitTuple,
-    ast_size, compose, desugar, eval_ma, expand_mon_eq, infer_type,
-    is_core, size_bound, type_of,
+    CAnd, CIff, CNot, COr, CartProd, Compose, Const, Diff, EqAtomic, EqDeep,
+    EqMon, FlatMap, Flatten, Id, Intersect, MAExpr, MATypeError, Map,
+    MemberOf, Monus, Nest, NotOp, PairWith, PathEqConst, PathEqPath,
+    PathInSet, Proj, Proj_chain, Select, Sng, SubsetEq, TrueOp, TupleCons,
+    Union, UnionT, Unique, UnitTuple, ast_size, compose, desugar, eval_ma,
+    expand_mon_eq, infer_type, is_core, size_bound, type_of,
 )
 from nestql.ma_text import parse_ma, print_ma
 from nestql.values import (
-    BAG, LIST, MON, SET, UNIT, UNIT_T, Atom, make_coll, make_tuple,
-    parse_type, parse_value, print_type, print_value, value_equal,
-    value_nodes,
+    ATOMIC, BAG, DEEP, LIST, MON, SET, UNIT, UNIT_T, Atom, CollType,
+    TupleType, ValueError_, make_coll, make_tuple, parse_type, parse_value,
+    print_type, print_value, value_equal, value_nodes,
 )
 
 
@@ -299,3 +301,138 @@ def test_generator_draws_digest():
     text = "\n".join(_draw(kind, seed) for kind in GENERATOR_KINDS
                      for seed in range(300))
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Pinned outcomes of mostly ill-typed draws, recorded with the
+# tree-walking evaluator
+
+# labels of the generated types and of the tuples typed queries build
+LABELS = gen.FIELDS + ("1", "2")
+
+
+def _type_paths(t, prefix=()):
+    """The paths into t's tuples, and into the tuples of its members."""
+    out = [prefix]
+    if isinstance(t, TupleType):
+        for label, ft in t.fields:
+            out += _type_paths(ft, prefix + (label,))
+    elif isinstance(t, CollType):
+        out += _type_paths(t.elem, prefix)
+    return out
+
+
+def _any_path(rng, paths):
+    if rng.random() < 0.7:
+        return rng.choice(paths)
+    return tuple(rng.choice(LABELS) for _ in range(rng.randint(0, 2)))
+
+
+def _any_cond(rng, paths, depth=1):
+    r = rng.random()
+    sub = lambda: _any_cond(rng, paths, depth - 1)
+    if depth and r < 0.15:
+        return CAnd(sub(), sub())
+    if depth and r < 0.25:
+        return COr(sub(), sub())
+    if depth and r < 0.3:
+        return CNot(sub())
+    if depth and r < 0.35:
+        return CIff(sub(), sub())
+    p, mode = _any_path(rng, paths), rng.choice((ATOMIC, MON, DEEP))
+    if r < 0.65:
+        return PathEqPath(p, _any_path(rng, paths), mode)
+    if r < 0.9:
+        return PathEqConst(p, rng.choice(gen.ATOMS), mode)
+    return PathInSet(p, tuple(rng.sample(gen.ATOMS, 2)))
+
+
+def _extended(rng, paths):
+    """An extended, nonmonotone or collection operator on paths that
+    mostly exist in the value it meets; often ill-typed there."""
+    p, r = _any_path(rng, paths), _any_path(rng, paths)
+    cond = lambda: _any_cond(rng, paths)
+    return rng.choice([
+        Select(cond()), Select(cond()), Map(Select(cond())),
+        Nest(rng.choice(LABELS), (rng.choice(LABELS),)),
+        Diff(), Intersect(), UnionT(), Monus(), Unique(), NotOp(), TrueOp(),
+        SubsetEq(p, r), MemberOf(p, r), EqMon(p, r), EqDeep(p, r),
+        EqAtomic(p, r), FlatMap(Id()), FlatMap(Sng()),
+        FlatMap(Proj_chain(p)), FlatMap(Proj_chain(p)), Map(Proj_chain(p)),
+        CartProd(Id(), Proj_chain(p)), Union(Proj_chain(p), Id()),
+        Union(Id(), Sng()), PairWith(rng.choice(LABELS)), Flatten(),
+    ])
+
+
+def _contract_draw(seed, sem):
+    """A typed query, an extended operator, or the one then the other,
+    on a value of another generated type (now and then of another
+    collection kind)."""
+    rng = random.Random(seed)
+    t = gen.gen_type(rng, 3, sem)
+    q = gen.gen_typed_query(rng, t, 3, sem)
+    kind = sem if rng.random() < 0.9 else rng.choice((SET, LIST, BAG))
+    u = gen.gen_type(rng, 3, kind)
+    v = gen.gen_value(rng, u, 3)
+    r = rng.random()
+    if r < 0.4:
+        q = _extended(rng, _type_paths(u))
+    elif r < 0.8:
+        q = Compose(q, _extended(rng, _type_paths(u) + _type_paths(t)))
+    return q, v
+
+
+def _outcome(run):
+    try:
+        return "value %s" % run()
+    except Exception as e:   # the error itself is the outcome pinned
+        return "%s %s" % (type(e).__name__, e)
+
+
+# sha256 of "print_ma(q) | print_value(v) | outcome" for seeds 0-299 of
+# _contract_draw under set, list and bag semantics, one per line
+CONTRACT_DIGEST = (
+    "298f25b154aa5da249f1825d6dbc5a4e"
+    "f990c1e1db9af8ddcd5fa74832b3ba83")
+
+
+def test_run_time_errors_are_pinned():
+    """Type, message and value of every outcome, failing or not."""
+    lines, failed = [], 0
+    for sem in (SET, LIST, BAG):
+        for seed in range(300):
+            q, v = _contract_draw(seed, sem)
+            out = _outcome(lambda: print_value(eval_ma(q, v, sem)))
+            failed += not out.startswith("value ")
+            lines.append("%s | %s | %s" % (print_ma(q), print_value(v), out))
+    assert failed >= 300, failed
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONTRACT_DIGEST
+
+
+@pytest.mark.parametrize("value, sem, bad", [
+    ("{<A: a, B: c>, <A: b, B: b>}", SET, "b"),
+    ("[<A: a, B: c>, <A: b, B: b>]", LIST, "c"),
+    ("{|<A: a, B: c>, <A: b, B: b>|}", BAG, "b"),
+])
+def test_flatmap_fails_on_the_first_member_flatten_meets(value, sem, bad):
+    """flatmap(f) is map(f) ; flatten: the member reported is the first
+    non-collection of the mapped collection, in its canonical order."""
+    with pytest.raises(ValueError_) as e:
+        ev("flatmap(pi[B])", parse_value(value), sem)
+    assert str(e.value) == "flatten member: expected collection, got " + bad
+
+
+@pytest.mark.parametrize("sem", (SET, LIST, BAG))
+def test_mon_comparison_of_a_tuple_with_a_constant_desugars(sem):
+    """A tuple never equals an atom: the desugared selection keeps
+    nothing, as the direct one does, instead of failing on atomic
+    equality."""
+    q = parse_ma("select[A =mon 'a']")
+    brackets = {SET: "{%s}", LIST: "[%s]", BAG: "{|%s|}"}[sem]
+    v = parse_value(brackets % "<A: <B: a>>")
+    core = desugar(q, type_of(v, sem), sem)
+    assert is_core(core)
+    want = print_value(make_coll(sem, ()))
+    assert print_value(eval_ma(q, v, sem)) == want
+    assert print_value(eval_ma(core, v, sem)) == want

@@ -1,14 +1,15 @@
 """The evaluation plan of eval_ma gives the plain evaluator's results.
 
 eval_ma rewrites a well-typed query with a product before it evaluates
-it (ma.plan); ma._eval is the evaluator itself, run here on the query as
-written. A generator local to this file draws pipelines of products,
-tuple-building maps, unions and selections over generated inputs under
-set, list and bag semantics; some draws are ill-typed on purpose, and
-those must fail with the same exception and message. The last tests
-take their queries from the Turing machine acceptance query.
+it (ma.plan); ma._Compiler compiles the query as written. A generator
+local to this file draws pipelines of products, tuple-building maps,
+unions and selections over generated inputs under set, list and bag
+semantics; some draws are ill-typed on purpose, and those must fail
+with the same exception and message. The last tests take their queries
+from the Turing machine acceptance query.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -187,6 +188,11 @@ def gen_pipeline(rng, t, sem):
     return compose(*stages)
 
 
+def _plain(q, v, sem):
+    """The value of q as written, without a plan."""
+    return ma._Compiler(sem)(q)(v)
+
+
 def _outcome(run):
     try:
         return "value", print_value(run())
@@ -216,7 +222,7 @@ def test_planned_evaluation_equals_plain_evaluation(sem):
         kind = sem if rng.random() < 0.95 else rng.choice(KINDS)
         v = make_coll(kind, [gen_value(rng, _with_kind(t, kind))
                              for _ in range(rng.randint(1, 5))])
-        want = _outcome(lambda: ma._eval(q, v, sem))
+        want = _outcome(lambda: _plain(q, v, sem))
         assert _outcome(lambda: eval_ma(q, v, sem)) == want, (seed, q)
         try:
             infer_type(q, type_of(v, sem), sem)
@@ -229,6 +235,30 @@ def test_planned_evaluation_equals_plain_evaluation(sem):
     assert typed >= 300 and joined >= 80, (typed, joined)
 
 
+# sha256 of the outcome of each draw above as written, one per line,
+# recorded with the tree-walking evaluator
+PLAIN_DIGEST = (
+    "c3db8887999b7c377e953d79e461763c"
+    "3f6c0eb817b81091e40e5d58dd2c4023")
+
+
+def test_plain_outcomes_are_pinned():
+    """Values and errors of the generated pipelines, selections on
+    mistyped paths and conjuncts that raise after others fail included."""
+    lines = []
+    for sem in KINDS:
+        for seed in range(500):
+            rng = random.Random(seed)
+            t = _elem_type(rng, sem)
+            q = gen_pipeline(rng, t, sem)
+            kind = sem if rng.random() < 0.95 else rng.choice(KINDS)
+            v = make_coll(kind, [gen_value(rng, _with_kind(t, kind))
+                                 for _ in range(rng.randint(1, 5))])
+            lines.append("%s %s" % _outcome(lambda: _plain(q, v, sem)))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PLAIN_DIGEST
+
+
 def _with_kind(t, kind):
     if isinstance(t, CollType):
         return CollType(kind, _with_kind(t.elem, kind))
@@ -239,7 +269,7 @@ def _with_kind(t, kind):
 
 def _same_as_plain(q, v, sem=SET):
     got = eval_ma(q, v, sem)
-    assert print_value(got) == print_value(ma._eval(q, v, sem))
+    assert print_value(got) == print_value(_plain(q, v, sem))
     return got
 
 
