@@ -211,17 +211,23 @@ def _has_join(q):
     return False
 
 
+def _draw(seed, sem):
+    """A pipeline and a collection to run it on."""
+    rng = random.Random(seed)
+    t = _elem_type(rng, sem)
+    q = gen_pipeline(rng, t, sem)
+    # now and then an input of another collection kind
+    kind = sem if rng.random() < 0.95 else rng.choice(KINDS)
+    v = make_coll(kind, [gen_value(rng, _with_kind(t, kind))
+                         for _ in range(rng.randint(1, 5))])
+    return q, v
+
+
 @pytest.mark.parametrize("sem", KINDS)
 def test_planned_evaluation_equals_plain_evaluation(sem):
     typed = joined = 0
     for seed in range(500):
-        rng = random.Random(seed)
-        t = _elem_type(rng, sem)
-        q = gen_pipeline(rng, t, sem)
-        # now and then an input of another collection kind
-        kind = sem if rng.random() < 0.95 else rng.choice(KINDS)
-        v = make_coll(kind, [gen_value(rng, _with_kind(t, kind))
-                             for _ in range(rng.randint(1, 5))])
+        q, v = _draw(seed, sem)
         want = _outcome(lambda: _plain(q, v, sem))
         assert _outcome(lambda: eval_ma(q, v, sem)) == want, (seed, q)
         try:
@@ -235,8 +241,8 @@ def test_planned_evaluation_equals_plain_evaluation(sem):
     assert typed >= 300 and joined >= 80, (typed, joined)
 
 
-# sha256 of the outcome of each draw above as written, one per line,
-# recorded with the tree-walking evaluator
+# sha256 of the outcome of each _draw as written, one per line, recorded
+# with the tree-walking evaluator
 PLAIN_DIGEST = (
     "c3db8887999b7c377e953d79e461763c"
     "3f6c0eb817b81091e40e5d58dd2c4023")
@@ -248,12 +254,7 @@ def test_plain_outcomes_are_pinned():
     lines = []
     for sem in KINDS:
         for seed in range(500):
-            rng = random.Random(seed)
-            t = _elem_type(rng, sem)
-            q = gen_pipeline(rng, t, sem)
-            kind = sem if rng.random() < 0.95 else rng.choice(KINDS)
-            v = make_coll(kind, [gen_value(rng, _with_kind(t, kind))
-                                 for _ in range(rng.randint(1, 5))])
+            q, v = _draw(seed, sem)
             lines.append("%s %s" % _outcome(lambda: _plain(q, v, sem)))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == PLAIN_DIGEST
