@@ -1487,21 +1487,13 @@ def _desugar(q: MAExpr, t: Type, sem: str, typed: bool = False):
         return Compose(f, g), out
     if kind in (Map, FlatMap):
         ct = _need_coll(t, sem, "map" if kind is Map else "flatmap")
-        elem = _concrete(ct.elem)
-        f, ft = _desugar(q.f, elem, sem, typed and elem is ct.elem)
-        if kind is FlatMap:
-            f = Compose(Map(f), Flatten())
-        else:
-            f = Map(f)
-        if not typed:
-            return f, None
-        if ft is None:
-            # the body was desugared on Dom for the unknown element type
-            ft = infer_type(q.f, ct.elem, sem)
-        out = CollType(sem, ft)
-        if kind is FlatMap:
+        f, ft = _desugar(q.f, ct.elem, sem, typed)
+        out = None if ft is None else CollType(sem, ft)
+        if kind is Map:
+            return Map(f), out
+        if out is not None:
             out = infer_type(Flatten(), out, sem)
-        return f, out
+        return Compose(Map(f), Flatten()), out
     if kind is TupleCons:
         fields = [(l,) + _desugar(f, t, sem, typed) for l, f in q.fields]
         out = None
@@ -1527,8 +1519,9 @@ def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
     type t."""
     if isinstance(q, Select):
         ct = _need_coll(t, sem, "select")
-        gamma = _cond_pred(q.cond, _concrete(ct.elem), sem)
-        return _sigma(gamma)
+        if isinstance(ct.elem, AnyType):
+            return Id()   # members of unknown type: the collection is empty
+        return _sigma(_cond_pred(q.cond, ct.elem, sem))
     if isinstance(q, EqMon):
         ta = path_type(_need_tuple(t, "eqmon"), q.pa, "eqmon")
         return Compose(TupleCons((("A", Proj_chain(q.pa)),

@@ -423,6 +423,21 @@ def test_flatmap_fails_on_the_first_member_flatten_meets(value, sem, bad):
     assert str(e.value) == "flatten member: expected collection, got " + bad
 
 
+@pytest.mark.parametrize("text", [
+    "empty ; map(sng ; flatten ; sng)",
+    "empty ; flatmap(sng ; flatten ; sng)",
+    "empty ; map(cart(id, id))",
+    "empty ; map(select[A = 'a'])",
+])
+def test_desugar_of_a_map_over_an_empty_literal(text):
+    """The members of an empty literal have no known type; desugaring
+    the map body must not guess one the type check did not."""
+    q = parse_ma(text)
+    core = desugar(q, UNIT_T, SET)
+    assert is_core(core)
+    assert eval_ma(core, UNIT, SET) == eval_ma(q, UNIT, SET)
+
+
 @pytest.mark.parametrize("sem", (SET, LIST, BAG))
 def test_mon_comparison_of_a_tuple_with_a_constant_desugars(sem):
     """A tuple never equals an atom: the desugared selection keeps
