@@ -95,26 +95,25 @@ def _lookup_ma(level: int) -> MAExpr:
 _YES = TupleCons((("label", Const("yes")), ("children", EmptyColl())))
 
 
-def xq_to_ma(q: XQExpr, atomic_eq: Optional[bool] = None) -> MAExpr:
+def xq_to_ma(q: XQExpr) -> MAExpr:
     """Translate a child-axis tree query. The resulting query maps an
     environment [<N: name, V: value>, ...] to the list of C-images of
-    the result sequence. Equality mode follows each VarEq node; pass
-    atomic_eq to force one mode. The derived forms are translated
-    through their desugaring."""
-    return _ma(xq.xq_desugar(q), 1, atomic_eq)
+    the result sequence. Equality mode follows each VarEq node. The
+    derived forms are translated through their desugaring."""
+    return _ma(xq.xq_desugar(q), 1)
 
 
-def _ma(q: XQExpr, depth: int, am: Optional[bool]) -> MAExpr:
+def _ma(q: XQExpr, depth: int) -> MAExpr:
     if isinstance(q, EmptySeq):
         return EmptyColl()
     if isinstance(q, Seq):
-        return Union(_ma(q.a, depth, am), _ma(q.b, depth, am))
+        return Union(_ma(q.a, depth), _ma(q.b, depth))
     if isinstance(q, EmptyElem):
         return Compose(TupleCons((("label", Const(q.label)),
                                   ("children", EmptyColl()))), Sng())
     if isinstance(q, Elem):
         return Compose(TupleCons((("label", Const(q.label)),
-                                  ("children", _ma(q.body, depth, am)))),
+                                  ("children", _ma(q.body, depth)))),
                        Sng())
     if isinstance(q, Var):
         return _lookup_ma(q.i)
@@ -133,21 +132,20 @@ def _ma(q: XQExpr, depth: int, am: Optional[bool]) -> MAExpr:
                                         ("V", Proj("2")))), Sng()))
         src = q.source if isinstance(q, For) else q.bound
         return compose(
-            TupleCons((("1", Id()), ("2", _ma(src, depth, am)))),
+            TupleCons((("1", Id()), ("2", _ma(src, depth)))),
             PairWith("2"),
-            FlatMap(Compose(bind, _ma(q.body, depth + 1, am))))
+            FlatMap(Compose(bind, _ma(q.body, depth + 1))))
     if isinstance(q, If):
         return compose(
             TupleCons((("1", Id()),
-                       ("2", Compose(_ma(q.cond, depth, am), TrueOp())))),
+                       ("2", Compose(_ma(q.cond, depth), TrueOp())))),
             PairWith("2"),
-            FlatMap(Compose(Proj("1"), _ma(q.then, depth, am))))
+            FlatMap(Compose(Proj("1"), _ma(q.then, depth))))
     if isinstance(q, Not):
-        return compose(_ma(q.a, depth, am), Map(UnitTuple()), NotOp(),
+        return compose(_ma(q.a, depth), Map(UnitTuple()), NotOp(),
                        Map(_YES))
     if isinstance(q, VarEq):
-        atomic = q.mode == ATOMIC if am is None else am
-        if atomic:
+        if q.mode == ATOMIC:
             cond = PathEqPath(("1", "V", "label"), ("2", "V", "label"),
                               ATOMIC)
         else:
@@ -169,12 +167,11 @@ def initial_env(doc: Tree) -> Value:
                                         ("V", encode_C(doc))))])
 
 
-def check_thm62(q: XQExpr, doc: Tree,
-                atomic_eq: Optional[bool] = None) -> bool:
+def check_thm62(q: XQExpr, doc: Tree) -> bool:
     """The list of C-images of the tree-query result equals the monad
     algebra translation applied to the initial environment."""
     lhs = make_coll(LIST, [encode_C(t) for t in eval_xq(q, (doc,))])
-    rhs = ma.eval_ma(xq_to_ma(q, atomic_eq), initial_env(doc), LIST)
+    rhs = ma.eval_ma(xq_to_ma(q), initial_env(doc), LIST)
     return lhs == rhs
 
 

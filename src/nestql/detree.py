@@ -220,8 +220,7 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
             out.add(_MARKER_PATH)
         return frozenset(out)
     if isinstance(q, ma.Union):
-        return eval_det(ma.Compose(
-            ma.TupleCons((("1", q.f), ("2", q.g))), ma.UnionT()), V, em)
+        return eval_det(ma.union_pair(q.f, q.g), V, em)
     if isinstance(q, ma.UnionT):
         out = set()
         empties = 0

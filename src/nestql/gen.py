@@ -209,7 +209,7 @@ def gen_bool_query(rng: random.Random, depth: int = 3,
     b = gen_bool_query(rng, depth - 1, sem)
     if kind == "union":
         return Union(a, b)
-    return Compose(TupleCons((("1", a), ("2", b))), UnionT())
+    return ma.union_pair(a, b)
 
 
 # ---------------------------------------------------------------------------

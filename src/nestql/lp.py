@@ -189,9 +189,7 @@ class _Compiler:
                     [BinAtom(pf, _ARG1_X, _V_REST)], "create_tuple")
             return out
         if isinstance(q, ma.Union):
-            return self.compile(
-                ma.Compose(ma.TupleCons((("1", q.f), ("2", q.g))),
-                           ma.UnionT()), inp, frame)
+            return self.compile(ma.union_pair(q.f, q.g), inp, frame)
         if isinstance(q, ma.UnionT):
             out = self.fresh()
             for tag in ("1", "2"):

@@ -290,10 +290,12 @@ def ast_size(q: MAExpr) -> int:
 
 def compose(*parts: MAExpr) -> MAExpr:
     """Left-to-right composition chain; drops nothing, folds left."""
-    out = parts[0]
-    for p in parts[1:]:
-        out = Compose(out, p)
-    return out
+    return reduce(Compose, parts)
+
+
+def union_pair(f: MAExpr, g: MAExpr) -> MAExpr:
+    """The core form of union(f, g): tup[1 = f, 2 = g] ; union."""
+    return Compose(TupleCons((("1", f), ("2", g))), UnionT())
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +350,6 @@ def _mon_type(t: Type, ctx: str):
                           "got %s" % (ctx, print_type(t)))
 
 
-# the operators on the two collection fields of a <1: R, 2: S> tuple
-_PAIR_OPS = {UnionT: "union", Monus: "monus", Diff: "diff",
-             Intersect: "cap"}
-
-
 def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
     if isinstance(q, Id):
         return t
@@ -405,7 +402,7 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
         _need_coll(b, sem, "union (right)")
         return type_join(a, b, "union")
     if isinstance(q, (UnionT, Monus, Diff, Intersect)):
-        name = _PAIR_OPS[type(q)]
+        name = _PAIR_OPS[type(q)][0]
         if isinstance(q, Monus) and sem != BAG:
             raise MATypeError("monus is only available under bag semantics")
         tt = _need_tuple(t, name)
@@ -622,12 +619,6 @@ def _as_tuple(v: Value, ctx: str) -> Tuple:
     return v
 
 
-def _coll_pair(v: Value, ctx: str):
-    """The two collection fields of a <1: R, 2: S> tuple."""
-    t = _as_tuple(v, ctx)
-    return _as_coll(t.field("1"), ctx), _as_coll(t.field("2"), ctx)
-
-
 def _ident(v: Value) -> Value:
     return v
 
@@ -796,25 +787,42 @@ def _c_union(q, cc):
     return run
 
 
-def _c_uniont(q, cc):
-    sem = cc.sem
+def _monus(a: tuple, b: tuple) -> list:
+    # each member of b cancels the first equal member of a
+    cancel = Counter(b)
+    out = []
+    for x in a:
+        if cancel[x]:
+            cancel[x] -= 1
+        else:
+            out.append(x)
+    return out
+
+
+def _diff(a: tuple, b: tuple) -> list:
+    drop = set(b)
+    return [x for x in a if x not in drop]
+
+
+def _cap(a: tuple, b: tuple) -> list:
+    keep = set(b)
+    return [x for x in a if x in keep]
+
+
+# the operators on the two collection fields of a <1: R, 2: S> tuple: the
+# name in messages, and the members of the result from those of R and S
+_PAIR_OPS = {UnionT: ("union", tuple.__add__), Monus: ("monus", _monus),
+             Diff: ("diff", _diff), Intersect: ("cap", _cap)}
+
+
+def _c_pair(q, cc):
+    (name, op), sem = _PAIR_OPS[type(q)], cc.sem
 
     def run(v):
-        a, b = _coll_pair(v, "union")
-        return make_coll(sem, a.elems + b.elems)
-    return run
-
-
-def _c_eqatomic(q, cc):
-    ga, gb, yes, no = _getter(q.pa), _getter(q.pb), cc.yes, cc.no
-
-    def run(v):
-        if type(v) is not Tuple:
-            _expected(v, "eqatom", "tuple")
-        a, b = ga(v), gb(v)
-        if type(a) is Atom and type(b) is Atom:
-            return yes if a.label == b.label else no
-        return yes if value_equal(a, b, ATOMIC) else no
+        t = _as_tuple(v, name)
+        a = _as_coll(t.field("1"), name)
+        b = _as_coll(t.field("2"), name)
+        return make_coll(sem, op(a.elems, b.elems))
     return run
 
 
@@ -828,35 +836,25 @@ def _c_true(q, cc):
     return lambda v: yes if _as_coll(v, "true").elems else no
 
 
-def _c_monus(q, cc):
-    sem = cc.sem
-
-    def run(v):
-        a, b = _coll_pair(v, "monus")
-        # each member of field 2 cancels the first equal member of field 1
-        cancel = Counter(b.elems)
-        out = []
-        for x in a.elems:
-            if cancel[x]:
-                cancel[x] -= 1
-            else:
-                out.append(x)
-        return make_coll(sem, out)
-    return run
-
-
 def _c_unique(q, cc):
     sem = cc.sem
     return lambda v: make_coll(sem, dict.fromkeys(_as_coll(v, "unique").elems))
 
 
+# the path equalities: the name in messages, and the comparison mode
+_EQ_OPS = {EqAtomic: ("eqatom", ATOMIC), EqMon: ("eq", MON),
+           EqDeep: ("eq", DEEP)}
+
+
 def _c_eq(q, cc):
-    ga, gb, yes, no = _getter(q.pa), _getter(q.pb), cc.yes, cc.no
-    mode = MON if type(q) is EqMon else DEEP
+    name, mode = _EQ_OPS[type(q)]
+    test = _p_eq_path(PathEqPath(q.pa, q.pb, mode), cc)
+    yes, no = cc.yes, cc.no
 
     def run(v):
-        t = _as_tuple(v, "eq")
-        return yes if value_equal(ga(t), gb(t), mode) else no
+        if type(v) is not Tuple:
+            _expected(v, name, "tuple")
+        return yes if test(v) else no
     return run
 
 
@@ -867,26 +865,6 @@ def _c_select(q, cc):
         if type(v) is not Coll:
             _expected(v, "select", "collection")
         return make_coll(sem, [x for x in v.elems if test(x)])
-    return run
-
-
-def _c_diff(q, cc):
-    sem = cc.sem
-
-    def run(v):
-        a, b = _coll_pair(v, "diff")
-        drop = set(b.elems)
-        return make_coll(sem, [x for x in a.elems if x not in drop])
-    return run
-
-
-def _c_intersect(q, cc):
-    sem = cc.sem
-
-    def run(v):
-        a, b = _coll_pair(v, "cap")
-        keep = set(b.elems)
-        return make_coll(sem, [x for x in a.elems if x in keep])
     return run
 
 
@@ -966,12 +944,11 @@ _COMPILE = {
     Id: _c_id, Const: _c_const, EmptyColl: _c_empty, UnitTuple: _c_unit,
     Sng: _c_sng, Map: _c_map, FlatMap: _c_flatmap, Flatten: _c_flatten,
     PairWith: _c_pairwith, TupleCons: _c_tuple, Proj: _c_proj,
-    Compose: _c_compose, Union: _c_union, UnionT: _c_uniont,
-    EqAtomic: _c_eqatomic, NotOp: _c_not, TrueOp: _c_true,
-    Monus: _c_monus, Unique: _c_unique, EqMon: _c_eq, EqDeep: _c_eq,
-    Select: _c_select, Diff: _c_diff, Intersect: _c_intersect,
-    SubsetEq: _c_subseteq, MemberOf: _c_member, Nest: _c_nest,
-    CartProd: _c_cart, HashJoin: _c_hash_join,
+    Compose: _c_compose, Union: _c_union, NotOp: _c_not, TrueOp: _c_true,
+    Unique: _c_unique, Select: _c_select, SubsetEq: _c_subseteq,
+    MemberOf: _c_member, Nest: _c_nest, CartProd: _c_cart,
+    HashJoin: _c_hash_join, **dict.fromkeys(_PAIR_OPS, _c_pair),
+    **dict.fromkeys(_EQ_OPS, _c_eq),
 }
 
 
@@ -1013,7 +990,14 @@ def _p_iff(c, cc):
 
 def _p_eq_path(c, cc):
     ga, gb, mode = _getter(c.p), _getter(c.q), c.mode
-    return lambda v: value_equal(ga(v), gb(v), mode)
+
+    def test(v):
+        a, b = ga(v), gb(v)
+        # atoms are equal under every mode iff their labels are
+        if type(a) is Atom and type(b) is Atom:
+            return a.label == b.label
+        return value_equal(a, b, mode)
+    return test
 
 
 def _p_eq_const(c, cc):
@@ -1361,9 +1345,7 @@ def _cart(f: MAExpr, g: MAExpr) -> MAExpr:
 
 def _disj(parts, sem: str) -> MAExpr:
     parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Union(out, p)
+    out = reduce(Union, parts)
     if len(parts) > 1 and sem == LIST:
         out = Compose(out, TrueOp())
     if len(parts) > 1 and sem == BAG:
@@ -1508,7 +1490,7 @@ def _desugar(q: MAExpr, t: Type, sem: str, typed: bool = False):
             _need_coll(a, sem, "union (left)")
             _need_coll(b, sem, "union (right)")
             out = type_join(a, b, "union")
-        return Compose(TupleCons((("1", f), ("2", g))), UnionT()), out
+        return union_pair(f, g), out
     if kind is CartProd:
         return _desugar(_cart(q.f, q.g), t, sem, typed)
     return _expand(q, t, sem), (infer_type(q, t, sem) if typed else None)
@@ -1570,14 +1552,8 @@ def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
         ct = _need_coll(t, sem, "nest")
         tt = _need_tuple(_concrete(ct.elem), "nest")
         keys = [l for l in tt.labels() if l not in q.grouped]
-        key_eq: SelCond
         conds = [PathEqPath(("1", l), ("2", l), DEEP) for l in keys]
-        if conds:
-            key_eq = conds[0]
-            for c in conds[1:]:
-                key_eq = CAnd(key_eq, c)
-        else:
-            key_eq = PathEqPath((), (), DEEP)
+        key_eq = _and(conds) if conds else PathEqPath((), (), DEEP)
         group = compose(
             TupleCons((("1", Proj("1")), ("2", Proj("2")))),
             PairWith("2"),

@@ -28,6 +28,21 @@ from .ma import (
     TupleCons, Union, UnionT, UnitTuple, Unique,
 )
 
+# The spelling of each operator family, read forwards by the printer and
+# inverted by the parser.
+_WORDS = {
+    Id: "id", Sng: "sng", Flatten: "flatten", UnitTuple: "unit",
+    EmptyColl: "empty", NotOp: "not", TrueOp: "true", Monus: "monus",
+    Unique: "unique", Diff: "diff", Intersect: "cap", UnionT: "union",
+}
+_PATH_WORDS = {EqAtomic: "eqatom", EqMon: "eqmon", EqDeep: "eq",
+               SubsetEq: "subseteq", MemberOf: "in"}
+# "=" last: it is a prefix of the other two
+_MODES = {ATOMIC: "=atom", MON: "=mon", DEEP: "="}
+
+_BY_WORD = {w: node for node, w in _WORDS.items()}
+_BY_PATH_WORD = {w: node for node, w in _PATH_WORDS.items()}
+
 
 def parse_ma(text: str) -> MAExpr:
     sc = _Scanner(text)
@@ -56,11 +71,6 @@ def _parse_one(sc: _Scanner) -> MAExpr:
         sc.expect("'")
         return Const(label)
     word = sc.atom()
-    simple = {
-        "id": Id, "sng": Sng, "flatten": Flatten, "unit": UnitTuple,
-        "empty": EmptyColl, "not": NotOp, "true": TrueOp, "monus": Monus,
-        "unique": Unique, "diff": Diff, "cap": Intersect,
-    }
     if word in ("map", "flatmap"):
         sc.expect("(")
         f = _parse_seq(sc)
@@ -72,8 +82,6 @@ def _parse_one(sc: _Scanner) -> MAExpr:
         g = _parse_seq(sc)
         sc.expect(")")
         return CartProd(f, g) if word == "cart" else Union(f, g)
-    if word == "union":
-        return UnionT()
     if word == "pi":
         return Proj_chain(_bracket_path(sc))
     if word == "pairwith":
@@ -93,15 +101,13 @@ def _parse_one(sc: _Scanner) -> MAExpr:
                     break
                 sc.expect(",")
         return TupleCons(tuple(fields)) if fields else UnitTuple()
-    if word in ("eqatom", "eqmon", "eq", "subseteq", "in"):
+    if word in _BY_PATH_WORD:
         sc.expect("[")
         p = _parse_path(sc)
         sc.expect(",")
         q = _parse_path(sc)
         sc.expect("]")
-        cls = {"eqatom": EqAtomic, "eqmon": EqMon, "eq": EqDeep,
-               "subseteq": SubsetEq, "in": MemberOf}[word]
-        return cls(p, q)
+        return _BY_PATH_WORD[word](p, q)
     if word == "nest":
         sc.expect("[")
         label = sc.atom()
@@ -118,8 +124,8 @@ def _parse_one(sc: _Scanner) -> MAExpr:
         cond = _parse_cond(sc)
         sc.expect("]")
         return Select(cond)
-    if word in simple:
-        return simple[word]()
+    if word in _BY_WORD:
+        return _BY_WORD[word]()
     sc.error("unknown operator %r" % word)
 
 
@@ -180,12 +186,9 @@ def _parse_cmp(sc: _Scanner) -> SelCond:
             labels.append(sc.atom())
         sc.expect("}")
         return PathInSet(p, tuple(labels))
-    if sc.try_tok("=atom"):
-        mode = ATOMIC
-    elif sc.try_tok("=mon"):
-        mode = MON
-    elif sc.try_tok("="):
-        mode = DEEP
+    for mode, op in _MODES.items():
+        if sc.try_tok(op):
+            break
     else:
         sc.error("expected comparison operator")
     sc.skip_ws()
@@ -205,92 +208,64 @@ def print_ma(q: MAExpr) -> str:
 
 
 def _pr(q: MAExpr, top: bool = False) -> str:
-    if isinstance(q, Compose):
+    t = type(q)
+    if t in _WORDS:
+        return _WORDS[t]
+    if t in _PATH_WORDS:
+        return "%s[%s, %s]" % (_PATH_WORDS[t], _pp(q.pa), _pp(q.pb))
+    if t is Compose:
         s = "%s ; %s" % (_pr(q.f, top=True), _pr(q.g, top=True))
         return s if top else "(%s)" % s
-    if isinstance(q, Id):
-        return "id"
-    if isinstance(q, Const):
+    if t is Const:
         return "'%s'" % print_atom(q.label)
-    if isinstance(q, EmptyColl):
-        return "empty"
-    if isinstance(q, UnitTuple):
-        return "unit"
-    if isinstance(q, Sng):
-        return "sng"
-    if isinstance(q, Flatten):
-        return "flatten"
-    if isinstance(q, NotOp):
-        return "not"
-    if isinstance(q, TrueOp):
-        return "true"
-    if isinstance(q, Monus):
-        return "monus"
-    if isinstance(q, Unique):
-        return "unique"
-    if isinstance(q, Diff):
-        return "diff"
-    if isinstance(q, Intersect):
-        return "cap"
-    if isinstance(q, UnionT):
-        return "union"
-    if isinstance(q, Map):
+    if t is Map:
         return "map(%s)" % _pr(q.f, top=True)
-    if isinstance(q, FlatMap):
+    if t is FlatMap:
         return "flatmap(%s)" % _pr(q.f, top=True)
-    if isinstance(q, CartProd):
+    if t is CartProd:
         return "cart(%s, %s)" % (_pr(q.f, top=True), _pr(q.g, top=True))
-    if isinstance(q, Union):
+    if t is Union:
         return "union(%s, %s)" % (_pr(q.f, top=True), _pr(q.g, top=True))
-    if isinstance(q, PairWith):
-        return "pairwith[%s]" % q.label
-    if isinstance(q, Proj):
-        return "pi[%s]" % q.label
-    if isinstance(q, TupleCons):
+    if t is PairWith:
+        return "pairwith[%s]" % print_atom(q.label)
+    if t is Proj:
+        return "pi[%s]" % print_atom(q.label)
+    if t is TupleCons:
         if not q.fields:
             return "unit"  # tup[] constructs the unit tuple
-        return "tup[%s]" % ", ".join("%s = %s" % (l, _pr(f, top=True))
+        return "tup[%s]" % ", ".join("%s = %s" % (print_atom(l),
+                                                  _pr(f, top=True))
                                      for l, f in q.fields)
-    if isinstance(q, EqAtomic):
-        return "eqatom[%s, %s]" % (_pp(q.pa), _pp(q.pb))
-    if isinstance(q, EqMon):
-        return "eqmon[%s, %s]" % (_pp(q.pa), _pp(q.pb))
-    if isinstance(q, EqDeep):
-        return "eq[%s, %s]" % (_pp(q.pa), _pp(q.pb))
-    if isinstance(q, SubsetEq):
-        return "subseteq[%s, %s]" % (_pp(q.pa), _pp(q.pb))
-    if isinstance(q, MemberOf):
-        return "in[%s, %s]" % (_pp(q.pa), _pp(q.pb))
-    if isinstance(q, Nest):
-        return "nest[%s = (%s)]" % (q.label, ", ".join(q.grouped))
-    if isinstance(q, Select):
+    if t is Nest:
+        return "nest[%s = (%s)]" % (print_atom(q.label),
+                                    ", ".join(map(print_atom, q.grouped)))
+    if t is Select:
         return "select[%s]" % _pc(q.cond)
     raise ValueError_("cannot print %r" % (q,))
 
 
 def _pp(p: Path) -> str:
-    return ".".join(p)
+    return ".".join(map(print_atom, p))
 
 
 def _pc(c: SelCond, parent: int = 0) -> str:
     # parent: 0 iff-level, 1 or-level, 2 and-level, 3 atom-level
-    if isinstance(c, CIff):
+    t = type(c)
+    if t is CIff:
         s = "%s <=> %s" % (_pc(c.a, 1), _pc(c.b, 1))
         return s if parent < 1 else "(%s)" % s
-    if isinstance(c, COr):
+    if t is COr:
         s = "%s || %s" % (_pc(c.a, 1), _pc(c.b, 2))
         return s if parent < 2 else "(%s)" % s
-    if isinstance(c, CAnd):
+    if t is CAnd:
         s = "%s && %s" % (_pc(c.a, 2), _pc(c.b, 3))
         return s if parent < 3 else "(%s)" % s
-    if isinstance(c, CNot):
+    if t is CNot:
         return "!%s" % _pc(c.a, 3)
-    if isinstance(c, PathEqPath):
-        op = {ATOMIC: "=atom", MON: "=mon", DEEP: "="}[c.mode]
-        return "%s %s %s" % (_pp(c.p), op, _pp(c.q))
-    if isinstance(c, PathEqConst):
-        op = {ATOMIC: "=atom", MON: "=mon", DEEP: "="}[c.mode]
-        return "%s %s '%s'" % (_pp(c.p), op, print_atom(c.label))
-    if isinstance(c, PathInSet):
-        return "%s in {%s}" % (_pp(c.p), ", ".join(c.labels))
+    if t is PathEqPath:
+        return "%s %s %s" % (_pp(c.p), _MODES[c.mode], _pp(c.q))
+    if t is PathEqConst:
+        return "%s %s '%s'" % (_pp(c.p), _MODES[c.mode], print_atom(c.label))
+    if t is PathInSet:
+        return "%s in {%s}" % (_pp(c.p), ", ".join(map(print_atom, c.labels)))
     raise ValueError_("cannot print condition %r" % (c,))

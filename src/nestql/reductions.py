@@ -28,6 +28,7 @@ head with a marked copy, so the working alphabet internally doubles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Sequence, Tuple as Tup
 
 from .values import (
@@ -232,31 +233,7 @@ def _pair(f: MAExpr, g: MAExpr) -> MAExpr:
 
 def _atom_set(labels: Sequence[str]) -> MAExpr:
     """The constant set of the given atoms."""
-    out = compose(Const(labels[0]), Sng())
-    for l in labels[1:]:
-        out = Union(out, compose(Const(l), Sng()))
-    return out
-
-
-def _union_all(parts: Sequence[MAExpr]) -> MAExpr:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Union(out, p)
-    return out
-
-
-def _or_all(conds: Sequence[SelCond]) -> SelCond:
-    out = conds[0]
-    for c in conds[1:]:
-        out = COr(out, c)
-    return out
-
-
-def _and_all(conds: Sequence[SelCond]) -> SelCond:
-    out = conds[0]
-    for c in conds[1:]:
-        out = CAnd(out, c)
-    return out
+    return reduce(Union, [compose(Const(l), Sng()) for l in labels])
 
 
 def _filter(gamma: MAExpr) -> MAExpr:
@@ -371,8 +348,8 @@ def gen_tm_query(tm: TMSpec, word: Sequence[str], K: int,
 
     # all configurations, the accepting ones
     configs = tm_configs_query(tm, K)
-    accepting = compose(configs, _union_all(
-        [Select(PathEqConst(("q",), f)) for f in tm.finals]))
+    accepting = compose(configs, reduce(
+        Union, [Select(PathEqConst(("q",), f)) for f in tm.finals]))
 
     phi_succ = compose(configs, *_step_stages(tm, K, expand_eq))
 
@@ -439,34 +416,34 @@ def _step_stages(tm: TMSpec, K: int, expand_eq: bool) -> List[MAExpr]:
             Map(TupleCons((("s", Proj("s")),
                            ("w", compose(Proj("w"), swap)),
                            ("v", compose(Proj("v"), swap))))))
-        return _union_all([keep("2"), keep("1"), middle])
+        return reduce(Union, [keep("2"), keep("1"), middle])
 
-    witness = prepare + [zoom(d) for d in range(K, 1, -1)] + [_union_all(
-        [Select(PathEqConst(("w", h), marker(s)))
-         for h in ("1", "2") for s in sigma])]
+    witness = prepare + [zoom(d) for d in range(K, 1, -1)] + [reduce(
+        Union, [Select(PathEqConst(("w", h), marker(s)))
+                for h in ("1", "2") for s in sigma])]
 
     def gamma(q: str, s: str, q2: str, s2: str, mv: int) -> SelCond:
         at = PathEqConst
         state = CAnd(at(("s", "1", "q"), q), at(("s", "2", "q"), q2))
         if mv == 1:
-            win = _and_all([
+            win = reduce(CAnd, [
                 at(("w", "1"), marker(s)), at(("v", "1"), s2),
-                _or_all([CAnd(at(("w", "2"), x), at(("v", "2"), marker(x)))
-                         for x in sigma])])
+                reduce(COr, [CAnd(at(("w", "2"), x),
+                                  at(("v", "2"), marker(x))) for x in sigma])])
         elif mv == -1:
-            win = _and_all([
+            win = reduce(CAnd, [
                 at(("w", "2"), marker(s)), at(("v", "2"), s2),
-                _or_all([CAnd(at(("w", "1"), x), at(("v", "1"), marker(x)))
-                         for x in sigma])])
+                reduce(COr, [CAnd(at(("w", "1"), x),
+                                  at(("v", "1"), marker(x))) for x in sigma])])
         else:
-            side = lambda a, b: _and_all([
+            side = lambda a, b: reduce(CAnd, [
                 at(("w", a), marker(s)), at(("v", a), marker(s2)),
-                _or_all([CAnd(at(("w", b), x), at(("v", b), x))
-                         for x in sigma])])
+                reduce(COr, [CAnd(at(("w", b), x), at(("v", b), x))
+                             for x in sigma])])
             win = COr(side("1", "2"), side("2", "1"))
         return CAnd(state, win)
 
-    return witness + [_union_all([Select(gamma(*tr)) for tr in tm.delta]),
+    return witness + [reduce(Union, [Select(gamma(*tr)) for tr in tm.delta]),
                       Map(Proj("s"))]
 
 

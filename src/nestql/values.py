@@ -250,7 +250,7 @@ def print_type(t: Type) -> str:
             return "[%s]" % inner
         return "{|%s|}" % inner
     if isinstance(t, TupleType):
-        return "<%s>" % ", ".join("%s: %s" % (l, print_type(x))
+        return "<%s>" % ", ".join("%s: %s" % (print_atom(l), print_type(x))
                                   for l, x in t.fields)
     return "?"
 

@@ -384,6 +384,14 @@ def parse_xq(text: str) -> XQExpr:
     return q
 
 
+def _seq(items: list) -> XQExpr:
+    """items nested into a right-leaning Seq; EmptySeq() for none."""
+    q = items[-1] if items else EmptySeq()
+    for it in reversed(items[:-1]):
+        q = Seq(it, q)
+    return q
+
+
 class _XQParser:
     def __init__(self, text: str):
         self.sc = _Scanner(text)
@@ -392,10 +400,7 @@ class _XQParser:
         items = [self.parse_item(scope, depth)]
         while self._starts_item():
             items.append(self.parse_item(scope, depth))
-        q = items[-1]
-        for it in reversed(items[:-1]):
-            q = Seq(it, q)
-        return q
+        return _seq(items)
 
     def _starts_item(self) -> bool:
         sc = self.sc
@@ -481,12 +486,7 @@ class _XQParser:
         if close != name:
             sc.error("closing tag %s does not match %s" % (close, name))
         sc.expect(">")
-        if not items:
-            return Elem(name, EmptySeq())
-        body = items[-1]
-        for it in reversed(items[:-1]):
-            body = Seq(it, body)
-        return Elem(name, body)
+        return Elem(name, _seq(items))
 
     def _var_or_path(self, scope: dict, depth: int) -> XQExpr:
         sc = self.sc
@@ -552,12 +552,7 @@ class _XQParser:
 
     def _cond_cmp(self, scope: dict, depth: int) -> XQExpr:
         sc = self.sc
-        items = [self.parse_item(scope, depth)]
-        while self._starts_item():
-            items.append(self.parse_item(scope, depth))
-        a = items[-1]
-        for it in reversed(items[:-1]):
-            a = Seq(it, a)
+        a = self.parse_seq(scope, depth)
         sc.skip_ws()
         if sc.try_tok("eq"):
             b = self.parse_item(scope, depth)

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from nestql import gen
 from nestql.ma import (
-    CAnd, CIff, CNot, COr, CartProd, Compose, Const, Diff, EqAtomic, EqDeep,
-    EqMon, FlatMap, Flatten, Id, Intersect, MAExpr, MATypeError, Map,
-    MemberOf, Monus, Nest, NotOp, PairWith, PathEqConst, PathEqPath,
-    PathInSet, Proj, Proj_chain, Select, Sng, SubsetEq, TrueOp, TupleCons,
-    Union, UnionT, Unique, UnitTuple, ast_size, compose, desugar, eval_ma,
-    expand_mon_eq, infer_type, is_core, size_bound, type_of,
+    CAnd, CIff, CNot, COr, CartProd, Compose, Const, Diff, EmptyColl,
+    EqAtomic, EqDeep, EqMon, FlatMap, Flatten, Id, Intersect, MAExpr,
+    MATypeError, Map, MemberOf, Monus, Nest, NotOp, PairWith, PathEqConst,
+    PathEqPath, PathInSet, Proj, Proj_chain, Select, Sng, SubsetEq, TrueOp,
+    TupleCons, Union, UnionT, Unique, UnitTuple, ast_size, compose, desugar,
+    eval_ma, expand_mon_eq, infer_type, is_core, size_bound, type_of,
 )
 from nestql.ma_text import parse_ma, print_ma
 from nestql.values import (
@@ -104,6 +104,62 @@ def test_query_print_parse_roundtrip(seed):
     q2 = parse_ma(print_ma(q))
     assert print_ma(q2) == print_ma(q)
     assert eval_ma(q2, UNIT, LIST) == eval_ma(q, UNIT, LIST)
+
+
+# Each operator spelling, the node it parses to and, where it differs
+# from the spelling, the text that node prints as.
+SPELLINGS = [
+    ("id", Id()), ("sng", Sng()), ("flatten", Flatten()),
+    ("unit", UnitTuple()), ("empty", EmptyColl()), ("not", NotOp()),
+    ("true", TrueOp()), ("monus", Monus()), ("unique", Unique()),
+    ("diff", Diff()), ("cap", Intersect()), ("union", UnionT()),
+    ("eqatom[A, B.C]", EqAtomic(("A",), ("B", "C"))),
+    ("eqmon[A, B]", EqMon(("A",), ("B",))),
+    ("eq[A, B]", EqDeep(("A",), ("B",))),
+    ("subseteq[A, B]", SubsetEq(("A",), ("B",))),
+    ("in[A, B]", MemberOf(("A",), ("B",))),
+    ("select[A =atom B]", Select(PathEqPath(("A",), ("B",), ATOMIC))),
+    ("select[A =mon 'a']", Select(PathEqConst(("A",), "a", MON))),
+    ("select[A = B.C]", Select(PathEqPath(("A",), ("B", "C"), DEEP))),
+    ("select[A = 'a']", Select(PathEqConst(("A",), "a", DEEP))),
+    ("select[A = B <=> !C =atom 'c']",
+     Select(CIff(PathEqPath(("A",), ("B",), DEEP),
+                 CNot(PathEqConst(("C",), "c", ATOMIC))))),
+    ("select[A in {a, b}]", Select(PathInSet(("A",), ("a", "b")))),
+    ("nest[C = (A, B)]", Nest("C", ("A", "B"))),
+    ("tup[]", UnitTuple(), "unit"),
+    ("union(id, empty)", Union(Id(), EmptyColl())),
+]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS, ids=lambda s: s[0])
+def test_operator_spellings_round_trip(spelling):
+    text, node, *printed = spelling
+    assert parse_ma(text) == node
+    assert print_ma(node) == (printed[0] if printed else text)
+
+
+@pytest.mark.parametrize("text, node", [
+    ('pi["a.b"]', Proj("a.b")),
+    ('pi["x y"]', Proj("x y")),
+    ('pairwith["x y"]', PairWith("x y")),
+    ('tup["a b" = id]', TupleCons((("a b", Id()),))),
+    ('eq["a b", "c.d"]', EqDeep(("a b",), ("c.d",))),
+    ('nest["a b" = ("c d", e)]', Nest("a b", ("c d", "e"))),
+    ('select[A in {"a b", c}]', Select(PathInSet(("A",), ("a b", "c")))),
+    ('select["a b".C = \'"x y"\']',
+     Select(PathEqConst(("a b", "C"), "x y", DEEP))),
+])
+def test_labels_that_need_quotes_survive_printing(text, node):
+    assert parse_ma(text) == node
+    assert print_ma(node) == text
+
+
+def test_a_quoted_dotted_label_stays_one_step():
+    v = parse_value('<"a.b": x, a: <b: y>>')
+    q = parse_ma('pi["a.b"]')
+    assert eval_ma(q, v) == Atom("x")
+    assert eval_ma(parse_ma(print_ma(q)), v) == Atom("x")
 
 
 def test_expanded_equality_on_pairs():

@@ -84,6 +84,13 @@ def test_type_print_parse_roundtrip(seed):
     assert parse_type(print_type(t)) == t
 
 
+@pytest.mark.parametrize("text", ['<"a b": Dom>', '{<"x.y": [Dom], B: Dom>}'])
+def test_type_labels_that_need_quotes_round_trip(text):
+    t = parse_type(text)
+    assert print_type(t) == text
+    assert parse_type(print_type(t)) == t
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ValueError_) as e:
         parse_value("<A: a, >")
