@@ -14,12 +14,14 @@ predicate is true iff some goal fact at the empty prefix has a path of
 the shape i.<> (a member index followed by the unit-tuple leaf).
 
 eval_lp evaluates bottom-up, each predicate after every predicate it
-reads, and joins a rule's body atoms by hash join. Each rule is planned
-once per call. An atom whose prefix earlier atoms have bound reads only
-the facts under that prefix, from the relation's prefix index (a unary
-one is a membership test); any other atom scans its relation. Where a
-variable dies, the environments are projected onto the live ones and
-deduplicated. See the Evaluation section.
+reads. Each rule runs as a Python function generated once per process
+for the rule's shape (the rule without its constants, its variables
+numbered), so the 17,596 rules of an lp-paths benchmark round share 12
+functions. A function joins the body atoms as nested loops: an atom
+whose prefix earlier atoms have bound reads only the facts under that
+prefix, from the relation's prefix index (a unary one is a membership
+test); any other atom scans its relation. Where a variable dies, the
+live bindings are gathered into a set first. See the Evaluation section.
 
 In rule text, identifiers i, j, k, u, v, w (optionally digit-suffixed)
 are variables, X is the prefix variable and e is the empty prefix;
@@ -29,9 +31,9 @@ everything else is a label.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple as Tup
+from typing import Callable, Dict, List, Optional, Set, Tuple as Tup
 
 from .values import Value, ValueError_, _Scanner, print_atom
 from . import ma
@@ -335,108 +337,34 @@ def compile_lp(q: MAExpr, closed: bool = True,
 #
 # Predicates are evaluated in topological order, so a relation is
 # complete before any rule reads it (no rule may read its own head,
-# directly or not). Each rule is planned once, when it runs: for every
-# body atom the plan records whether variables bound by the atoms before
-# it fix its whole prefix (a variable, or e, with no extension), and
-# which variables are still live after it (read by a later atom or by
-# the head). The atoms then run left to right over a list of
-# environments (dicts from variables to values):
-#   - an atom with a fixed prefix takes only the facts under that prefix,
+# directly or not). Each rule runs as a generated Python function shared
+# by every rule of its shape: the rule with its constants (body
+# predicates, labels and excluded labels) taken out and its variables
+# numbered by first occurrence. Compiled programs have few shapes: the
+# 17,596 rules of one lp-paths benchmark round have 12, the 17,299 of an
+# oracle-mix round 20. The first rule of a shape generates and exec's
+# its function's source, which _RULES keeps for the rest of the process;
+# every rule then runs as fn(bin_rels, un_rels, index, out, consts).
+# Constants reach the function as data and variables become numbered
+# locals, so no label, predicate or variable name is spliced into source.
+#
+# The function joins the body atoms left to right as nested loops:
+#   - an atom whose prefix the atoms before it fix (a bound variable, or
+#     e, with no extension) loops over only the facts under that prefix,
 #     from the relation's prefix index; the index maps each prefix to its
 #     paths and is built once per relation, on first use. A unary atom
 #     with a fixed prefix is a set-membership test, as negation is;
 #   - any other atom (every first atom with a prefix variable, and atoms
-#     with a prefix extension or a prefix variable not bound yet) scans
-#     its whole relation.
+#     with a prefix extension or a prefix variable not bound yet) loops
+#     over its whole relation.
 # Where a variable dies after an atom (no later atom and not the head
-# reads it), the environments are projected onto the live variables and
-# deduplicated: the join then runs once per distinct live binding, not
-# once per fact that only differs in a dead variable. Heads are sets, so
-# the projection changes no result.
-#
-# Matching interprets an atom's patterns fact by fact. Most rules of
-# compiled programs read one or two facts, so building a specialised
-# matcher per rule costs more than it saves. Facts hold paths of plain
-# steps (see detree), so matching compares and hashes them natively.
+# reads it), the bindings of the live variables are collected into a set
+# and the next atom loops over that set: the join then runs once per
+# distinct live binding, not once per fact that only differs in a dead
+# variable. Heads are sets, so the projection changes no result.
 #
 # Rules are assumed safe: compile_lp emits only safe rules, and parse_lp
 # rejects the others (see _check_safe).
-
-_UNBOUND = object()
-
-
-def _bind(env: dict, name: str, value) -> bool:
-    old = env.get(name, _UNBOUND)
-    if old is _UNBOUND:
-        env[name] = value
-        return True
-    return old == value
-
-
-def _match_term(pat: TPat, t: Step, env: dict) -> bool:
-    if type(pat) is PLab:
-        return t == pat.term
-    if type(pat) is PPair:
-        return (type(t) is tuple and _match_term(pat.left, t[0], env)
-                and _match_term(pat.right, t[1], env))
-    if type(pat) is PVarNe and t == pat.exclude:
-        return False
-    return _bind(env, pat.name, t)
-
-
-def _match(atom, pre: Path, path: Path, env: dict) -> Optional[dict]:
-    """env extended by matching the atom against the fact (pre, path), or
-    None; a unary atom ignores path."""
-    ext, var = atom.arg1.ext, atom.arg1.var
-    m = len(pre) - len(ext)
-    if m < 0 or (var is None and m):
-        return None
-    e = dict(env)
-    if type(atom) is BinAtom:
-        items, rest = atom.arg2.items, atom.arg2.rest
-        n = len(items)
-        # a rest variable covers at least one step, so a bare marker leaf
-        # never counts as a set member
-        if len(path) != n if rest is None else len(path) <= n:
-            return None
-        for p, t in zip(items, path):
-            if type(p) is PLab:
-                if t != p.term:
-                    return None
-            elif not _match_term(p, t, e):
-                return None
-        if rest is not None and not _bind(e, rest, path[n:]):
-            return None
-    for p, t in zip(ext, pre[m:]):
-        if not _match_term(p, t, e):
-            return None
-    if var is not None and not _bind(e, var, pre[:m]):
-        return None
-    return e
-
-
-def _inst_term(pat: TPat, env: dict) -> Step:
-    if type(pat) is PLab:
-        return pat.term
-    if type(pat) is PPair:
-        return (_inst_term(pat.left, env), _inst_term(pat.right, env))
-    return env[pat.name]
-
-
-def _inst(atom, env: dict):
-    """The atom's fact under env: (prefix, path), or the prefix alone for
-    a unary atom."""
-    arg1 = atom.arg1
-    pre = () if arg1.var is None else env[arg1.var]
-    if arg1.ext:
-        pre = pre + tuple([_inst_term(p, env) for p in arg1.ext])
-    if type(atom) is UnAtom:
-        return pre
-    path = tuple([_inst_term(p, env) for p in atom.arg2.items])
-    if atom.arg2.rest is not None:
-        path = path + env[atom.arg2.rest]
-    return pre, path
-
 
 def _vars(atom) -> Tup[Set[str], Set[str], Set[str]]:
     """The variables of an atom, split in three: the prefix variable,
@@ -457,11 +385,6 @@ def _vars(atom) -> Tup[Set[str], Set[str], Set[str]]:
         elif type(p) is not PLab:
             steps.add(p.name)
     return pre, rest, steps
-
-
-def _names(atom) -> Set[str]:
-    """The variables of an atom."""
-    return set().union(*_vars(atom))
 
 
 def _check_safe(r: Rule, raw: str) -> None:
@@ -501,68 +424,278 @@ def _check_safe(r: Rule, raw: str) -> None:
                           "rest in %r" % (min(both), raw))
 
 
-def _plan(r: Rule):
-    """(atom, fixed, live) for each body atom of r: fixed tells whether
-    the atoms before it bind its whole prefix; live lists the variables
-    bound so far that a later atom or the head reads, or is None where
-    none of them dies there (the last atom's matches go to the head)."""
-    plan, bound = [], set()
-    last = len(r.body) - 1
-    for i, atom in enumerate(r.body):
-        var = atom.arg1.var
-        fixed = not atom.arg1.ext and (var is None or var in bound)
-        live = None
-        if i < last:
-            if not (type(atom) is UnAtom and atom.negated):
-                bound |= _names(atom)
-            later = _names(r.head).union(*map(_names, r.body[i + 1:]))
-            if not later.issuperset(bound):
-                live = sorted(bound & later)
-        plan.append((atom, fixed, live))
-    return plan
+def _pat_shape(p: TPat, ids: Dict[str, int], consts: list):
+    """A step pattern's shape: "L" for a label, a variable's number,
+    ("N", number) for k\\B and ("P", left, right) for a pair; its labels
+    are appended to consts, left to right."""
+    t = type(p)
+    if t is PLab:
+        consts.append(p.term)
+        return "L"
+    if t is PVar:
+        return ids.setdefault(p.name, len(ids))
+    if t is PVarNe:
+        consts.append(p.exclude)
+        return ("N", ids.setdefault(p.name, len(ids)))
+    return ("P", _pat_shape(p.left, ids, consts),
+            _pat_shape(p.right, ids, consts))
 
 
-def _apply(r: Rule, bin_rels, un_rels, index) -> None:
-    """Add the facts rule r derives. index(pred) maps each prefix of the
-    binary relation pred to its paths."""
-    head = r.head
-    out = (bin_rels if type(head) is BinAtom else un_rels).setdefault(
-        head.pred, set())
-    envs = [{}]
-    for atom, fixed, live in _plan(r):
-        if type(atom) is UnAtom and (fixed or atom.negated):
-            rel = un_rels.get(atom.pred, ())
-            found = [e for e in envs
-                     if (_inst(atom, e) in rel) != atom.negated]
-        elif fixed:
-            by_prefix, var = index(atom.pred), atom.arg1.var
-            found = []
-            for env in envs:
-                pre = () if var is None else env[var]
-                for path in by_prefix.get(pre, ()):
-                    e = _match(atom, pre, path, env)
-                    if e is not None:
-                        found.append(e)
+def _atom_shape(a, ids: Dict[str, int], consts: list):
+    """(prefix variable, extension, items, rest) of a binary atom and
+    (prefix variable, extension, None, negated) of a unary one."""
+    arg1 = a.arg1
+    pre = arg1.var
+    if pre is not None:
+        pre = ids.setdefault(pre, len(ids))
+    ext = arg1.ext and tuple([_pat_shape(p, ids, consts) for p in arg1.ext])
+    if type(a) is UnAtom:
+        return pre, ext, None, a.negated
+    arg2 = a.arg2
+    items = tuple([_pat_shape(p, ids, consts) for p in arg2.items])
+    rest = arg2.rest
+    if rest is not None:
+        rest = ids.setdefault(rest, len(ids))
+    return pre, ext, items, rest
+
+
+def _shape(r: Rule):
+    """(shape, consts) of rule r: the shape is (body atom shapes, head
+    shape), variables numbered by first occurrence; consts lists each
+    body atom's predicate and then its labels, then the head's labels."""
+    ids: Dict[str, int] = {}
+    consts: list = []
+    body = []
+    for a in r.body:
+        consts.append(a.pred)
+        body.append(_atom_shape(a, ids, consts))
+    return (tuple(body), _atom_shape(r.head, ids, consts)), consts
+
+
+class _RuleSource:
+    """Writes the Python source of the function that runs every rule of
+    one shape; see the comment above. Locals: cN constants, pN and sN the
+    prefix and path of body atom N's fact, xN variable N, tN pair steps,
+    dN sets of live bindings, relN, ixN and unN the relations read."""
+
+    def __init__(self, shape):
+        body, head = shape
+        self.nconst = 0
+        body = [(self.const(), self.resolve(a)) for a in body]
+        head = self.resolve(head)
+        self.top = ["add = out.add"]
+        if self.nconst:
+            self.top.append("%s, = consts" % ", ".join(
+                "c%d" % i for i in range(self.nconst)))
+        self.lines: List[str] = []
+        self.depth = 1     # indentation of the next line
+        self.loops = 0     # loops enclosing it
+        self.names: Dict[int, str] = {}   # bound variable -> local
+        self.ntemp = 0
+        uses = Counter(v for atom in [a for _, a in body] + [head]
+                       for v in _var_uses(atom))
+        # a variable used once is bound nowhere else and read by nothing
+        self.once = {v for v, n in uses.items() if n == 1}
+        for i, (pred, atom) in enumerate(body):
+            self.join(i, pred, atom)
+            if i < len(body) - 1:
+                later = set(_var_uses(head)).union(
+                    *[_var_uses(a) for _, a in body[i + 1:]])
+                held = set(self.names)
+                if not held <= later:
+                    self.collect(i, sorted(held & later))
+                elif self.loops >= 16:
+                    # CPython nests at most 20 blocks
+                    self.collect(i, sorted(held))
+        if head[2] is None:
+            self.emit("add(%s)" % self.prefix(head))
         else:
-            if type(atom) is BinAtom:
-                facts = bin_rels.get(atom.pred, ())
-            else:
-                facts = [(pre, ()) for pre in un_rels.get(atom.pred, ())]
-            found = []
-            for env in envs:
-                for pre, path in facts:
-                    e = _match(atom, pre, path, env)
-                    if e is not None:
-                        found.append(e)
-        if live is not None:
-            # one environment per distinct binding of the live variables
-            key = itemgetter(*live) if live else (lambda e: ())
-            found = list({key(e): e for e in found}.values())
-        envs = found
-        if not envs:
+            self.emit("add((%s, %s))" % (self.prefix(head), self.path(head)))
+
+    def source(self) -> str:
+        return "\n".join(
+            ["def rule(bin_rels, un_rels, index, out, consts):"]
+            + ["    " + s for s in self.top] + self.lines) + "\n"
+
+    # constants and patterns
+
+    def const(self) -> str:
+        self.nconst += 1
+        return "c%d" % (self.nconst - 1)
+
+    def resolve(self, atom):
+        """The atom's shape with each constant replaced by its local."""
+        pre, ext, items, last = atom
+        ext = [self.pattern(p) for p in ext]
+        if items is not None:
+            items = [self.pattern(p) for p in items]
+        return pre, ext, items, last
+
+    def pattern(self, p):
+        if p == "L":
+            return ("L", self.const())
+        if type(p) is int:
+            return ("V", p)
+        if p[0] == "N":
+            return ("N", self.const(), p[1])
+        return ("P", self.pattern(p[1]), self.pattern(p[2]))
+
+    # code
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def loop(self, line: str) -> None:
+        self.emit(line)
+        self.depth += 1
+        self.loops += 1
+
+    def guard(self, cond: str) -> None:
+        """Skip to the next binding where cond holds."""
+        self.emit("if %s: %s" % (cond, "continue" if self.loops else
+                                 "return"))
+
+    def bind(self, var: int, expr: str) -> None:
+        if var in self.once:
             return
-    for e in envs:
-        out.add(_inst(head, e))
+        if var in self.names:
+            self.guard("%s != %s" % (expr, self.names[var]))
+        elif expr.isidentifier():
+            self.names[var] = expr
+        else:
+            self.names[var] = "x%d" % var
+            self.emit("x%d = %s" % (var, expr))
+
+    def match(self, p, expr: str) -> None:
+        if p[0] == "L":
+            self.guard("%s != %s" % (expr, p[1]))
+        elif p[0] == "V":
+            self.bind(p[1], expr)
+        elif p[0] == "N":
+            self.guard("%s == %s" % (expr, p[1]))
+            self.bind(p[2], expr)
+        else:
+            if not expr.isidentifier():
+                self.ntemp += 1
+                self.emit("t%d = %s" % (self.ntemp, expr))
+                expr = "t%d" % self.ntemp
+            self.guard("type(%s) is not tuple" % expr)
+            self.match(p[1], expr + "[0]")
+            self.match(p[2], expr + "[1]")
+
+    def join(self, i: int, pred: str, atom) -> None:
+        # last: the rest variable, or whether a unary atom is negated
+        pre, ext, items, last = atom
+        fixed = not ext and (pre is None or pre in self.names)
+        if items is None:
+            self.top.append("un%d = un_rels.get(%s, ())" % (i, pred))
+            if fixed or last:
+                self.guard("%s %s un%d" % (self.prefix(atom),
+                                           "in" if last else "not in", i))
+                return
+            self.loop("for p%d in un%d:" % (i, i))
+        elif fixed:
+            self.top.append("ix%d = index(%s)" % (i, pred))
+            self.loop("for s%d in ix%d.get(%s, ()):"
+                      % (i, i, "()" if pre is None else self.names[pre]))
+            self.match_path(i, items, last)
+            return
+        else:
+            self.top.append("rel%d = bin_rels.get(%s, ())" % (i, pred))
+            self.loop("for p%d, s%d in rel%d:" % (i, i, i))
+            self.match_path(i, items, last)
+        p, k = "p%d" % i, len(ext)
+        if pre is None:
+            self.guard("len(%s) != %d" % (p, k) if k else p)
+        elif k:
+            self.guard("len(%s) < %d" % (p, k))
+        for j, q in enumerate(ext):
+            self.match(q, "%s[%d]" % (p, j - k))
+        if pre is not None:
+            self.bind(pre, "%s[:%d]" % (p, -k) if k else p)
+
+    def match_path(self, i: int, items, rest) -> None:
+        s, n = "s%d" % i, len(items)
+        # a rest variable covers at least one step, so a bare marker leaf
+        # never counts as a set member
+        if rest is None:
+            self.guard("len(%s) != %d" % (s, n))
+        else:
+            self.guard("len(%s) <= %d" % (s, n) if n else "not " + s)
+        for j, q in enumerate(items):
+            self.match(q, "%s[%d]" % (s, j))
+        if rest is not None:
+            self.bind(rest, "%s[%d:]" % (s, n) if n else s)
+
+    def collect(self, i: int, live: List[int]) -> None:
+        """Gather the distinct bindings of the live variables into a set
+        and loop over it."""
+        d, key = "d%d" % i, [self.names[v] for v in live]
+        self.top.append("%s = set()" % d)
+        self.emit("%s.add(%s)" % (d, key[0] if len(key) == 1 else
+                                  _tuple(key)))
+        self.depth, self.loops = 1, 0
+        self.names = {v: "x%d" % v for v in live}
+        self.loop("for %s in %s:" % (
+            ", ".join(self.names.values()) or "()", d))
+
+    def term(self, p) -> str:
+        if p[0] == "L":
+            return p[1]
+        if p[0] == "P":
+            return "(%s, %s)" % (self.term(p[1]), self.term(p[2]))
+        return self.names[p[-1]]
+
+    def prefix(self, atom) -> str:
+        pre, ext = atom[0], atom[1]
+        var = "()" if pre is None else self.names[pre]
+        if not ext:
+            return var
+        ext = _tuple([self.term(p) for p in ext])
+        return ext if pre is None else "%s + %s" % (var, ext)
+
+    def path(self, atom) -> str:
+        items, rest = atom[2], atom[3]
+        if rest is None:
+            return _tuple([self.term(p) for p in items])
+        if not items:
+            return self.names[rest]
+        return "%s + %s" % (_tuple([self.term(p) for p in items]),
+                            self.names[rest])
+
+
+def _tuple(exprs: List[str]) -> str:
+    return "(%s,)" % exprs[0] if len(exprs) == 1 else \
+        "(%s)" % ", ".join(exprs)
+
+
+def _var_uses(atom) -> List[int]:
+    """The variables of a resolved atom (of _RuleSource), once per use."""
+    pre, ext, items, last = atom
+    out = [] if pre is None else [pre]
+    if items is not None and last is not None:
+        out.append(last)
+    pats = list(ext) + list(items or ())
+    while pats:
+        p = pats.pop()
+        if p[0] == "P":
+            pats += (p[1], p[2])
+        elif p[0] != "L":
+            out.append(p[-1])
+    return out
+
+
+_RULES: Dict[tuple, Callable] = {}
+
+
+def _rule_fn(shape) -> Callable:
+    """The function running every rule of this shape, made once."""
+    fn = _RULES.get(shape)
+    if fn is None:
+        scope: dict = {}
+        exec(_RuleSource(shape).source(), scope)
+        fn = _RULES[shape] = scope["rule"]
+    return fn
 
 
 def _topo_preds(by_head: Dict[str, List[Rule]]) -> List[str]:
@@ -611,7 +744,10 @@ def eval_lp(prog: LogicProgram, facts: Optional[dict] = None):
         by_head.setdefault(r.head.pred, []).append(r)
     for pred in _topo_preds(by_head):
         for r in by_head.get(pred, []):
-            _apply(r, bin_rels, un_rels, index)
+            shape, consts = _shape(r)
+            out = (bin_rels if type(r.head) is BinAtom else un_rels) \
+                .setdefault(pred, set())
+            _rule_fn(shape)(bin_rels, un_rels, index, out, consts)
         bin_rels.setdefault(pred, set())
     return bin_rels, un_rels
 

@@ -344,6 +344,10 @@ def gen_tm_query(tm: TMSpec, word: Sequence[str], K: int,
     single selection operators (total size linear in K).
     """
     validate_tm(tm)
+    if not tm.finals:
+        # simulation rejects on such a machine; the query has no union
+        # of accepting states to build
+        raise ValueError_("machine has no final state")
     c_start = gen_start_config(tm, word, K)
 
     # all configurations, the accepting ones

@@ -325,7 +325,8 @@ def print_atom(label: str) -> str:
 def print_value(v: Value) -> str:
     """Value text. Each sub-value object is printed once per call and its
     text reused wherever the object occurs again; the ids stay unique
-    during the call because v keeps every node alive."""
+    during the call because v keeps every node alive. Each tuple label is
+    likewise printed once per call."""
     return _print(v, {})
 
 
@@ -336,8 +337,8 @@ def _print(v: Value, memo: dict) -> str:
     if out is not None:
         return out
     if isinstance(v, Tuple):
-        out = "<%s>" % ", ".join(["%s: %s" % (l, _print(x, memo))
-                                  for l, x in v.fields])
+        out = "<%s>" % ", ".join([(memo.get(l) or _print_label(l, memo))
+                                  + _print(x, memo) for l, x in v.fields])
     else:
         body = ", ".join([_print(x, memo) for x in v.elems])
         if v.kind == SET:
@@ -347,6 +348,13 @@ def _print(v: Value, memo: dict) -> str:
         else:
             out = "{|%s|}" % body
     memo[id(v)] = out
+    return out
+
+
+def _print_label(label: str, memo: dict) -> str:
+    """A tuple field's printed label and colon, kept in the memo under
+    the label itself (value ids are ints, so the keys never meet)."""
+    out = memo[label] = print_atom(label) + ": "
     return out
 
 

@@ -178,6 +178,15 @@ def test_gen_tm_decide_guards_what_the_evaluation_builds():
     assert "15116544 value nodes" in r.stderr
 
 
+def test_gen_tm_rejects_a_machine_without_final_states(files):
+    spec = files("m.tm", "states: q0 qa\nalphabet: #b # 1\nstart: q0\n"
+                         "delta: q0 #b -> q0 #b 0\n")
+    for extra in ((), ("--word", "1", "--decide")):
+        r = run_cli("gen-tm", "--machine", spec, "--k", "1", *extra)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: machine has no final state\n"
+
+
 def test_gen_tm_prints_a_query_without_decide():
     r = run_cli("gen-tm", "--machine", "rejector", "--word", "",
                 "--k", "1")

@@ -1,10 +1,12 @@
+import ast
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nestql import gen
+from nestql import gen, lp
 from nestql.detree import (
     decode_det, encode_det, eval_det, listify_type, print_path,
 )
@@ -114,8 +116,10 @@ def test_recursive_predicate_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Join planning. Each program's derived relations were recorded with the
-# nested-loop evaluator that the planned hash join replaced.
+# Join planning. The first six programs' derived relations were recorded
+# with the nested-loop evaluator that the planned hash join replaced; the
+# other four were worked out by hand, and the fact-by-fact matcher that
+# the generated rule functions replaced derived the same.
 
 def _fact_text(pred, pre, path=None) -> str:
     where = ".".join(["e"] + ([print_path(pre)] if pre else []))
@@ -205,6 +209,54 @@ b(e, n).
 dup(X, i.w) :- a(X, i.v), b(X, w).
 """, ["a(e, 1.x)", "a(e, 1.y)", "a(e, 2.z)", "b(e, m)", "b(e, n)",
       "dup(e, 1.m)", "dup(e, 1.n)", "dup(e, 2.m)", "dup(e, 2.n)"]),
+    # pair steps built by a head and taken apart by bodies, one holding
+    # a label
+    "pair steps": ("""\
+a(e, 1.x.o).
+a(e, 2.y.o).
+a(e.p, (1.z).o).
+f(X, (i.j).v) :- a(X, i.j.v).
+g(X, i.j.v) :- f(X, (i.j).v).
+h(X, j.v) :- a(X, (1.j).v).
+""", ["a(e, 1.x.o)", "a(e, 2.y.o)", "a(e.p, (1.z).o)",
+      "f(e, (1.x).o)", "f(e, (2.y).o)", "g(e, 1.x.o)", "g(e, 2.y.o)",
+      "h(e.p, z.o)"]),
+    # a variable twice in one atom, as two steps and inside a pair
+    "repeated variable": ("""\
+a(e, 1.1.x).
+a(e, 1.2.y).
+a(e.p, 3.3.z).
+a(e, (1.1).o).
+a(e, (1.2).o).
+r(X, i.v) :- a(X, i.i.v).
+q(X, i.v) :- a(X, (i.i).v).
+""", ["a(e, (1.1).o)", "a(e, (1.2).o)", "a(e, 1.1.x)", "a(e, 1.2.y)",
+      "a(e.p, 3.3.z)", "q(e, 1.o)", "r(e, 1.x)", "r(e.p, 3.z)"]),
+    # extensions of a prefix variable an earlier atom binds, by a
+    # variable and a label in the body and in the head
+    "extension of a bound prefix": ("""\
+a(e, 1.x).
+a(e.p, 2.y).
+a(e.p.q, 3.z).
+a(e.r.q, 4.o).
+b(e, m).
+b(e.p, n).
+c(X, i.v) :- b(X, w), a(X.i.q, v).
+d(X.i, v) :- b(X, w), a(X.i, v).
+""", ["a(e, 1.x)", "a(e.p, 2.y)", "a(e.p.q, 3.z)", "a(e.r.q, 4.o)",
+      "b(e, m)", "b(e.p, n)", "c(e, p.3.z)", "c(e, r.4.o)", "d(e.p, 2.y)",
+      "d(e.p.q, 3.z)"]),
+    # labels and predicates that are not Python identifiers, or name the
+    # locals of a rule function
+    "constants that are not identifiers": ("""\
+"x\\"); y"(e, "\\\\".C0).
+"x\\"); y"(e, K.out).
+"x\\"); y"(e, "v0".C0).
+out(X, K.v) :- "x\\"); y"(X, "\\\\".v).
+add(X, "v0".k.v) :- "x\\"); y"(X, k\\K.v), out(X, K.v).
+C0(X) :- add(X, "v0"."v0".C0).
+""", ["C0(e)", 'add(e, v0."\\\\".C0)', "add(e, v0.v0.C0)", "out(e, K.C0)",
+      'x"); y(e, "\\\\".C0)', 'x"); y(e, K.out)', 'x"); y(e, v0.C0)']),
 }
 
 
@@ -212,6 +264,60 @@ dup(X, i.w) :- a(X, i.v), b(X, w).
 def test_join_plan_derives_the_recorded_facts(case):
     text, want = PLANNER_CASES[case]
     assert _printed_facts(eval_lp(parse_lp(text))) == want
+
+
+# the names a generated rule function may use: its parameters, the
+# builtins it calls and numbered locals
+_RULE_NAMES = re.compile(
+    r"(bin_rels|un_rels|index|out|consts|add|len|type|tuple"
+    r"|(c|p|s|x|t|d|rel|ix|un)[0-9]+)$")
+
+
+def test_generated_rules_splice_in_no_constant():
+    """Constants reach a rule function as data: its source holds no
+    string literal and no name but its own, whatever the rule's labels,
+    predicates and variables are called."""
+    texts = [text for text, _ in PLANNER_CASES.values()]
+    texts.append(print_lp(compile_lp(
+        gen.gen_bool_query(random.Random(4), 3, LIST), empty_markers=True)))
+    for text in texts:
+        for r in parse_lp(text).rules:
+            source = lp._RuleSource(lp._shape(r)[0]).source()
+            for node in ast.walk(ast.parse(source)):
+                assert not (isinstance(node, ast.Constant)
+                            and isinstance(node.value, str)), source
+                if isinstance(node, (ast.Name, ast.arg)):
+                    name = getattr(node, "id", None) or node.arg
+                    assert _RULE_NAMES.match(name), (name, source)
+            assert 'x"); y' not in source
+
+
+def test_a_rule_joining_more_atoms_than_python_nests_loops():
+    """Every variable stays live, so 24 atoms would be 24 nested loops;
+    CPython compiles at most 20 nested blocks."""
+    n = 24
+    text = "a(e, 1.x).\na(e, 2.y).\nh(X, %s.v) :- %s.\n" % (
+        ".".join("i%d" % k for k in range(n)),
+        ", ".join("a(X, i%d.v)" % k for k in range(n)))
+    rels, _ = eval_lp(parse_lp(text))
+    assert rels["h"] == {((), ("1",) * n + ("x",)), ((), ("2",) * n + ("y",))}
+
+
+def test_a_seen_rule_shape_generates_no_new_function():
+    """Programs of one flat type share their rule shapes, so the second
+    program evaluated finds every function made."""
+    t = parse_type("<1: {Dom}, 2: <1: Dom, 2: Dom>>")
+    q = desugar(gen_vprime(t), parse_type(FLAT_DB_TYPE), LIST)
+    rng = random.Random(6)
+    sizes = []
+    for _ in range(2):
+        prog = compile_lp(q, closed=False)
+        paths = encode_det(flat_encode(gen.gen_flat_value(rng, t)))
+        eval_lp(prog, {prog.input_pred: {((), p) for p in paths}})
+        sizes.append(len(lp._RULES))
+    assert sizes[1] == sizes[0]
+    shapes = {lp._shape(r)[0] for r in prog.rules}
+    assert shapes <= set(lp._RULES) and len(shapes) < len(prog.rules) / 10
 
 
 def _closed_programs(markers):

@@ -91,6 +91,14 @@ def test_type_labels_that_need_quotes_round_trip(text):
     assert parse_type(print_type(t)) == t
 
 
+@pytest.mark.parametrize("text", ['<"a b": x>', '<"a.b": x, B: "a.b">',
+                                  '{<A: y>, <"say \\"hi\\"": x>}'])
+def test_tuple_labels_that_need_quotes_round_trip(text):
+    v = parse_value(text)
+    assert print_value(v) == text
+    assert parse_value(print_value(v)) == v
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ValueError_) as e:
         parse_value("<A: a, >")
