@@ -700,26 +700,37 @@ def _rule_fn(shape) -> Callable:
 
 def _topo_preds(by_head: Dict[str, List[Rule]]) -> List[str]:
     """Every predicate, each after the predicates its rules read; by_head
-    maps each head predicate to its rules."""
+    maps each head predicate to its rules. A depth-first walk with its
+    own stack: no recursion limit, and no self-referring closure, whose
+    cycle would keep by_head and every rule alive until a cyclic
+    collection."""
     order: List[str] = []
-    state: Dict[str, int] = {}
-
-    def visit(p: str):
-        state[p] = 1
-        for r in by_head.get(p, ()):
-            for a in r.body:
-                s = state.get(a.pred)
+    state: Dict[str, int] = {}   # 1 while on the stack, then 2
+    for root in by_head:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, _reads(by_head, root))]
+        while stack:
+            p, reads = stack[-1]
+            for a in reads:
+                s = state.get(a)
                 if s is None:
-                    visit(a.pred)
-                elif s == 1:
-                    raise ValueError_("recursive predicate %s" % a.pred)
-        state[p] = 2
-        order.append(p)
-
-    for p in by_head:
-        if p not in state:
-            visit(p)
+                    state[a] = 1
+                    stack.append((a, _reads(by_head, a)))
+                    break
+                if s == 1:
+                    raise ValueError_("recursive predicate %s" % a)
+            else:
+                stack.pop()
+                state[p] = 2
+                order.append(p)
     return order
+
+
+def _reads(by_head: Dict[str, List[Rule]], p: str):
+    """The predicates p's rules read, in order."""
+    return (a.pred for r in by_head.get(p, ()) for a in r.body)
 
 
 def eval_lp(prog: LogicProgram, facts: Optional[dict] = None):
@@ -849,6 +860,7 @@ def parse_lp(text: str) -> LogicProgram:
     rules: List[Rule] = []
     goal = None
     input_pred = None
+    arity: Dict[str, type] = {}   # predicate -> UnAtom or BinAtom
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -876,6 +888,10 @@ def parse_lp(text: str) -> LogicProgram:
             raise ValueError_("negated head in %r" % raw)
         if input_pred is None and not body:
             input_pred = head.pred
+        for a in (head,) + body:
+            if arity.setdefault(a.pred, type(a)) is not type(a):
+                raise ValueError_("predicate %s is used both as unary and "
+                                  "as binary in %r" % (a.pred, raw))
         rule = Rule(head, body, comment)
         _check_safe(rule, raw)
         rules.append(rule)

@@ -738,14 +738,20 @@ def _c_pairwith(q, cc):
             _expected(src, "pairwith field", "collection")
         i = v.labels().index(label)
         pre, post = v.fields[:i], v.fields[i + 1:]
-        return make_coll(sem, [Tuple(pre + ((label, x),) + post)
-                               for x in src.elems])
+        out = [Tuple(pre + ((label, x),) + post) for x in src.elems]
+        if src.kind == sem:
+            # only the paired field varies, in src's canonical order
+            return Coll(sem, tuple(out))
+        return make_coll(sem, out)
     return run
 
 
 def _c_tuple(q, cc):
     fields = [(l, cc(f)) for l, f in q.fields]
-    return lambda v: Tuple(tuple([(l, f(v)) for l, f in fields]))
+    if len({l for l, _ in fields}) == len(fields):
+        return lambda v: Tuple(tuple([(l, f(v)) for l, f in fields]))
+    # make_tuple raises, once the fields are evaluated
+    return lambda v: make_tuple([(l, f(v)) for l, f in fields])
 
 
 def _c_proj(q, cc):
@@ -864,7 +870,11 @@ def _c_select(q, cc):
     def run(v):
         if type(v) is not Coll:
             _expected(v, "select", "collection")
-        return make_coll(sem, [x for x in v.elems if test(x)])
+        out = [x for x in v.elems if test(x)]
+        if v.kind == sem:
+            # a subsequence of a canonical collection is canonical
+            return Coll(sem, tuple(out))
+        return make_coll(sem, out)
     return run
 
 
@@ -913,8 +923,8 @@ def _c_cart(q, cc):
     def run(v):
         a = _as_coll(fa(v), "cart")
         b = _as_coll(fb(v), "cart")
-        return make_coll(sem, [Tuple((("1", x), ("2", y)))
-                               for x in a.elems for y in b.elems])
+        out = [Tuple((("1", x), ("2", y))) for x in a.elems for y in b.elems]
+        return _product(sem, a, b, out)
     return run
 
 
@@ -936,8 +946,18 @@ def _c_hash_join(q, cc):
                 xy = Tuple((("1", x), ("2", y)))
                 if test is None or test(xy):
                     out.append(xy)
-        return make_coll(sem, out)
+        return _product(sem, a, b, out)
     return run
+
+
+def _product(sem: str, a: Coll, b: Coll, pairs: list) -> Coll:
+    """The pairs, a subsequence of a x b in nested-loop order: canonical
+    as they are for two sets under set semantics (see values.Coll).
+    Equal members of a bag break the order: {|a, a|} x {|a, b|} gives
+    (a, a), (a, b), (a, a), (a, b)."""
+    if sem == SET and a.kind == SET and b.kind == SET:
+        return Coll(SET, tuple(pairs))
+    return make_coll(sem, pairs)
 
 
 _COMPILE = {

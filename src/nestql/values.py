@@ -12,8 +12,8 @@ whether it is free of collections (the mon-equality check), its node
 count (:func:`value_nodes`) and, for tuples, its label tuple. Each is
 built on first use from the members' stored ones, so a node computes it
 once. Native ``hash`` is the stored hash and native ``==`` compares
-fields, so both are structural, which holds only because
-:func:`make_coll` keeps sets and bags in canonical order. Stored hashes
+fields, so both are structural, which holds only because every set
+and bag is in canonical order (see :class:`Coll`). Stored hashes
 depend on ``PYTHONHASHSEED``, so values must not be pickled or
 persisted.
 """
@@ -85,12 +85,11 @@ class Atom(Value):
 
 @dataclass(frozen=True)
 class Tuple(Value):
+    """A tuple. Its labels must be distinct: :func:`make_tuple` checks
+    them, and the evaluator builds tuples directly only where they are
+    distinct by construction (a product's pair, a pairwith copy of a
+    tuple, a ``tup[...]`` whose labels were checked when compiled)."""
     fields: Tup[Tup[str, Value], ...]
-
-    def __post_init__(self):
-        if len({l for l, _ in self.fields}) != len(self.fields):
-            raise ValueError_("duplicate tuple label in %r"
-                              % ([l for l, _ in self.fields],))
 
     def field(self, label: str) -> Value:
         for l, v in self.fields:
@@ -129,10 +128,19 @@ class Tuple(Value):
 
 @dataclass(frozen=True)
 class Coll(Value):
-    """A collection. Build it only with :func:`make_coll`: native ``==``
-    and ``hash`` are structural equality only because sets and bags are
-    kept in that canonical form (sets deduped, sets and bags sorted by
-    :func:`sort_key`)."""
+    """A collection. Native ``==`` and ``hash`` are structural equality
+    only because sets and bags are in canonical form: sets deduped, sets
+    and bags sorted by :func:`sort_key`. :func:`make_coll` builds that
+    form by sorting. The ``ma`` evaluator builds a collection directly
+    only where its members already come out canonical, without a sort:
+
+    - a selection keeps a subsequence of its input, and pairwith varies
+      one field in the order of the paired collection; both are
+      canonical when that input already has the result's kind;
+    - a product or hash join of two sets under set semantics gives its
+      pairs in nested-loop order, which is sorted and duplicate-free, as
+      pairs compare by side 1, then side 2. Not so for bags, whose equal
+      members repeat the run of side 2."""
     kind: str
     elems: Tup[Value, ...]
 
@@ -186,7 +194,12 @@ def make_coll(kind: str, elems: Iterable[Value]) -> Coll:
 
 
 def make_tuple(fields: Iterable[Tup[str, Value]]) -> Tuple:
-    return Tuple(tuple(fields))
+    """A tuple of the given fields; their labels must be distinct."""
+    fields = tuple(fields)
+    if len({l for l, _ in fields}) != len(fields):
+        raise ValueError_("duplicate tuple label in %r"
+                          % ([l for l, _ in fields],))
+    return Tuple(fields)
 
 
 def value_nodes(v: Value) -> int:

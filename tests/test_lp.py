@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import random
 import re
@@ -16,7 +17,9 @@ from nestql.lp import (
 )
 from nestql.ma import UNIT_T, desugar, eval_ma, infer_type
 from nestql.ma_text import parse_ma, print_ma
-from nestql.reductions import BUNDLED, flat_encode, gen_tm_query, gen_vprime
+from nestql.reductions import (
+    BUNDLED, flat_encode, gen_doubly_exp, gen_tm_query, gen_vprime,
+)
 from nestql.values import (
     BAG, LIST, SET, UNIT, CollType, ValueError_, make_coll, parse_type,
     parse_value, print_atom,
@@ -113,6 +116,34 @@ def test_constant_spelled_like_a_variable_roundtrips(c):
 def test_recursive_predicate_is_rejected():
     with pytest.raises(ValueError_, match="recursive predicate p"):
         eval_lp(parse_lp("a(e, x).\np(X, v) :- a(X, v), p(X, v).\n"))
+
+
+def test_predicate_with_two_arities_is_rejected():
+    """g is unary in its head and binary in h's body; its binary reading
+    was silently empty, so h came out empty."""
+    with pytest.raises(ValueError_, match="predicate g is used both as "
+                       "unary and as binary"):
+        parse_lp("a(e, x).\ng(X) :- a(X, v).\nh(X, v) :- g(X, v).\n")
+
+
+def test_evaluators_leave_no_cyclic_garbage():
+    """Each evaluation frees what it built by reference counting alone:
+    with the cyclic collector off, it finds nothing afterwards."""
+    q = gen_doubly_exp(2)
+    core = desugar(q, UNIT_T, LIST)
+    gc.collect()
+    gc.disable()
+    try:
+        prog = compile_lp(core)
+        assert gc.collect() == 0
+        eval_lp(prog)
+        assert gc.collect() == 0
+        eval_det(core, encode_det(UNIT))
+        assert gc.collect() == 0
+        eval_ma(q, UNIT, SET)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

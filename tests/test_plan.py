@@ -23,8 +23,8 @@ from nestql.ma import (
 )
 from nestql.ma_text import parse_ma
 from nestql.values import (
-    ATOMIC, DEEP, DOM, KINDS, MON, SET, UNIT, Atom, CollType, TupleType,
-    ValueError_, make_coll, print_value,
+    ATOMIC, BAG, DEEP, DOM, KINDS, LIST, MON, SET, UNIT, Atom, Coll,
+    CollType, TupleType, ValueError_, make_coll, parse_value, print_value,
 )
 
 PAIR_T = TupleType((("1", DOM), ("2", DOM)))
@@ -258,6 +258,78 @@ def test_plain_outcomes_are_pinned():
             lines.append("%s %s" % _outcome(lambda: _plain(q, v, sem)))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == PLAIN_DIGEST
+
+
+def _assert_canonical(v):
+    """Every set and bag node of v has its members in make_coll's order,
+    sets without duplicates: the evaluator skips that sort where its
+    result comes out canonical anyway."""
+    todo, seen = [v], set()
+    while todo:
+        v = todo.pop()
+        if id(v) in seen or type(v) is Atom:
+            continue
+        seen.add(id(v))
+        if type(v) is Coll:
+            if v.kind != LIST:
+                assert v.elems == make_coll(v.kind, v.elems).elems, \
+                    print_value(v)
+            todo.extend(v.elems)
+        else:
+            todo.extend(x for _, x in v.fields)
+
+
+@pytest.mark.parametrize("sem", KINDS)
+def test_results_are_canonical(sem):
+    for seed in range(500):
+        q, v = _draw(seed, sem)
+        for run in (lambda: eval_ma(q, v, sem), lambda: _plain(q, v, sem)):
+            try:
+                out = run()
+            except (ma.MATypeError, ValueError_):
+                continue
+            _assert_canonical(out)
+
+
+@pytest.mark.parametrize("query, value, want", [
+    # equal members of a bag: side 2's run repeats, out of order
+    ("cart(id, id)", "{|a, a, b|}",
+     "{|<1: a, 2: a>, <1: a, 2: a>, <1: a, 2: a>, <1: a, 2: a>, "
+     "<1: a, 2: b>, <1: a, 2: b>, <1: b, 2: a>, <1: b, 2: a>, "
+     "<1: b, 2: b>|}"),
+    ("cart(id, id) ; select[1.A = 2.A]",
+     "{|<A: a, B: x>, <A: a, B: x>, <A: a, B: y>|}",
+     "{|<1: <A: a, B: x>, 2: <A: a, B: x>>, "
+     "<1: <A: a, B: x>, 2: <A: a, B: x>>, "
+     "<1: <A: a, B: x>, 2: <A: a, B: x>>, "
+     "<1: <A: a, B: x>, 2: <A: a, B: x>>, "
+     "<1: <A: a, B: x>, 2: <A: a, B: y>>, "
+     "<1: <A: a, B: x>, 2: <A: a, B: y>>, "
+     "<1: <A: a, B: y>, 2: <A: a, B: x>>, "
+     "<1: <A: a, B: y>, 2: <A: a, B: x>>, "
+     "<1: <A: a, B: y>, 2: <A: a, B: y>>|}"),
+])
+def test_bag_products_are_sorted(query, value, want):
+    q, v = parse_ma(query), parse_value(value)
+    if "select" in query:
+        assert type(ma._flat(plan(q), Compose)[0]) is HashJoin
+    got = _same_as_plain(q, v, BAG)
+    _assert_canonical(got)
+    assert print_value(got) == want
+
+
+@pytest.mark.parametrize("query, value, want", [
+    ("cart(id, id)", "[b, a, b]",
+     "{<1: a, 2: a>, <1: a, 2: b>, <1: b, 2: a>, <1: b, 2: b>}"),
+    ("select[!(A = 'c')]", "[<A: b>, <A: a>, <A: b>]", "{<A: a>, <A: b>}"),
+    ("pairwith[A]", "<A: [b, a, b]>", "{<A: a>, <A: b>}"),
+])
+def test_list_input_under_set_semantics_is_sorted(query, value, want):
+    """A list is in no canonical order, so a set built from its members
+    is sorted and deduplicated."""
+    got = _same_as_plain(parse_ma(query), parse_value(value))
+    _assert_canonical(got)
+    assert print_value(got) == want
 
 
 def _with_kind(t, kind):

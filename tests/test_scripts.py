@@ -27,6 +27,15 @@ def test_script_runs(args):
                        capture_output=True, text=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
+    if args[0] == "growth_demo.py":
+        # a header, then m, query size, |result|, eval and print times
+        # for each level
+        lines = r.stdout.splitlines()
+        assert lines[0].split()[-2:] == ["eval", "print"]
+        rows = [line.split() for line in lines[1:]]
+        assert [row[0] for row in rows] == [str(m) for m in range(3)]
+        assert [row[2] for row in rows] == ["2", "4", "16"]
+        assert all(t.endswith("s") for row in rows for t in row[3:])
     if args[0] == "tm_demo.py":
         # each decision agrees with the simulation
         assert all(" ok (" in line for line in r.stdout.splitlines())

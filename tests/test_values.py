@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from nestql import cli, gen
 from nestql.ma import eval_ma
+from nestql.ma_text import parse_ma
 from nestql.reductions import gen_doubly_exp
 from nestql.values import (
     ATOMIC, BAG, DEEP, KINDS, LIST, MON, SET, UNIT, Atom, Tuple,
@@ -39,6 +40,17 @@ def test_tuple_fields_keep_construction_order():
 def test_duplicate_tuple_label_rejected():
     with pytest.raises(ValueError_):
         make_tuple([("A", Atom("x")), ("A", Atom("y"))])
+
+
+def test_duplicate_tup_label_rejected_when_evaluated():
+    """The evaluator checks a tup[...]'s labels once, when it compiles
+    it, and raises only when the tuple is built."""
+    with pytest.raises(ValueError_) as e:
+        eval_ma(parse_ma("tup[A = id, A = id]"), UNIT)
+    assert str(e.value) == "duplicate tuple label in ['A', 'A']"
+    # a body over an empty input never builds its tuple
+    q = parse_ma("empty ; map(tup[A = id, A = id])")
+    assert eval_ma(q, UNIT) == make_coll(SET, ())
 
 
 def test_atomic_equality_only_on_atoms():
