@@ -13,11 +13,19 @@ A closed program starts from the base fact input(e, dummy) and its goal
 predicate is true iff some goal fact at the empty prefix has a path of
 the shape i.<> (a member index followed by the unit-tuple leaf).
 
+A rule is one record (Rule): its head predicate, its shape (the rule
+without its constants, its variables numbered), its constants, its
+variable names and its comment. compile_lp writes each operator's rules
+as the text print_lp prints, e.g. O(X, s.v) :- I(X, v). for sng, with
+placeholders for the predicates and labels that vary. parse_lp's parser
+reads each such text once per process, and a compiled rule is that
+template with the operator's predicates and labels in place of its
+placeholders, so it equals parse_lp of its own printed text.
+
 eval_lp evaluates bottom-up, each predicate after every predicate it
 reads. Each rule runs as a Python function generated once per process
-for the rule's shape (the rule without its constants, its variables
-numbered), so the 17,596 rules of an lp-paths benchmark round share 12
-functions. A function joins the body atoms as nested loops: an atom
+for the rule's shape, so the 17,596 rules of an lp-paths benchmark round
+share 12 functions. A function joins the body atoms as nested loops: an atom
 whose prefix earlier atoms have bound reads only the facts under that
 prefix, from the relation's prefix index (a unary one is a membership
 test); any other atom scans its relation. Where a variable dies, the
@@ -39,77 +47,36 @@ from .values import Value, ValueError_, _Scanner, print_atom
 from . import ma
 from .ma import MAExpr
 from .detree import (
-    MARK_EMPTY, MARK_UNIT, Path, PathSet, Step, encode_det, print_term,
+    MARK_EMPTY, MARK_UNIT, Path, PathSet, encode_det, print_term,
 )
 
 
 # ---------------------------------------------------------------------------
-# Pattern and rule model
-
-@dataclass(frozen=True)
-class TPat:
-    pass
-
-
-@dataclass(frozen=True)
-class PLab(TPat):
-    term: Step  # a label (str) or a marker
-
-
-@dataclass(frozen=True)
-class PVar(TPat):
-    name: str
-
-
-@dataclass(frozen=True)
-class PPair(TPat):
-    left: TPat
-    right: TPat
-
-
-@dataclass(frozen=True)
-class PVarNe(TPat):
-    """A step variable excluding one label, written k\\B: matches any
-    single step except the label B. Used by the pairwith rules to range
-    over the other tuple fields."""
-    name: str
-    exclude: str
-
-
-@dataclass(frozen=True)
-class PrefixPat:
-    """First argument: a prefix variable (or the empty prefix when var is
-    None) extended by zero or more single-step patterns."""
-    var: Optional[str]
-    ext: Tup[TPat, ...] = ()
-
-
-@dataclass(frozen=True)
-class SuffixPat:
-    """Second argument: fixed single-step patterns followed by an optional
-    rest variable that matches one or more remaining steps."""
-    items: Tup[TPat, ...]
-    rest: Optional[str]
-
-
-@dataclass(frozen=True)
-class BinAtom:
-    pred: str
-    arg1: PrefixPat
-    arg2: SuffixPat
-
-
-@dataclass(frozen=True)
-class UnAtom:
-    pred: str
-    arg1: PrefixPat
-    negated: bool = False
-
+# Rules
 
 @dataclass(frozen=True)
 class Rule:
-    head: object
-    body: Tup[object, ...]
+    """One rule, as parse_lp reads it and compile_lp emits it.
+
+    shape is (body atom shapes, head shape). An atom shape is (pred,
+    pre, ext, items, last): pred the index in consts of a body atom's
+    predicate (None in the head, whose predicate is head); pre the
+    prefix variable, or None for e; ext and items the step patterns of
+    the prefix extension and of the path; last the rest variable of a
+    binary atom, or None, or, where items is None (a unary atom), whether
+    the atom is negated. A step pattern is a variable, ("L", c) for the
+    label consts[c], ("N", c, var) for var\\consts[c] (any single step but
+    that label) or ("P", left, right) for a pair step. Variables are
+    numbered by first occurrence, body first, and names[n] is variable
+    n's name; constants are numbered likewise, each body atom's
+    predicate before its labels. Rules that differ only in their
+    constants and variable names share a shape, and one generated
+    function runs them all.
+    """
+    head: str
+    shape: tuple
+    consts: tuple
+    names: tuple
     comment: str = ""
 
 
@@ -120,30 +87,33 @@ class LogicProgram:
     input_pred: str
 
 
-X = "X"
-_ARG1_X = PrefixPat(X)
-_V_REST = SuffixPat((), "v")
-_EMPTY = PLab(MARK_EMPTY)
-_UNIT = PLab(MARK_UNIT)
-_EMPTY_SUF = SuffixPat((_EMPTY,), None)
-
-
 # ---------------------------------------------------------------------------
 # Compilation
 
 class _Compiler:
-    def __init__(self, input_pred: str, empty_markers: bool = False):
+    """Each operator's rules are written as rule text whose predicates
+    and labels that vary are capitalised placeholders: O the output
+    predicate, I the input, F the frame, and the like."""
+
+    def __init__(self, empty_markers: bool):
         self.rules: List[Rule] = []
         self.n = 0
-        self.input_pred = input_pred
         self.empty_markers = empty_markers
 
     def fresh(self) -> str:
         self.n += 1
         return "p%d" % self.n
 
-    def emit(self, head, body, comment=""):
-        self.rules.append(Rule(head, tuple(body), comment))
+    def emit(self, text: str, comment: str, **subst) -> None:
+        """Emit the rule text spells, with each placeholder predicate or
+        label replaced by its value in subst."""
+        t = _TEMPLATES.get(text)
+        if t is None:
+            t = _TEMPLATES[text] = _parse_rule(text, text)
+        get = subst.get
+        self.rules.append(Rule(get(t.head, t.head), t.shape,
+                               tuple([get(c, c) for c in t.consts]),
+                               t.names, comment))
 
     def compile(self, q: MAExpr, inp: str, frame: str) -> str:
         """Translate q reading from predicate inp; frame is the predicate
@@ -155,29 +125,24 @@ class _Compiler:
             return self.compile(q.g, mid, frame)
         if isinstance(q, (ma.Const, ma.EmptyColl, ma.UnitTuple)):
             if isinstance(q, ma.Const):
-                c, what = PLab(q.label), "constant " + print_atom(q.label)
+                c, what = q.label, "constant " + print_atom(q.label)
             elif isinstance(q, ma.EmptyColl):
-                c, what = _EMPTY, "constant empty"
+                c, what = MARK_EMPTY, "constant empty"
             else:
-                c, what = _UNIT, "constant unit"
+                c, what = MARK_UNIT, "constant unit"
             out = self.fresh()
             # constants ignore their input; guard with the frame so they
             # exist at every prefix of the current depth
-            self.emit(BinAtom(out, _ARG1_X, SuffixPat((c,), None)),
-                      [BinAtom(frame, _ARG1_X, _V_REST)], what)
+            self.emit("O(X, C) :- F(X, v).", what, O=out, F=frame, C=c)
             return out
         if isinstance(q, ma.Sng):
             out = self.fresh()
-            self.emit(BinAtom(out, _ARG1_X, SuffixPat((PLab("s"),), "v")),
-                      [BinAtom(inp, _ARG1_X, _V_REST)], "sng")
+            self.emit("O(X, s.v) :- I(X, v).", "sng", O=out, I=inp)
             return out
         if isinstance(q, ma.Proj):
             out = self.fresh()
-            self.emit(
-                BinAtom(out, _ARG1_X, _V_REST),
-                [BinAtom(inp, _ARG1_X,
-                         SuffixPat((PLab(q.label),), "v"))],
-                "pi_%s" % q.label)
+            self.emit("O(X, v) :- I(X, L.v).", "pi_%s" % q.label,
+                      O=out, I=inp, L=q.label)
             return out
         if isinstance(q, ma.TupleCons):
             if not q.fields:
@@ -185,128 +150,86 @@ class _Compiler:
             outs = [(l, self.compile(f, inp, frame)) for l, f in q.fields]
             out = self.fresh()
             for l, pf in outs:
-                self.emit(
-                    BinAtom(out, _ARG1_X,
-                            SuffixPat((PLab(l),), "v")),
-                    [BinAtom(pf, _ARG1_X, _V_REST)], "create_tuple")
+                self.emit("O(X, L.v) :- I(X, v).", "create_tuple",
+                          O=out, I=pf, L=l)
             return out
         if isinstance(q, ma.Union):
             return self.compile(ma.union_pair(q.f, q.g), inp, frame)
         if isinstance(q, ma.UnionT):
             out = self.fresh()
             for tag in ("1", "2"):
-                self.emit(
-                    BinAtom(out, _ARG1_X,
-                            SuffixPat((PPair(PLab(tag), PVar("i")),), "v")),
-                    [BinAtom(inp, _ARG1_X,
-                             SuffixPat((PLab(tag), PVar("i")), "v"))],
-                    "union")
+                self.emit("O(X, (T.i).v) :- I(X, T.i.v).", "union",
+                          O=out, I=inp, T=tag)
             if self.empty_markers:
-                self.emit(
-                    BinAtom(out, _ARG1_X, _EMPTY_SUF),
-                    [BinAtom(inp, _ARG1_X,
-                             SuffixPat((PLab("1"), _EMPTY), None)),
-                     BinAtom(inp, _ARG1_X,
-                             SuffixPat((PLab("2"), _EMPTY), None))],
-                    "union of empties")
+                self.emit("O(X, []) :- I(X, 1.[]), I(X, 2.[]).",
+                          "union of empties", O=out, I=inp)
             return out
         if isinstance(q, ma.Flatten):
             out = self.fresh()
-            self.emit(
-                BinAtom(out, _ARG1_X,
-                        SuffixPat((PPair(PVar("i"), PVar("j")),), "v")),
-                [BinAtom(inp, _ARG1_X,
-                         SuffixPat((PVar("i"), PVar("j")), "v"))],
-                "flatten")
+            self.emit("O(X, (i.j).v) :- I(X, i.j.v).", "flatten",
+                      O=out, I=inp)
             if self.empty_markers:
-                self.emit(BinAtom(out, _ARG1_X, _EMPTY_SUF),
-                          [BinAtom(inp, _ARG1_X, _EMPTY_SUF)],
-                          "flatten of empty")
+                self.emit("O(X, []) :- I(X, []).", "flatten of empty",
+                          O=out, I=inp)
                 # a member marked empty makes the result possibly empty;
                 # decoding ignores the marker when content survives
-                self.emit(BinAtom(out, _ARG1_X, _EMPTY_SUF),
-                          [BinAtom(inp, _ARG1_X,
-                                   SuffixPat((PVar("i"), _EMPTY), None))],
-                          "flatten of empty member")
+                self.emit("O(X, []) :- I(X, i.[]).",
+                          "flatten of empty member", O=out, I=inp)
             return out
         if isinstance(q, ma.EqAtomic):
             out = self.fresh()
-            pa = tuple(PLab(l) for l in q.pa)
-            pb = tuple(PLab(l) for l in q.pb)
-            self.emit(
-                BinAtom(out, _ARG1_X,
-                        SuffixPat((PLab("s"), _UNIT), None)),
-                [BinAtom(inp, _ARG1_X, SuffixPat(pa, "v")),
-                 BinAtom(inp, _ARG1_X, SuffixPat(pb, "v"))],
-                "eqatom")
+            pa = ["A%d" % k for k in range(len(q.pa))]
+            pb = ["B%d" % k for k in range(len(q.pb))]
+            subst = dict(zip(pa + pb, q.pa + q.pb), O=out, I=inp)
+            a = ".".join(pa + ["v"])
+            self.emit("O(X, s.<>) :- I(X, %s), I(X, %s)."
+                      % (a, ".".join(pb + ["v"])), "eqatom", **subst)
             if self.empty_markers:
                 # rest variables are kept distinct, so this fires whether
                 # or not the atoms agree; the spurious marker next to the
                 # unit witness is ignored by decoding
-                self.emit(
-                    BinAtom(out, _ARG1_X, _EMPTY_SUF),
-                    [BinAtom(inp, _ARG1_X, SuffixPat(pa, "v")),
-                     BinAtom(inp, _ARG1_X, SuffixPat(pb, "w"))],
-                    "eqatom possibly false")
+                self.emit("O(X, []) :- I(X, %s), I(X, %s)."
+                          % (a, ".".join(pb + ["w"])),
+                          "eqatom possibly false", **subst)
             return out
         if isinstance(q, ma.PairWith):
             out = self.fresh()
-            b = PLab(q.label)
-            self.emit(
-                BinAtom(out, _ARG1_X,
-                        SuffixPat((PVar("i"), b), "v")),
-                [BinAtom(inp, _ARG1_X, SuffixPat((b, PVar("i")), "v"))],
-                "pairwith_%s" % q.label)
-            k = PVarNe("k", q.label)
-            self.emit(
-                BinAtom(out, _ARG1_X,
-                        SuffixPat((PVar("i"), k), "w")),
-                [BinAtom(inp, _ARG1_X, SuffixPat((b, PVar("i")), "v")),
-                 BinAtom(inp, _ARG1_X, SuffixPat((k,), "w"))],
-                "pairwith_%s" % q.label)
+            what = "pairwith_%s" % q.label
+            self.emit("O(X, i.B.v) :- I(X, B.i.v).", what,
+                      O=out, I=inp, B=q.label)
+            self.emit("O(X, i.k\\B.w) :- I(X, B.i.v), I(X, k\\B.w).", what,
+                      O=out, I=inp, B=q.label)
             if self.empty_markers:
-                self.emit(
-                    BinAtom(out, _ARG1_X, _EMPTY_SUF),
-                    [BinAtom(inp, _ARG1_X,
-                             SuffixPat((b, _EMPTY), None))],
-                    "pairwith_%s over empty" % q.label)
+                self.emit("O(X, []) :- I(X, B.[]).", what + " over empty",
+                          O=out, I=inp, B=q.label)
             return out
         if isinstance(q, ma.Map):
             sm = self.fresh()
-            self.emit(
-                BinAtom(sm, PrefixPat(X, (PVar("i"),)), _V_REST),
-                [BinAtom(inp, _ARG1_X, SuffixPat((PVar("i"),), "v"))],
-                "begin_map")
+            self.emit("M(X.i, v) :- I(X, i.v).", "begin_map", M=sm, I=inp)
             pf = self.compile(q.f, sm, sm)
             out = self.fresh()
-            self.emit(
-                BinAtom(out, _ARG1_X, SuffixPat((PVar("i"),), "v")),
-                [BinAtom(pf, PrefixPat(X, (PVar("i"),)), _V_REST)],
-                "end_map")
+            self.emit("O(X, i.v) :- P(X.i, v).", "end_map", O=out, P=pf)
             if self.empty_markers:
-                self.emit(BinAtom(out, _ARG1_X, _EMPTY_SUF),
-                          [BinAtom(inp, _ARG1_X, _EMPTY_SUF)],
-                          "map over empty")
+                self.emit("O(X, []) :- I(X, []).", "map over empty",
+                          O=out, I=inp)
             return out
         if isinstance(q, ma.NotOp):
             set_p, ne_p = "set_" + inp, "ne_" + inp
-            self.emit(UnAtom(set_p, _ARG1_X),
-                      [BinAtom(frame, _ARG1_X, _V_REST)], "set witness")
-            self.emit(UnAtom(ne_p, _ARG1_X),
-                      [BinAtom(inp, _ARG1_X,
-                               SuffixPat((PVar("i"),), "v"))], "nonempty")
+            self.emit("S(X) :- F(X, v).", "set witness", S=set_p, F=frame)
+            self.emit("N(X) :- I(X, i.v).", "nonempty", N=ne_p, I=inp)
             out = self.fresh()
-            self.emit(
-                BinAtom(out, _ARG1_X,
-                        SuffixPat((PLab("s"), _UNIT), None)),
-                [UnAtom(set_p, _ARG1_X), UnAtom(ne_p, _ARG1_X, True)],
-                "not")
+            self.emit("O(X, s.<>) :- S(X), not N(X).", "not",
+                      O=out, S=set_p, N=ne_p)
             if self.empty_markers:
-                self.emit(BinAtom(out, _ARG1_X, _EMPTY_SUF),
-                          [UnAtom(ne_p, _ARG1_X)], "not of nonempty")
+                self.emit("O(X, []) :- N(X).", "not of nonempty",
+                          O=out, N=ne_p)
             return out
         raise ValueError_("cannot compile %r; desugar to the core first"
                           % (q,))
+
+
+# rule text -> its rule, placeholders and all; read once per process
+_TEMPLATES: Dict[str, Rule] = {}
 
 
 def compile_lp(q: MAExpr, closed: bool = True,
@@ -324,10 +247,9 @@ def compile_lp(q: MAExpr, closed: bool = True,
     ignores the marker in that case. The minimal rule set (the default)
     leaves computed empties absent.
     """
-    c = _Compiler(input_pred, empty_markers)
+    c = _Compiler(empty_markers)
     if closed:
-        c.emit(BinAtom(input_pred, PrefixPat(None),
-                       SuffixPat((PLab("dummy"),), None)), [], "base fact")
+        c.emit("I(e, dummy).", "base fact", I=input_pred)
     goal = c.compile(q, input_pred, input_pred)
     return LogicProgram(c.rules, goal, input_pred)
 
@@ -338,9 +260,10 @@ def compile_lp(q: MAExpr, closed: bool = True,
 # Predicates are evaluated in topological order, so a relation is
 # complete before any rule reads it (no rule may read its own head,
 # directly or not). Each rule runs as a generated Python function shared
-# by every rule of its shape: the rule with its constants (body
-# predicates, labels and excluded labels) taken out and its variables
-# numbered by first occurrence. Compiled programs have few shapes: the
+# by every rule of its shape, which the rule records (see Rule): the
+# shape is the rule with its constants (body predicates, labels and
+# excluded labels) taken out and its variables numbered, so evaluation
+# reads it and walks no rule. Compiled programs have few shapes: the
 # 17,596 rules of one lp-paths benchmark round have 12, the 17,299 of an
 # oracle-mix round 20. The first rule of a shape generates and exec's
 # its function's source, which _RULES keeps for the rest of the process;
@@ -366,25 +289,23 @@ def compile_lp(q: MAExpr, closed: bool = True,
 # Rules are assumed safe: compile_lp emits only safe rules, and parse_lp
 # rejects the others (see _check_safe).
 
-def _vars(atom) -> Tup[Set[str], Set[str], Set[str]]:
-    """The variables of an atom, split in three: the prefix variable,
-    the rest variable (each binding a sequence of steps) and those
-    binding a single step."""
-    pre = set() if atom.arg1.var is None else {atom.arg1.var}
-    rest = set()
-    pats = list(atom.arg1.ext)
-    if type(atom) is BinAtom:
-        pats.extend(atom.arg2.items)
-        if atom.arg2.rest is not None:
-            rest.add(atom.arg2.rest)
-    steps = set()
+def _vars(atom) -> Tup[List[int], List[int], List[int]]:
+    """The variables of an atom shape, once per use, split in three: the
+    prefix variable, the rest variable (each binding a sequence of steps)
+    and those binding a single step."""
+    _, pre, ext, items, last = atom
+    steps = []
+    pats = list(ext) + list(items or ())
     while pats:
         p = pats.pop()
-        if type(p) is PPair:
-            pats += (p.left, p.right)
-        elif type(p) is not PLab:
-            steps.add(p.name)
-    return pre, rest, steps
+        if type(p) is int:
+            steps.append(p)
+        elif p[0] == "P":
+            pats += (p[1], p[2])
+        elif p[0] == "N":
+            steps.append(p[2])
+    return ([] if pre is None else [pre],
+            [last] if items is not None and last is not None else [], steps)
 
 
 def _check_safe(r: Rule, raw: str) -> None:
@@ -395,81 +316,38 @@ def _check_safe(r: Rule, raw: str) -> None:
     put in step position would read as a pair step), or a prefix
     variable also used as a rest (a prefix may be empty, a rest covers
     at least one step, so the head could get a path of no steps)."""
-    bound: Set[str] = set()
-    pres, rests, steps = _vars(r.head)
-    head = pres | rests | steps
-    for a in r.body:
-        a_pres, a_rests, a_steps = _vars(a)
+    body, head = r.shape
+
+    def first(vs) -> str:
+        return min(r.names[v] for v in vs)
+
+    bound: Set[int] = set()
+    pres, rests, steps = map(set, _vars(head))
+    head_vars = pres | rests | steps
+    for a in body:
+        a_pres, a_rests, a_steps = map(set, _vars(a))
         pres |= a_pres
         rests |= a_rests
         steps |= a_steps
         names = a_pres | a_rests | a_steps
-        if type(a) is not UnAtom or not a.negated:
+        if a[3] is not None or not a[4]:
             bound |= names
         elif not names <= bound:
             raise ValueError_(
                 "variable %s of a negated atom is bound by no earlier "
-                "positive atom in %r" % (min(names - bound), raw))
-    free = head - bound
+                "positive atom in %r" % (first(names - bound), raw))
+    free = head_vars - bound
     if free:
         raise ValueError_("head variable %s is bound by no positive body "
-                          "atom in %r" % (min(free), raw))
+                          "atom in %r" % (first(free), raw))
     both = (pres | rests) & steps
     if both:
         raise ValueError_("variable %s is used both as a sequence of steps "
-                          "and as a single step in %r" % (min(both), raw))
+                          "and as a single step in %r" % (first(both), raw))
     both = pres & rests
     if both:
         raise ValueError_("variable %s is used both as a prefix and as a "
-                          "rest in %r" % (min(both), raw))
-
-
-def _pat_shape(p: TPat, ids: Dict[str, int], consts: list):
-    """A step pattern's shape: "L" for a label, a variable's number,
-    ("N", number) for k\\B and ("P", left, right) for a pair; its labels
-    are appended to consts, left to right."""
-    t = type(p)
-    if t is PLab:
-        consts.append(p.term)
-        return "L"
-    if t is PVar:
-        return ids.setdefault(p.name, len(ids))
-    if t is PVarNe:
-        consts.append(p.exclude)
-        return ("N", ids.setdefault(p.name, len(ids)))
-    return ("P", _pat_shape(p.left, ids, consts),
-            _pat_shape(p.right, ids, consts))
-
-
-def _atom_shape(a, ids: Dict[str, int], consts: list):
-    """(prefix variable, extension, items, rest) of a binary atom and
-    (prefix variable, extension, None, negated) of a unary one."""
-    arg1 = a.arg1
-    pre = arg1.var
-    if pre is not None:
-        pre = ids.setdefault(pre, len(ids))
-    ext = arg1.ext and tuple([_pat_shape(p, ids, consts) for p in arg1.ext])
-    if type(a) is UnAtom:
-        return pre, ext, None, a.negated
-    arg2 = a.arg2
-    items = tuple([_pat_shape(p, ids, consts) for p in arg2.items])
-    rest = arg2.rest
-    if rest is not None:
-        rest = ids.setdefault(rest, len(ids))
-    return pre, ext, items, rest
-
-
-def _shape(r: Rule):
-    """(shape, consts) of rule r: the shape is (body atom shapes, head
-    shape), variables numbered by first occurrence; consts lists each
-    body atom's predicate and then its labels, then the head's labels."""
-    ids: Dict[str, int] = {}
-    consts: list = []
-    body = []
-    for a in r.body:
-        consts.append(a.pred)
-        body.append(_atom_shape(a, ids, consts))
-    return (tuple(body), _atom_shape(r.head, ids, consts)), consts
+                          "rest in %r" % (first(both), raw))
 
 
 class _RuleSource:
@@ -480,67 +358,44 @@ class _RuleSource:
 
     def __init__(self, shape):
         body, head = shape
-        self.nconst = 0
-        body = [(self.const(), self.resolve(a)) for a in body]
-        head = self.resolve(head)
-        self.top = ["add = out.add"]
-        if self.nconst:
-            self.top.append("%s, = consts" % ", ".join(
-                "c%d" % i for i in range(self.nconst)))
+        self.read: Set[int] = set()   # the constants the code reads
+        self.top: List[str] = []
         self.lines: List[str] = []
         self.depth = 1     # indentation of the next line
         self.loops = 0     # loops enclosing it
         self.names: Dict[int, str] = {}   # bound variable -> local
         self.ntemp = 0
-        uses = Counter(v for atom in [a for _, a in body] + [head]
-                       for v in _var_uses(atom))
+        uses = [sum(_vars(a), []) for a in body + (head,)]
         # a variable used once is bound nowhere else and read by nothing
-        self.once = {v for v, n in uses.items() if n == 1}
-        for i, (pred, atom) in enumerate(body):
-            self.join(i, pred, atom)
+        self.once = {v for v, n in Counter(sum(uses, [])).items() if n == 1}
+        for i, atom in enumerate(body):
+            self.join(i, atom)
             if i < len(body) - 1:
-                later = set(_var_uses(head)).union(
-                    *[_var_uses(a) for _, a in body[i + 1:]])
+                later = set().union(*uses[i + 1:])
                 held = set(self.names)
                 if not held <= later:
                     self.collect(i, sorted(held & later))
                 elif self.loops >= 16:
                     # CPython nests at most 20 blocks
                     self.collect(i, sorted(held))
-        if head[2] is None:
+        if head[3] is None:
             self.emit("add(%s)" % self.prefix(head))
         else:
             self.emit("add((%s, %s))" % (self.prefix(head), self.path(head)))
 
     def source(self) -> str:
+        top = ["add = out.add"]
+        top += ["c%d = consts[%d]" % (k, k) for k in sorted(self.read)]
         return "\n".join(
             ["def rule(bin_rels, un_rels, index, out, consts):"]
-            + ["    " + s for s in self.top] + self.lines) + "\n"
-
-    # constants and patterns
-
-    def const(self) -> str:
-        self.nconst += 1
-        return "c%d" % (self.nconst - 1)
-
-    def resolve(self, atom):
-        """The atom's shape with each constant replaced by its local."""
-        pre, ext, items, last = atom
-        ext = [self.pattern(p) for p in ext]
-        if items is not None:
-            items = [self.pattern(p) for p in items]
-        return pre, ext, items, last
-
-    def pattern(self, p):
-        if p == "L":
-            return ("L", self.const())
-        if type(p) is int:
-            return ("V", p)
-        if p[0] == "N":
-            return ("N", self.const(), p[1])
-        return ("P", self.pattern(p[1]), self.pattern(p[2]))
+            + ["    " + s for s in top + self.top] + self.lines) + "\n"
 
     # code
+
+    def constant(self, k: int) -> str:
+        """The local holding constant k."""
+        self.read.add(k)
+        return "c%d" % k
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -567,12 +422,12 @@ class _RuleSource:
             self.emit("x%d = %s" % (var, expr))
 
     def match(self, p, expr: str) -> None:
-        if p[0] == "L":
-            self.guard("%s != %s" % (expr, p[1]))
-        elif p[0] == "V":
-            self.bind(p[1], expr)
+        if type(p) is int:
+            self.bind(p, expr)
+        elif p[0] == "L":
+            self.guard("%s != %s" % (expr, self.constant(p[1])))
         elif p[0] == "N":
-            self.guard("%s == %s" % (expr, p[1]))
+            self.guard("%s == %s" % (expr, self.constant(p[1])))
             self.bind(p[2], expr)
         else:
             if not expr.isidentifier():
@@ -583,9 +438,10 @@ class _RuleSource:
             self.match(p[1], expr + "[0]")
             self.match(p[2], expr + "[1]")
 
-    def join(self, i: int, pred: str, atom) -> None:
+    def join(self, i: int, atom) -> None:
         # last: the rest variable, or whether a unary atom is negated
-        pre, ext, items, last = atom
+        pred, pre, ext, items, last = atom
+        pred = self.constant(pred)
         fixed = not ext and (pre is None or pre in self.names)
         if items is None:
             self.top.append("un%d = un_rels.get(%s, ())" % (i, pred))
@@ -640,14 +496,16 @@ class _RuleSource:
             ", ".join(self.names.values()) or "()", d))
 
     def term(self, p) -> str:
+        if type(p) is int:
+            return self.names[p]
         if p[0] == "L":
-            return p[1]
+            return self.constant(p[1])
         if p[0] == "P":
             return "(%s, %s)" % (self.term(p[1]), self.term(p[2]))
-        return self.names[p[-1]]
+        return self.names[p[2]]
 
     def prefix(self, atom) -> str:
-        pre, ext = atom[0], atom[1]
+        pre, ext = atom[1], atom[2]
         var = "()" if pre is None else self.names[pre]
         if not ext:
             return var
@@ -655,7 +513,7 @@ class _RuleSource:
         return ext if pre is None else "%s + %s" % (var, ext)
 
     def path(self, atom) -> str:
-        items, rest = atom[2], atom[3]
+        items, rest = atom[3], atom[4]
         if rest is None:
             return _tuple([self.term(p) for p in items])
         if not items:
@@ -667,22 +525,6 @@ class _RuleSource:
 def _tuple(exprs: List[str]) -> str:
     return "(%s,)" % exprs[0] if len(exprs) == 1 else \
         "(%s)" % ", ".join(exprs)
-
-
-def _var_uses(atom) -> List[int]:
-    """The variables of a resolved atom (of _RuleSource), once per use."""
-    pre, ext, items, last = atom
-    out = [] if pre is None else [pre]
-    if items is not None and last is not None:
-        out.append(last)
-    pats = list(ext) + list(items or ())
-    while pats:
-        p = pats.pop()
-        if p[0] == "P":
-            pats += (p[1], p[2])
-        elif p[0] != "L":
-            out.append(p[-1])
-    return out
 
 
 _RULES: Dict[tuple, Callable] = {}
@@ -730,7 +572,7 @@ def _topo_preds(by_head: Dict[str, List[Rule]]) -> List[str]:
 
 def _reads(by_head: Dict[str, List[Rule]], p: str):
     """The predicates p's rules read, in order."""
-    return (a.pred for r in by_head.get(p, ()) for a in r.body)
+    return (r.consts[a[0]] for r in by_head.get(p, ()) for a in r.shape[0])
 
 
 def eval_lp(prog: LogicProgram, facts: Optional[dict] = None):
@@ -752,13 +594,12 @@ def eval_lp(prog: LogicProgram, facts: Optional[dict] = None):
 
     by_head: Dict[str, List[Rule]] = {}
     for r in prog.rules:
-        by_head.setdefault(r.head.pred, []).append(r)
+        by_head.setdefault(r.head, []).append(r)
     for pred in _topo_preds(by_head):
         for r in by_head.get(pred, []):
-            shape, consts = _shape(r)
-            out = (bin_rels if type(r.head) is BinAtom else un_rels) \
+            out = (un_rels if r.shape[1][3] is None else bin_rels) \
                 .setdefault(pred, set())
-            _rule_fn(shape)(bin_rels, un_rels, index, out, consts)
+            _rule_fn(r.shape)(bin_rels, un_rels, index, out, r.consts)
         bin_rels.setdefault(pred, set())
     return bin_rels, un_rels
 
@@ -799,58 +640,46 @@ def print_lp(prog: LogicProgram) -> str:
 
 
 def _print_rule(r: Rule) -> str:
-    head = _print_atom(r.head)
-    if r.body:
-        s = "%s :- %s." % (head, ", ".join(_print_atom(a) for a in r.body))
+    body, head = r.shape
+    s = _print_atom(r, r.head, head)
+    if body:
+        s = "%s :- %s." % (s, ", ".join(_print_atom(r, r.consts[a[0]], a)
+                                         for a in body))
     else:
-        s = head + "."
+        s += "."
     if r.comment:
         s += "  % " + r.comment
     return s
 
 
-def _print_atom(a) -> str:
-    if isinstance(a, BinAtom):
-        return "%s(%s, %s)" % (a.pred, _print_arg1(a.arg1),
-                               _print_arg2(a.arg2))
-    neg = "not " if a.negated else ""
-    return "%s%s(%s)" % (neg, a.pred, _print_arg1(a.arg1))
+def _print_atom(r: Rule, pred: str, atom) -> str:
+    _, pre, ext, items, last = atom
+    arg1 = ".".join(["e" if pre is None else r.names[pre]]
+                    + [_print_pat(r, p) for p in ext])
+    if items is None:
+        return "%s%s(%s)" % ("not " if last else "", pred, arg1)
+    arg2 = [_print_pat(r, p) for p in items]
+    if last is not None:
+        arg2.append(r.names[last])
+    return "%s(%s, %s)" % (pred, arg1, ".".join(arg2))
 
 
-def _print_arg1(p: PrefixPat) -> str:
-    parts = ([p.var] if p.var is not None else ["e"])
-    parts += [_print_pat(t) for t in p.ext]
-    return ".".join(parts)
-
-
-def _print_arg2(p: SuffixPat) -> str:
-    parts = [_print_pat(t) for t in p.items]
-    if p.rest is not None:
-        parts.append(p.rest)
-    return ".".join(parts)
-
-
-def _print_pat(t: TPat) -> str:
-    if isinstance(t, PLab):
-        if type(t.term) is str and _VAR_RE.fullmatch(t.term):
+def _print_pat(r: Rule, p) -> str:
+    if type(p) is int:
+        return r.names[p]
+    if p[0] == "L":
+        c = r.consts[p[1]]
+        if type(c) is str and _VAR_RE.fullmatch(c):
             # quoted, or it would read back as a variable
-            return '"%s"' % t.term
-        return print_term(t.term)
-    if isinstance(t, PVar):
-        return t.name
-    if isinstance(t, PVarNe):
-        return "%s\\%s" % (t.name, print_atom(t.exclude))
-    return "(%s)" % _print_pair_body(t)
-
-
-def _print_pair_body(t: PPair) -> str:
-    parts = [_print_pat(t.left)]
-    r = t.right
-    while isinstance(r, PPair):
-        parts.append(_print_pat(r.left))
-        r = r.right
-    parts.append(_print_pat(r))
-    return ".".join(parts)
+            return '"%s"' % c
+        return print_term(c)
+    if p[0] == "N":
+        return "%s\\%s" % (r.names[p[2]], print_atom(r.consts[p[1]]))
+    parts = []
+    while type(p) is tuple and p[0] == "P":
+        parts.append(_print_pat(r, p[1]))
+        p = p[2]
+    return "(%s)" % ".".join(parts + [_print_pat(r, p)])
 
 
 _VAR_RE = re.compile(r"[ijkuvw][0-9]*$")
@@ -860,7 +689,7 @@ def parse_lp(text: str) -> LogicProgram:
     rules: List[Rule] = []
     goal = None
     input_pred = None
-    arity: Dict[str, type] = {}   # predicate -> UnAtom or BinAtom
+    arity: Dict[str, bool] = {}   # predicate -> whether it is unary
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -870,114 +699,136 @@ def parse_lp(text: str) -> LogicProgram:
             if body.startswith("goal:"):
                 goal = body[len("goal:"):].strip()
             continue
-        if "%" in line:
-            line, comment = line.split("%", 1)
-            line, comment = line.strip(), comment.strip()
-        else:
-            comment = ""
-        if not line.endswith("."):
-            raise ValueError_("rule must end with '.': %r" % raw)
-        line = line[:-1]
-        if ":-" in line:
-            head_s, body_s = line.split(":-", 1)
-            body = tuple(_parse_atoms(body_s))
-        else:
-            head_s, body = line, ()
-        head = _parse_atom(head_s.strip())
-        if isinstance(head, UnAtom) and head.negated:
-            raise ValueError_("negated head in %r" % raw)
+        rule = _parse_rule(line, raw)
+        body, head = rule.shape
         if input_pred is None and not body:
-            input_pred = head.pred
-        for a in (head,) + body:
-            if arity.setdefault(a.pred, type(a)) is not type(a):
+            input_pred = rule.head
+        for pred, a in [(rule.head, head)] + [(rule.consts[a[0]], a)
+                                              for a in body]:
+            if arity.setdefault(pred, a[3] is None) is not (a[3] is None):
                 raise ValueError_("predicate %s is used both as unary and "
-                                  "as binary in %r" % (a.pred, raw))
-        rule = Rule(head, body, comment)
+                                  "as binary in %r" % (pred, raw))
         _check_safe(rule, raw)
         rules.append(rule)
     if goal is None:
         if not rules:
             raise ValueError_("empty program")
-        goal = rules[-1].head.pred
+        goal = rules[-1].head
     return LogicProgram(rules, goal, input_pred or "input")
 
 
-def _parse_atoms(s: str):
-    sc = _Scanner(s)
-    out = [_parse_atom_sc(sc)]
-    while sc.try_tok(","):
-        out.append(_parse_atom_sc(sc))
-    if not sc.at_end():
-        sc.error("trailing input in rule body")
-    return out
-
-
-def _parse_atom(s: str):
-    sc = _Scanner(s)
-    a = _parse_atom_sc(sc)
+def _parse_rule(line: str, raw: str) -> Rule:
+    """The rule that line, stripped, spells; raw is the line as given,
+    for error messages."""
+    line, comment = _split(line, "%")
+    line, comment = line.strip(), (comment or "").strip()
+    if not line.endswith("."):
+        raise ValueError_("rule must end with '.': %r" % raw)
+    head_s, body_s = _split(line[:-1], ":-")
+    rd = _Reader()
+    body = () if body_s is None else rd.atoms(body_s)
+    sc = _Scanner(head_s.strip())
+    pred, head = rd.atom(sc, True)
     if not sc.at_end():
         sc.error("trailing input in atom")
-    return a
+    if head[3] is None and head[4]:
+        raise ValueError_("negated head in %r" % raw)
+    return Rule(pred, (body, head), tuple(rd.consts), tuple(rd.ids),
+                comment)
 
 
-def _parse_atom_sc(sc: _Scanner):
-    sc.skip_ws()
-    negated = bool(sc.try_tok("not "))
-    pred = sc.atom()
-    sc.expect("(")
-    arg1 = _parse_prefix(sc)
-    if sc.try_tok(")"):
-        return UnAtom(pred, arg1, negated)
-    sc.expect(",")
-    arg2 = _parse_suffix(sc)
-    sc.expect(")")
-    if negated:
-        sc.error("only unary atoms may be negated")
-    return BinAtom(pred, arg1, arg2)
+def _split(line: str, sep: str) -> Tup[str, Optional[str]]:
+    """line up to the first sep outside a quoted atom, and what follows
+    that sep (None without one)."""
+    sc = _Scanner(line)
+    while sc.pos < len(line):
+        if line.startswith(sep, sc.pos):
+            return line[:sc.pos], line[sc.pos + len(sep):]
+        if sc.peek() != '"':
+            sc.pos += 1
+            continue
+        try:
+            sc.atom()
+        except ValueError_:
+            break   # unterminated: the atom's parser reports it
+    return line, None
 
 
-def _parse_prefix(sc: _Scanner) -> PrefixPat:
-    sc.skip_ws()
-    first = sc.atom()
-    var = None if first == "e" else first
-    if var is not None and var != X and not _VAR_RE.fullmatch(var):
-        sc.error("prefix must start with a variable or e")
-    ext = []
-    while sc.try_tok("."):
-        ext.append(_parse_pat(sc))
-    return PrefixPat(var, tuple(ext))
+class _Reader:
+    """Reads the atoms of one rule into atom shapes, numbering variables
+    and constants as it meets them (see Rule)."""
 
+    def __init__(self):
+        self.ids: Dict[str, int] = {}   # variable name -> number
+        self.consts: list = []
 
-def _parse_suffix(sc: _Scanner) -> SuffixPat:
-    pats = [_parse_pat(sc)]
-    while sc.try_tok("."):
-        pats.append(_parse_pat(sc))
-    rest = None
-    last = pats[-1]
-    if isinstance(last, PVar):
-        rest = last.name
-        pats = pats[:-1]
-    return SuffixPat(tuple(pats), rest)
+    def var(self, name: str) -> int:
+        return self.ids.setdefault(name, len(self.ids))
 
+    def const(self, c) -> int:
+        self.consts.append(c)
+        return len(self.consts) - 1
 
-def _parse_pat(sc: _Scanner) -> TPat:
-    sc.skip_ws()
-    if sc.try_tok("("):
-        parts = [_parse_pat(sc)]
+    def atoms(self, s: str) -> tuple:
+        sc = _Scanner(s)
+        out = [self.atom(sc)[1]]
+        while sc.try_tok(","):
+            out.append(self.atom(sc)[1])
+        if not sc.at_end():
+            sc.error("trailing input in rule body")
+        return tuple(out)
+
+    def atom(self, sc: _Scanner, head: bool = False):
+        """The predicate and the shape of the next atom; a body atom's
+        predicate is a constant."""
+        sc.skip_ws()
+        negated = bool(sc.try_tok("not "))
+        pred = sc.atom()
+        k = None if head else self.const(pred)
+        sc.expect("(")
+        pre, ext = self.prefix(sc)
+        if sc.try_tok(")"):
+            return pred, (k, pre, ext, None, negated)
+        sc.expect(",")
+        items = [self.step(sc)]
         while sc.try_tok("."):
-            parts.append(_parse_pat(sc))
+            items.append(self.step(sc))
+        rest = items.pop() if type(items[-1]) is int else None
         sc.expect(")")
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = PPair(p, out)
-        return out
-    for mark in (_EMPTY, _UNIT):
-        if sc.try_tok(mark.term.text):
-            return mark
-    quoted = sc.peek() == '"'
-    word = sc.atom()
-    if not quoted and _VAR_RE.fullmatch(word):
+        if negated:
+            sc.error("only unary atoms may be negated")
+        return pred, (k, pre, ext, tuple(items), rest)
+
+    def prefix(self, sc: _Scanner):
+        """A prefix variable (None for e) and its extension."""
+        sc.skip_ws()
+        first = sc.atom()
+        if first not in ("e", "X") and not _VAR_RE.fullmatch(first):
+            sc.error("prefix must start with a variable or e")
+        pre = None if first == "e" else self.var(first)
+        ext = []
+        while sc.try_tok("."):
+            ext.append(self.step(sc))
+        return pre, tuple(ext)
+
+    def step(self, sc: _Scanner):
+        sc.skip_ws()
+        if sc.try_tok("("):
+            parts = [self.step(sc)]
+            while sc.try_tok("."):
+                parts.append(self.step(sc))
+            sc.expect(")")
+            out = parts.pop()
+            for p in reversed(parts):
+                out = ("P", p, out)
+            return out
+        for mark in (MARK_EMPTY, MARK_UNIT):
+            if sc.try_tok(mark.text):
+                return ("L", self.const(mark))
+        quoted = sc.peek() == '"'
+        word = sc.atom()
+        if quoted or not _VAR_RE.fullmatch(word):
+            return ("L", self.const(word))
         if sc.try_tok("\\"):
-            return PVarNe(word, sc.atom())
-        return PVar(word)
-    return PLab(word)
+            return ("N", self.const(sc.atom()), self.var(word))
+        return self.var(word)

@@ -1430,13 +1430,8 @@ def _cond_pred(c: SelCond, t: Type, sem: str) -> MAExpr:
     if isinstance(c, PathEqConst):
         if not isinstance(path_type(t, c.p, "select"), (DomType, AnyType)):
             return EmptyColl()   # a tuple or collection is never an atom
-        if c.mode == ATOMIC or c.mode == MON:
-            return Compose(TupleCons((("A", Proj_chain(c.p)),
-                                      ("B", Const(c.label)))),
-                           EqAtomic(("A",), ("B",)))
-        return Compose(TupleCons((("A", Proj_chain(c.p)),
-                                  ("B", Const(c.label)))),
-                       EqDeep(("A",), ("B",)))
+        # on an atom, every mode of equality is atomic equality
+        return _pair_eq(Proj_chain(c.p), Const(c.label))
     if isinstance(c, PathInSet):
         return _disj([_cond_pred(PathEqConst(c.p, l, ATOMIC), t, sem)
                       for l in c.labels], sem)

@@ -103,6 +103,27 @@ def test_ma2lp_desugars_extended_operators(files):
     assert ":-" in r.stdout and "% goal:" in r.stdout
 
 
+def test_deep_comparison_with_a_constant_runs_on_every_route(files):
+    """select[A = 'a'] compares an atom, so its desugared form is core:
+    the LP and path-set routes run it and agree with eval-ma."""
+    v = files("v.val", "[<A: a, B: b>, <A: c, B: c>]")
+    q = files("q.ma", "select[A = 'a']")
+    t = "[<A: Dom, B: Dom>]"
+    direct = run_cli("eval-ma", "--query", q, "--input", v,
+                     "--semantics", "list")
+    assert (direct.returncode, direct.stdout) == (0, "[<A: a, B: b>]\n")
+    prog = run_cli("ma2lp", "--query", q, "--open", "--type", t)
+    assert prog.returncode == 0 and "% goal:" in prog.stdout
+    paths = files("v.paths", run_cli("detree-encode", "--input", v).stdout)
+    for r in (run_cli("eval-lp", "--query", q, "--input", v),
+              run_cli("detree-eval", "--query", q, "--paths", paths,
+                      "--type", t)):
+        assert (r.returncode, r.stderr) == (0, "")
+        dec = run_cli("detree-decode", "--paths", files("o.paths", r.stdout),
+                      "--type", t)
+        assert dec.stdout == direct.stdout
+
+
 def test_detree_encode_eval_decode(files):
     v = files("v.val", "{<A: a>, <A: b>}")
     q = files("q.ma", "map(pi[A])")

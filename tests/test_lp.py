@@ -39,6 +39,55 @@ p3(X, 2.v) :- p2(X, v).  % create_tuple
 """
 
 
+def test_every_compile_branch_prints_its_rules():
+    """One program, with empty markers, that reaches every operator
+    compile_lp knows: constants, sng, pi, tup, pairwith, map, multi-step
+    eqatom paths, union, flatten and not."""
+    q = parse_ma("tup[A = tup[B = 'b', C = 'b'], S = 'x' ; sng, U = tup[]]"
+                 " ; pairwith[S] ; map(tup[E = eqatom[A.B, A.C], U = pi[U]]"
+                 " ; pi[E]) ; union(id, empty) ; flatten ; not")
+    got = print_lp(compile_lp(q, empty_markers=True))
+    assert got == """\
+input(e, dummy).  % base fact
+p1(X, b) :- input(X, v).  % constant b
+p2(X, b) :- input(X, v).  % constant b
+p3(X, B.v) :- p1(X, v).  % create_tuple
+p3(X, C.v) :- p2(X, v).  % create_tuple
+p4(X, x) :- input(X, v).  % constant x
+p5(X, s.v) :- p4(X, v).  % sng
+p6(X, <>) :- input(X, v).  % constant unit
+p7(X, A.v) :- p3(X, v).  % create_tuple
+p7(X, S.v) :- p5(X, v).  % create_tuple
+p7(X, U.v) :- p6(X, v).  % create_tuple
+p8(X, i.S.v) :- p7(X, S.i.v).  % pairwith_S
+p8(X, i.k\\S.w) :- p7(X, S.i.v), p7(X, k\\S.w).  % pairwith_S
+p8(X, []) :- p7(X, S.[]).  % pairwith_S over empty
+p9(X.i, v) :- p8(X, i.v).  % begin_map
+p10(X, s.<>) :- p9(X, A.B.v), p9(X, A.C.v).  % eqatom
+p10(X, []) :- p9(X, A.B.v), p9(X, A.C.w).  % eqatom possibly false
+p11(X, v) :- p9(X, U.v).  % pi_U
+p12(X, E.v) :- p10(X, v).  % create_tuple
+p12(X, U.v) :- p11(X, v).  % create_tuple
+p13(X, v) :- p12(X, E.v).  % pi_E
+p14(X, i.v) :- p13(X.i, v).  % end_map
+p14(X, []) :- p8(X, []).  % map over empty
+p15(X, []) :- input(X, v).  % constant empty
+p16(X, 1.v) :- p14(X, v).  % create_tuple
+p16(X, 2.v) :- p15(X, v).  % create_tuple
+p17(X, (1.i).v) :- p16(X, 1.i.v).  % union
+p17(X, (2.i).v) :- p16(X, 2.i.v).  % union
+p17(X, []) :- p16(X, 1.[]), p16(X, 2.[]).  % union of empties
+p18(X, (i.j).v) :- p17(X, i.j.v).  % flatten
+p18(X, []) :- p17(X, []).  % flatten of empty
+p18(X, []) :- p17(X, i.[]).  % flatten of empty member
+set_p18(X) :- input(X, v).  % set witness
+ne_p18(X) :- p18(X, i.v).  % nonempty
+p19(X, s.<>) :- set_p18(X), not ne_p18(X).  % not
+p19(X, []) :- ne_p18(X).  % not of nonempty
+% goal: p19
+"""
+
+
 def test_program_print_parse_roundtrip():
     rng = random.Random(8)
     for _ in range(50):
@@ -99,12 +148,13 @@ def test_constant_spelled_like_a_marker_stays_an_atom():
     assert decode_det(goal_paths(prog, rels)) == eval_ma(q, UNIT, LIST)
 
 
-@pytest.mark.parametrize("c", ["i", "v", "w1", "X", "ok", "a b"])
+@pytest.mark.parametrize("c", ["i", "v", "w1", "X", "ok", "a b", "a%b",
+                               "a:-b"])
 def test_constant_spelled_like_a_variable_roundtrips(c):
     """Constants and field labels spelled like rule variables print
     quoted, so the printed program reads back with the same meaning; so
     do labels that need quotes, also where a step variable excludes
-    them."""
+    them, and labels holding the comment and rule separators."""
     a = print_atom(c)
     q = parse_ma("tup[%s = '%s' ; sng, B = 'b'] ; pairwith[%s]" % (a, a, a))
     prog = parse_lp(print_lp(compile_lp(q)))
@@ -313,7 +363,7 @@ def test_generated_rules_splice_in_no_constant():
         gen.gen_bool_query(random.Random(4), 3, LIST), empty_markers=True)))
     for text in texts:
         for r in parse_lp(text).rules:
-            source = lp._RuleSource(lp._shape(r)[0]).source()
+            source = lp._RuleSource(r.shape).source()
             for node in ast.walk(ast.parse(source)):
                 assert not (isinstance(node, ast.Constant)
                             and isinstance(node.value, str)), source
@@ -347,7 +397,7 @@ def test_a_seen_rule_shape_generates_no_new_function():
         eval_lp(prog, {prog.input_pred: {((), p) for p in paths}})
         sizes.append(len(lp._RULES))
     assert sizes[1] == sizes[0]
-    shapes = {lp._shape(r)[0] for r in prog.rules}
+    shapes = {r.shape for r in prog.rules}
     assert shapes <= set(lp._RULES) and len(shapes) < len(prog.rules) / 10
 
 
@@ -431,6 +481,21 @@ PINNED_FACTS = {
         _flat_programs,
         "94259fa2b86864e55ce8bdba6a4ace1273022d87da0b61e399f83598872a1a33"),
 }
+
+
+# sha256 over print_lp of every program of the PINNED_FACTS families, in
+# sorted family order, recorded when rules were built from pattern objects
+COMPILED_TEXT_DIGEST = (
+    "9280ec87ccf8a23b28c2b80ce44d1878"
+    "796c1e59ff78e114de3644bdd29108be")
+
+
+def test_compiled_program_text_is_pinned():
+    h = hashlib.sha256()
+    for family in sorted(PINNED_FACTS):
+        for prog, _ in PINNED_FACTS[family][0]():
+            h.update((print_lp(prog) + "--\n").encode())
+    assert h.hexdigest() == COMPILED_TEXT_DIGEST
 
 
 @pytest.mark.parametrize("family", sorted(PINNED_FACTS))

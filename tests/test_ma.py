@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from nestql import gen
 from nestql.ma import (
-    CAnd, CIff, CNot, COr, CartProd, Compose, Const, Diff, EmptyColl,
-    EqAtomic, EqDeep, EqMon, FlatMap, Flatten, Id, Intersect, MAExpr,
-    MATypeError, Map, MemberOf, Monus, Nest, NotOp, PairWith, PathEqConst,
-    PathEqPath, PathInSet, Proj, Proj_chain, Select, Sng, SubsetEq, TrueOp,
-    TupleCons, Union, UnionT, Unique, UnitTuple, ast_size, compose, desugar,
-    eval_ma, expand_mon_eq, infer_type, is_core, size_bound, type_of,
+    CAnd, CIff, CNot, CORE_NODES, COr, CartProd, Compose, Const, Diff,
+    EmptyColl, EqAtomic, EqDeep, EqMon, FlatMap, Flatten, Id, Intersect,
+    MAExpr, MATypeError, Map, MemberOf, Monus, Nest, NotOp, PairWith,
+    PathEqConst, PathEqPath, PathInSet, Proj, Proj_chain, Select, Sng,
+    SubsetEq, TrueOp, TupleCons, Union, UnionT, Unique, UnitTuple, _subexprs,
+    ast_size, compose, desugar, eval_ma, expand_mon_eq, infer_type, is_core,
+    size_bound, type_of,
 )
 from nestql.ma_text import parse_ma, print_ma
 from nestql.values import (
@@ -507,3 +508,48 @@ def test_mon_comparison_of_a_tuple_with_a_constant_desugars(sem):
     want = print_value(make_coll(sem, ()))
     assert print_value(eval_ma(q, v, sem)) == want
     assert print_value(eval_ma(core, v, sem)) == want
+
+
+def _core_but_deep_eq(q) -> bool:
+    """Core, apart from deep equality, which desugar keeps primitive on
+    collection-bearing types."""
+    return isinstance(q, EqDeep) or (
+        isinstance(q, CORE_NODES) and all(map(_core_but_deep_eq,
+                                              _subexprs(q))))
+
+
+# (query, input, direct result, whether the desugared form is core)
+EXTENDED_CASES = [
+    ("diff", "<1: {a, b, c}, 2: {b, d}>", "{a, c}", True),
+    ("diff", "<1: {{a}, {b}}, 2: {{b}}>", "{{a}}", False),
+    ("cap", "<1: {a, b, c}, 2: {c, b, d}>", "{b, c}", True),
+    ("subseteq[1, 2]", "<1: {a}, 2: {a, b}>", "{<>}", False),
+    ("subseteq[1, 2]", "<1: {a, c}, 2: {a, b}>", "{}", False),
+    ("in[1, 2]", "<1: a, 2: {a, b}>", "{<>}", False),
+    ("in[1, 2]", "<1: c, 2: {a, b}>", "{}", False),
+    ("nest[C = (B)]", "{<A: a, B: x>, <A: a, B: y>, <A: b, B: z>}",
+     "{<A: a, C: {<B: x>, <B: y>}>, <A: b, C: {<B: z>}>}", True),
+    ("eq[A, B]", "<A: <X: a, Y: b>, B: <X: a, Y: b>>", "{<>}", True),
+    ("eq[A, B]", "<A: {a, b}, B: {b, a}>", "{<>}", False),
+    ("select[A =atom 'a' <=> B =atom 'b']",
+     "{<A: a, B: b>, <A: a, B: c>, <A: c, B: c>, <A: c, B: b>}",
+     "{<A: a, B: b>, <A: c, B: c>}", True),
+    ("select[A = 'a']", "{<A: a, B: b>, <A: c, B: c>}", "{<A: a, B: b>}",
+     True),
+    ("select[A in {a, c}]", "{<A: a, B: b>, <A: b, B: c>, <A: c, B: c>}",
+     "{<A: a, B: b>, <A: c, B: c>}", True),
+]
+
+
+@pytest.mark.parametrize("text, value, want, core", EXTENDED_CASES)
+def test_extended_operators_desugar_to_their_meaning(text, value, want,
+                                                     core):
+    """Each extended operator's desugared form evaluates to the direct
+    result under set semantics; it is core except for deep equality on
+    collection-bearing types."""
+    q = parse_ma(text)
+    v = parse_value(value)
+    got = desugar(q, type_of(v, SET), SET)
+    assert is_core(got) is core and _core_but_deep_eq(got)
+    assert print_value(eval_ma(q, v, SET)) == want
+    assert print_value(eval_ma(got, v, SET)) == want
