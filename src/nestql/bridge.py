@@ -53,7 +53,7 @@ def encode_C(t: Tree) -> Value:
 
 
 def decode_C(v: Value) -> Tree:
-    if (not isinstance(v, Tuple) or v.labels() != ("label", "children")):
+    if (not isinstance(v, Tuple) or v.labels != ("label", "children")):
         raise ValueError_("not a C-encoded tree: %r" % (v,))
     label = v.field("label")
     children = v.field("children")
@@ -69,7 +69,7 @@ def encode_T(v: Value) -> Tree:
     if isinstance(v, Tuple):
         return Tree("tup", tuple(
             Tree("a%d" % (i + 1), (encode_T(x),))
-            for i, (_, x) in enumerate(v.fields)))
+            for i, x in enumerate(v.vals)))
     assert isinstance(v, Coll)
     if v.kind != LIST:
         raise ValueError_("T encodes lists only, got a %s" % v.kind)

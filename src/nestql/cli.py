@@ -17,7 +17,7 @@ from . import bridge, checks, detree, lp, ma, reductions, xmlxq
 from .ma_text import parse_ma, print_ma
 from .values import (
     BAG, LIST, SET, UNIT, ValueError_, parse_type, parse_value,
-    print_value, value_nodes,
+    print_chunks, value_nodes,
 )
 
 DEFAULT_MAX_NODES = 10 ** 7
@@ -58,6 +58,15 @@ def _out(text: str):
         sys.stdout.write("\n")
 
 
+def _out_value(v):
+    """Print a value's text, made whole before any of it is written, so
+    a failure while printing leaves stdout empty. A value's text never
+    ends in a newline."""
+    chunks = print_chunks(v)
+    chunks.append("\n")
+    sys.stdout.writelines(chunks)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies. Each returns the process exit code.
 
@@ -66,7 +75,7 @@ def cmd_eval_ma(a) -> int:
     v = parse_value(_read(a.input)) if a.input else UNIT
     out = ma.eval_ma(q, v, a.semantics)
     _guard(value_nodes(out), "the result")
-    _out(print_value(out))
+    _out_value(out)
     return 0
 
 
@@ -152,7 +161,7 @@ def cmd_detree_eval(a) -> int:
 def cmd_detree_decode(a) -> int:
     V = detree.parse_pathset(_read(a.paths))
     t = parse_type(a.type) if a.type else None
-    _out(print_value(detree.decode_det(V, t)))
+    _out_value(detree.decode_det(V, t))
     return 0
 
 
@@ -195,8 +204,7 @@ def cmd_gen_dexp(a) -> int:
     # 2^(m+1) - 1 nodes, inside one set node.
     _guard(2 ** (2 ** a.m) * (2 ** (a.m + 1) - 1) + 1,
            "the doubly exponential result")
-    out = ma.eval_ma(q, UNIT, SET)
-    _out(print_value(out))
+    _out_value(ma.eval_ma(q, UNIT, SET))
     return 0
 
 

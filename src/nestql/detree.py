@@ -151,10 +151,10 @@ def _encode(v: Value):
     if isinstance(v, Atom):
         return [(v.label,)]
     if isinstance(v, Tuple):
-        if not v.fields:
+        if not v.vals:
             return [(MARK_UNIT,)]
         out = []
-        for l, x in v.fields:
+        for l, x in zip(v.labels, v.vals):
             out.extend((l,) + p for p in _encode(x))
         return out
     assert isinstance(v, Coll)

@@ -657,11 +657,11 @@ def _print_atom(r: Rule, pred: str, atom) -> str:
     arg1 = ".".join(["e" if pre is None else r.names[pre]]
                     + [_print_pat(r, p) for p in ext])
     if items is None:
-        return "%s%s(%s)" % ("not " if last else "", pred, arg1)
+        return "%s%s(%s)" % ("not " if last else "", print_atom(pred), arg1)
     arg2 = [_print_pat(r, p) for p in items]
     if last is not None:
         arg2.append(r.names[last])
-    return "%s(%s, %s)" % (pred, arg1, ".".join(arg2))
+    return "%s(%s, %s)" % (print_atom(pred), arg1, ".".join(arg2))
 
 
 def _print_pat(r: Rule, p) -> str:

@@ -736,9 +736,10 @@ def _c_pairwith(q, cc):
         src = v.field(label)
         if type(src) is not Coll:
             _expected(src, "pairwith field", "collection")
-        i = v.labels().index(label)
-        pre, post = v.fields[:i], v.fields[i + 1:]
-        out = [Tuple(pre + ((label, x),) + post) for x in src.elems]
+        labels, vals = v.labels, v.vals
+        i = labels.index(label)
+        pre, post = vals[:i], vals[i + 1:]
+        out = [Tuple(labels, pre + (x,) + post) for x in src.elems]
         if src.kind == sem:
             # only the paired field varies, in src's canonical order
             return Coll(sem, tuple(out))
@@ -747,11 +748,12 @@ def _c_pairwith(q, cc):
 
 
 def _c_tuple(q, cc):
-    fields = [(l, cc(f)) for l, f in q.fields]
-    if len({l for l, _ in fields}) == len(fields):
-        return lambda v: Tuple(tuple([(l, f(v)) for l, f in fields]))
+    labels = tuple([l for l, _ in q.fields])
+    fs = [cc(f) for _, f in q.fields]
+    if len(set(labels)) == len(labels):
+        return lambda v: Tuple(labels, tuple([f(v) for f in fs]))
     # make_tuple raises, once the fields are evaluated
-    return lambda v: make_tuple([(l, f(v)) for l, f in fields])
+    return lambda v: make_tuple(zip(labels, [f(v) for f in fs]))
 
 
 def _c_proj(q, cc):
@@ -906,14 +908,19 @@ def _c_nest(q, cc):
         groups = {}
         for x in _as_coll(v, "nest").elems:
             t = _as_tuple(x, "nest")
-            key = make_tuple((l, w) for l, w in t.fields
-                             if l not in grouped)
-            part = make_tuple((l, w) for l, w in t.fields if l in grouped)
+            fields = list(zip(t.labels, t.vals))
+            key = make_tuple((l, w) for l, w in fields if l not in grouped)
+            part = make_tuple((l, w) for l, w in fields if l in grouped)
             groups.setdefault(key, []).append(part)
         return make_coll(sem, (
-            make_tuple(k.fields + ((label, make_coll(sem, ms)),))
+            make_tuple(zip(k.labels + (label,),
+                           k.vals + (make_coll(sem, ms),)))
             for k, ms in groups.items()))
     return run
+
+
+# the labels of every product and hash-join pair
+_PAIR = ("1", "2")
 
 
 def _c_cart(q, cc):
@@ -923,7 +930,7 @@ def _c_cart(q, cc):
     def run(v):
         a = _as_coll(fa(v), "cart")
         b = _as_coll(fb(v), "cart")
-        out = [Tuple((("1", x), ("2", y))) for x in a.elems for y in b.elems]
+        out = [Tuple(_PAIR, (x, y)) for x in a.elems for y in b.elems]
         return _product(sem, a, b, out)
     return run
 
@@ -943,7 +950,7 @@ def _c_hash_join(q, cc):
         out = []
         for x in a.elems:
             for y in match.get(ka(x), ()):
-                xy = Tuple((("1", x), ("2", y)))
+                xy = Tuple(_PAIR, (x, y))
                 if test is None or test(xy):
                     out.append(xy)
         return _product(sem, a, b, out)
@@ -1055,7 +1062,8 @@ def type_of(v: Value, sem: str = SET) -> Type:
     if isinstance(v, Atom):
         return DOM
     if isinstance(v, Tuple):
-        return TupleType(tuple((l, type_of(x, sem)) for l, x in v.fields))
+        return TupleType(tuple((l, type_of(x, sem))
+                               for l, x in zip(v.labels, v.vals)))
     assert isinstance(v, Coll)
     if v.kind != sem:
         raise MATypeError("%s collection under %s semantics" % (v.kind, sem))

@@ -547,12 +547,12 @@ def _flat_ser(v: Value, pos: int, atomic, sets, pairs) -> Tup[str, int]:
         atomic.append((pos, v.label))
         return v.label, pos + len(v.label)
     if isinstance(v, Tuple):
-        if len(v.fields) != 2:
+        if len(v.vals) != 2:
             raise ValueError_("flat encoding needs binary tuples, got %d "
-                              "fields" % len(v.fields))
+                              "fields" % len(v.vals))
         here = pos
-        s1, p1 = _flat_ser(v.fields[0][1], pos + 1, atomic, sets, pairs)
-        s2, p2 = _flat_ser(v.fields[1][1], p1 + 1, atomic, sets, pairs)
+        s1, p1 = _flat_ser(v.vals[0], pos + 1, atomic, sets, pairs)
+        s2, p2 = _flat_ser(v.vals[1], p1 + 1, atomic, sets, pairs)
         pairs.append((here, pos + 1, p1 + 1))
         return "⟨" + s1 + "," + s2 + "⟩", p2 + 1
     if isinstance(v, Coll):
@@ -604,11 +604,10 @@ def print_flat(db: Value) -> str:
     if not isinstance(db, Tuple):
         raise ValueError_("expected a relation tuple")
     lines = []
-    for name, _ in db.fields:
-        rel = db.field(name)
+    for name, rel in zip(db.labels, db.vals):
         facts = []
         for t in rel.elems:
-            args = [x.label for _, x in t.fields]
+            args = [x.label for x in t.vals]
             facts.append((int(args[0]), args))
         for _, args in sorted(facts):
             lines.append("%s(%s)." % (name, ", ".join(args)))

@@ -6,16 +6,22 @@ kept, order canonical). A small text format with tuple brackets ``<...>``,
 set braces ``{...}``, list brackets ``[...]`` and bag braces ``{|...|}``
 round-trips through :func:`parse_value` / :func:`print_value`.
 
-Each tuple and collection node stores what would otherwise mean walking
-its whole subtree: its canonical sort key (:func:`sort_key`), its hash,
-whether it is free of collections (the mon-equality check), its node
-count (:func:`value_nodes`) and, for tuples, its label tuple. Each is
-built on first use from the members' stored ones, so a node computes it
-once. Native ``hash`` is the stored hash and native ``==`` compares
-fields, so both are structural, which holds only because every set
-and bag is in canonical order (see :class:`Coll`). Stored hashes
-depend on ``PYTHONHASHSEED``, so values must not be pickled or
-persisted.
+A tuple node stores its labels and its members as two tuples, and the
+label tuple is shared by every tuple of one shape that one operator
+builds (all the pairs of a product share one). A collection node stores
+its kind and its members. Labels and kinds are checked where they come
+from outside the evaluator, in :func:`make_tuple` and :func:`make_coll`
+(which :func:`parse_value` uses), not on every construction.
+
+Each tuple and collection node also stores what would otherwise mean
+walking its whole subtree: its canonical sort key (:func:`sort_key`),
+its hash, whether it is free of collections (the mon-equality check) and
+its node count (:func:`value_nodes`). Each is built on first use from
+the members' stored ones, so a node computes it once. Native ``hash`` is
+the stored hash and native ``==`` compares labels and members, so both
+are structural, which holds only because every set and bag is in
+canonical order (see :class:`Coll`). Stored hashes depend on
+``PYTHONHASHSEED``, so values must not be pickled or persisted.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ BAG = "bag"
 KINDS = (SET, LIST, BAG)
 
 _KIND_RANK = {SET: 0, LIST: 1, BAG: 2}
+
+# the brackets of each kind of collection, in value and type text
+_OPEN = {SET: "{", LIST: "[", BAG: "{|"}
+_CLOSE = {SET: "}", LIST: "]", BAG: "|}"}
 
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_#+\-]+")
 
@@ -85,45 +95,48 @@ class Atom(Value):
 
 @dataclass(frozen=True)
 class Tuple(Value):
-    """A tuple. Its labels must be distinct: :func:`make_tuple` checks
-    them, and the evaluator builds tuples directly only where they are
-    distinct by construction (a product's pair, a pairwith copy of a
-    tuple, a ``tup[...]`` whose labels were checked when compiled)."""
-    fields: Tup[Tup[str, Value], ...]
+    """A tuple: its labels, and its members in the same order. The label
+    tuple is shared by the tuples of one shape that one operator builds:
+    one ``("1", "2")`` for every product and hash-join pair, one per
+    compiled ``tup[...]``, and a pairwith copy keeps its input's.
+
+    The labels must be distinct: :func:`make_tuple` checks them, and the
+    evaluator builds tuples directly only where they are distinct by
+    construction (a product's pair, a pairwith copy of a tuple, a
+    ``tup[...]`` whose labels were checked when compiled)."""
+    labels: Tup[str, ...]
+    vals: Tup[Value, ...]
 
     def field(self, label: str) -> Value:
-        for l, v in self.fields:
-            if l == label:
-                return v
-        raise ValueError_("no field %r in tuple with fields %r"
-                          % (label, [l for l, _ in self.fields]))
+        try:
+            return self.vals[self.labels.index(label)]
+        except ValueError:
+            raise ValueError_("no field %r in tuple with fields %r"
+                              % (label, list(self.labels))) from None
 
-    def labels(self) -> Tup[str, ...]:
-        return self._labels
+    @property
+    def fields(self) -> Tup[Tup[str, Value], ...]:
+        """The (label, member) pairs, built when asked."""
+        return tuple(zip(self.labels, self.vals))
 
     def __hash__(self):
         return self._hash
 
     @_once
-    def _labels(self):
-        return tuple([l for l, _ in self.fields])
-
-    @_once
     def _key(self):
-        f = self.fields
-        return (1, tuple([l for l, _ in f]), tuple([x._key for _, x in f]))
+        return (1, self.labels, tuple([x._key for x in self.vals]))
 
     @_once
     def _hash(self):
-        return hash(self.fields)
+        return hash((self.labels, self.vals))
 
     @_once
     def _set_free(self):
-        return all(x._set_free for _, x in self.fields)
+        return all(x._set_free for x in self.vals)
 
     @_once
     def _nodes(self):
-        return 1 + sum([x._nodes for _, x in self.fields])
+        return 1 + sum([x._nodes for x in self.vals])
 
 
 @dataclass(frozen=True)
@@ -140,15 +153,14 @@ class Coll(Value):
     - a product or hash join of two sets under set semantics gives its
       pairs in nested-loop order, which is sorted and duplicate-free, as
       pairs compare by side 1, then side 2. Not so for bags, whose equal
-      members repeat the run of side 2."""
+      members repeat the run of side 2.
+
+    The kind is not checked here: :func:`make_coll` checks it, and the
+    evaluator's own kinds are checked once per evaluation."""
     kind: str
     elems: Tup[Value, ...]
 
     _set_free = False
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError_("bad collection kind %r" % (self.kind,))
 
     def __hash__(self):
         return self._hash
@@ -167,7 +179,7 @@ class Coll(Value):
         return 1 + sum([x._nodes for x in self.elems])
 
 
-UNIT = Tuple(())
+UNIT = Tuple((), ())
 
 
 def sort_key(v: Value):
@@ -177,13 +189,15 @@ def sort_key(v: Value):
 
 
 def make_coll(kind: str, elems: Iterable[Value]) -> Coll:
-    """Build a collection in canonical form (sets and bags sorted by
-    :func:`sort_key`, sets then deduped; lists as given). The sort is
-    stable, so a set keeps the first-seen member of each equal group.
-    Fewer than two members are canonical as given, and their keys are
-    not built."""
+    """Build a collection of a checked kind in canonical form (sets and
+    bags sorted by :func:`sort_key`, sets then deduped; lists as given).
+    The sort is stable, so a set keeps the first-seen member of each
+    equal group. Fewer than two members are canonical as given, and
+    their keys are not built."""
     if kind == LIST:
         return Coll(kind, tuple(elems))
+    if kind not in KINDS:
+        raise ValueError_("bad collection kind %r" % (kind,))
     elems = list(elems)
     if len(elems) > 1:
         elems.sort(key=sort_key)
@@ -194,12 +208,12 @@ def make_coll(kind: str, elems: Iterable[Value]) -> Coll:
 
 
 def make_tuple(fields: Iterable[Tup[str, Value]]) -> Tuple:
-    """A tuple of the given fields; their labels must be distinct."""
-    fields = tuple(fields)
-    if len({l for l, _ in fields}) != len(fields):
-        raise ValueError_("duplicate tuple label in %r"
-                          % ([l for l, _ in fields],))
-    return Tuple(fields)
+    """A tuple of the given (label, member) pairs; the labels must be
+    distinct."""
+    labels, vals = tuple(zip(*fields)) or ((), ())
+    if len(set(labels)) != len(labels):
+        raise ValueError_("duplicate tuple label in %r" % (list(labels),))
+    return Tuple(labels, vals)
 
 
 def value_nodes(v: Value) -> int:
@@ -256,12 +270,7 @@ def print_type(t: Type) -> str:
     if isinstance(t, DomType):
         return "Dom"
     if isinstance(t, CollType):
-        inner = print_type(t.elem)
-        if t.kind == SET:
-            return "{%s}" % inner
-        if t.kind == LIST:
-            return "[%s]" % inner
-        return "{|%s|}" % inner
+        return _OPEN[t.kind] + print_type(t.elem) + _CLOSE[t.kind]
     if isinstance(t, TupleType):
         return "<%s>" % ", ".join("%s: %s" % (print_atom(l), print_type(x))
                                   for l, x in t.fields)
@@ -286,10 +295,10 @@ def check_type(v: Value, t: Type, path: str = "") -> Tup[bool, Optional[str]]:
                 return False, diag
         return True, None
     assert isinstance(t, TupleType)
-    if not isinstance(v, Tuple) or v.labels() != t.labels():
+    if not isinstance(v, Tuple) or v.labels != t.labels():
         return False, "%s: expected tuple with fields %r" % (
             where, list(t.labels()))
-    for (l, e), (_, ft) in zip(v.fields, t.fields):
+    for l, e, (_, ft) in zip(v.labels, v.vals, t.fields):
         ok, diag = check_type(e, ft, "%s.%s" % (path, l) if path else l)
         if not ok:
             return False, diag
@@ -336,38 +345,75 @@ def print_atom(label: str) -> str:
 
 
 def print_value(v: Value) -> str:
-    """Value text. Each sub-value object is printed once per call and its
-    text reused wherever the object occurs again; the ids stay unique
-    during the call because v keeps every node alive. Each tuple label is
-    likewise printed once per call."""
-    return _print(v, {})
+    """Value text: the join of :func:`print_chunks`."""
+    return "".join(print_chunks(v))
 
 
-def _print(v: Value, memo: dict) -> str:
-    if isinstance(v, Atom):
-        return print_atom(v.label)
-    out = memo.get(id(v))
-    if out is not None:
-        return out
-    if isinstance(v, Tuple):
-        out = "<%s>" % ", ".join([(memo.get(l) or _print_label(l, memo))
-                                  + _print(x, memo) for l, x in v.fields])
-    else:
-        body = ", ".join([_print(x, memo) for x in v.elems])
-        if v.kind == SET:
-            out = "{%s}" % body
-        elif v.kind == LIST:
-            out = "[%s]" % body
-        else:
-            out = "{|%s|}" % body
-    memo[id(v)] = out
+def print_chunks(v: Value) -> list:
+    """The text of v as a list of chunks, whole before any is written.
+    A collection gives its opening bracket, then one chunk per member
+    that ends in the separator or, for the last member, the closing
+    bracket; any other value gives one chunk.
+
+    Each sub-value object is printed once per call and its text reused
+    wherever the object occurs again; the ids stay unique during the
+    call because v keeps every node alive. The texts of a top
+    collection's members are not kept in the memo, which would then
+    hold a second copy of nearly the whole text. Each label tuple's
+    printed labels are likewise made once per call."""
+    memo = {}
+    if type(v) is not Coll:
+        return [_print(v, memo)]
+    elems, close = v.elems, _CLOSE[v.kind]
+    if not elems:
+        return [_OPEN[v.kind] + close]
+    out = [_OPEN[v.kind]]
+    last = len(elems) - 1
+    for i, x in enumerate(elems):
+        parts = _parts(x, memo)
+        parts.append(close if i == last else ", ")
+        out.append("".join(parts))
     return out
 
 
-def _print_label(label: str, memo: dict) -> str:
-    """A tuple field's printed label and colon, kept in the memo under
-    the label itself (value ids are ints, so the keys never meet)."""
-    out = memo[label] = print_atom(label) + ": "
+def _print(v: Value, memo: dict) -> str:
+    """The text of v, kept in the memo under its id."""
+    out = memo[id(v)] = "".join(_parts(v, memo))
+    return out
+
+
+def _parts(v: Value, memo: dict) -> list:
+    """Pieces that join to the text of v. Each member's text is looked
+    up in the memo before it is printed."""
+    if type(v) is Atom:
+        return [print_atom(v.label)]
+    get = memo.get
+    parts = []
+    if type(v) is Tuple:
+        if not v.vals:
+            return ["<>"]
+        heads = get(v.labels) or _heads(v.labels, memo)
+        for h, x in zip(heads, v.vals):
+            parts.append(h)
+            parts.append(get(id(x)) or _print(x, memo))
+        parts.append(">")
+        return parts
+    parts.append(_OPEN[v.kind])
+    for x in v.elems:
+        parts.append(get(id(x)) or _print(x, memo))
+        parts.append(", ")
+    if v.elems:
+        parts.pop()
+    parts.append(_CLOSE[v.kind])
+    return parts
+
+
+def _heads(labels: tuple, memo: dict) -> list:
+    """What precedes each member of a tuple with these labels: "<" or
+    ", ", then the label and a colon. Kept in the memo under the label
+    tuple itself (value ids are ints, so the keys never meet)."""
+    out = memo[labels] = ["%s%s: " % (", " if i else "<", print_atom(l))
+                          for i, l in enumerate(labels)]
     return out
 
 

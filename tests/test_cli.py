@@ -160,6 +160,17 @@ def test_detree_decode_orders_tied_steps_under_any_hash_seed(
     assert outs == {"[a, b]\n"}
 
 
+def test_a_print_that_fails_late_writes_nothing(files):
+    """Decoding a list nested 600 deep takes a frame per level, printing
+    it two: the print fails after 999 shallow members are printed, and
+    stdout stays empty."""
+    shallow = "".join("%d.a%d\n" % (i, i) for i in range(1, 1000))
+    p = files("v.paths", shallow + "1000." + "1." * 600 + "z\n")
+    r = run_cli("detree-decode", "--paths", p)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: maximum recursion depth exceeded")
+
+
 def test_type_error_with_unknown_element_type_exits_2(files):
     q = files("q.ma", "empty ; sng ; pi[A] ; cart(id, id)")
     r = run_cli("ma2lp", "--query", q)

@@ -99,6 +99,21 @@ def test_program_print_parse_roundtrip():
             goal_paths(prog, eval_lp(prog)[0])
 
 
+def test_predicate_names_that_need_quotes_round_trip():
+    text = ('"a b"(e, x).\n"c d"(e).\n'
+            'h(X, v) :- "a b"(X, v), not "c d"(X).\n% goal: h\n')
+    prog = parse_lp(text)
+    assert print_lp(prog) == text
+    assert eval_lp(parse_lp(print_lp(prog)))[0] == eval_lp(prog)[0]
+    # a quoted input predicate, as ma2lp --input-pred gives it
+    prog = compile_lp(parse_ma("sng ; map(tup[A = id])"), input_pred="a b")
+    assert print_lp(prog).startswith('"a b"(e, dummy).')
+    again = parse_lp(print_lp(prog))
+    assert print_lp(again) == print_lp(prog)
+    assert goal_paths(again, eval_lp(again)[0]) == \
+        goal_paths(prog, eval_lp(prog)[0])
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=60)
 def test_goal_paths_decode_to_the_direct_result(seed):

@@ -380,6 +380,21 @@ def test_machine_step_relation_through_the_k2_zoom():
     assert _same_as_plain(q, sample).elems
 
 
+def test_pairs_of_one_shape_share_one_label_tuple():
+    """Every pair of a product or a planned hash join, and every tuple of
+    one compiled tup[...], holds the same label tuple object."""
+    v = parse_value("{a, b, c}")
+    for text in ("cart(id, id)", "cart(id, id) ; select[1 = 2]",
+                 "cart(id, id) ; map(tup[A = pi[1], B = pi[2]])"):
+        out = eval_ma(parse_ma(text), v, SET)
+        assert len(out.elems) > 1
+        assert len({id(x.labels) for x in out.elems}) == 1
+    assert _has_join(plan(parse_ma("cart(id, id) ; select[1 = 2]")))
+    a = eval_ma(parse_ma("cart(id, id)"), v, SET).elems[0]
+    b = eval_ma(parse_ma("cart(id, id) ; select[1 = 2]"), v, SET).elems[0]
+    assert a.labels is b.labels
+
+
 def test_savitch_doubling_is_a_hash_join():
     tm = reductions.ACCEPTOR
     steps = eval_ma(reductions.tm_step_query(tm, 1), _configs(tm, 1), SET)

@@ -29,13 +29,15 @@ def test_script_runs(args):
     assert r.stdout.strip()
     if args[0] == "growth_demo.py":
         # a header, then m, query size, |result|, eval and print times
-        # for each level
+        # and the peak RSS so far for each level
         lines = r.stdout.splitlines()
-        assert lines[0].split()[-2:] == ["eval", "print"]
+        assert lines[0].split()[-3:] == ["eval", "print", "peak_rss"]
         rows = [line.split() for line in lines[1:]]
         assert [row[0] for row in rows] == [str(m) for m in range(3)]
         assert [row[2] for row in rows] == ["2", "4", "16"]
-        assert all(t.endswith("s") for row in rows for t in row[3:])
+        assert all(t.endswith("s") for row in rows for t in row[3:5])
+        rss = [float(row[5][:-2]) for row in rows if row[5].endswith("MB")]
+        assert len(rss) == 3 and 0 < rss[0] <= rss[1] <= rss[2]
     if args[0] == "tm_demo.py":
         # each decision agrees with the simulation
         assert all(" ok (" in line for line in r.stdout.splitlines())

@@ -11,9 +11,10 @@ from nestql.ma import eval_ma
 from nestql.ma_text import parse_ma
 from nestql.reductions import gen_doubly_exp
 from nestql.values import (
-    ATOMIC, BAG, DEEP, KINDS, LIST, MON, SET, UNIT, Atom, Tuple,
-    ValueError_, make_coll, make_tuple, parse_type, parse_value, print_type,
-    print_value, sort_key, value_equal, value_nodes,
+    ATOMIC, BAG, DEEP, KINDS, LIST, MON, SET, UNIT, Atom, Coll, Tuple,
+    ValueError_, make_coll, make_tuple, parse_type, parse_value, print_atom,
+    print_chunks, print_type, print_value, sort_key, value_equal,
+    value_nodes,
 )
 
 
@@ -194,6 +195,62 @@ def test_printing_shared_sub_values_matches_an_unshared_rebuild():
     assert print_value(d) == print_value(_rebuild(d, random.Random(0)))
 
 
+_BRACKETS = {SET: ("{", "}"), LIST: ("[", "]"), BAG: ("{|", "|}")}
+
+
+def _ref_print(v):
+    """The value text, printed by walking the tree with no memo."""
+    if isinstance(v, Atom):
+        return print_atom(v.label)
+    if isinstance(v, Tuple):
+        return "<%s>" % ", ".join("%s: %s" % (print_atom(l), _ref_print(x))
+                                  for l, x in v.fields)
+    o, c = _BRACKETS[v.kind]
+    return o + ", ".join(_ref_print(x) for x in v.elems) + c
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(KINDS))
+def test_printed_chunks_join_to_the_value_text(seed, sem):
+    """One chunk per member of a top collection (and its opening
+    bracket), one chunk for any other value; the members share
+    sub-values, need quoted labels, or are empty or the unit."""
+    rng = random.Random(seed)
+    v = gen.gen_value(rng, gen.gen_type(rng, 3, sem), fanout=3)
+    odd = make_tuple([("a b", v), ('say "hi"', UNIT),
+                      ("1", make_coll(sem, ()))])
+    top = make_coll(sem, [v, odd, v, UNIT, make_coll(sem, ()), odd,
+                          make_tuple([("x.y", odd)]), Atom("p q")])
+    for w in (v, odd, top, UNIT, make_coll(sem, ())):
+        chunks = print_chunks(w)
+        assert print_value(w) == "".join(chunks) == _ref_print(w)
+        if isinstance(w, Coll) and w.elems:
+            assert len(chunks) == len(w.elems) + 1
+        else:
+            assert len(chunks) == 1
+    assert len(print_chunks(top)) > 2
+
+
+def test_a_set_nested_400_deep_prints():
+    v = eval_ma(parse_ma("sng ; " * 400 + "id"), UNIT, SET)
+    assert print_value(v) == "{" * 400 + "<>" + "}" * 400
+
+
+def test_bad_collection_kind_is_rejected_where_it_comes_in():
+    with pytest.raises(ValueError_, match="bad collection kind 'sett'"):
+        make_coll("sett", [])
+    with pytest.raises(ValueError_, match="bad collection kind 'sett'"):
+        eval_ma(parse_ma("sng"), UNIT, "sett")
+
+
+def test_tuple_field_lookup_names_the_missing_label():
+    t = parse_value("<A: a, B: b>")
+    assert t.field("B") == Atom("b")
+    assert t.fields == (("A", Atom("a")), ("B", Atom("b")))
+    with pytest.raises(ValueError_) as e:
+        t.field("C")
+    assert str(e.value) == "no field 'C' in tuple with fields ['A', 'B']"
+
+
 def test_mon_equality_check_names_the_first_offender():
     s = parse_value("<A: {a}>")
     t = parse_value("<A: a>")
@@ -213,6 +270,10 @@ def test_mon_equality_check_names_the_first_offender():
 
 DEXP3_SHA256 = (
     "ea527241bea161d5e14401750208320960ae234ae9f907a10635c4beada41128")
+# recorded before tuples stored their labels apart from their members and
+# the printer made chunks
+DEXP4_SHA256 = (
+    "3c89d84c4fcae04452a18df177ff87b8a8c1ff3dc7a134b5e6be750050a9cd32")
 TYPED_RESULTS_SHA256 = (
     "6241728328cb8cfaa43d4fea611ef22ee93df6de644bc5df27cec9a4b3a63093")
 
@@ -223,6 +284,15 @@ def test_gen_dexp_output_is_pinned():
         assert cli.main(["gen-dexp", "--m", "3", "--eval"]) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
         DEXP3_SHA256
+
+
+def test_gen_dexp_m4_output_is_pinned():
+    """65,536 members, each printed as its own chunk."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["gen-dexp", "--m", "4", "--eval"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        DEXP4_SHA256
 
 
 def test_typed_query_results_are_pinned():
