@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,12 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from nestql import gen
 from nestql.detree import (
-    check_deterministic, decode_det, encode_det, eval_closed, eval_det,
-    listify_type, parse_pathset, print_pathset,
+    MARK_EMPTY, MARK_UNIT, check_deterministic, decode_det, encode_det,
+    eval_closed, eval_det, listify_type, parse_pathset, print_pathset,
 )
-from nestql.ma import UNIT_T, eval_ma, infer_type
+from nestql.ma import (
+    UNIT_T, EqAtomic, Flatten, Id, Map, Proj, desugar, eval_ma, infer_type,
+)
 from nestql.ma_text import parse_ma
+from nestql.reductions import flat_encode, gen_vprime
 from nestql.values import LIST, SET, UNIT, parse_type, parse_value
+
+from test_lp import FLAT_DB_TYPE, FLAT_TYPES
 
 
 @given(st.integers(0, 10 ** 6))
@@ -94,3 +100,67 @@ def test_steps_that_int_cannot_read_order_as_labels():
     it as a numeral crashed decoding. It orders after the numerals."""
     paths = parse_pathset('"²".a\n1.b\n')
     assert decode_det(paths, parse_type("[Dom]")) == parse_value("[b, a]")
+
+
+def _pinned_path_sets():
+    """Every eval_det result the PINNED_PATHS digest covers, in order:
+    gen_closed_query seeds 0-199 without and with empty markers, then the
+    reassembly query of each flat type on its encoded input, both ways."""
+    for seed in range(200):
+        q = gen.gen_closed_query(random.Random(seed), 4, LIST)
+        for em in (False, True):
+            yield eval_closed(q, em)
+    rng = random.Random(5)
+    db_type = parse_type(FLAT_DB_TYPE)
+    for text in FLAT_TYPES:
+        t = parse_type(text)
+        q = desugar(gen_vprime(t), db_type, LIST)
+        paths = encode_det(flat_encode(gen.gen_flat_value(rng, t)))
+        for em in (False, True):
+            yield eval_det(q, paths, em)
+
+
+# sha256 over print_pathset of every result of _pinned_path_sets, one
+# block per result, recorded with the evaluator that sliced path tuples
+PINNED_PATHS = (
+    "ec461ccceaadfb6ae5efb8dd49d27749"
+    "8b66ab07a7f4bc61be99de88c3ebc53b")
+
+
+def test_path_set_results_are_pinned():
+    h = hashlib.sha256()
+    for paths in _pinned_path_sets():
+        h.update((print_pathset(paths) + "\n--\n").encode())
+    assert h.hexdigest() == PINNED_PATHS
+
+
+@pytest.mark.parametrize("query, paths, want", [
+    # a marker leaf merges with content under the same step
+    ("map(id)", "[]\n[].a", "[]\n[].a"),
+    # a sibling of length 1 is no member's sibling
+    ("pairwith[2]", "2.1.x\n1", "1.2.x"),
+    # the marker leaf of the paired field merges with a member's content
+    ("pairwith[2]", "2.[]\n2.[].b\n1.a", "[]\n[].1.a\n[].2.b"),
+])
+def test_path_sets_no_value_encodes(query, paths, want):
+    """Path sets that encode no value, with markers on: a path that is a
+    prefix of another, or a leaf beside a paired field's members. The
+    results were recorded with the evaluator that sliced path tuples."""
+    got = eval_det(parse_ma(query), parse_pathset(paths), True)
+    assert print_pathset(got) == want
+
+
+def test_deep_paths():
+    """Paths of 1,500 steps: no operator walks them by recursion."""
+    tail = tuple(str(i % 7) for i in range(1499))
+    other = tail[:-1] + ("x",)
+    V = frozenset({("a",) + tail, ("b",) + tail, ("c",) + other})
+    true = frozenset({("s", MARK_UNIT)})
+    assert eval_det(EqAtomic(("a",), ("b",)), V) == true
+    assert eval_det(EqAtomic(("a",), ("c",)), V) == frozenset()
+    assert eval_det(EqAtomic(("a",), ("c",)), V, True) == \
+        frozenset({(MARK_EMPTY,)})
+    assert eval_det(Map(Id()), V) == V
+    assert eval_det(Proj("a"), V) == frozenset({tail})
+    assert eval_det(Flatten(), V) == frozenset(
+        {((p[0], p[1]),) + p[2:] for p in V})
