@@ -9,9 +9,17 @@ singleton). Steps are plain data: a label is its str, a pair is the
 identity, so steps compare and hash as Python's own types do and an atom
 spelled like a marker never equals one (in text, such an atom is
 quoted). Whether a label names a field or an index is decided only when
-decoding, by the type if one is given. Queries in the atomic-equality
-core are evaluated directly on path sets by :func:`eval_det`, mirroring
-the rule-per-operation semantics used by the logic-program compilation.
+decoding, by the type if one is given.
+
+Queries in the atomic-equality core are evaluated directly on path sets
+by :func:`eval_det`, mirroring the rule-per-operation semantics used by
+the logic-program compilation. The evaluator never slices path tuples:
+it holds a path set as a trie, a dict from each first step to the trie
+of the rests after it, in which the key None (never a step) marks that
+a path ends there and every subtrie holds at least one path. The input
+becomes a trie once, and only the result is rebuilt into path tuples.
+Tries are never changed once built, so a result shares, and does not
+copy, the subtries of its input that it keeps.
 
 Emptiness conventions: the constant empty collection and the nullary
 tuple are the marker leaves "[]" and "<>". By default a computed-empty
@@ -178,102 +186,286 @@ def check_deterministic(V: PathSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation on path sets
+# Direct evaluation on path sets, held as tries (see the module text)
+
+_LEAF = {None: True}   # the trie of the empty path alone
+_NONE = {}             # the empty trie
+
 
 def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
     """Evaluate per the path-set rules. With empty_markers, every
     operation that can compute an empty collection leaves the
     possibly-empty marker "[]", so computed empties stay represented
     instead of decaying to path absence; decoding ignores the marker
-    when member content survives next to it."""
-    em = empty_markers
-    if isinstance(q, ma.Id):
-        return V
-    if isinstance(q, ma.Const):
-        return frozenset({(q.label,)})
-    if isinstance(q, ma.EmptyColl):
-        return frozenset({_MARKER_PATH})
-    if isinstance(q, ma.UnitTuple):
-        return frozenset({(MARK_UNIT,)})
-    if isinstance(q, ma.Sng):
-        return frozenset(("s",) + p for p in V)
-    if isinstance(q, ma.Compose):
-        return eval_det(q.g, eval_det(q.f, V, em), em)
-    if isinstance(q, ma.Proj):
-        head = q.label
-        return frozenset(p[1:] for p in V if p[0] == head and len(p) > 1)
-    if isinstance(q, ma.TupleCons):
-        if not q.fields:
-            return frozenset({(MARK_UNIT,)})
-        out = set()
-        for l, f in q.fields:
-            out.update((l,) + p for p in eval_det(f, V, em))
-        return frozenset(out)
-    if isinstance(q, ma.Flatten):
-        out = set(((p[0], p[1]),) + p[2:] for p in V if len(p) >= 3)
-        if em and (_MARKER_PATH in V
-                   or any(len(p) == 2 and p[1] == MARK_EMPTY
-                          for p in V)):
-            # outer collection empty, or some member collection empty:
-            # either way the result may be empty; the marker is ignored
-            # by decoding when member content survives alongside it
-            out.add(_MARKER_PATH)
-        return frozenset(out)
-    if isinstance(q, ma.Union):
-        return eval_det(ma.union_pair(q.f, q.g), V, em)
-    if isinstance(q, ma.UnionT):
-        out = set()
+    when member content survives next to it.
+
+    q is compiled once into one closure per node, dispatched on its
+    type; the closures run over V as a trie, built once. A trie is never
+    changed once built, so a result shares the subtries of its input
+    that it keeps: a map hands each member's subtrie to its body,
+    projection is one lookup, pairwith puts the same field subtries
+    beside every member, and flatten and union re-key the subtries
+    below their first two steps without copying them. The result is
+    flattened back into path tuples once, at the end. Every walk along a
+    path uses an explicit stack, so path length is not bounded by the
+    recursion limit.
+    """
+    return _paths(_compile(q, empty_markers)(_trie(V)))
+
+
+def _trie(V: Iterable[Path]) -> dict:
+    """The trie of the paths V."""
+    root = {}
+    for p in V:
+        t = root
+        for s in p:
+            sub = t.get(s)
+            if sub is None:
+                sub = t[s] = {}
+            t = sub
+        t[None] = True
+    return root
+
+
+def _paths(t: dict) -> PathSet:
+    """The paths of the trie t, each built once."""
+    out = []
+    todo = [((), t)]
+    while todo:
+        pre, t = todo.pop()
+        for s, sub in t.items():
+            if s is None:
+                out.append(pre)
+            else:
+                todo.append((pre + (s,), sub))
+    return frozenset(out)
+
+
+def _rests(t: dict) -> dict:
+    """t without its empty path."""
+    if None not in t:
+        return t
+    t = dict(t)
+    del t[None]
+    return t
+
+
+def _ends(t: dict, step: Step) -> bool:
+    """Whether t holds the one-step path (step,)."""
+    sub = t.get(step)
+    return sub is not None and None in sub
+
+
+def _with_marker(out: dict) -> dict:
+    """Add the marker path "[]" to the trie out, which this evaluation
+    built and no other trie holds yet."""
+    sub = out.get(MARK_EMPTY)
+    out[MARK_EMPTY] = _LEAF if sub is None else {**sub, None: True}
+    return out
+
+
+def _pair_steps(out: dict, i: Step, t: dict) -> bool:
+    """Put each path j.w of t with w nonempty into out as (i, j).w;
+    returns whether t holds the one-step path "[]"."""
+    marker = False
+    for j, sub in t.items():
+        if j is None:
+            continue
+        if None in sub:
+            marker = marker or j is MARK_EMPTY
+            sub = _rests(sub)
+            if not sub:
+                continue
+        out[(i, j)] = sub
+    return marker
+
+
+def _meet(a: dict, b: dict) -> bool:
+    """Whether tries a and b share a nonempty path. A subtrie holds a
+    path, so one that both reach by the same steps is a shared one."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if len(b) < len(a):
+            a, b = b, a
+        for s, sa in a.items():
+            if s is None:
+                continue
+            sb = b.get(s)
+            if sb is None:
+                continue
+            if sa is sb or (None in sa and None in sb):
+                return True
+            todo.append((sa, sb))
+    return False
+
+
+def _compile(q: MAExpr, em: bool):
+    """q as a function from a trie to a trie."""
+    return _COMPILE.get(type(q), _d_unknown)(q, em)
+
+
+def _d_unknown(q, em):
+    def run(t):
+        raise ValueError_("eval_det cannot handle %r; desugar first" % (q,))
+    return run
+
+
+def _same(t):
+    return t
+
+
+def _d_leaf(step: Step):
+    out = {step: _LEAF}
+    return lambda t: out
+
+
+def _d_sng(q, em):
+    return lambda t: {"s": t} if t else _NONE
+
+
+def _d_compose(q, em):
+    stages = [_compile(s, em) for s in ma._flat(q, ma.Compose)
+              if type(s) is not ma.Id]
+    if not stages:
+        return _same
+    if len(stages) == 1:
+        return stages[0]
+    if len(stages) == 2:
+        f, g = stages
+        return lambda t: g(f(t))
+
+    def run(t):
+        for s in stages:
+            t = s(t)
+        return t
+    return run
+
+
+def _d_proj(q, em):
+    head = q.label
+
+    def run(t):
+        sub = t.get(head)
+        return _NONE if sub is None else _rests(sub)
+    return run
+
+
+def _d_tuple(q, em):
+    if not q.fields:
+        return _d_leaf(MARK_UNIT)
+    fields = [(l, _compile(f, em)) for l, f in q.fields]
+
+    def run(t):
+        out = {}
+        for l, f in fields:
+            sub = f(t)
+            if sub:
+                if l in out:
+                    # a label given twice gives the union of its fields
+                    sub = _trie(_paths(out[l]) | _paths(sub))
+                out[l] = sub
+        return out
+    return run
+
+
+def _d_flatten(q, em):
+    def run(t):
+        out = {}
+        marker = _ends(t, MARK_EMPTY)
+        for i, sub in t.items():
+            if i is not None and _pair_steps(out, i, sub):
+                marker = True
+        # outer collection empty, or some member collection empty:
+        # either way the result may be empty; the marker is ignored by
+        # decoding when member content survives alongside it
+        return _with_marker(out) if em and marker else out
+    return run
+
+
+def _d_union_t(q, em):
+    def run(t):
+        out = {}
         empties = 0
         for tag in ("1", "2"):
-            out.update(((tag, p[1]),) + p[2:]
-                       for p in V if p[0] == tag and len(p) >= 3)
-            if (tag, MARK_EMPTY) in V:
+            sub = t.get(tag)
+            if sub is not None and _pair_steps(out, tag, sub):
                 empties += 1
-        if em and empties == 2:
-            out.add(_MARKER_PATH)
-        return frozenset(out)
-    if isinstance(q, ma.EqAtomic):
-        va = _path_suffixes(V, q.pa)
-        vb = _path_suffixes(V, q.pb)
-        if va & vb:
-            return frozenset({("s", MARK_UNIT)})
-        if em:
-            return frozenset({_MARKER_PATH})
-        return frozenset()
-    if isinstance(q, ma.Map):
-        groups = {}
-        for p in V:
-            if len(p) < 2:
+        return _with_marker(out) if em and empties == 2 else out
+    return run
+
+
+def _d_eq_atomic(q, em):
+    pa, pb = q.pa, q.pb
+    yes = {"s": {MARK_UNIT: _LEAF}}
+    no = {MARK_EMPTY: _LEAF} if em else _NONE
+
+    def run(t):
+        a, b = t, t
+        for s in pa:
+            a = a.get(s)
+            if a is None:
+                return no
+        for s in pb:
+            b = b.get(s)
+            if b is None:
+                return no
+        return yes if _meet(a, b) else no
+    return run
+
+
+def _d_map(q, em):
+    f = _compile(q.f, em)
+
+    def run(t):
+        out = {}
+        for i, sub in t.items():
+            if i is None:
                 continue
-            groups.setdefault(p[0], set()).add(p[1:])
-        out = set()
-        for i, sub in groups.items():
-            for w in eval_det(q.f, frozenset(sub), em):
-                out.add((i,) + w)
-        if em and _MARKER_PATH in V:
-            out.add(_MARKER_PATH)
-        return frozenset(out)
-    if isinstance(q, ma.PairWith):
-        head = q.label
-        members = [p for p in V if p[0] == head and len(p) >= 3]
-        others = [p for p in V if p[0] != head and len(p) >= 2]
-        indexes = {p[1] for p in members}
-        out = set()
-        for p in members:
-            out.add((p[1], head) + p[2:])
-        for i in indexes:
-            for p in others:
-                out.add((i,) + p)
-        if em and (head, MARK_EMPTY) in V:
-            out.add(_MARKER_PATH)
-        return frozenset(out)
-    raise ValueError_("eval_det cannot handle %r; desugar first" % (q,))
+            sub = _rests(sub)
+            if sub:
+                sub = f(sub)
+                if sub:
+                    out[i] = sub
+        return _with_marker(out) if em and _ends(t, MARK_EMPTY) else out
+    return run
 
 
-def _path_suffixes(V: PathSet, path) -> set:
-    """Suffixes of V under a dotted field path."""
-    n = len(path)
-    return {p[n:] for p in V if len(p) > n and p[:n] == path}
+def _d_pairwith(q, em):
+    head = q.label
+
+    def run(t):
+        members = t.get(head)
+        if members is None:
+            return _NONE
+        siblings = {}
+        for s, sub in t.items():
+            if s is not None and s != head:
+                sub = _rests(sub)
+                if sub:
+                    siblings[s] = sub
+        out = {}
+        for j, sub in members.items():
+            if j is not None:
+                sub = _rests(sub)
+                if sub:
+                    out[j] = {**siblings, head: sub}
+        if em and _ends(members, MARK_EMPTY):
+            return _with_marker(out)
+        return out
+    return run
+
+
+_COMPILE = {
+    ma.Sng: _d_sng, ma.Compose: _d_compose, ma.Proj: _d_proj,
+    ma.TupleCons: _d_tuple, ma.Flatten: _d_flatten, ma.UnionT: _d_union_t,
+    ma.EqAtomic: _d_eq_atomic, ma.Map: _d_map, ma.PairWith: _d_pairwith,
+    ma.Id: lambda q, em: _same,
+    ma.Union: lambda q, em: _compile(ma.union_pair(q.f, q.g), em),
+    ma.Const: lambda q, em: _d_leaf(q.label),
+    ma.EmptyColl: lambda q, em: _d_leaf(MARK_EMPTY),
+    ma.UnitTuple: lambda q, em: _d_leaf(MARK_UNIT),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ Each tuple and collection node also stores what would otherwise mean
 walking its whole subtree: its canonical sort key (:func:`sort_key`),
 its hash, whether it is free of collections (the mon-equality check) and
 its node count (:func:`value_nodes`). Each is built on first use from
-the members' stored ones, so a node computes it once. Native ``hash`` is
+the members' stored ones, so a node computes it once; the node count is
+stored by a walk with an explicit stack, as deep values are legal. Native ``hash`` is
 the stored hash and native ``==`` compares labels and members, so both
 are structural, which holds only because every set and bag is in
 canonical order (see :class:`Coll`). Stored hashes depend on
@@ -78,6 +79,8 @@ class Value:
     decorator keeps a ``__hash__`` only when it is written in that
     class's own body."""
 
+    _nodes = 0   # the node count, once value_nodes has stored it
+
 
 @dataclass(frozen=True)
 class Atom(Value):
@@ -134,9 +137,6 @@ class Tuple(Value):
     def _set_free(self):
         return all(x._set_free for x in self.vals)
 
-    @_once
-    def _nodes(self):
-        return 1 + sum([x._nodes for x in self.vals])
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,6 @@ class Coll(Value):
     def _hash(self):
         return hash((self.kind, self.elems))
 
-    @_once
-    def _nodes(self):
-        return 1 + sum([x._nodes for x in self.elems])
 
 
 UNIT = Tuple((), ())
@@ -218,7 +215,25 @@ def make_tuple(fields: Iterable[Tup[str, Value]]) -> Tuple:
 
 def value_nodes(v: Value) -> int:
     """Number of nodes in the value tree (atoms count 1, tuples and
-    collections count 1 plus their members), stored on the node."""
+    collections count 1 plus their members), stored on the node.
+
+    A node's count is 0 until stored. The walk keeps an explicit stack,
+    so a deep value does not reach the recursion limit, and stores the
+    count of each node whose members' counts are all stored, bottom-up;
+    a subtree whose count is stored is not entered again."""
+    if v._nodes:
+        return v._nodes
+    todo = [v]
+    while todo:
+        x = todo[-1]
+        members = x.vals if type(x) is Tuple else x.elems
+        missing = [y for y in members if not y._nodes]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        object.__setattr__(x, "_nodes",
+                           1 + sum([y._nodes for y in members]))
     return v._nodes
 
 

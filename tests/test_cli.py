@@ -39,6 +39,16 @@ def test_eval_ma_runs_a_long_composition_chain(files):
     assert (r.returncode, r.stdout, r.stderr) == (0, "<>\n", "")
 
 
+@pytest.mark.parametrize("depth", [350, 450])
+def test_eval_ma_guards_a_deeply_nested_result(files, depth):
+    """The node guard counts a list nested 350 or 450 deep without
+    recursion; counting it took three frames per level."""
+    q = files("q.ma", "sng ; " * depth + "id")
+    r = run_cli("eval-ma", "--query", q, "--semantics", "list")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "[" * depth + "<>" + "]" * depth + "\n"
+
+
 def test_identical_invocations_are_byte_identical(files):
     q = files("q.ma", "union('b' ; sng, 'a' ; sng)")
     a = run_cli("eval-ma", "--query", q)

@@ -211,6 +211,23 @@ def test_evaluators_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def test_eval_det_with_markers_leaves_no_cyclic_garbage():
+    """The same for the path-set evaluator on a flat reassembly with empty
+    markers on, which runs map, pairwith, flatten and the marker merges."""
+    t = parse_type("<1: {Dom}, 2: {Dom}>")
+    q = desugar(gen_vprime(t), parse_type(FLAT_DB_TYPE), LIST)
+    v = gen.gen_flat_value(random.Random(5), t)
+    paths = encode_det(flat_encode(v))
+    gc.collect()
+    gc.disable()
+    try:
+        out = eval_det(q, paths, empty_markers=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert decode_det(out, CollType(SET, t)) == make_coll(SET, [v])
+
+
 # ---------------------------------------------------------------------------
 # Join planning. The first six programs' derived relations were recorded
 # with the nested-loop evaluator that the planned hash join replaced; the

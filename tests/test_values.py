@@ -82,6 +82,34 @@ def test_value_nodes_counts_every_node():
     assert value_nodes(v) == 6
 
 
+def _ref_nodes(v):
+    """The node count, by recursion over the tree."""
+    if isinstance(v, Atom):
+        return 1
+    return 1 + sum(_ref_nodes(x) for x in
+                   (v.vals if isinstance(v, Tuple) else v.elems))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(KINDS))
+def test_value_nodes_matches_the_recursive_count(seed, sem):
+    """On drawn values sharing members, with some member counted first,
+    so the walk meets stored and unstored counts."""
+    rng = random.Random(seed)
+    v = gen.gen_value(rng, gen.gen_type(rng, 3, sem), fanout=3)
+    w = make_coll(LIST, [v, make_tuple([("A", v), ("B", v)]), v])
+    if isinstance(v, Coll) and v.elems:
+        assert value_nodes(v.elems[0]) == _ref_nodes(v.elems[0])
+    assert value_nodes(w) == _ref_nodes(w) == 4 * _ref_nodes(v) + 2
+    assert value_nodes(v) == _ref_nodes(v)
+
+
+def test_value_nodes_of_a_value_nested_3000_deep():
+    v = UNIT
+    for _ in range(3000):
+        v = make_coll(LIST, [v])
+    assert value_nodes(v) == 3001
+
+
 @given(st.integers(0, 10 ** 6))
 def test_print_parse_roundtrip(seed):
     rng = random.Random(seed)
