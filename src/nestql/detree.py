@@ -199,16 +199,14 @@ def eval_det(q: MAExpr, V: PathSet, empty_markers: bool = False) -> PathSet:
     instead of decaying to path absence; decoding ignores the marker
     when member content survives next to it.
 
-    q is compiled once into one closure per node, dispatched on its
-    type; the closures run over V as a trie, built once. A trie is never
-    changed once built, so a result shares the subtries of its input
-    that it keeps: a map hands each member's subtrie to its body,
-    projection is one lookup, pairwith puts the same field subtries
-    beside every member, and flatten and union re-key the subtries
-    below their first two steps without copying them. The result is
-    flattened back into path tuples once, at the end. Every walk along a
-    path uses an explicit stack, so path length is not bounded by the
-    recursion limit.
+    q is compiled once per call into one closure per node, dispatched
+    on its type, and the closures run over V as a trie. A result keeps
+    its input's subtries without copying them: a map hands each
+    member's subtrie to its body, projection is one lookup, pairwith
+    puts the same field subtries beside every member, and flatten and
+    union re-key the subtries below their first two steps. Paths are
+    rebuilt once, from the result. Every walk along a path keeps an
+    explicit stack, so long paths do not reach the recursion limit.
     """
     return _paths(_compile(q, empty_markers)(_trie(V)))
 
@@ -236,6 +234,8 @@ def _paths(t: dict) -> PathSet:
         for s, sub in t.items():
             if s is None:
                 out.append(pre)
+            elif len(sub) == 1 and None in sub:
+                out.append(pre + (s,))
             else:
                 todo.append((pre + (s,), sub))
     return frozenset(out)

@@ -225,15 +225,19 @@ def value_nodes(v: Value) -> int:
         return v._nodes
     todo = [v]
     while todo:
-        x = todo[-1]
+        x = todo.pop()
+        if x is None:
+            # the members of the node below are stored now
+            x = todo.pop()
+        elif x._nodes:
+            continue   # a shared member, stored since it was pushed
         members = x.vals if type(x) is Tuple else x.elems
-        missing = [y for y in members if not y._nodes]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        object.__setattr__(x, "_nodes",
-                           1 + sum([y._nodes for y in members]))
+        counts = [y._nodes for y in members]
+        if 0 in counts:
+            todo += (x, None)
+            todo += [y for y, n in zip(members, counts) if not n]
+        else:
+            object.__setattr__(x, "_nodes", 1 + sum(counts))
     return v._nodes
 
 

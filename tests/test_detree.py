@@ -164,3 +164,12 @@ def test_deep_paths():
     assert eval_det(Proj("a"), V) == frozenset({tail})
     assert eval_det(Flatten(), V) == frozenset(
         {((p[0], p[1]),) + p[2:] for p in V})
+
+
+def test_a_tuple_label_given_twice_unions_its_fields():
+    """Recorded with the evaluator that sliced path tuples."""
+    V = parse_pathset("x.y\nz.w")
+    got = eval_det(parse_ma("tup[A = id, A = pi[x]]"), V)
+    assert print_pathset(got) == "A.x.y\nA.y\nA.z.w"
+    got = eval_det(parse_ma("tup[A = pi[x], B = id, A = pi[x]]"), V)
+    assert print_pathset(got) == "A.y\nB.x.y\nB.z.w"
