@@ -14,7 +14,11 @@ from nestql.ma import (
 )
 from nestql.ma_text import parse_ma
 from nestql.reductions import flat_encode, gen_vprime
-from nestql.values import LIST, SET, UNIT, parse_type, parse_value
+from nestql.ma import ANY
+from nestql.values import (
+    BAG, DOM, LIST, SET, UNIT, CollType, TupleType, parse_type, parse_value,
+    print_type, print_value,
+)
 
 from test_lp import FLAT_DB_TYPE, FLAT_TYPES
 
@@ -173,3 +177,85 @@ def test_a_tuple_label_given_twice_unions_its_fields():
     assert print_pathset(got) == "A.x.y\nA.y\nA.z.w"
     got = eval_det(parse_ma("tup[A = pi[x], B = id, A = pi[x]]"), V)
     assert print_pathset(got) == "A.y\nB.x.y\nB.z.w"
+
+
+# ---------------------------------------------------------------------------
+# Pinned decoding: random path sets, most of which encode no value
+
+_STEPS = ("1", "2", "01", "s", "A", "B", "[]", "<>", MARK_EMPTY, MARK_UNIT)
+
+
+def _any_step(rng, depth=2):
+    if depth and rng.random() < 0.15:
+        return (_any_step(rng, depth - 1), _any_step(rng, depth - 1))
+    return rng.choice(_STEPS)
+
+
+def _any_pathset(rng):
+    """One to five paths of one to four steps; a path often extends or
+    branches off a prefix of an earlier one, so paths share prefixes."""
+    paths = []
+    for _ in range(rng.randint(1, 5)):
+        head = ()
+        if paths and rng.random() < 0.6:
+            p = rng.choice(paths)
+            head = p[:rng.randint(0, len(p))]
+        paths.append(head + tuple(_any_step(rng)
+                                  for _ in range(rng.randint(1, 3))))
+    return frozenset(paths)
+
+
+def _any_type(rng, depth=3):
+    r = rng.random()
+    if not depth or r < 0.3:
+        return DOM if r < 0.25 else ANY
+    if r < 0.65:
+        return CollType(rng.choice((SET, LIST, BAG)), _any_type(rng, depth - 1))
+    labels = rng.sample(("A", "B", "1", "2"), rng.randint(0, 2))
+    return TupleType(tuple((l, _any_type(rng, depth - 1)) for l in labels))
+
+
+def _outcome(run):
+    try:
+        return "value %s" % run()
+    except Exception as e:   # the error itself is the outcome pinned
+        return "%s %s" % (type(e).__name__, e)
+
+
+def _decode_lines():
+    """For 6,000 random path sets: the set, whether it is deterministic,
+    and its decoding untyped and against a drawn type; then the encoding
+    of gen_value draws under each semantics, decoded back by their type."""
+    rng = random.Random(11)
+    for _ in range(6000):
+        V = _any_pathset(rng)
+        t = _any_type(rng)
+        yield " | ".join((
+            print_pathset(V).replace("\n", " ; "), print_type(t),
+            str(check_deterministic(V)),
+            _outcome(lambda: print_value(decode_det(V))),
+            _outcome(lambda: print_value(decode_det(V, t)))))
+    for seed, sem in enumerate((SET, LIST, BAG)):
+        rng = random.Random(seed)
+        for _ in range(300):
+            t = gen.gen_type(rng, 3, sem)
+            V = encode_det(gen.gen_value(rng, t))
+            yield " | ".join((
+                print_pathset(V).replace("\n", " ; "),
+                str(check_deterministic(V)),
+                print_value(decode_det(V, t))))
+
+
+# sha256 of _decode_lines, one per line, recorded with the decoder that
+# sliced path tuples
+PINNED_DECODE = (
+    "3f72865b2f7fdd13f4b527a706b5c5bc"
+    "6d816246d3b1b5f1e762770e42eb50aa")
+
+
+def test_decoding_is_pinned():
+    lines = list(_decode_lines())
+    failed = sum(" ValueError_ " in l for l in lines)
+    assert failed >= 3000, failed
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DECODE
