@@ -495,6 +495,82 @@ def test_desugar_of_a_map_over_an_empty_literal(text):
     assert eval_ma(core, UNIT, SET) == eval_ma(q, UNIT, SET)
 
 
+# Ill-typed queries and their input types. Where infer_type meets more
+# than one fault, the one it reports depends on the order it checks in.
+ILL_TYPED = [
+    # the left side is no collection, and the right side fails
+    ("union(pi[A], pi[Z])", "<A: Dom>"),
+    ("union(pi[A], sng)", "<A: Dom>"),
+    ("union(sng, pi[A])", "<A: Dom>"),
+    ("cart(pi[Z], sng)", "<A: Dom>"),
+    ("cart(pi[A], pi[Z])", "<A: Dom>"),
+    ("cart(sng, pi[Z])", "<A: Dom>"),
+    ("cart(sng, pi[A])", "<A: Dom>"),
+    ("map(id)", "Dom"),
+    ("map(pi[Z])", "{<A: Dom>}"),
+    ("flatmap(sng)", "<A: Dom>"),
+    ("flatmap(id)", "{Dom}"),
+    ("tup[X = pi[Z], Y = flatten]", "<A: Dom>"),
+    ("tup[X = id, Y = flatten, Z = pi[Z]]", "<A: Dom>"),
+    ("pi[Z] ; map(id)", "<A: Dom>"),
+    ("pi[A] ; map(pi[Z])", "<A: {Dom}>"),
+    ("select[A = 'a']", "Dom"),
+    ("select[Z = 'a']", "{<A: Dom>}"),
+    ("select[A =atom B]", "{<A: Dom, B: <C: Dom>>}"),
+    ("select[A =mon B]", "{<A: Dom, B: {Dom}>}"),
+    ("select[A in {a, b}]", "{<A: {Dom}>}"),
+    ("nest[C = (Z)]", "{<A: Dom>}"),
+    ("nest[A = (B)]", "{<A: Dom, B: Dom>}"),
+    ("nest[C = (A)]", "{Dom}"),
+    ("eq[A, Z]", "<A: Dom>"),
+    ("eq[A, B]", "<A: Dom, B: {Dom}>"),
+    ("eqmon[A, B]", "<A: {Dom}, B: {Dom}>"),
+    ("diff", "<1: Dom, 2: {Dom}>"),
+    ("cap", "<1: {Dom}, 2: {<A: Dom>}>"),
+    ("subseteq[A, B]", "<A: Dom, B: {Dom}>"),
+    ("in[A, B]", "<A: Dom, B: Dom>"),
+    ("map(union(sng, pi[Z]))", "{<A: Dom>}"),
+]
+
+
+def _type_outcome(run):
+    try:
+        run()
+        return "typed"
+    except Exception as e:   # the error itself is the outcome compared
+        return "%s %s" % (type(e).__name__, e)
+
+
+@pytest.mark.parametrize("text, type_text", ILL_TYPED)
+@pytest.mark.parametrize("sem", (SET, LIST, BAG))
+def test_desugar_fails_as_infer_type_does(text, type_text, sem):
+    q, t = parse_ma(text), parse_type(type_text)
+    want = _type_outcome(lambda: infer_type(q, t, sem))
+    assert want.startswith("MATypeError ")
+    assert _type_outcome(lambda: desugar(q, t, sem)) == want
+
+
+def test_desugar_fails_as_infer_type_does_on_drawn_queries():
+    """Typed queries against another drawn type, and the draws of the
+    run-time error pins on the type of their value (whose collections may
+    be of another kind), under each semantics."""
+    failed = 0
+    for sem in (SET, LIST, BAG):
+        for seed in range(300):
+            rng = random.Random(seed)
+            q = gen.gen_typed_query(rng, gen.gen_type(rng, 3, sem), 3, sem)
+            cases = [(q, gen.gen_type(rng, 3, sem))]
+            q, v = _contract_draw(seed, sem)
+            kind = next(k for k in (sem, SET, LIST, BAG)
+                        if _type_outcome(lambda: type_of(v, k)) == "typed")
+            cases.append((q, type_of(v, kind)))
+            for q, t in cases:
+                want = _type_outcome(lambda: infer_type(q, t, sem))
+                failed += want != "typed"
+                assert _type_outcome(lambda: desugar(q, t, sem)) == want
+    assert failed >= 800, failed
+
+
 @pytest.mark.parametrize("sem", (SET, LIST, BAG))
 def test_mon_comparison_of_a_tuple_with_a_constant_desugars(sem):
     """A tuple never equals an atom: the desugared selection keeps
