@@ -13,13 +13,13 @@ decoding, by the type if one is given.
 
 Queries in the atomic-equality core are evaluated directly on path sets
 by :func:`eval_det`, mirroring the rule-per-operation semantics used by
-the logic-program compilation. The evaluator never slices path tuples:
-it holds a path set as a trie, a dict from each first step to the trie
-of the rests after it, in which the key None (never a step) marks that
-a path ends there and every subtrie holds at least one path. The input
-becomes a trie once, and only the result is rebuilt into path tuples.
-Tries are never changed once built, so a result shares, and does not
-copy, the subtries of its input that it keeps.
+the logic-program compilation. No path tuple is ever sliced: a path set
+is held as a trie, a dict from each first step to the trie of the rests
+after it, in which the key None (never a step) marks that a path ends
+there and every subtrie holds at least one path. Encoding builds a
+value's trie, evaluation runs on the input's trie and decoding walks
+one; path tuples are built from a trie once. Tries are never changed
+once built, so a result shares the subtries of its input that it keeps.
 
 Emptiness conventions: the constant empty collection and the nullary
 tuple are the marker leaves "[]" and "<>". By default a computed-empty
@@ -36,11 +36,11 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple as Tup, Union
 
 from .values import (
-    Atom, Coll, CollType, DomType, LIST, Tuple, TupleType, Type, UNIT,
+    Atom, CollType, DomType, LIST, Tuple, TupleType, Type, UNIT,
     Value, ValueError_, make_coll, make_tuple, print_atom, _Scanner,
 )
 from . import ma
-from .ma import AnyType, MAExpr
+from .ma import ANY, AnyType, MAExpr
 
 
 class Marker:
@@ -59,8 +59,6 @@ class Marker:
 
 MARK_EMPTY = Marker("[]")
 MARK_UNIT = Marker("<>")
-
-_MARKER_PATH = (MARK_EMPTY,)
 
 # A step is a label (its str), a marker, or a pair: a 2-tuple of steps.
 Step = Union[str, Marker, Tup]
@@ -152,36 +150,31 @@ def parse_pathset(text: str) -> PathSet:
 # Encoding values
 
 def encode_det(v: Value) -> PathSet:
-    return frozenset(_encode(v))
+    return _paths(_value_trie(v))
 
 
-def _encode(v: Value):
-    if isinstance(v, Atom):
-        return [(v.label,)]
-    if isinstance(v, Tuple):
+def _value_trie(v: Value) -> dict:
+    """The trie of the paths of v."""
+    if type(v) is Atom:
+        return {v.label: _LEAF}
+    if type(v) is Tuple:
         if not v.vals:
-            return [(MARK_UNIT,)]
-        out = []
-        for l, x in zip(v.labels, v.vals):
-            out.extend((l,) + p for p in _encode(x))
-        return out
-    assert isinstance(v, Coll)
+            return {MARK_UNIT: _LEAF}
+        return {l: _value_trie(x) for l, x in zip(v.labels, v.vals)}
     if not v.elems:
-        return [_MARKER_PATH]
-    out = []
-    for k, x in enumerate(v.elems, 1):
-        head = str(k)
-        out.extend((head,) + p for p in _encode(x))
-    return out
+        return {MARK_EMPTY: _LEAF}
+    return {str(k): _value_trie(x) for k, x in enumerate(v.elems, 1)}
 
 
 def check_deterministic(V: PathSet) -> bool:
-    """No path is a proper prefix of another."""
-    paths = set(V)
-    for p in paths:
-        for i in range(1, len(p)):
-            if p[:i] in paths:
-                return False
+    """No path is a proper prefix of another: in the trie of V, no path
+    ends at a node that has children."""
+    todo = [sub for s, sub in _trie(V).items() if s is not None]
+    while todo:
+        t = todo.pop()
+        if None in t and len(t) > 1:
+            return False
+        todo.extend(sub for s, sub in t.items() if s is not None)
     return True
 
 
@@ -480,54 +473,48 @@ def decode_det(V: PathSet, t: Optional[Type] = None) -> Value:
     empty list. With a type, sets and bags are rebuilt, computed-empty
     collections are placed at their collection-typed positions, tuple
     fields (numeral labels too) follow the type.
+
+    V becomes a trie once, as for eval_det, and decoding walks it: a
+    node's steps are its keys, and a step's subtrie holds the rests of
+    the paths through it, so no path is sliced.
     """
-    V = frozenset(V)
-    return _decode(V) if t is None else _decode_typed(V, t)
+    return _decode_typed(_trie(V), ANY if t is None else t)
 
 
-def _children(V):
-    """The paths of V grouped by first step, in one pass. Returns a dict
-    from each step with a continuation to the list of the paths' rests
-    after it, and the set of steps that end a path. The paths of V are
-    distinct, so the rests under one step are too: decoding passes these
-    lists down instead of building a set of paths per node."""
-    rests: dict = {}
-    ends = set()
-    for p in V:
-        if len(p) > 1:
-            rests.setdefault(p[0], []).append(p[1:])
-        else:
-            ends.add(p[0])
-    return rests, ends
+def _below(node: dict) -> bool:
+    """Whether the trie node holds a nonempty path. A node's own key
+    None ends a path of its parent, so decoding reads it there."""
+    return len(node) > (None in node)
 
 
-def _decode(V) -> Value:
-    if not V:
-        return make_coll(LIST, ())
-    if len(V) == 1:
-        (p,) = V
-        if p == _MARKER_PATH:
-            return make_coll(LIST, ())
-        if p == (MARK_UNIT,):
+def _decode(node: dict) -> Value:
+    steps = [h for h in node if h is not None]
+    if len(steps) == 1 and not _below(node[steps[0]]):
+        # a single one-step path
+        h = steps[0]
+        if h is MARK_UNIT:
             return UNIT
-        if len(p) == 1 and type(p[0]) is str:
-            return Atom(p[0])
-    rests, ends = _children(V)
-    field_heads = [h for h in rests if _is_field_label(h)]
-    # a step that ends a path is an index, unless it is a marker
-    heads = ({h for h in rests if not _is_field_label(h)}
-             | {h for h in ends if type(h) is not Marker})
+        if type(h) is str:
+            return Atom(h)
+    field_heads, heads = set(), set()
+    for h in steps:
+        sub = node[h]
+        if _below(sub):
+            (field_heads if _is_field_label(h) else heads).add(h)
+        # a step that ends a path is an index, unless it is a marker
+        if None in sub and type(h) is not Marker:
+            heads.add(h)
     if field_heads and heads:
         raise ValueError_("mixed field and index steps below one node")
     if field_heads:
-        return make_tuple((h, _decode(rests[h]))
+        return make_tuple((h, _decode(node[h]))
                           for h in sorted(field_heads, key=term_key))
     members = []
     for h in sorted(heads, key=term_key):
-        if h not in rests:
+        if not _below(node[h]):
             raise ValueError_("index step %s has no continuation"
                               % print_term(h))
-        members.append(_decode(rests[h]))
+        members.append(_decode(node[h]))
     return make_coll(LIST, members)
 
 
@@ -537,32 +524,32 @@ def _is_field_label(h: Step) -> bool:
     return type(h) is str and not h.isdecimal() and h != "s"
 
 
-def _decode_typed(V, t: Type) -> Value:
+def _decode_typed(node: dict, t: Type) -> Value:
     if isinstance(t, AnyType):
-        return _decode(V)
+        return _decode(node)
     if isinstance(t, DomType):
-        labs = {p[0] for p in V if len(p) == 1 and type(p[0]) is str}
+        labs = [h for h, sub in node.items()
+                if type(h) is str and None in sub]
         if len(labs) != 1:
             raise ValueError_("expected a single atom leaf, got %d paths"
-                              % len(V))
-        return Atom(labs.pop())
+                              % len(_paths(_rests(node))))
+        return Atom(labs[0])
     if isinstance(t, TupleType):
         if not t.fields:
             return UNIT
-        rests, _ = _children(V)
         fields = []
         for l, ft in t.fields:
-            sub = rests.get(l, [])
-            if not sub and not isinstance(ft, CollType):
+            sub = node.get(l, _NONE)
+            if not _below(sub) and not isinstance(ft, CollType):
                 raise ValueError_("field %s absent but not collection-typed"
                                   % l)
             fields.append((l, _decode_typed(sub, ft)))
         return make_tuple(fields)
     assert isinstance(t, CollType)
-    rests, ends = _children(V)
     # a marker that only ends a path is no member
-    heads = rests.keys() | {h for h in ends if type(h) is not Marker}
-    return make_coll(t.kind, [_decode_typed(rests.get(h, []), t.elem)
+    heads = [h for h, sub in node.items() if h is not None
+             and (type(h) is not Marker or _below(sub))]
+    return make_coll(t.kind, [_decode_typed(node[h], t.elem)
                               for h in sorted(heads, key=term_key)])
 
 
