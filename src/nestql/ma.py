@@ -1475,48 +1475,47 @@ def desugar(q: MAExpr, t: Type, sem: str = SET) -> MAExpr:
     collection-bearing types stays primitive (it is interdefinable with
     the other nonmonotone extras but not reducible to atomic equality)
     and conditions compiled from negations use the core "not".
+
+    The query is typed in the same walk that desugars it, so an
+    ill-typed query fails as infer_type fails on it.
     """
-    infer_type(q, t, sem)
     return _desugar(q, t, sem)[0]
 
 
-def _desugar(q: MAExpr, t: Type, sem: str, typed: bool = False):
-    """(the core form of q on input type t, and with typed the type
-    infer_type gives q on t, else None). Each subexpression is typed
-    once, while it is desugared, and only where a composition needs the
-    type of its first stage."""
+def _desugar(q: MAExpr, t: Type, sem: str):
+    """(the core form of q on input type t, the type infer_type gives q
+    on t). Each node is typed once, in infer_type's order, before it is
+    expanded."""
     kind = type(q)
     if kind is Compose:
-        f, mid = _desugar(q.f, t, sem, True)
-        g, out = _desugar(q.g, mid, sem, typed)
+        f, mid = _desugar(q.f, t, sem)
+        g, out = _desugar(q.g, mid, sem)
         return Compose(f, g), out
     if kind in (Map, FlatMap):
         ct = _need_coll(t, sem, "map" if kind is Map else "flatmap")
-        f, ft = _desugar(q.f, ct.elem, sem, typed)
-        out = None if ft is None else CollType(sem, ft)
+        f, ft = _desugar(q.f, ct.elem, sem)
+        out = CollType(sem, ft)
         if kind is Map:
             return Map(f), out
-        if out is not None:
-            out = infer_type(Flatten(), out, sem)
-        return Compose(Map(f), Flatten()), out
+        return Compose(Map(f), Flatten()), infer_type(Flatten(), out, sem)
     if kind is TupleCons:
-        fields = [(l,) + _desugar(f, t, sem, typed) for l, f in q.fields]
-        out = None
-        if typed:
-            out = TupleType(tuple((l, ft) for l, _, ft in fields))
-        return TupleCons(tuple((l, f) for l, f, _ in fields)), out
+        fields = [(l,) + _desugar(f, t, sem) for l, f in q.fields]
+        return (TupleCons(tuple((l, f) for l, f, _ in fields)),
+                TupleType(tuple((l, ft) for l, _, ft in fields)))
     if kind is Union:
-        f, a = _desugar(q.f, t, sem, typed)
-        g, b = _desugar(q.g, t, sem, typed)
-        out = None
-        if typed:
-            _need_coll(a, sem, "union (left)")
-            _need_coll(b, sem, "union (right)")
-            out = type_join(a, b, "union")
-        return union_pair(f, g), out
+        f, a = _desugar(q.f, t, sem)
+        g, b = _desugar(q.g, t, sem)
+        _need_coll(a, sem, "union (left)")
+        _need_coll(b, sem, "union (right)")
+        return union_pair(f, g), type_join(a, b, "union")
     if kind is CartProd:
-        return _desugar(_cart(q.f, q.g), t, sem, typed)
-    return _expand(q, t, sem), (infer_type(q, t, sem) if typed else None)
+        f, a = _desugar(q.f, t, sem)
+        a = _need_coll(a, sem, "cart (left)").elem
+        g, b = _desugar(q.g, t, sem)
+        b = _need_coll(b, sem, "cart (right)").elem
+        return _cart(f, g), CollType(sem, TupleType((("1", a), ("2", b))))
+    out = infer_type(q, t, sem)
+    return _expand(q, t, sem), out
 
 
 def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
@@ -1537,6 +1536,9 @@ def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
         if _is_mon_type(ta):
             return _expand(EqMon(q.pa, q.pb), t, sem)
         return q
+    if isinstance(q, CORE_NODES):
+        # the core nodes with subexpressions are handled by _desugar
+        return q
     if isinstance(q, Diff):
         # keep the members of field 1 with no deep-equal partner in field 2;
         # the emptiness filter on the partner set uses the core "not"
@@ -1550,28 +1552,24 @@ def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
             Map(TupleCons((("1", Proj("1")), ("m", inner)))),
             _sigma(empty_m),
             Map(Proj("1")))
-        return _desugar(body, t, sem)[0]
-    if isinstance(q, Intersect):
+    elif isinstance(q, Intersect):
         body = compose(
             _cart(Proj("1"), Proj("2")),
             Select(PathEqPath(("1",), ("2",), DEEP)),
             Map(Proj("1")))
-        return _desugar(body, t, sem)[0]
-    if isinstance(q, SubsetEq):
+    elif isinstance(q, SubsetEq):
         body = Compose(
             TupleCons((("A", Proj_chain(q.pa)),
                        ("A2", Compose(TupleCons((("1", Proj_chain(q.pa)),
                                                  ("2", Proj_chain(q.pb)))),
                                       Intersect())))),
             EqDeep(("A",), ("A2",)))
-        return _desugar(body, t, sem)[0]
-    if isinstance(q, MemberOf):
+    elif isinstance(q, MemberOf):
         body = Compose(
             TupleCons((("1", Compose(Proj_chain(q.pa), Sng())),
                        ("2", Proj_chain(q.pb)))),
             SubsetEq(("1",), ("2",)))
-        return _desugar(body, t, sem)[0]
-    if isinstance(q, Nest):
+    elif isinstance(q, Nest):
         ct = _need_coll(t, sem, "nest")
         tt = _need_tuple(_concrete(ct.elem), "nest")
         keys = [l for l in tt.labels() if l not in q.grouped]
@@ -1589,11 +1587,9 @@ def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
             Map(TupleCons(
                 tuple((l, Compose(Proj("1"), Proj(l))) for l in keys)
                 + ((q.label, group),))))
-        return _desugar(body, t, sem)[0]
-    if isinstance(q, CORE_NODES):
-        # the core nodes with subexpressions are handled by _desugar
-        return q
-    raise MATypeError("cannot desugar %r" % (q,))
+    else:
+        raise MATypeError("cannot desugar %r" % (q,))
+    return _desugar(body, t, sem)[0]
 
 
 # ---------------------------------------------------------------------------
