@@ -17,10 +17,11 @@ A rule is one record (Rule): its head predicate, its shape (the rule
 without its constants, its variables numbered), its constants, its
 variable names and its comment. compile_lp writes each operator's rules
 as the text print_lp prints, e.g. O(X, s.v) :- I(X, v). for sng, with
-placeholders for the predicates and labels that vary. parse_lp's parser
-reads each such text once per process, and a compiled rule is that
-template with the operator's predicates and labels in place of its
-placeholders, so it equals parse_lp of its own printed text.
+placeholders for the predicates and labels that vary; an operator whose
+rules read only its input or frame takes them from one table. parse_lp
+reads each text once per process, and a compiled rule is that template
+with the operator's predicates and labels in place of its placeholders,
+so it equals parse_lp of its own printed text.
 
 eval_lp evaluates bottom-up, each predicate after every predicate it
 reads. Each rule runs as a Python function generated once per process
@@ -118,33 +119,23 @@ class _Compiler:
     def compile(self, q: MAExpr, inp: str, frame: str) -> str:
         """Translate q reading from predicate inp; frame is the predicate
         whose facts enumerate every prefix at the current depth."""
-        if isinstance(q, ma.Id):
+        kind = type(q)
+        rules = _OPERATOR_RULES.get(kind)
+        if rules is not None:
+            out = self.fresh()
+            label = getattr(q, "label", None)
+            args = () if label is None else (label, print_atom(label))
+            for text, what, markers_only in rules:
+                if self.empty_markers or not markers_only:
+                    self.emit(text, what.format(*args),
+                              O=out, I=inp, F=frame, L=label)
+            return out
+        if kind is ma.Id:
             return inp
-        if isinstance(q, ma.Compose):
+        if kind is ma.Compose:
             mid = self.compile(q.f, inp, frame)
             return self.compile(q.g, mid, frame)
-        if isinstance(q, (ma.Const, ma.EmptyColl, ma.UnitTuple)):
-            if isinstance(q, ma.Const):
-                c, what = q.label, "constant " + print_atom(q.label)
-            elif isinstance(q, ma.EmptyColl):
-                c, what = MARK_EMPTY, "constant empty"
-            else:
-                c, what = MARK_UNIT, "constant unit"
-            out = self.fresh()
-            # constants ignore their input; guard with the frame so they
-            # exist at every prefix of the current depth
-            self.emit("O(X, C) :- F(X, v).", what, O=out, F=frame, C=c)
-            return out
-        if isinstance(q, ma.Sng):
-            out = self.fresh()
-            self.emit("O(X, s.v) :- I(X, v).", "sng", O=out, I=inp)
-            return out
-        if isinstance(q, ma.Proj):
-            out = self.fresh()
-            self.emit("O(X, v) :- I(X, L.v).", "pi_%s" % q.label,
-                      O=out, I=inp, L=q.label)
-            return out
-        if isinstance(q, ma.TupleCons):
+        if kind is ma.TupleCons:
             if not q.fields:
                 return self.compile(ma.UnitTuple(), inp, frame)
             outs = [(l, self.compile(f, inp, frame)) for l, f in q.fields]
@@ -153,30 +144,9 @@ class _Compiler:
                 self.emit("O(X, L.v) :- I(X, v).", "create_tuple",
                           O=out, I=pf, L=l)
             return out
-        if isinstance(q, ma.Union):
+        if kind is ma.Union:
             return self.compile(ma.union_pair(q.f, q.g), inp, frame)
-        if isinstance(q, ma.UnionT):
-            out = self.fresh()
-            for tag in ("1", "2"):
-                self.emit("O(X, (T.i).v) :- I(X, T.i.v).", "union",
-                          O=out, I=inp, T=tag)
-            if self.empty_markers:
-                self.emit("O(X, []) :- I(X, 1.[]), I(X, 2.[]).",
-                          "union of empties", O=out, I=inp)
-            return out
-        if isinstance(q, ma.Flatten):
-            out = self.fresh()
-            self.emit("O(X, (i.j).v) :- I(X, i.j.v).", "flatten",
-                      O=out, I=inp)
-            if self.empty_markers:
-                self.emit("O(X, []) :- I(X, []).", "flatten of empty",
-                          O=out, I=inp)
-                # a member marked empty makes the result possibly empty;
-                # decoding ignores the marker when content survives
-                self.emit("O(X, []) :- I(X, i.[]).",
-                          "flatten of empty member", O=out, I=inp)
-            return out
-        if isinstance(q, ma.EqAtomic):
+        if kind is ma.EqAtomic:
             out = self.fresh()
             pa = ["A%d" % k for k in range(len(q.pa))]
             pb = ["B%d" % k for k in range(len(q.pb))]
@@ -192,18 +162,7 @@ class _Compiler:
                           % (a, ".".join(pb + ["w"])),
                           "eqatom possibly false", **subst)
             return out
-        if isinstance(q, ma.PairWith):
-            out = self.fresh()
-            what = "pairwith_%s" % q.label
-            self.emit("O(X, i.B.v) :- I(X, B.i.v).", what,
-                      O=out, I=inp, B=q.label)
-            self.emit("O(X, i.k\\B.w) :- I(X, B.i.v), I(X, k\\B.w).", what,
-                      O=out, I=inp, B=q.label)
-            if self.empty_markers:
-                self.emit("O(X, []) :- I(X, B.[]).", what + " over empty",
-                          O=out, I=inp, B=q.label)
-            return out
-        if isinstance(q, ma.Map):
+        if kind is ma.Map:
             sm = self.fresh()
             self.emit("M(X.i, v) :- I(X, i.v).", "begin_map", M=sm, I=inp)
             pf = self.compile(q.f, sm, sm)
@@ -213,7 +172,7 @@ class _Compiler:
                 self.emit("O(X, []) :- I(X, []).", "map over empty",
                           O=out, I=inp)
             return out
-        if isinstance(q, ma.NotOp):
+        if kind is ma.NotOp:
             set_p, ne_p = "set_" + inp, "ne_" + inp
             self.emit("S(X) :- F(X, v).", "set witness", S=set_p, F=frame)
             self.emit("N(X) :- I(X, i.v).", "nonempty", N=ne_p, I=inp)
@@ -226,6 +185,37 @@ class _Compiler:
             return out
         raise ValueError_("cannot compile %r; desugar to the core first"
                           % (q,))
+
+
+# The operators whose rules read only their input predicate I or frame
+# predicate F: each one's rules into a fresh output predicate O, as (rule
+# text, comment, whether only empty markers add the rule). L is the
+# operator's label; a comment writes it as {0}, or printed as an atom as
+# {1}.
+_OPERATOR_RULES = {
+    # constants ignore their input; guard with the frame so they exist
+    # at every prefix of the current depth
+    ma.Const: [("O(X, L) :- F(X, v).", "constant {1}", False)],
+    ma.EmptyColl: [("O(X, []) :- F(X, v).", "constant empty", False)],
+    ma.UnitTuple: [("O(X, <>) :- F(X, v).", "constant unit", False)],
+    ma.Sng: [("O(X, s.v) :- I(X, v).", "sng", False)],
+    ma.Proj: [("O(X, v) :- I(X, L.v).", "pi_{0}", False)],
+    ma.UnionT: [
+        ("O(X, (1.i).v) :- I(X, 1.i.v).", "union", False),
+        ("O(X, (2.i).v) :- I(X, 2.i.v).", "union", False),
+        ("O(X, []) :- I(X, 1.[]), I(X, 2.[]).", "union of empties", True)],
+    ma.Flatten: [
+        ("O(X, (i.j).v) :- I(X, i.j.v).", "flatten", False),
+        ("O(X, []) :- I(X, []).", "flatten of empty", True),
+        # a member marked empty makes the result possibly empty;
+        # decoding ignores the marker when content survives
+        ("O(X, []) :- I(X, i.[]).", "flatten of empty member", True)],
+    ma.PairWith: [
+        ("O(X, i.L.v) :- I(X, L.i.v).", "pairwith_{0}", False),
+        ("O(X, i.k\\L.w) :- I(X, L.i.v), I(X, k\\L.w).", "pairwith_{0}",
+         False),
+        ("O(X, []) :- I(X, L.[]).", "pairwith_{0} over empty", True)],
+}
 
 
 # rule text -> its rule, placeholders and all; read once per process
