@@ -210,10 +210,7 @@ def _trie(V: Iterable[Path]) -> dict:
     for p in V:
         t = root
         for s in p:
-            sub = t.get(s)
-            if sub is None:
-                sub = t[s] = {}
-            t = sub
+            t = t.setdefault(s, {})
         t[None] = True
     return root
 

@@ -120,14 +120,16 @@ class _Compiler:
         """Translate q reading from predicate inp; frame is the predicate
         whose facts enumerate every prefix at the current depth."""
         kind = type(q)
-        rules = _OPERATOR_RULES.get(kind)
-        if rules is not None:
+        if kind in _OPERATOR_RULES:
+            show, rules = _OPERATOR_RULES[kind]
+            label = shown = None
+            if show is not None:
+                label = q.label
+                shown = show(label)
             out = self.fresh()
-            label = getattr(q, "label", None)
-            args = () if label is None else (label, print_atom(label))
             for text, what, markers_only in rules:
                 if self.empty_markers or not markers_only:
-                    self.emit(text, what.format(*args),
+                    self.emit(text, what if shown is None else what % shown,
                               O=out, I=inp, F=frame, L=label)
             return out
         if kind is ma.Id:
@@ -188,33 +190,32 @@ class _Compiler:
 
 
 # The operators whose rules read only their input predicate I or frame
-# predicate F: each one's rules into a fresh output predicate O, as (rule
-# text, comment, whether only empty markers add the rule). L is the
-# operator's label; a comment writes it as {0}, or printed as an atom as
-# {1}.
+# predicate F, each with how its comments show its label L (None for an
+# operator without one) and its rules into a fresh output predicate O:
+# (rule text, comment, whether only empty markers add the rule).
 _OPERATOR_RULES = {
     # constants ignore their input; guard with the frame so they exist
     # at every prefix of the current depth
-    ma.Const: [("O(X, L) :- F(X, v).", "constant {1}", False)],
-    ma.EmptyColl: [("O(X, []) :- F(X, v).", "constant empty", False)],
-    ma.UnitTuple: [("O(X, <>) :- F(X, v).", "constant unit", False)],
-    ma.Sng: [("O(X, s.v) :- I(X, v).", "sng", False)],
-    ma.Proj: [("O(X, v) :- I(X, L.v).", "pi_{0}", False)],
-    ma.UnionT: [
+    ma.Const: (print_atom, [("O(X, L) :- F(X, v).", "constant %s", False)]),
+    ma.EmptyColl: (None, [("O(X, []) :- F(X, v).", "constant empty", False)]),
+    ma.UnitTuple: (None, [("O(X, <>) :- F(X, v).", "constant unit", False)]),
+    ma.Sng: (None, [("O(X, s.v) :- I(X, v).", "sng", False)]),
+    ma.Proj: (str, [("O(X, v) :- I(X, L.v).", "pi_%s", False)]),
+    ma.UnionT: (None, [
         ("O(X, (1.i).v) :- I(X, 1.i.v).", "union", False),
         ("O(X, (2.i).v) :- I(X, 2.i.v).", "union", False),
-        ("O(X, []) :- I(X, 1.[]), I(X, 2.[]).", "union of empties", True)],
-    ma.Flatten: [
+        ("O(X, []) :- I(X, 1.[]), I(X, 2.[]).", "union of empties", True)]),
+    ma.Flatten: (None, [
         ("O(X, (i.j).v) :- I(X, i.j.v).", "flatten", False),
         ("O(X, []) :- I(X, []).", "flatten of empty", True),
         # a member marked empty makes the result possibly empty;
         # decoding ignores the marker when content survives
-        ("O(X, []) :- I(X, i.[]).", "flatten of empty member", True)],
-    ma.PairWith: [
-        ("O(X, i.L.v) :- I(X, L.i.v).", "pairwith_{0}", False),
-        ("O(X, i.k\\L.w) :- I(X, L.i.v), I(X, k\\L.w).", "pairwith_{0}",
+        ("O(X, []) :- I(X, i.[]).", "flatten of empty member", True)]),
+    ma.PairWith: (str, [
+        ("O(X, i.L.v) :- I(X, L.i.v).", "pairwith_%s", False),
+        ("O(X, i.k\\L.w) :- I(X, L.i.v), I(X, k\\L.w).", "pairwith_%s",
          False),
-        ("O(X, []) :- I(X, L.[]).", "pairwith_{0} over empty", True)],
+        ("O(X, []) :- I(X, L.[]).", "pairwith_%s over empty", True)]),
 }
 
 

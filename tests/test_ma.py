@@ -10,9 +10,9 @@ from nestql.ma import (
     EmptyColl, EqAtomic, EqDeep, EqMon, FlatMap, Flatten, Id, Intersect,
     MAExpr, MATypeError, Map, MemberOf, Monus, Nest, NotOp, PairWith,
     PathEqConst, PathEqPath, PathInSet, Proj, Proj_chain, Select, Sng,
-    SubsetEq, TrueOp, TupleCons, Union, UnionT, Unique, UnitTuple, _subexprs,
-    ast_size, compose, desugar, eval_ma, expand_mon_eq, infer_type, is_core,
-    size_bound, type_of,
+    SubsetEq, TrueOp, TupleCons, Union, UnionT, Unique, UnitTuple, _desugar,
+    _subexprs, ast_size, compose, desugar, eval_ma, expand_mon_eq, infer_type,
+    is_core, size_bound, type_of,
 )
 from nestql.ma_text import parse_ma, print_ma
 from nestql.values import (
@@ -569,6 +569,22 @@ def test_desugar_fails_as_infer_type_does_on_drawn_queries():
                 failed += want != "typed"
                 assert _type_outcome(lambda: desugar(q, t, sem)) == want
     assert failed >= 800, failed
+
+
+def test_the_desugaring_walk_types_each_query_as_infer_type_does():
+    """The type desugar's walk gives a query, which composition stages
+    pass on as the next stage's input type, is infer_type's."""
+    for sem in (SET, LIST, BAG):
+        for seed in range(300):
+            rng = random.Random(seed)
+            t = gen.gen_type(rng, 3, sem)
+            q = gen.gen_typed_query(rng, t, 3, sem)
+            assert _desugar(q, t, sem)[1] == infer_type(q, t, sem)
+            q, v = _contract_draw(seed, sem)
+            if _type_outcome(lambda: infer_type(q, type_of(v, sem), sem)) \
+                    == "typed":
+                t = type_of(v, sem)
+                assert _desugar(q, t, sem)[1] == infer_type(q, t, sem)
 
 
 @pytest.mark.parametrize("sem", (SET, LIST, BAG))
