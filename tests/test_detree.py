@@ -97,6 +97,11 @@ def test_atoms_spelled_like_markers_stay_atoms():
     text = print_pathset(encode_det(v))
     assert text == 'A."[]"\nB."<>"'
     assert decode_det(parse_pathset(text)) == v
+    v = parse_value("<A: {}, B: <>>")
+    text = print_pathset(encode_det(v))
+    assert text == "A.[]\nB.<>"
+    t = parse_type("<A: {Dom}, B: <>>")
+    assert decode_det(parse_pathset(text), t) == v
 
 
 def test_steps_that_int_cannot_read_order_as_labels():

@@ -88,6 +88,28 @@ p19(X, []) :- ne_p18(X).  % not of nonempty
 """
 
 
+def test_rule_comments_show_labels_as_printed_before():
+    """A constant's comment prints its label as an atom, quoted where it
+    must be; pi and pairwith comments write theirs bare."""
+    q = parse_ma("""'"x y"' ; sng ; tup["x y" = id] ; pairwith["x y"]"""
+                 """ ; map(pi["x y"])""")
+    got = print_lp(compile_lp(q, empty_markers=True))
+    assert got == """\
+input(e, dummy).  % base fact
+p1(X, "x y") :- input(X, v).  % constant "x y"
+p2(X, s.v) :- p1(X, v).  % sng
+p3(X, "x y".v) :- p2(X, v).  % create_tuple
+p4(X, i."x y".v) :- p3(X, "x y".i.v).  % pairwith_x y
+p4(X, i.k\\"x y".w) :- p3(X, "x y".i.v), p3(X, k\\"x y".w).  % pairwith_x y
+p4(X, []) :- p3(X, "x y".[]).  % pairwith_x y over empty
+p5(X.i, v) :- p4(X, i.v).  % begin_map
+p6(X, v) :- p5(X, "x y".v).  % pi_x y
+p7(X, i.v) :- p6(X.i, v).  % end_map
+p7(X, []) :- p4(X, []).  % map over empty
+% goal: p7
+"""
+
+
 def test_program_print_parse_roundtrip():
     rng = random.Random(8)
     for _ in range(50):
