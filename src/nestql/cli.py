@@ -183,8 +183,11 @@ def cmd_gen_tm(a) -> int:
         _out(print_ma(q))
         return 0
     if a.expand_eq:
-        # the spelled-out equalities are flatmaps, which the plan does
-        # not turn into joins: every configuration pair is built
+        # the plan lifts the atomic conjuncts of the spelled-out
+        # equalities into selections (join keys at K=1), but at K >= 2
+        # the zoom's keep branches still filter by a nested equality,
+        # not a selection, so the branches are not distributed over the
+        # product and every configuration pair is built
         _guard(reductions.tm_config_space(tm, a.k), "the configuration space")
     else:
         # the plan joins the pairs on their equalities and builds the

@@ -376,7 +376,11 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
         return CollType(sem, inner.elem)
     if isinstance(q, PairWith):
         tt = _need_tuple(t, "pairwith")
-        ft = tt.field(q.label)
+        try:
+            ft = tt.field(q.label)
+        except ValueError_:
+            raise MATypeError("pairwith[%s]: no such field in %s"
+                              % (q.label, print_type(tt)))
         if isinstance(ft, AnyType):
             ft = CollType(sem, ANY)
         fc = _need_coll(ft, sem, "pairwith field %s" % q.label)
@@ -1095,11 +1099,20 @@ def type_of(v: Value, sem: str = SET) -> Type:
 #      other conjuncts are tested on each joined pair, and what they
 #      imply of one side (such as a disjunct's side-1 conjuncts, in each
 #      disjunct) filters that side first.
-# _pushdown applies rules 1-3, then _joins rule 4. Neither needs types:
-# a query gets a plan only when it type-checks, and the type check
-# shows the paths of an atomic equality atomic and both paths of a mon
-# equality collection-free, so no condition raises a mode error and
-# native == decides every key.
+#   5. A selection by a Boolean subquery g, in the form reductions'
+#      filter or desugar's _sigma gives it, whose conjuncts (the
+#      operands of its cart(g1, g2) ; map(unit) chains) include atomic
+#      equalities eqatom[p, q] or tup[A = p, B = 'c'] ; eqatom[A, B]:
+#      those become select[p =atom q] and select[p =atom 'c'], followed
+#      by the selection by the other conjuncts, if any. Each lifted
+#      conjunct yields at most one <>, so the filter's multiplicity, the
+#      product of its conjuncts' sizes, and its list order are kept.
+# _chain applies rule 5 to its stages, then rules 1-3 (_pushdown), and
+# _joins applies rule 4. None of them needs types: a query gets a plan
+# only when it type-checks, and the type check shows the paths of an
+# atomic equality atomic and both paths of a mon equality
+# collection-free, so no condition raises a mode error and native ==
+# decides every key; no run-time error is there to be reordered.
 
 _MAX_BRANCHES = 1024   # rule 1 stops copying beyond this many branches
 
@@ -1222,7 +1235,7 @@ def _chain(stages: list, acc: list = ()) -> list:
     """The stages of acc ; stages, each of stages moved into acc as far
     as the rules allow; the stages of acc are already rewritten."""
     acc = list(acc)
-    for s in stages:
+    for s in _lift(stages):
         if type(s) is Select:
             acc = _push(acc, s.cond)
             continue
@@ -1232,7 +1245,7 @@ def _chain(stages: list, acc: list = ()) -> list:
             if (i is not None
                     and len(branches) * len(_flat(acc[i], Union))
                     <= _MAX_BRANCHES
-                    and all(type(_flat(b, Compose)[0]) is Select
+                    and all(type(_lift(_flat(b, Compose))[0]) is Select
                             for b in branches)):
                 acc[i:] = [_union([
                     compose(*_chain(_flat(b, Compose), acc[i:]))
@@ -1240,6 +1253,104 @@ def _chain(stages: list, acc: list = ()) -> list:
                 continue
         acc.append(_pushdown(s))
     return acc
+
+
+def _lift(stages: list) -> list:
+    """stages with each selection by a Boolean subquery that has atomic
+    equality conjuncts split into their selection and the selection by
+    the rest (rule 5)."""
+    out, i = [], 0
+    while i < len(stages):
+        s, g, n = stages[i], None, 1   # n: the stages s starts
+        if type(s) is FlatMap:
+            g = _filter_gamma(s.f)
+        elif type(s) is Map and stages[i + 1:i + 2] == [Flatten()]:
+            g, n = _filter_gamma(s.f), 2
+        conds, rest = [], []
+        for x in () if g is None else _bool_conjuncts(g):
+            c = _atom_eq(x)
+            if c is None:
+                rest.append(x)
+            else:
+                conds.append(c)
+        if conds:
+            out.append(Select(_and(conds)))
+            if rest:
+                out.append(FlatMap(_filter_body(_conj(rest))))
+        else:
+            out += stages[i:i + n]
+        i += n
+    return out
+
+
+def _filter_body(g: MAExpr) -> MAExpr:
+    """The body of flatmap that keeps x |g(x)| times."""
+    return compose(TupleCons((("1", Id()), ("2", g))), PairWith("2"),
+                   Map(Proj("1")))
+
+
+def _filter_gamma(body: MAExpr) -> Optional[MAExpr]:
+    """g when body is tup[1 = id, 2 = g] ; pairwith[2] ; map(pi[1]), or
+    None."""
+    s = _flat(body, Compose)
+    if (s[1:] == [PairWith("2"), Map(Proj("1"))] and type(s[0]) is TupleCons
+            and len(s[0].fields) == 2 and s[0].fields[0] == ("1", Id())
+            and s[0].fields[1][0] == "2"):
+        return s[0].fields[1][1]
+    return None
+
+
+def _bool_conjuncts(g: MAExpr) -> list:
+    """The operands of the conjunctions cart(g1, g2) ; map(unit) that g
+    is made of, as _conj and reductions build them, left to right."""
+    out, todo = [], [g]
+    while todo:
+        g = todo.pop()
+        s = [x for x in _flat(g, Compose) if type(x) is not Id]
+        pair = None
+        if s[-1:] == [Map(UnitTuple())]:
+            s = s[:-1]
+            if len(s) == 1 and type(s[0]) is CartProd:
+                pair = s[0].f, s[0].g
+            elif (s[1:] == [PairWith("1"), Map(PairWith("2")), Flatten()]
+                    and type(s[0]) is TupleCons
+                    and tuple(l for l, _ in s[0].fields) == _PAIR):
+                pair = tuple(f for _, f in s[0].fields)
+        if pair:
+            todo += reversed(pair)
+        else:
+            out.append(g)
+    return out
+
+
+def _atom_eq(g: MAExpr) -> Optional[SelCond]:
+    """The condition on x that the Boolean subquery g decides, when g is
+    eqatom[p, q] after a tuple of paths and constants (as _pair_eq
+    builds it): the atomic equality of two paths, or of a path and a
+    constant; else None."""
+    *f, eq = _flat(g, Compose)
+    if type(eq) is not EqAtomic:
+        return None
+    f = compose(*f) if f else Id()
+    a, b = (_operand(f, p) for p in (eq.pa, eq.pb))
+    if type(a) is not tuple:
+        a, b = b, a
+    if type(a) is not tuple:
+        return None
+    if type(b) is tuple:
+        return PathEqPath(a, b, ATOMIC)
+    if type(b) is Const:
+        return PathEqConst(a, b.label, ATOMIC)
+    return None
+
+
+def _operand(f: MAExpr, p: Path):
+    """A path r with x.r = f(x).p for every x, or the expression that
+    gives f(x).p when that is a field of the tuple f builds, or None."""
+    r = _resolve(f, p)
+    if r is None and type(f) is TupleCons and len(p) == 1:
+        return dict(f.fields).get(p[0])
+    return r
 
 
 def _suffix(acc: list) -> Optional[int]:

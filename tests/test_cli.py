@@ -189,6 +189,13 @@ def test_type_error_with_unknown_element_type_exits_2(files):
     assert "[[?]]" in r.stderr
 
 
+def test_missing_pairwith_field_is_a_type_error(files):
+    q = files("q.ma", "pairwith[Z] ; diff")
+    r = run_cli("ma2lp", "--query", q, "--type", "<A: Dom>")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: pairwith[Z]: no such field in <A: Dom>\n"
+
+
 def test_gen_dexp_eval_and_node_guard():
     r = run_cli("gen-dexp", "--m", "0", "--eval")
     assert (r.returncode, r.stdout) == (0, "{0, 1}\n")

@@ -530,6 +530,7 @@ ILL_TYPED = [
     ("subseteq[A, B]", "<A: Dom, B: {Dom}>"),
     ("in[A, B]", "<A: Dom, B: Dom>"),
     ("map(union(sng, pi[Z]))", "{<A: Dom>}"),
+    ("pairwith[Z] ; diff", "<A: Dom>"),
 ]
 
 

@@ -5,21 +5,25 @@ it (ma.plan); ma._Compiler compiles the query as written. A generator
 local to this file draws pipelines of products, tuple-building maps,
 unions and selections over generated inputs under set, list and bag
 semantics; some draws are ill-typed on purpose, and those must fail
-with the same exception and message. The last tests take their queries
-from the Turing machine acceptance query.
+with the same exception and message. A second generator draws
+selections by Boolean subqueries, as the machine query spells its
+equalities out, for rule 5 of the plan. The last tests take their
+queries from the Turing machine acceptance query.
 """
 
 import hashlib
 import random
+from functools import reduce
 
 import pytest
 
 from nestql import ma, reductions
 from nestql.gen import ATOMS, gen_value
 from nestql.ma import (
-    CAnd, CNot, COr, CartProd, Compose, Const, HashJoin, Id, Map,
-    PathEqConst, PathEqPath, PathInSet, Proj_chain, Select, TupleCons,
-    Union, compose, eval_ma, infer_type, plan, type_of,
+    CAnd, CNot, COr, CartProd, Compose, Const, EmptyColl, EqAtomic,
+    HashJoin, Id, Map, PathEqConst, PathEqPath, PathInSet, Proj,
+    Proj_chain, Select, Sng, TrueOp, TupleCons, Union, compose, eval_ma,
+    infer_type, plan, type_of,
 )
 from nestql.ma_text import parse_ma
 from nestql.values import (
@@ -403,6 +407,135 @@ def test_savitch_doubling_is_a_hash_join():
     p = plan(q)
     assert p.f == HashJoin(Id(), Id(), ((("2",), ("1",)),), None)
     assert _same_as_plain(q, steps).elems
+
+
+def _bool(rng, t, depth=2):
+    """A Boolean subquery on elements of type t: atomic equalities of two
+    paths or of a path and a constant (which rule 5 lifts), conjunctions
+    in both built forms, negations, true, and subqueries that yield two
+    or more elements."""
+    r = rng.random()
+    if depth and r < 0.3:
+        parts = [_bool(rng, t, depth - 1) for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.5:
+            return ma._conj(parts)
+        return reduce(reductions._conj_bool, parts)
+    if depth and r < 0.38:
+        return ma._negate(_bool(rng, t, depth - 1))
+    if depth and r < 0.43:
+        return Compose(_bool(rng, t, depth - 1), TrueOp())
+    if r < 0.5:
+        return rng.choice((Union(Sng(), Sng()), ma.TRUE_PRED, EmptyColl(),
+                           Union(ma.TRUE_PRED, ma.TRUE_PRED)))
+    dom = [p for p, pt in _paths(t) if pt == DOM]
+    if not dom or rng.random() < 0.05:
+        # anything goes: often ill-typed
+        dom = [p for p, _ in _paths(t)] + [("Z",)]
+    p, q = rng.choice(dom), rng.choice(dom)
+    if r < 0.75:
+        return EqAtomic(p, q)
+    ends = [Proj_chain(p), Const(rng.choice(ATOMS))]
+    return ma._pair_eq(*(ends if rng.random() < 0.8 else ends[::-1]))
+
+
+def _bool_filter(rng, t):
+    """A selection by a Boolean subquery, in the form reductions builds
+    it or in the form desugar does."""
+    g = _bool(rng, t)
+    return reductions._filter(g) if rng.random() < 0.5 else ma._sigma(g)
+
+
+def gen_filter_pipeline(rng, t):
+    """A query on collections of element type t: a product of filtered
+    sides, then Boolean filters, unions of them and maps."""
+    stages = [_bool_filter(rng, t)] if rng.random() < 0.3 else []
+    sides = [Id() if rng.random() < 0.6 else _bool_filter(rng, t)
+             for _ in range(2)]
+    stages.append(CartProd(*sides))
+    t = TupleType((("1", t), ("2", t)))
+    for _ in range(rng.randint(1, 3)):
+        r = rng.random()
+        if r < 0.6:
+            stages.append(_bool_filter(rng, t))
+        elif r < 0.8:
+            stages.append(Union(_bool_filter(rng, t), _bool_filter(rng, t)))
+        elif _small(t):
+            m, t = _map(rng, t)
+            stages.append(m)
+    return compose(*stages)
+
+
+@pytest.mark.parametrize("sem", KINDS)
+def test_boolean_filters_plan_as_selections(sem):
+    """Rule 5 gives the plain evaluator's values and errors, under each
+    semantics, and fires on many of the typed draws."""
+    typed = lifted = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        t = _elem_type(rng, sem)
+        q = gen_filter_pipeline(rng, t)
+        v = make_coll(sem, [gen_value(rng, t)
+                            for _ in range(rng.randint(1, 5))])
+        want = _outcome(lambda: _plain(q, v, sem))
+        assert _outcome(lambda: eval_ma(q, v, sem)) == want, (seed, q)
+        try:
+            infer_type(q, type_of(v, sem), sem)
+        except (ma.MATypeError, ValueError_):
+            continue
+        typed += 1
+        assert want[0] == "value", (seed, q)
+        stages = ma._flat(q, Compose)
+        lifted += ma._lift(stages) != stages
+    assert typed >= 200 and lifted >= 150, (typed, lifted)
+
+
+def _keys(q):
+    """The keys of every HashJoin in q."""
+    out, todo = [], [q]
+    while todo:
+        q = todo.pop()
+        if type(q) is HashJoin:
+            out.append(q.keys)
+        todo.extend(ma._subexprs(q))
+    return out
+
+
+def test_expanded_savitch_step_joins_on_the_state():
+    """Spelled out, the doubling step's configuration equality is a
+    filter; its state conjunct becomes the key of the pairs' join, and
+    inside the tape equality the halves join on tag and value."""
+    tm = reductions.ACCEPTOR
+    steps = eval_ma(reductions.tm_step_query(tm, 1), _configs(tm, 1), SET)
+    q = compose(CartProd(Id(), Id()),
+                reductions._sel_config_eq(("1", "2"), ("2", "1"), 1, True),
+                Map(TupleCons((("1", Proj_chain(("1", "1"))),
+                               ("2", Proj_chain(("2", "2")))))))
+    keys = _keys(plan(q))
+    assert ((("2", "q"), ("1", "q")),) in keys
+    assert ((("T",), ("T",)), (("V",), ("V",))) in keys
+    assert _same_as_plain(q, steps).elems
+
+
+A_IS_B = PathEqPath(("A",), ("B",), ATOMIC)
+C_IS_A = PathEqConst(("C",), "a", ATOMIC)
+
+
+@pytest.mark.parametrize("query, cond", [
+    # the selection desugar gives select[A =atom B & C = 'a']
+    (ma._sigma(ma._conj([EqAtomic(("A",), ("B",)),
+                         ma._pair_eq(Proj("C"), Const("a"))])),
+     CAnd(A_IS_B, C_IS_A)),
+    (reductions._filter(reductions._conj_bool(
+        ma._pair_eq(Const("a"), Proj("C")), EqAtomic(("A",), ("B",)))),
+     CAnd(C_IS_A, A_IS_B)),
+])
+def test_atomic_conjuncts_all_lift(query, cond):
+    """With every conjunct lifted, no filter is left."""
+    assert ma._lift(ma._flat(query, Compose)) == [Select(cond)]
+    q = compose(CartProd(Id(), Id()), Map(Proj("1")), query)
+    v = parse_value("{<A: a, B: a, C: a>, <A: a, B: b, C: a>, "
+                    "<A: b, B: b, C: c>}")
+    assert print_value(_same_as_plain(q, v)) == "{<A: a, B: a, C: a>}"
 
 
 def test_branch_copies_are_capped():

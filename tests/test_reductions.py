@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nestql.checks import TM_WORDS
 from nestql.ma import ast_size, eval_ma
 from nestql.values import (
     Atom, Coll, SET, Tuple, UNIT, ValueError_, parse_type, parse_value,
@@ -124,6 +125,16 @@ def test_acceptance_query_matches_simulation_at_small_scale():
         assert decide_tm_query(ACCEPTOR, word, 1) == want
         assert decide_tm_query(ACCEPTOR, word, 1, expand_eq=True) == want
     assert not decide_tm_query(REJECTOR, (), 1)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_expanded_acceptance_query_matches_simulation(name):
+    """Spelled-out equality decides as the simulation does, for every
+    bundled machine and every word the checks use."""
+    tm = BUNDLED[name]
+    for word in TM_WORDS[name]:
+        assert (decide_tm_query(tm, word, 1, expand_eq=True)
+                == simulate_ntm(tm, word, 2)), word
 
 
 def test_query_sizes_are_deterministic_and_grow():
