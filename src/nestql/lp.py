@@ -135,8 +135,9 @@ class _Compiler:
         if kind is ma.Id:
             return inp
         if kind is ma.Compose:
-            mid = self.compile(q.f, inp, frame)
-            return self.compile(q.g, mid, frame)
+            for stage in ma._flat(q, ma.Compose):
+                inp = self.compile(stage, inp, frame)
+            return inp
         if kind is ma.TupleCons:
             if not q.fields:
                 return self.compile(ma.UnitTuple(), inp, frame)

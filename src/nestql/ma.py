@@ -280,12 +280,21 @@ def _subexprs(q: MAExpr) -> tuple:
     return ()
 
 
+def _nodes(q: MAExpr):
+    """The nodes of q, on an explicit stack."""
+    todo = [q]
+    while todo:
+        q = todo.pop()
+        yield q
+        todo.extend(_subexprs(q))
+
+
 def is_core(q: MAExpr) -> bool:
-    return isinstance(q, CORE_NODES) and all(map(is_core, _subexprs(q)))
+    return all(isinstance(x, CORE_NODES) for x in _nodes(q))
 
 
 def ast_size(q: MAExpr) -> int:
-    return 1 + sum(map(ast_size, _subexprs(q)))
+    return sum(1 for _ in _nodes(q))
 
 
 def compose(*parts: MAExpr) -> MAExpr:
@@ -351,133 +360,198 @@ def _mon_type(t: Type, ctx: str):
 
 
 def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
-    if isinstance(q, Id):
-        return t
-    if isinstance(q, Const):
-        return DOM
-    if isinstance(q, EmptyColl):
-        return CollType(sem, ANY)
-    if isinstance(q, UnitTuple):
-        return UNIT_T
-    if isinstance(q, Sng):
-        return CollType(sem, t)
-    if isinstance(q, Map):
-        ct = _need_coll(t, sem, "map")
-        return CollType(sem, infer_type(q.f, ct.elem, sem))
-    if isinstance(q, FlatMap):
-        ct = _need_coll(t, sem, "flatmap")
-        inner = infer_type(q.f, ct.elem, sem)
-        return infer_type(Flatten(), CollType(sem, inner), sem)
-    if isinstance(q, Flatten):
-        ct = _need_coll(t, sem, "flatten")
-        if isinstance(ct.elem, AnyType):
-            return CollType(sem, ANY)
-        inner = _need_coll(ct.elem, sem, "flatten (inner)")
-        return CollType(sem, inner.elem)
-    if isinstance(q, PairWith):
-        tt = _need_tuple(t, "pairwith")
-        try:
-            ft = tt.field(q.label)
-        except ValueError_:
-            raise MATypeError("pairwith[%s]: no such field in %s"
-                              % (q.label, print_type(tt)))
-        if isinstance(ft, AnyType):
-            ft = CollType(sem, ANY)
-        fc = _need_coll(ft, sem, "pairwith field %s" % q.label)
-        elem = TupleType(tuple(
-            (l, fc.elem if l == q.label else x) for l, x in tt.fields))
-        return CollType(sem, elem)
-    if isinstance(q, TupleCons):
-        return TupleType(tuple(
-            (l, infer_type(f, t, sem)) for l, f in q.fields))
-    if isinstance(q, Proj):
-        tt = _need_tuple(t, "pi[%s]" % q.label)
-        try:
-            return tt.field(q.label)
-        except ValueError_:
-            raise MATypeError("pi[%s]: no such field in %s"
-                              % (q.label, print_type(tt)))
-    if isinstance(q, Compose):
-        return infer_type(q.g, infer_type(q.f, t, sem), sem)
-    if isinstance(q, Union):
-        a = infer_type(q.f, t, sem)
-        b = infer_type(q.g, t, sem)
-        _need_coll(a, sem, "union (left)")
-        _need_coll(b, sem, "union (right)")
-        return type_join(a, b, "union")
-    if isinstance(q, (UnionT, Monus, Diff, Intersect)):
-        name = _PAIR_OPS[type(q)][0]
-        if isinstance(q, Monus) and sem != BAG:
-            raise MATypeError("monus is only available under bag semantics")
-        tt = _need_tuple(t, name)
-        if tt.labels() != ("1", "2"):
-            raise MATypeError("%s expects a <1: _, 2: _> tuple, got %s"
-                              % (name, print_type(tt)))
-        a = _coerce_coll(tt.field("1"), sem)
-        b = _coerce_coll(tt.field("2"), sem)
-        return type_join(a, b, name)
-    if isinstance(q, EqAtomic):
-        for p in (q.pa, q.pb):
-            pt = path_type(_need_tuple(t, "eqatom"), p, "eqatom")
-            if not isinstance(pt, (DomType, AnyType)):
-                raise MATypeError("eqatom: path %s has non-atomic type %s"
-                                  % (".".join(p), print_type(pt)))
-        return bool_type(sem)
-    if isinstance(q, NotOp):
-        _need_coll(t, sem, "not")
-        return bool_type(sem)
-    if isinstance(q, TrueOp):
-        if sem == SET:
-            raise MATypeError("true is not available under set semantics")
-        _need_coll(t, sem, "true")
-        return bool_type(sem)
-    if isinstance(q, Unique):
-        if sem != BAG:
-            raise MATypeError("unique is only available under bag semantics")
-        return _need_coll(t, sem, "unique")
-    if isinstance(q, (EqMon, EqDeep)):
-        name = "eqmon" if isinstance(q, EqMon) else "eq"
-        ta = path_type(_need_tuple(t, name), q.pa, name)
-        tb = path_type(_need_tuple(t, name), q.pb, name)
-        type_join(ta, tb, name)
-        if isinstance(q, EqMon):
-            _mon_type(ta, name)
-            _mon_type(tb, name)
-        return bool_type(sem)
-    if isinstance(q, Select):
-        ct = _need_coll(t, sem, "select")
-        if not isinstance(ct.elem, AnyType):
-            _check_cond(q.cond, ct.elem, sem)
-        return ct
-    if isinstance(q, SubsetEq):
-        tt = _need_tuple(t, "subseteq")
-        for p in (q.pa, q.pb):
-            _need_coll(path_type(tt, p, "subseteq"), sem, "subseteq")
-        return bool_type(sem)
-    if isinstance(q, MemberOf):
-        tt = _need_tuple(t, "in")
-        elem = path_type(tt, q.pa, "in")
-        cb = _need_coll(path_type(tt, q.pb, "in"), sem, "in")
-        type_join(elem, cb.elem, "in")
-        return bool_type(sem)
-    if isinstance(q, Nest):
-        ct = _need_coll(t, sem, "nest")
-        tt = _need_tuple(ct.elem, "nest")
-        missing = [g for g in q.grouped if g not in tt.labels()]
-        if missing:
-            raise MATypeError("nest: no fields %r in %s"
-                              % (missing, print_type(tt)))
-        keys = tuple((l, x) for l, x in tt.fields if l not in q.grouped)
-        grouped = tuple((l, x) for l, x in tt.fields if l in q.grouped)
-        if q.label in [l for l, _ in keys]:
-            raise MATypeError("nest: new label %s collides" % q.label)
-        return CollType(sem, TupleType(
-            keys + ((q.label, CollType(sem, TupleType(grouped))),)))
-    if isinstance(q, CartProd):
-        a = _need_coll(infer_type(q.f, t, sem), sem, "cart (left)")
-        b = _need_coll(infer_type(q.g, t, sem), sem, "cart (right)")
-        return CollType(sem, TupleType((("1", a.elem), ("2", b.elem))))
-    raise MATypeError("cannot type %r" % (q,))
+    """The type of q on input type t; MATypeError if it is ill-typed."""
+    return _walk(q, t, sem, False)[1]
+
+
+def _walk(q: MAExpr, t: Type, sem: str, core: bool):
+    """(q's core form on input type t if core, else None; q's type on t).
+
+    A node with subexpressions is typed by a _TYPE rule that yields
+    (subexpression, input type) pairs and is sent back their types, on
+    an explicit stack; other nodes are typed where they are met. With
+    core set, the former get their _CORE form, the latter _expand's."""
+    stack, kids = [], []
+    rule = node = None   # the innermost node with subexpressions
+    while True:
+        if type(q) in _CORE:
+            stack.append((rule, node, kids))
+            rule, node, kids = _TYPE[type(q)](q, t, sem), q, []
+            out = None   # starts the rule
+        else:
+            leaf = _TYPE.get(type(q))
+            if leaf is None:
+                raise MATypeError("cannot type %r" % (q,))
+            out = leaf(q, t, sem)
+            if core:
+                kids.append(_expand(q, t, sem))
+        while rule is not None:
+            try:
+                q, t = rule.send(out)
+                break
+            except StopIteration as stop:
+                out = stop.value
+            done = _CORE[type(node)](node, kids) if core else None
+            rule, node, kids = stack.pop()
+            kids.append(done)
+        else:
+            return kids[0] if core else None, out
+
+
+def _t_compose(q, t, sem):
+    return (yield q.g, (yield q.f, t))
+
+
+def _t_map(q, t, sem):
+    flat = type(q) is FlatMap
+    ct = _need_coll(t, sem, "flatmap" if flat else "map")
+    out = CollType(sem, (yield q.f, ct.elem))
+    return _t_flatten(q, out, sem) if flat else out
+
+
+def _t_tuple(q, t, sem):
+    fields = []
+    for l, f in q.fields:
+        fields.append((l, (yield f, t)))
+    return TupleType(tuple(fields))
+
+
+def _t_union(q, t, sem):
+    a = yield q.f, t
+    b = yield q.g, t
+    _need_coll(a, sem, "union (left)")
+    _need_coll(b, sem, "union (right)")
+    return type_join(a, b, "union")
+
+
+def _t_cart(q, t, sem):
+    a = _need_coll((yield q.f, t), sem, "cart (left)")
+    b = _need_coll((yield q.g, t), sem, "cart (right)")
+    return CollType(sem, TupleType((("1", a.elem), ("2", b.elem))))
+
+
+def _t_flatten(q, t, sem):
+    ct = _need_coll(t, sem, "flatten")
+    return CollType(sem, _need_coll(ct.elem, sem, "flatten (inner)").elem)
+
+
+def _field(tt: TupleType, label: str, op: str) -> Type:
+    try:
+        return tt.field(label)
+    except ValueError_:
+        raise MATypeError("%s[%s]: no such field in %s"
+                          % (op, label, print_type(tt)))
+
+
+def _t_pairwith(q, t, sem):
+    tt = _need_tuple(t, "pairwith")
+    fc = _need_coll(_field(tt, q.label, "pairwith"), sem,
+                    "pairwith field %s" % q.label)
+    elem = TupleType(tuple(
+        (l, fc.elem if l == q.label else x) for l, x in tt.fields))
+    return CollType(sem, elem)
+
+
+def _t_proj(q, t, sem):
+    return _field(_need_tuple(t, "pi[%s]" % q.label), q.label, "pi")
+
+
+def _t_pair(q, t, sem):
+    name = _PAIR_OPS[type(q)][0]
+    if type(q) is Monus and sem != BAG:
+        raise MATypeError("monus is only available under bag semantics")
+    tt = _need_tuple(t, name)
+    if tt.labels() != ("1", "2"):
+        raise MATypeError("%s expects a <1: _, 2: _> tuple, got %s"
+                          % (name, print_type(tt)))
+    a = _coerce_coll(tt.field("1"), sem)
+    b = _coerce_coll(tt.field("2"), sem)
+    return type_join(a, b, name)
+
+
+def _t_eqatom(q, t, sem):
+    for p in (q.pa, q.pb):
+        pt = path_type(_need_tuple(t, "eqatom"), p, "eqatom")
+        if not isinstance(pt, (DomType, AnyType)):
+            raise MATypeError("eqatom: path %s has non-atomic type %s"
+                              % (".".join(p), print_type(pt)))
+    return bool_type(sem)
+
+
+def _t_test(q, t, sem):
+    if type(q) is TrueOp and sem == SET:
+        raise MATypeError("true is not available under set semantics")
+    _need_coll(t, sem, "true" if type(q) is TrueOp else "not")
+    return bool_type(sem)
+
+
+def _t_unique(q, t, sem):
+    if sem != BAG:
+        raise MATypeError("unique is only available under bag semantics")
+    return _need_coll(t, sem, "unique")
+
+
+def _t_eq(q, t, sem):
+    name = "eqmon" if type(q) is EqMon else "eq"
+    ta = path_type(_need_tuple(t, name), q.pa, name)
+    tb = path_type(_need_tuple(t, name), q.pb, name)
+    type_join(ta, tb, name)
+    if type(q) is EqMon:
+        _mon_type(ta, name)
+        _mon_type(tb, name)
+    return bool_type(sem)
+
+
+def _t_select(q, t, sem):
+    ct = _need_coll(t, sem, "select")
+    if not isinstance(ct.elem, AnyType):
+        _check_cond(q.cond, ct.elem, sem)
+    return ct
+
+
+def _t_subseteq(q, t, sem):
+    tt = _need_tuple(t, "subseteq")
+    for p in (q.pa, q.pb):
+        _need_coll(path_type(tt, p, "subseteq"), sem, "subseteq")
+    return bool_type(sem)
+
+
+def _t_member(q, t, sem):
+    tt = _need_tuple(t, "in")
+    elem = path_type(tt, q.pa, "in")
+    cb = _need_coll(path_type(tt, q.pb, "in"), sem, "in")
+    type_join(elem, cb.elem, "in")
+    return bool_type(sem)
+
+
+def _t_nest(q, t, sem):
+    ct = _need_coll(t, sem, "nest")
+    tt = _need_tuple(ct.elem, "nest")
+    missing = [g for g in q.grouped if g not in tt.labels()]
+    if missing:
+        raise MATypeError("nest: no fields %r in %s"
+                          % (missing, print_type(tt)))
+    keys = tuple((l, x) for l, x in tt.fields if l not in q.grouped)
+    grouped = tuple((l, x) for l, x in tt.fields if l in q.grouped)
+    if q.label in [l for l, _ in keys]:
+        raise MATypeError("nest: new label %s collides" % q.label)
+    return CollType(sem, TupleType(
+        keys + ((q.label, CollType(sem, TupleType(grouped))),)))
+
+
+_TYPE = {
+    Id: lambda q, t, sem: t, Const: lambda q, t, sem: DOM,
+    EmptyColl: lambda q, t, sem: CollType(sem, ANY),
+    UnitTuple: lambda q, t, sem: UNIT_T,
+    Sng: lambda q, t, sem: CollType(sem, t),
+    Compose: _t_compose, Map: _t_map, FlatMap: _t_map, TupleCons: _t_tuple,
+    Union: _t_union, CartProd: _t_cart, Flatten: _t_flatten,
+    PairWith: _t_pairwith, Proj: _t_proj, UnionT: _t_pair, Monus: _t_pair,
+    Diff: _t_pair, Intersect: _t_pair, EqAtomic: _t_eqatom, NotOp: _t_test,
+    TrueOp: _t_test, Unique: _t_unique, EqMon: _t_eq, EqDeep: _t_eq,
+    Select: _t_select, SubsetEq: _t_subseteq, MemberOf: _t_member,
+    Nest: _t_nest,
+}
 
 
 def _need_coll(t: Type, sem: str, ctx: str) -> CollType:
@@ -561,10 +635,11 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
 
     When q has a product and type-checks against the type of v, the
     tree evaluated is its plan (see :func:`plan`), which has the same
-    value. Any other query is evaluated as written. Only a query that
-    fails the type check can fail at run time, so every error and its
-    message are what evaluating q as written gives. Compiling q shows
-    whether it has a product.
+    value; the type check takes composition chains of any length. Any
+    other query is evaluated as written. Only a query that fails the
+    type check can fail at run time, so every error and its message are
+    what evaluating q as written gives. Compiling q shows whether it has
+    a product.
     """
     cc = _Compiler(sem)
     run = cc(q)
@@ -1124,13 +1199,7 @@ def plan(q: MAExpr) -> MAExpr:
 
 
 def _has_cart(q: MAExpr) -> bool:
-    todo = [q]
-    while todo:
-        q = todo.pop()
-        if type(q) is CartProd:
-            return True
-        todo.extend(_subexprs(q))
-    return False
+    return any(type(x) is CartProd for x in _nodes(q))
 
 
 def _rebuild(q: MAExpr, fn) -> MAExpr:
@@ -1587,51 +1656,30 @@ def desugar(q: MAExpr, t: Type, sem: str = SET) -> MAExpr:
     the other nonmonotone extras but not reducible to atomic equality)
     and conditions compiled from negations use the core "not".
 
-    The query is typed in the same walk that desugars it, so an
-    ill-typed query fails as infer_type fails on it.
+    It types the query in infer_type's own walk, which has no depth
+    limit, so an ill-typed query fails as infer_type fails on it.
     """
-    return _desugar(q, t, sem)[0]
+    return _walk(q, t, sem, True)[0]
 
 
-def _desugar(q: MAExpr, t: Type, sem: str):
-    """(the core form of q on input type t, the type infer_type gives q
-    on t). Each node is typed once, in infer_type's order, before it is
-    expanded."""
-    kind = type(q)
-    if kind is Compose:
-        f, mid = _desugar(q.f, t, sem)
-        g, out = _desugar(q.g, mid, sem)
-        return Compose(f, g), out
-    if kind in (Map, FlatMap):
-        ct = _need_coll(t, sem, "map" if kind is Map else "flatmap")
-        f, ft = _desugar(q.f, ct.elem, sem)
-        out = CollType(sem, ft)
-        if kind is Map:
-            return Map(f), out
-        return Compose(Map(f), Flatten()), infer_type(Flatten(), out, sem)
-    if kind is TupleCons:
-        fields = [(l,) + _desugar(f, t, sem) for l, f in q.fields]
-        return (TupleCons(tuple((l, f) for l, f, _ in fields)),
-                TupleType(tuple((l, ft) for l, _, ft in fields)))
-    if kind is Union:
-        f, a = _desugar(q.f, t, sem)
-        g, b = _desugar(q.g, t, sem)
-        _need_coll(a, sem, "union (left)")
-        _need_coll(b, sem, "union (right)")
-        return union_pair(f, g), type_join(a, b, "union")
-    if kind is CartProd:
-        f, a = _desugar(q.f, t, sem)
-        a = _need_coll(a, sem, "cart (left)").elem
-        g, b = _desugar(q.g, t, sem)
-        b = _need_coll(b, sem, "cart (right)").elem
-        return _cart(f, g), CollType(sem, TupleType((("1", a), ("2", b))))
-    out = infer_type(q, t, sem)
-    return _expand(q, t, sem), out
+# the core form of a node with subexpressions, from its children's
+_CORE = {
+    Compose: lambda q, fs: Compose(*fs),
+    Map: lambda q, fs: Map(*fs),
+    FlatMap: lambda q, fs: Compose(Map(*fs), Flatten()),
+    TupleCons: lambda q, fs: TupleCons(tuple(
+        (l, f) for (l, _), f in zip(q.fields, fs))),
+    Union: lambda q, fs: union_pair(*fs),
+    CartProd: lambda q, fs: _cart(*fs),
+}
 
 
 def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
     """The core form of q, an operator without subexpressions, on input
     type t."""
+    if isinstance(q, CORE_NODES):
+        # the core nodes with subexpressions are handled by _walk
+        return q
     if isinstance(q, Select):
         ct = _need_coll(t, sem, "select")
         if isinstance(ct.elem, AnyType):
@@ -1646,9 +1694,6 @@ def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
         ta = path_type(_need_tuple(t, "eq"), q.pa, "eq")
         if _is_mon_type(ta):
             return _expand(EqMon(q.pa, q.pb), t, sem)
-        return q
-    if isinstance(q, CORE_NODES):
-        # the core nodes with subexpressions are handled by _desugar
         return q
     if isinstance(q, Diff):
         # keep the members of field 1 with no deep-equal partner in field 2;
@@ -1700,7 +1745,7 @@ def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
                 + ((q.label, group),))))
     else:
         raise MATypeError("cannot desugar %r" % (q,))
-    return _desugar(body, t, sem)[0]
+    return desugar(body, t, sem)
 
 
 # ---------------------------------------------------------------------------

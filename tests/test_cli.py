@@ -32,11 +32,24 @@ def test_eval_ma_prints_the_value(files):
     assert r2.stdout == "{a}\n"
 
 
-def test_eval_ma_runs_a_long_composition_chain(files):
-    """A chain of 1,200 stages is a loop, not 1,200 nested calls."""
-    q = files("q.ma", " ; ".join(["id"] * 1200))
-    r = run_cli("eval-ma", "--query", q)
-    assert (r.returncode, r.stdout, r.stderr) == (0, "<>\n", "")
+# 4,003 stages whose type stays shallow: each command types, desugars,
+# compiles and evaluates it without nesting a call per stage
+LONG_CHAIN = ("sng ; " + "sng ; flatten ; " * 2000
+              + "cart(id, id) ; select[1 = 2]")
+
+
+@pytest.mark.parametrize("cmd, text, tail", [
+    ("eval-ma", " ; ".join(["id"] * 1200), "<>\n"),
+    ("eval-ma", LONG_CHAIN, "{<1: <>, 2: <>>}\n"),
+    ("ma2lp", LONG_CHAIN, ".  % flatten\n% goal: p4020\n"),
+    ("eval-lp", LONG_CHAIN, ").2.dummy\n"),
+    ("detree-eval", LONG_CHAIN, ").2.<>\n"),
+], ids=["eval-ma-ids", "eval-ma", "ma2lp", "eval-lp", "detree-eval"])
+def test_a_long_composition_chain_runs(files, cmd, text, tail):
+    """A chain of thousands of stages is a loop, not nested calls."""
+    r = run_cli(cmd, "--query", files("q.ma", text))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.endswith(tail)
 
 
 @pytest.mark.parametrize("depth", [350, 450])

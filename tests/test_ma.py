@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -7,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from nestql import gen
 from nestql.ma import (
     CAnd, CIff, CNot, CORE_NODES, COr, CartProd, Compose, Const, Diff,
-    EmptyColl, EqAtomic, EqDeep, EqMon, FlatMap, Flatten, Id, Intersect,
-    MAExpr, MATypeError, Map, MemberOf, Monus, Nest, NotOp, PairWith,
-    PathEqConst, PathEqPath, PathInSet, Proj, Proj_chain, Select, Sng,
-    SubsetEq, TrueOp, TupleCons, Union, UnionT, Unique, UnitTuple, _desugar,
-    _subexprs, ast_size, compose, desugar, eval_ma, expand_mon_eq, infer_type,
-    is_core, size_bound, type_of,
+    EmptyColl, EqAtomic, EqDeep, EqMon, FlatMap, Flatten, HashJoin, Id,
+    Intersect, MAExpr, MATypeError, Map, MemberOf, Monus, Nest, NotOp,
+    PairWith, PathEqConst, PathEqPath, PathInSet, Proj, Proj_chain, Select,
+    Sng, SubsetEq, TrueOp, TupleCons, Union, UnionT, Unique, UnitTuple,
+    _CORE, _TYPE, _subexprs, _walk, ast_size, compose, desugar, eval_ma,
+    expand_mon_eq, infer_type, is_core, size_bound, type_of,
 )
 from nestql.ma_text import parse_ma, print_ma
 from nestql.values import (
@@ -551,41 +552,115 @@ def test_desugar_fails_as_infer_type_does(text, type_text, sem):
     assert _type_outcome(lambda: desugar(q, t, sem)) == want
 
 
-def test_desugar_fails_as_infer_type_does_on_drawn_queries():
+def _drawn_typings():
     """Typed queries against another drawn type, and the draws of the
     run-time error pins on the type of their value (whose collections may
-    be of another kind), under each semantics."""
-    failed = 0
+    be of another kind), under each semantics: (query, type, sem)."""
     for sem in (SET, LIST, BAG):
         for seed in range(300):
             rng = random.Random(seed)
             q = gen.gen_typed_query(rng, gen.gen_type(rng, 3, sem), 3, sem)
-            cases = [(q, gen.gen_type(rng, 3, sem))]
+            yield q, gen.gen_type(rng, 3, sem), sem
             q, v = _contract_draw(seed, sem)
             kind = next(k for k in (sem, SET, LIST, BAG)
                         if _type_outcome(lambda: type_of(v, k)) == "typed")
-            cases.append((q, type_of(v, kind)))
-            for q, t in cases:
-                want = _type_outcome(lambda: infer_type(q, t, sem))
-                failed += want != "typed"
-                assert _type_outcome(lambda: desugar(q, t, sem)) == want
+            yield q, type_of(v, kind), sem
+
+
+def test_desugar_fails_as_infer_type_does_on_drawn_queries():
+    failed = 0
+    for q, t, sem in _drawn_typings():
+        want = _type_outcome(lambda: infer_type(q, t, sem))
+        failed += want != "typed"
+        assert _type_outcome(lambda: desugar(q, t, sem)) == want
     assert failed >= 800, failed
 
 
+# sha256 of "print_ma(q) | print_type(t) | the type or the error" of
+# infer_type on the drawn typings and ILL_TYPED; recorded while typing
+# and desugaring still had a walk each, so it pins every rule's checks,
+# their order and their messages
+TYPE_CHECK_DIGEST = (
+    "d7e4b5e0950f1c9176f503144439fe75"
+    "cac99b3bdceb6196948525436240590c")
+
+
+def test_type_check_outcomes_are_pinned():
+    cases = list(_drawn_typings()) + [
+        (parse_ma(text), parse_type(type_text), sem)
+        for text, type_text in ILL_TYPED for sem in (SET, LIST, BAG)]
+    h = hashlib.sha256()
+    for q, t, sem in cases:
+        try:
+            out = print_type(infer_type(q, t, sem))
+        except Exception as e:   # the error itself is the outcome pinned
+            out = "%s %s" % (type(e).__name__, e)
+        h.update(("%s | %s | %s\n" % (print_ma(q), print_type(t), out))
+                 .encode())
+    assert h.hexdigest() == TYPE_CHECK_DIGEST
+
+
 def test_the_desugaring_walk_types_each_query_as_infer_type_does():
-    """The type desugar's walk gives a query, which composition stages
-    pass on as the next stage's input type, is infer_type's."""
+    """The type the walk gives a query while it desugars it, which
+    composition stages pass on as the next stage's input type, is the
+    type it gives without desugaring."""
     for sem in (SET, LIST, BAG):
         for seed in range(300):
             rng = random.Random(seed)
             t = gen.gen_type(rng, 3, sem)
             q = gen.gen_typed_query(rng, t, 3, sem)
-            assert _desugar(q, t, sem)[1] == infer_type(q, t, sem)
+            assert _walk(q, t, sem, True)[1] == infer_type(q, t, sem)
             q, v = _contract_draw(seed, sem)
             if _type_outcome(lambda: infer_type(q, type_of(v, sem), sem)) \
                     == "typed":
                 t = type_of(v, sem)
-                assert _desugar(q, t, sem)[1] == infer_type(q, t, sem)
+                assert _walk(q, t, sem, True)[1] == infer_type(q, t, sem)
+
+
+def test_every_operator_has_a_type_rule_and_each_nesting_a_core_form():
+    """No operator can be parsed without a type rule, nor one with
+    subexpressions desugared without a core form. HashJoin is built by
+    the plan only, and never typed."""
+    ops = set(MAExpr.__subclasses__()) - {HashJoin}
+    assert set(_TYPE) == ops
+    nesting = {c for c in ops
+               if any("MAExpr" in f.type for f in dataclasses.fields(c))}
+    assert set(_CORE) == nesting
+    for c in nesting:
+        sub = (("A", Id()),) if c is TupleCons else Id()
+        assert _subexprs(c(*[sub] * len(dataclasses.fields(c))))
+
+
+# 4,003 stages whose type stays shallow
+LONG_CHAIN = ("sng ; " + "sng ; flatten ; " * 2000
+              + "cart(id, id) ; select[1 = 2]")
+
+
+@pytest.mark.parametrize("sem", (SET, LIST, BAG))
+def test_a_long_composition_chain_desugars_to_its_meaning(sem):
+    q = parse_ma(LONG_CHAIN)
+    assert ast_size(q) == 8007
+    core = desugar(q, UNIT_T, sem)
+    assert is_core(core)
+    assert eval_ma(core, UNIT, sem) == eval_ma(q, UNIT, sem)
+
+
+@pytest.mark.parametrize("node", [Map, TupleCons, Union])
+@pytest.mark.parametrize("depth", [495, 2000])
+def test_a_deeply_nested_query_types_and_desugars(node, depth):
+    """map(...), tup[A = ...] or union(..., sng) nested depth deep: 495
+    is parse_ma's own limit, and the walk has none. The maps read sets
+    nested as deep."""
+    q, t = Sng(), UNIT_T
+    for _ in range(depth):
+        if node is Map:
+            q, t = Map(q), CollType(SET, t)
+        elif node is TupleCons:
+            q = TupleCons((("A", q),))
+        else:
+            q = Union(q, Sng())
+    infer_type(q, t, SET)
+    assert is_core(desugar(q, t, SET))
 
 
 @pytest.mark.parametrize("sem", (SET, LIST, BAG))
