@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Optional, Tuple as Tup
 
 from .values import (
@@ -336,6 +336,7 @@ def type_join(a: Type, b: Type, ctx: str) -> Type:
                       % (ctx, print_type(a), print_type(b)))
 
 
+@cache   # one immutable type, which many nodes get
 def bool_type(sem: str) -> CollType:
     return CollType(sem, UNIT_T)
 
@@ -541,7 +542,7 @@ def _t_nest(q, t, sem):
 
 _TYPE = {
     Id: lambda q, t, sem: t, Const: lambda q, t, sem: DOM,
-    EmptyColl: lambda q, t, sem: CollType(sem, ANY),
+    EmptyColl: lambda q, t, sem: _any_coll(sem),
     UnitTuple: lambda q, t, sem: UNIT_T,
     Sng: lambda q, t, sem: CollType(sem, t),
     Compose: _t_compose, Map: _t_map, FlatMap: _t_map, TupleCons: _t_tuple,
@@ -567,8 +568,14 @@ def _need_coll(t: Type, sem: str, ctx: str) -> CollType:
 
 def _coerce_coll(t: Type, sem: str) -> Type:
     if isinstance(t, AnyType):
-        return CollType(sem, ANY)
+        return _any_coll(sem)
     return t
+
+
+@cache
+def _any_coll(sem: str) -> CollType:
+    """The type of a collection of unknown members, made once."""
+    return CollType(sem, ANY)
 
 
 def _need_tuple(t: Type, ctx: str) -> TupleType:
