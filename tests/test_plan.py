@@ -11,6 +11,7 @@ equalities out, for rule 5 of the plan. The last tests take their
 queries from the Turing machine acceptance query.
 """
 
+import dataclasses
 import hashlib
 import random
 from functools import reduce
@@ -546,3 +547,82 @@ def test_branch_copies_are_capped():
     p = plan(q)
     assert ma.ast_size(p) < 10 * ma._MAX_BRANCHES
     _same_as_plain(q, make_coll(SET, [Atom(x) for x in ATOMS]))
+
+
+def _filter_draw(seed, sem):
+    """A Boolean-filter pipeline and a collection to run it on, as
+    test_boolean_filters_plan_as_selections draws them."""
+    rng = random.Random(seed)
+    t = _elem_type(rng, sem)
+    q = gen_filter_pipeline(rng, t)
+    return q, make_coll(sem, [gen_value(rng, t)
+                              for _ in range(rng.randint(1, 5))])
+
+
+TM_CASES = ((reductions.ACCEPTOR, ("1",)), (reductions.GUESSER, ("1",)),
+            (reductions.REJECTOR, ()))
+
+
+def _typed(draws):
+    out = []
+    for q, v, sem in draws:
+        try:
+            infer_type(q, type_of(v, sem), sem)
+        except (ma.MATypeError, ValueError_):
+            continue
+        out.append(q)
+    return out
+
+
+_CORPUS = []
+
+
+def plan_corpus():
+    """The typed drawn pipelines and Boolean-filter pipelines under each
+    semantics, then the twelve machine acceptance queries, with their
+    plans."""
+    if not _CORPUS:
+        qs = _typed([_draw(seed, sem) + (sem,)
+                     for sem in KINDS for seed in range(500)])
+        qs += _typed([_filter_draw(seed, sem) + (sem,)
+                      for sem in KINDS for seed in range(400)])
+        qs += [reductions.gen_tm_query(tm, word, K, expand)
+               for tm, word in TM_CASES for K in (1, 2)
+               for expand in (False, True)]
+        _CORPUS.extend((q, plan(q)) for q in qs)
+    return _CORPUS
+
+
+def _canon(x):
+    """x as text, each chain of CAnd written as the list of its
+    conjuncts."""
+    if type(x) is CAnd:
+        parts, todo = [], [x]
+        while todo:
+            c = todo.pop()
+            if type(c) is CAnd:
+                todo += (c.b, c.a)
+            else:
+                parts.append(c)
+        return "and[%s]" % ", ".join(map(_canon, parts))
+    if type(x) is tuple:
+        return "(%s)" % ", ".join(map(_canon, x))
+    if dataclasses.is_dataclass(x):
+        return "%s(%s)" % (type(x).__name__, ", ".join(
+            _canon(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return repr(x)
+
+
+# sha256 of the canonical text of each plan of plan_corpus(), one per
+# line
+PLAN_DIGEST = (
+    "488f1c55871413ffeca0909ec3b7a65e"
+    "19a58c3e722b03232089b17348c6da0f")
+
+
+def test_plans_are_pinned():
+    """The plans themselves, up to how conjunctions are grouped: a
+    change to the planner that keeps every value can still move a
+    selection or drop a join."""
+    text = "\n".join(_canon(p) for _, p in plan_corpus())
+    assert hashlib.sha256(text.encode()).hexdigest() == PLAN_DIGEST
