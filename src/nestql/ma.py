@@ -1175,12 +1175,12 @@ def type_of(v: Value, sem: str = SET) -> Type:
 #   3. map(f) ; select[c]  ->  select[c'] ; map(f) for the conjuncts of c
 #      whose paths f maps back onto paths of its input (through id,
 #      projections, compositions and tuple fields); c' reads them there.
-#   4. cart(f, g) ; select[c] becomes a HashJoin. The conjuncts on one
-#      side go into f ; select or g ; select. Each equality between a
+#   4. cart(f, g) ; select[c] becomes a HashJoin, and a later selection
+#      that reaches it adds its conjuncts to it. Each equality between a
 #      side-1 and a side-2 path becomes a join key, under any mode. The
 #      other conjuncts are tested on each joined pair, and what they
-#      imply of one side (such as a disjunct's side-1 conjuncts, in each
-#      disjunct) filters that side first.
+#      imply of one side (such as its own conjuncts, or a disjunct's
+#      side-1 conjuncts in each disjunct) filters that side first.
 #   5. A selection by a Boolean subquery g, in the form reductions'
 #      filter or desugar's _sigma gives it, whose conjuncts (the
 #      operands of its cart(g1, g2) ; map(unit) chains) include atomic
@@ -1189,8 +1189,9 @@ def type_of(v: Value, sem: str = SET) -> Type:
 #      by the selection by the other conjuncts, if any. Each lifted
 #      conjunct yields at most one <>, so the filter's multiplicity, the
 #      product of its conjuncts' sizes, and its list order are kept.
-# _chain applies rule 5 to its stages, then rules 1-3 (_pushdown), and
-# _joins applies rule 4. None of them needs types: a query gets a plan
+# _pushdown applies rule 5 (_lift) to the stages of each chain, _chain
+# rule 1 and _push rules 2-4, in one pass: a selection becomes a join
+# where it reaches its product. None of them needs types: a query gets a plan
 # only when it type-checks, and the type check shows the paths of an
 # atomic equality atomic and both paths of a mon equality
 # collection-free, so no condition raises a mode error and native ==
@@ -1202,23 +1203,11 @@ _MAX_BRANCHES = 1024   # rule 1 stops copying beyond this many branches
 def plan(q: MAExpr) -> MAExpr:
     """The tree :func:`eval_ma` evaluates for q, which must type-check
     against the type of its input."""
-    return _joins(_pushdown(q))
+    return _pushdown(q)
 
 
 def _has_cart(q: MAExpr) -> bool:
-    return any(type(x) is CartProd for x in _nodes(q))
-
-
-def _rebuild(q: MAExpr, fn) -> MAExpr:
-    """q with fn applied to each of its direct subexpressions."""
-    t = type(q)
-    if t in (Compose, Union, CartProd):
-        return t(fn(q.f), fn(q.g))
-    if t in (Map, FlatMap):
-        return t(fn(q.f))
-    if t is TupleCons:
-        return TupleCons(tuple((l, fn(f)) for l, f in q.fields))
-    return q
+    return any(type(x) in (CartProd, HashJoin) for x in _nodes(q))
 
 
 def _flat(q: MAExpr, node: type) -> list:
@@ -1301,31 +1290,35 @@ def _resolve(f: MAExpr, p: Path) -> Optional[Path]:
 
 
 def _pushdown(q: MAExpr) -> MAExpr:
-    """Rules 1-3, everywhere in q."""
-    if type(q) is Compose:
-        return compose(*_chain(_flat(q, Compose)))
-    return _rebuild(q, _pushdown)
+    """The rules, everywhere in q."""
+    t = type(q)
+    if t is Compose:
+        return compose(*_chain(_lift(_flat(q, Compose))))
+    if t in (Union, CartProd):
+        return t(_pushdown(q.f), _pushdown(q.g))
+    if t in (Map, FlatMap):
+        return t(_pushdown(q.f))
+    if t is TupleCons:
+        return TupleCons(tuple((l, _pushdown(f)) for l, f in q.fields))
+    return q
 
 
 def _chain(stages: list, acc: list = ()) -> list:
     """The stages of acc ; stages, each of stages moved into acc as far
-    as the rules allow; the stages of acc are already rewritten."""
+    as the rules allow. Rule 5 has split stages; the stages of acc are
+    already rewritten."""
     acc = list(acc)
-    for s in _lift(stages):
+    for s in stages:
         if type(s) is Select:
             acc = _push(acc, s.cond)
             continue
-        if type(s) is Union:
-            branches = _flat(s, Union)
-            i = _suffix(acc)
-            if (i is not None
-                    and len(branches) * len(_flat(acc[i], Union))
-                    <= _MAX_BRANCHES
-                    and all(type(_lift(_flat(b, Compose))[0]) is Select
-                            for b in branches)):
-                acc[i:] = [_union([
-                    compose(*_chain(_flat(b, Compose), acc[i:]))
-                    for b in branches])]
+        i = _suffix(acc) if type(s) is Union else None
+        if i is not None:
+            branches = [_lift(_flat(b, Compose)) for b in _flat(s, Union)]
+            if (len(branches) * len(_flat(acc[i], Union)) <= _MAX_BRANCHES
+                    and all(type(b[0]) is Select for b in branches)):
+                acc[i:] = [_union([compose(*_chain(b, acc[i:]))
+                                   for b in branches])]
                 continue
         acc.append(_pushdown(s))
     return acc
@@ -1435,7 +1428,8 @@ def _suffix(acc: list) -> Optional[int]:
     it."""
     for i in range(len(acc) - 1, -1, -1):
         s = acc[i]
-        if type(s) is CartProd or (type(s) is Union and _has_cart(s)):
+        if type(s) in (CartProd, HashJoin) or (
+                type(s) is Union and _has_cart(s)):
             return i
         if type(s) not in (Map, Select):
             return None
@@ -1444,49 +1438,55 @@ def _suffix(acc: list) -> Optional[int]:
 
 def _push(acc: list, c: SelCond) -> list:
     """The stages of acc ; select[c], the selection moved into acc as far
-    as rules 2 and 3 allow."""
-    if not acc:
-        return [Select(c)]
-    *rest, s = acc
-    if type(s) is Select:
-        # s.cond went as far as it could; c may go further
-        out = _push(rest, c)
-        if type(out[-1]) is Select:
-            return out[:-1] + [Select(CAnd(s.cond, out[-1].cond))]
-        return out + [s]
-    if type(s) is Union:
-        return rest + [_union([compose(*_push(_flat(b, Compose), c))
-                               for b in _flat(s, Union)])]
-    if type(s) is Map:
-        moved, kept = [], []
-        for x in _conjuncts(c):
-            there = {p: _resolve(s.f, p) for p in _paths(x)}
-            if None in there.values():
-                kept.append(x)
-            else:
-                moved.append(_on_paths(x, there.get))
-        if moved:
-            rest = _push(rest, _and(moved))
-        return rest + [s] + ([Select(_and(kept))] if kept else [])
-    return acc + [Select(c)]
+    as rules 2-4 allow. A selection that c moves past takes what of c
+    stops right before it."""
+    acc, tail = list(acc), []   # tail: the stages c passed, right to left
 
-
-def _joins(q: MAExpr) -> MAExpr:
-    """q with each product that a selection follows turned into a
-    HashJoin (rule 4)."""
-    if type(q) is not Compose:
-        return _rebuild(q, _joins)
-    out = []
-    for s in _flat(q, Compose):
-        if type(s) is Select and out and type(out[-1]) is CartProd:
-            out[-1] = _hash_join(out[-1], s.cond)
+    def stop(kept):
+        if tail and type(tail[-1]) is Select:
+            tail[-1] = Select(CAnd(tail[-1].cond, kept))
         else:
-            out.append(s)
-    return compose(*(s if type(s) is HashJoin else _joins(s) for s in out))
+            tail.append(Select(kept))
+
+    while c is not None:
+        s = acc[-1] if acc else None
+        if type(s) is Select:
+            # s.cond went as far as it could; c may go further
+            tail.append(acc.pop())
+        elif type(s) is Map:
+            moved, kept = [], []
+            for x in _conjuncts(c):
+                there = {p: _resolve(s.f, p) for p in _paths(x)}
+                if None in there.values():
+                    kept.append(x)
+                else:
+                    moved.append(_on_paths(x, there.get))
+            if kept:
+                stop(_and(kept))
+            tail.append(acc.pop())
+            c = _and(moved) if moved else None
+        elif type(s) is Union:
+            acc[-1] = _union([compose(*_push(_flat(b, Compose), c))
+                              for b in _flat(s, Union)])
+            break
+        elif type(s) in (CartProd, HashJoin):
+            acc[-1] = _hash_join(s, c)
+            break
+        else:
+            stop(c)
+            break
+    return acc + tail[::-1]
 
 
-def _hash_join(cart: CartProd, c: SelCond) -> HashJoin:
+def _hash_join(s: MAExpr, c: SelCond) -> HashJoin:
+    """s ; select[c] as one HashJoin, for s a product or a HashJoin
+    (rule 4): c's join keys and other cross-side conjuncts follow those
+    of s, and what c implies of each side filters that side."""
     keys, rest = [], []
+    if type(s) is HashJoin:
+        keys += s.keys
+        if s.cond is not None:
+            rest.append(s.cond)
     for x in _conjuncts(c):
         key = _join_key(x)
         if key:
@@ -1494,9 +1494,8 @@ def _hash_join(cart: CartProd, c: SelCond) -> HashJoin:
         elif _side(x) is None:
             rest.append(x)
     f, g = ((e if d is None else compose(*_push(_flat(e, Compose), d)))
-            for e, d in zip((cart.f, cart.g), _implied(c)))
-    return HashJoin(_joins(f), _joins(g), tuple(keys),
-                    _and(rest) if rest else None)
+            for e, d in zip((s.f, s.g), _implied(c)))
+    return HashJoin(f, g, tuple(keys), _and(rest) if rest else None)
 
 
 def _side(c: SelCond) -> Optional[str]:

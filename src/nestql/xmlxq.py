@@ -364,7 +364,7 @@ def decide_xq(q: XQExpr, doc: Tree) -> bool:
     if len(r) != 1:
         raise ValueError_("decision query produced %d trees, need exactly 1"
                           % len(r))
-    return 2 * tree_nodes(r[0]) > 2
+    return bool(r[0].children)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,6 @@ def parse_xq(text: str) -> XQExpr:
     q = p.parse_seq({"root": 1}, 1)
     if not p.sc.at_end():
         p.sc.error("trailing input")
-    check_lets(q)
     return q
 
 

@@ -36,15 +36,19 @@ def test_eval_ma_prints_the_value(files):
 # compiles and evaluates it without nesting a call per stage
 LONG_CHAIN = ("sng ; " + "sng ; flatten ; " * 2000
               + "cart(id, id) ; select[1 = 2]")
+# a selection that passes 1,000 maps to reach its product
+MAPPED_JOIN = "sng ; cart(id, id) ; " + "map(id) ; " * 1000 + "select[1 = 2]"
 
 
 @pytest.mark.parametrize("cmd, text, tail", [
     ("eval-ma", " ; ".join(["id"] * 1200), "<>\n"),
     ("eval-ma", LONG_CHAIN, "{<1: <>, 2: <>>}\n"),
+    ("eval-ma", MAPPED_JOIN, "{<1: <>, 2: <>>}\n"),
     ("ma2lp", LONG_CHAIN, ".  % flatten\n% goal: p4020\n"),
     ("eval-lp", LONG_CHAIN, ").2.dummy\n"),
     ("detree-eval", LONG_CHAIN, ").2.<>\n"),
-], ids=["eval-ma-ids", "eval-ma", "ma2lp", "eval-lp", "detree-eval"])
+], ids=["eval-ma-ids", "eval-ma", "eval-ma-maps", "ma2lp", "eval-lp",
+        "detree-eval"])
 def test_a_long_composition_chain_runs(files, cmd, text, tail):
     """A chain of thousands of stages is a loop, not nested calls. An
     eval-ma tail is the whole output."""

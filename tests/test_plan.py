@@ -626,3 +626,15 @@ def test_plans_are_pinned():
     selection or drop a join."""
     text = "\n".join(_canon(p) for _, p in plan_corpus())
     assert hashlib.sha256(text.encode()).hexdigest() == PLAN_DIGEST
+
+
+def test_no_selection_follows_a_product():
+    """Every selection that reaches a product becomes or joins its
+    HashJoin, a branch's selection copied onto a built join too."""
+    for q, p in plan_corpus():
+        for x in ma._nodes(p):
+            if type(x) is Compose:
+                before = ma._flat(x.f, Compose)[-1]
+                after = ma._flat(x.g, Compose)[0]
+                assert not (type(before) in (CartProd, HashJoin)
+                            and type(after) is Select), q

@@ -99,6 +99,17 @@ def test_let_rejects_non_singleton_binding():
         run(q)
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("let $x := $root/a return $x", 18),
+    ("<r>{let $x := <a/> return let $y := {$x $x} return $y}</r>", 44),
+])
+def test_parser_rejects_a_non_singleton_let_where_it_reads_it(text, pos):
+    with pytest.raises(ValueError_) as e:
+        parse_xq(text)
+    assert str(e.value) == ("let binds a non-singleton form at position %d"
+                            % pos)
+
+
 def test_decide_requires_one_tree_and_checks_children():
     assert decide_xq(parse_xq("<a>{$root/b}</a>"), DOC)
     assert not decide_xq(parse_xq("<a>{$root/z}</a>"), DOC)
