@@ -35,7 +35,6 @@ from . import xmlxq as xq
 from .xmlxq import (
     AxisStep, CHILD, Elem, EmptyElem, EmptySeq, For, If, Let, Not,
     PathExpr, QueryEq, Seq, STAR, Tree, Var, VarEq, XQExpr, eval_xq,
-    check_lets,
 )
 
 
@@ -182,9 +181,7 @@ def ma_to_xq(q: MAExpr, t: Type) -> XQExpr:
     """Translate a core list-monad query (tuples, lists, atoms; plus
     deep-equality selections) on inputs of type t. The output query
     expects $root bound to the T-image of the input value."""
-    out = _xq(q, t, 1, 1)
-    check_lets(out)
-    return out
+    return _xq(q, t, 1, 1)
 
 
 def _tag(tt: TupleType, label: str) -> str:

@@ -110,15 +110,19 @@ def cmd_ma2xq(a) -> int:
 
 
 def _core(q, t):
-    """Desugar extended operators; t is the input type to check against."""
+    """Desugar extended operators; t is the input type to check against,
+    or None for an open input given without one."""
     if ma.is_core(q):
         return q
+    if t is None:
+        raise GuardError("query uses extended operators; pass --type to "
+                         "desugar against an input type")
     return ma.desugar(q, t, LIST)
 
 
 def cmd_ma2lp(a) -> int:
     q = parse_ma(_read(a.query))
-    t = parse_type(a.type) if a.type else ma.UNIT_T
+    t = parse_type(a.type) if a.type else None if a.open else ma.UNIT_T
     prog = lp.compile_lp(_core(q, t), closed=not a.open,
                          input_pred=a.input_pred,
                          empty_markers=a.empty_markers)
@@ -145,12 +149,8 @@ def cmd_detree_eval(a) -> int:
     q = parse_ma(_read(a.query))
     if a.paths:
         V = detree.parse_pathset(_read(a.paths))
-        if not ma.is_core(q):
-            if not a.type:
-                raise GuardError("query uses extended operators; pass "
-                                 "--type to desugar against an input type")
-            q = ma.desugar(q, parse_type(a.type), LIST)
-        out = detree.eval_det(q, V, empty_markers=a.empty_markers)
+        t = parse_type(a.type) if a.type else None
+        out = detree.eval_det(_core(q, t), V, empty_markers=a.empty_markers)
     else:
         out = detree.eval_closed(_core(q, ma.UNIT_T),
                                  empty_markers=a.empty_markers)

@@ -23,14 +23,17 @@ reads each text once per process, and a compiled rule is that template
 with the operator's predicates and labels in place of its placeholders,
 so it equals parse_lp of its own printed text.
 
-eval_lp evaluates bottom-up, each predicate after every predicate it
-reads. Each rule runs as a Python function generated once per process
-for the rule's shape, so the 17,596 rules of an lp-paths benchmark round
-share 12 functions. A function joins the body atoms as nested loops: an atom
-whose prefix earlier atoms have bound reads only the facts under that
-prefix, from the relation's prefix index (a unary one is a membership
-test); any other atom scans its relation. Where a variable dies, the
-live bindings are gathered into a set first. See the Evaluation section.
+A program's rule list is its evaluation order: no rule reads a predicate
+that it or a later rule derives. compile_lp emits each operator's rules
+after those of its subexpressions, and parse_lp refuses text out of that
+order, so eval_lp runs the rules as listed, bottom-up. Each rule runs as
+a Python function generated once per process for the rule's shape, so
+the 17,596 rules of an lp-paths benchmark round share 12 functions. A
+function joins the body atoms as nested loops: an atom whose prefix
+earlier atoms have bound reads only the facts under that prefix, from
+the relation's prefix index (a unary one is a membership test); any
+other atom scans its relation. Where a variable dies, the live bindings
+are gathered into a set first. See the Evaluation section.
 
 In rule text, identifiers i, j, k, u, v, w (optionally digit-suffixed)
 are variables, X is the prefix variable and e is the empty prefix;
@@ -83,6 +86,9 @@ class Rule:
 
 @dataclass
 class LogicProgram:
+    """rules is the evaluation order: no rule reads its own head or the
+    head of a later rule, so each relation is complete before a rule
+    reads it. compile_lp and parse_lp give only such lists."""
     rules: List[Rule]
     goal: str
     input_pred: str
@@ -100,6 +106,7 @@ class _Compiler:
         self.rules: List[Rule] = []
         self.n = 0
         self.empty_markers = empty_markers
+        self.witnessed: Set[str] = set()   # inputs with set_/ne_ rules
 
     def fresh(self) -> str:
         self.n += 1
@@ -177,8 +184,13 @@ class _Compiler:
             return out
         if kind is ma.NotOp:
             set_p, ne_p = "set_" + inp, "ne_" + inp
-            self.emit("S(X) :- F(X, v).", "set witness", S=set_p, F=frame)
-            self.emit("N(X) :- I(X, i.v).", "nonempty", N=ne_p, I=inp)
+            if inp not in self.witnessed:
+                # they depend on inp and its frame alone, and a second
+                # copy would follow a rule that reads them
+                self.witnessed.add(inp)
+                self.emit("S(X) :- F(X, v).", "set witness", S=set_p,
+                          F=frame)
+                self.emit("N(X) :- I(X, i.v).", "nonempty", N=ne_p, I=inp)
             out = self.fresh()
             self.emit("O(X, s.<>) :- S(X), not N(X).", "not",
                       O=out, S=set_p, N=ne_p)
@@ -247,11 +259,11 @@ def compile_lp(q: MAExpr, closed: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (bottom-up, stratified, predicate by predicate)
+# Evaluation (bottom-up, stratified, rule by rule)
 #
-# Predicates are evaluated in topological order, so a relation is
-# complete before any rule reads it (no rule may read its own head,
-# directly or not). Each rule runs as a generated Python function shared
+# Rules run in the order the program lists them, which is an evaluation
+# order (see LogicProgram), so a relation is complete before any rule
+# reads it. Each rule runs as a generated Python function shared
 # by every rule of its shape, which the rule records (see Rule): the
 # shape is the rule with its constants (body predicates, labels and
 # excluded labels) taken out and its variables numbered, so evaluation
@@ -532,45 +544,12 @@ def _rule_fn(shape) -> Callable:
     return fn
 
 
-def _topo_preds(by_head: Dict[str, List[Rule]]) -> List[str]:
-    """Every predicate, each after the predicates its rules read; by_head
-    maps each head predicate to its rules. A depth-first walk with its
-    own stack: no recursion limit, and no self-referring closure, whose
-    cycle would keep by_head and every rule alive until a cyclic
-    collection."""
-    order: List[str] = []
-    state: Dict[str, int] = {}   # 1 while on the stack, then 2
-    for root in by_head:
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, _reads(by_head, root))]
-        while stack:
-            p, reads = stack[-1]
-            for a in reads:
-                s = state.get(a)
-                if s is None:
-                    state[a] = 1
-                    stack.append((a, _reads(by_head, a)))
-                    break
-                if s == 1:
-                    raise ValueError_("recursive predicate %s" % a)
-            else:
-                stack.pop()
-                state[p] = 2
-                order.append(p)
-    return order
-
-
-def _reads(by_head: Dict[str, List[Rule]], p: str):
-    """The predicates p's rules read, in order."""
-    return (r.consts[a[0]] for r in by_head.get(p, ()) for a in r.shape[0])
-
-
 def eval_lp(prog: LogicProgram, facts: Optional[dict] = None):
-    """Evaluate bottom-up. facts maps predicate names to sets of
-    (prefix, path) pairs supplied externally (e.g. the encoded input
-    value under prog.input_pred). Returns (binary, unary) relations."""
+    """Evaluate bottom-up, running prog.rules in their order, which
+    must be an evaluation order (see LogicProgram). facts maps predicate
+    names to sets of (prefix, path) pairs supplied externally (e.g. the
+    encoded input value under prog.input_pred). Returns (binary, unary)
+    relations."""
     bin_rels: Dict[str, Set[Tup[Path, Path]]] = {}
     un_rels: Dict[str, Set[Path]] = {}
     for p, fs in (facts or {}).items():
@@ -584,15 +563,10 @@ def eval_lp(prog: LogicProgram, facts: Optional[dict] = None):
                 by_prefix.setdefault(pre, []).append(path)
         return indexes[pred]
 
-    by_head: Dict[str, List[Rule]] = {}
     for r in prog.rules:
-        by_head.setdefault(r.head, []).append(r)
-    for pred in _topo_preds(by_head):
-        for r in by_head.get(pred, []):
-            out = (un_rels if r.shape[1][3] is None else bin_rels) \
-                .setdefault(pred, set())
-            _rule_fn(r.shape)(bin_rels, un_rels, index, out, r.consts)
-        bin_rels.setdefault(pred, set())
+        out = (un_rels if r.shape[1][3] is None else bin_rels) \
+            .setdefault(r.head, set())
+        _rule_fn(r.shape)(bin_rels, un_rels, index, out, r.consts)
     return bin_rels, un_rels
 
 
@@ -678,10 +652,15 @@ _VAR_RE = re.compile(r"[ijkuvw][0-9]*$")
 
 
 def parse_lp(text: str) -> LogicProgram:
+    """The program text spells, as print_lp prints it. Its rules must be
+    in evaluation order (see LogicProgram): a rule that reads its own
+    head, or a rule for a predicate that an earlier rule read, is
+    refused."""
     rules: List[Rule] = []
     goal = None
     input_pred = None
     arity: Dict[str, bool] = {}   # predicate -> whether it is unary
+    read: Set[str] = set()        # the predicates earlier rules read
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -701,6 +680,15 @@ def parse_lp(text: str) -> LogicProgram:
                 raise ValueError_("predicate %s is used both as unary and "
                                   "as binary in %r" % (pred, raw))
         _check_safe(rule, raw)
+        reads = {rule.consts[a[0]] for a in body}
+        if rule.head in reads:
+            raise ValueError_("recursive predicate %s in %r"
+                              % (rule.head, raw))
+        if rule.head in read:
+            raise ValueError_("predicate %s is read by an earlier rule, so "
+                              "%r is out of evaluation order"
+                              % (rule.head, raw))
+        read |= reads
         rules.append(rule)
     if goal is None:
         if not rules:

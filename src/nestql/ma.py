@@ -1181,8 +1181,8 @@ def type_of(v: Value, sem: str = SET) -> Type:
 #      other conjuncts are tested on each joined pair, and what they
 #      imply of one side (such as its own conjuncts, or a disjunct's
 #      side-1 conjuncts in each disjunct) filters that side first.
-#   5. A selection by a Boolean subquery g, in the form reductions'
-#      filter or desugar's _sigma gives it, whose conjuncts (the
+#   5. A selection by a Boolean subquery g, a flatmap of filter_body(g)
+#      or a map of it followed by flatten, whose conjuncts (the
 #      operands of its cart(g1, g2) ; map(unit) chains) include atomic
 #      equalities eqatom[p, q] or tup[A = p, B = 'c'] ; eqatom[A, B]:
 #      those become select[p =atom q] and select[p =atom 'c'], followed
@@ -1345,15 +1345,16 @@ def _lift(stages: list) -> list:
         if conds:
             out.append(Select(_and(conds)))
             if rest:
-                out.append(FlatMap(_filter_body(_conj(rest))))
+                out.append(FlatMap(filter_body(_conj(rest))))
         else:
             out += stages[i:i + n]
         i += n
     return out
 
 
-def _filter_body(g: MAExpr) -> MAExpr:
-    """The body of flatmap that keeps x |g(x)| times."""
+def filter_body(g: MAExpr) -> MAExpr:
+    """The body of flatmap that keeps x |g(x)| times; reductions' filters
+    and desugar's selections are built from it."""
     return compose(TupleCons((("1", Id()), ("2", g))), PairWith("2"),
                    Map(Proj("1")))
 
@@ -1590,9 +1591,7 @@ def expand_mon_eq(t: Type) -> MAExpr:
 
 def _sigma(gamma: MAExpr) -> MAExpr:
     """Selection by predicate gamma, as flatmap of the pairing trick."""
-    inner = compose(TupleCons((("1", Id()), ("2", Compose(Id(), gamma)))),
-                    PairWith("2"), Map(Proj("1")))
-    return compose(Map(inner), Flatten())
+    return compose(Map(filter_body(Compose(Id(), gamma))), Flatten())
 
 
 def _cond_pred(c: SelCond, t: Type, sem: str) -> MAExpr:

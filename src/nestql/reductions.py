@@ -239,8 +239,7 @@ def _atom_set(labels: Sequence[str]) -> MAExpr:
 def _filter(gamma: MAExpr) -> MAExpr:
     """Selection by an arbitrary Boolean subquery: keep the elements x
     of the input collection with gamma(x) nonempty."""
-    return FlatMap(compose(_pair(Id(), gamma), PairWith("2"),
-                           Map(Proj("1"))))
+    return FlatMap(ma.filter_body(gamma))
 
 
 def _conj_bool(f: MAExpr, g: MAExpr) -> MAExpr:

@@ -208,17 +208,6 @@ def is_singleton_form(q: XQExpr) -> bool:
     return False
 
 
-def check_lets(q: XQExpr):
-    """Enforce the let-singleton restriction on a constructed AST."""
-    if isinstance(q, Let) and not is_singleton_form(q.bound):
-        raise ValueError_("let binds a non-singleton form: %s"
-                          % print_xq(q.bound))
-    for f in getattr(q, "__dataclass_fields__", {}):
-        v = getattr(q, f)
-        if isinstance(v, XQExpr):
-            check_lets(v)
-
-
 # ---------------------------------------------------------------------------
 # Desugaring
 

@@ -10,7 +10,9 @@ from nestql.bridge import (
 )
 from nestql.ma import eval_ma
 from nestql.values import LIST, parse_value
-from nestql.xmlxq import eval_xq, parse_xml, parse_xq, print_xml
+from nestql.xmlxq import (
+    eval_xq, parse_xml, parse_xq, print_xml, print_xq,
+)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -56,6 +58,11 @@ def test_algebra_to_tree_translation(seed):
     q = gen.gen_pairlist_query(rng, t, 3)
     v = gen.gen_value(rng, t)
     assert check_thm63(q, v, t)
+    # the printed translation reads back, the parser checking each let
+    # binds a singleton form, and means the same
+    x = ma_to_xq(q, t)
+    env = (encode_T(v),)
+    assert eval_xq(parse_xq(print_xq(x)), env) == eval_xq(x, env)
 
 
 def test_pairlist_queries_are_well_typed():

@@ -131,6 +131,20 @@ def test_ma2lp_desugars_extended_operators(files):
     assert ":-" in r.stdout and "% goal:" in r.stdout
 
 
+@pytest.mark.parametrize("text", ["map(tup[A = id]) ; select[A = A]",
+                                  "pi[A] ; select[B = C]"])
+def test_an_open_input_needs_a_type_to_desugar(files, text):
+    """ma2lp --open once desugared against the closed unit input and
+    reported a type error about <>."""
+    q = files("q.ma", text)
+    want = ("error: query uses extended operators; pass --type to desugar "
+            "against an input type\n")
+    paths = files("v.paths", "1.A.a\n")
+    for r in (run_cli("ma2lp", "--query", q, "--open"),
+              run_cli("detree-eval", "--query", q, "--paths", paths)):
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", want)
+
+
 def test_deep_comparison_with_a_constant_runs_on_every_route(files):
     """select[A = 'a'] compares an atom, so its desugared form is core:
     the LP and path-set routes run it and agree with eval-ma."""

@@ -167,13 +167,41 @@ def test_open_program_reads_supplied_input():
     assert got == want
 
 
+# two negations of one input, which once emitted its witness rules twice
+DOUBLE_NOTS = ["sng ; tup[1 = not, 2 = not]", "sng ; union(not, not)"]
+
+
 def test_predicate_dependencies_are_acyclic():
+    """A compiled program's rules are in evaluation order, which parse_lp
+    checks: every rule comes before the rules that read its head."""
     rng = random.Random(12)
-    for _ in range(30):
-        q = gen.gen_closed_query(rng, 5, LIST)
+    queries = [gen.gen_closed_query(rng, 5, LIST) for _ in range(30)]
+    for q in queries + [parse_ma(text) for text in DOUBLE_NOTS]:
         prog = compile_lp(q, empty_markers=True)
-        # evaluation orders predicates topologically and raises on cycles
-        eval_lp(prog)
+        assert parse_lp(print_lp(prog)).rules == prog.rules
+
+
+@pytest.mark.parametrize("text", DOUBLE_NOTS)
+@pytest.mark.parametrize("markers", [False, True])
+def test_two_negations_of_one_input_share_its_witnesses(text, markers):
+    q = parse_ma(text)
+    prog = compile_lp(q, empty_markers=markers)
+    printed = print_lp(prog)
+    for witness in ("set witness", "nonempty"):
+        assert printed.count("% " + witness + "\n") == 1, printed
+    # eval_det has no negation, so eval_ma is the one other route
+    lt = listify_type(infer_type(q, UNIT_T, LIST))
+    got = decode_det(goal_paths(prog, eval_lp(prog)[0]), lt)
+    assert got == eval_ma(q, UNIT, LIST)
+
+
+def test_a_rule_after_a_reader_of_its_head_is_rejected():
+    """The evaluator runs rules in their order, so a rule for a predicate
+    that an earlier rule read would come too late for it."""
+    with pytest.raises(ValueError_, match="predicate b is read by an "
+                       "earlier rule, so 'b\\(e, y\\).' is out of "
+                       "evaluation order"):
+        parse_lp("a(e, x).\nh(X, v) :- a(X, v), b(X, w).\nb(e, y).\n")
 
 
 def test_constant_spelled_like_a_marker_stays_an_atom():
@@ -293,16 +321,15 @@ c(X, i.v) :- b(X, w), a(X.i, v).
 d(X, i.v) :- a(X.i, v).
 """, ["a(e, 1.x)", "a(e.p, 2.y)", "a(e.p.q, 3.z)", "b(e, m)",
       "c(e, p.2.y)", "d(e, p.2.y)", "d(e.p, q.3.z)"]),
-    # a step variable shared by two atoms; the rule comes before the
-    # facts it reads
+    # a step variable shared by two atoms
     "shared step": ("""\
-s(X, i.j.w) :- a(X, i.j.v), b(X, i.w).
 a(e, 1.x.o).
 a(e, 2.y.o).
 a(e.p, 1.z.o).
 b(e, 1.t).
 b(e, 3.t).
 b(e.p, 1.y).
+s(X, i.j.w) :- a(X, i.j.v), b(X, i.w).
 """, ["a(e, 1.x.o)", "a(e, 2.y.o)", "a(e.p, 1.z.o)",
       "b(e, 1.t)", "b(e, 3.t)", "b(e.p, 1.y)",
       "s(e, 1.x.t)", "s(e.p, 1.z.y)"]),
