@@ -124,6 +124,31 @@ def test_ma2xq_translates_back(files):
     assert r.stdout.startswith("<list>")
 
 
+@pytest.mark.parametrize("cmd, text, args, want", [
+    ("xq2ma", "($root/a = $root/b)", (),
+     "cannot translate QueryEq(a=AxisStep(var=1, axis='child', test='a'), "
+     "b=AxisStep(var=1, axis='child', test='b'), mode='deep')"),
+    ("xq2ma", "$root/descendant::a", (),
+     "only the child axis can be translated"),
+    ("ma2xq", "eqatom[A, B]", ("--type", "<A: Dom, B: Dom>"),
+     "cannot translate EqAtomic(pa=('A',), pb=('B',)); desugar to the "
+     "core first"),
+    ("ma2xq", "select[A = B && A = B]", ("--type", "[<A: Dom, B: Dom>]"),
+     "only single-field deep-equality selections translate"),
+    ("eval-xq", "let $x := {<a/> <b/>} return $x", ("--doc", None),
+     "let binds a non-singleton form at position 22"),
+], ids=["xq2ma-queryeq", "xq2ma-descendant", "ma2xq-eqatom",
+        "ma2xq-select", "eval-xq-let"])
+def test_untranslatable_queries_exit_2(files, cmd, text, args, want):
+    """A let bound to two trees is refused by the parser, so the CLI
+    never reaches the evaluator's "let-bound expression produced 2
+    trees"."""
+    q = files("q.txt", text)
+    args = [files("d.xml", "<r><a/></r>") if a is None else a for a in args]
+    r = run_cli(cmd, "--query", q, *args)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s\n" % want)
+
+
 def test_ma2lp_desugars_extended_operators(files):
     q = files("q.ma", "tup[A = 'a', B = 'a'] ; sng ; select[A = B]")
     r = run_cli("ma2lp", "--query", q)

@@ -1,14 +1,15 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nestql import gen
-from nestql.bridge import check_thm62
+from nestql.bridge import check_thm62, encode_T, ma_to_xq, xq_to_ma
 from nestql.values import ATOMIC, DEEP, ValueError_
 from nestql.xmlxq import (
     CHILD, DESCENDANT, AxisStep, Elem, EmptyElem, EmptySeq, For, If, Let,
-    Seq, Tree, Var, VarEq, decide_xq, eval_xq, parse_xml, parse_xq,
+    QueryEq, Seq, Tree, Var, VarEq, decide_xq, eval_xq, parse_xml, parse_xq,
     print_xml, print_xq, tree_nodes, xq_desugar,
 )
 
@@ -207,3 +208,68 @@ def test_every_evaluates_its_whole_desugaring():
     q = parse_xq("(every $x2 in $root/* satisfies ($x2 eq $x2) and $x2/z)")
     with pytest.raises(ValueError_, match="atomic equality on non-leaf"):
         run(q, parse_xml("<r><t/><a><c/></a></r>"))
+
+
+# Forms gen_tree_query never draws, each evaluated on DERIVED_DOC and
+# translated, and the errors that only built trees reach.
+XQ_PINNED_TEXTS = [
+    "(every $x2 in $root/* satisfies $x2/t)",
+    "for $x2 in $root/* return <w>{(every $x3 in $x2/* satisfies $x3/*)}</w>",
+    "$root/*/*/t",
+    "for $x2 in $root/* return <w>{$x2/a/t}</w>",
+    "$root/descendant::t",
+    "$root/b/descendant::*/t",
+    "($root/a = $root/b)",
+    "($root/a/c = $root/b/a)",
+    "for $x2 in $root/* return ($x2 eq $x2)",
+]
+XQ_PINNED_TREES = [
+    Let(Seq(EmptyElem("a"), EmptyElem("b")), Var(2)),
+    Let(AxisStep(1, CHILD, "a"), Var(2)),
+    Var(5),
+    For(AxisStep(1, CHILD, "*"), AxisStep(3, CHILD, "*")),
+    Seq(Var(4), VarEq(1, 1, ATOMIC)),
+    If(VarEq(1, 1, ATOMIC), Var(3)),
+    Elem("w", QueryEq(AxisStep(1, CHILD, "a"), AxisStep(1, CHILD, "a"),
+                      ATOMIC)),
+]
+
+# sha256 over seeds 0-599 of the desugared form, the evaluation and the
+# algebra translation of a gen_tree_query draw on a gen_doc draw, and of
+# the tree translation of a gen_pairlist_query draw with its printed
+# text and its evaluation on the T-image of a gen_value draw; then the
+# same three for XQ_PINNED_TEXTS and XQ_PINNED_TREES. An error enters as
+# its type name and message.
+XQ_DIGEST = (
+    "d0229eb9b78827d867d0f35dcdf8b902"
+    "f6eecb147f9c1dd772a5bfb5ef061f24")
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
+def _tree_query_lines(q, doc):
+    return [_outcome(xq_desugar, q), _outcome(eval_xq, q, (doc,)),
+            _outcome(xq_to_ma, q)]
+
+
+def test_tree_queries_and_translations_are_pinned():
+    lines = []
+    for seed in range(600):
+        rng = random.Random(seed)
+        lines += _tree_query_lines(gen.gen_tree_query(rng, 5),
+                                   gen.gen_doc(rng, 20))
+        t = gen.gen_pairlist_type(rng, 2)
+        p = gen.gen_pairlist_query(rng, t, 3)
+        v = gen.gen_value(rng, t)
+        x = ma_to_xq(p, t)
+        lines += [repr(x), print_xq(x),
+                  _outcome(eval_xq, x, (encode_T(v),))]
+    for q in [parse_xq(s) for s in XQ_PINNED_TEXTS] + XQ_PINNED_TREES:
+        lines += _tree_query_lines(q, DERIVED_DOC)
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == XQ_DIGEST
