@@ -13,23 +13,26 @@ xq_to_ma compiles a child-axis tree query to a list-semantics monad
 algebra query over environments: lists of bindings <N: name, V: value>.
 Variable lookup filters the bindings by name and projects V. ma_to_xq
 compiles a core list-monad query (plus equality selections) to a tree
-query over T-encoded inputs; it needs the input type to resolve tuple
-field positions.
+query over T-encoded inputs; it type-checks the query against the input
+type first, and needs that type to resolve tuple field positions. Each
+direction translates a node by the rule that one table holds for the
+node's type.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional
 
 from .values import (
-    ATOMIC, Atom, Coll, CollType, DEEP, LIST, Tuple, TupleType, Type,
-    Value, ValueError_, make_coll, make_tuple,
+    ATOMIC, Atom, Coll, DEEP, LIST, Tuple, TupleType, Type, Value,
+    ValueError_, make_coll, make_tuple,
 )
 from . import ma
 from .ma import (
-    Compose, Const, EmptyColl, FlatMap, Id, MAExpr, Map, NotOp, PairWith,
-    PathEqConst, PathEqPath, Proj, Select, Sng, TrueOp, TupleCons, Union,
-    UnionT, UnitTuple, compose,
+    AnyType, Compose, Const, EmptyColl, FlatMap, Id, MAExpr, Map, NotOp,
+    PairWith, PathEqConst, PathEqPath, Proj, Select, Sng, TrueOp, TupleCons,
+    Union, UnionT, UnitTuple, compose,
 )
 from . import xmlxq as xq
 from .xmlxq import (
@@ -103,62 +106,78 @@ def xq_to_ma(q: XQExpr) -> MAExpr:
 
 
 def _ma(q: XQExpr, depth: int) -> MAExpr:
-    if isinstance(q, EmptySeq):
-        return EmptyColl()
-    if isinstance(q, Seq):
-        return Union(_ma(q.a, depth), _ma(q.b, depth))
-    if isinstance(q, EmptyElem):
-        return Compose(TupleCons((("label", Const(q.label)),
-                                  ("children", EmptyColl()))), Sng())
-    if isinstance(q, Elem):
-        return Compose(TupleCons((("label", Const(q.label)),
-                                  ("children", _ma(q.body, depth)))),
-                       Sng())
-    if isinstance(q, Var):
-        return _lookup_ma(q.i)
-    if isinstance(q, AxisStep):
-        if q.axis != CHILD:
-            raise ValueError_("only the child axis can be translated")
-        step = Proj("children")
-        if q.test != STAR:
-            step = Compose(step,
-                           Select(PathEqConst(("label",), q.test, ATOMIC)))
-        return Compose(_lookup_ma(q.var), FlatMap(step))
-    if isinstance(q, (For, Let)):
-        name = _var_name(depth + 1)
-        bind = Union(Proj("1"),
-                     Compose(TupleCons((("N", Const(name)),
-                                        ("V", Proj("2")))), Sng()))
-        src = q.source if isinstance(q, For) else q.bound
-        return compose(
-            TupleCons((("1", Id()), ("2", _ma(src, depth)))),
-            PairWith("2"),
-            FlatMap(Compose(bind, _ma(q.body, depth + 1))))
-    if isinstance(q, If):
-        return compose(
-            TupleCons((("1", Id()),
-                       ("2", Compose(_ma(q.cond, depth), TrueOp())))),
-            PairWith("2"),
-            FlatMap(Compose(Proj("1"), _ma(q.then, depth))))
-    if isinstance(q, Not):
-        return compose(_ma(q.a, depth), Map(UnitTuple()), NotOp(),
-                       Map(_YES))
-    if isinstance(q, VarEq):
-        if q.mode == ATOMIC:
-            cond = PathEqPath(("1", "V", "label"), ("2", "V", "label"),
-                              ATOMIC)
-        else:
-            cond = PathEqPath(("1", "V"), ("2", "V"), DEEP)
-        return compose(
-            TupleCons((("1", Select(PathEqConst(("N",), _var_name(q.i),
-                                                ATOMIC))),
-                       ("2", Select(PathEqConst(("N",), _var_name(q.j),
-                                                ATOMIC))))),
-            PairWith("1"),
-            FlatMap(PairWith("2")),
-            Select(cond),
-            Map(_YES))
-    raise ValueError_("cannot translate %r" % (q,))
+    rule = _MA.get(type(q))
+    if rule is None:
+        raise ValueError_("cannot translate %r" % (q,))
+    return rule(q, depth)
+
+
+def _ma_node(label: str, children: MAExpr) -> MAExpr:
+    """The one-element list of the C-image of a <label> node."""
+    return Compose(TupleCons((("label", Const(label)),
+                              ("children", children))), Sng())
+
+
+def _ma_step(q: AxisStep, depth: int) -> MAExpr:
+    if q.axis != CHILD:
+        raise ValueError_("only the child axis can be translated")
+    step = Proj("children")
+    if q.test != STAR:
+        step = Compose(step, Select(PathEqConst(("label",), q.test, ATOMIC)))
+    return Compose(_lookup_ma(q.var), FlatMap(step))
+
+
+def _ma_bind(src: XQExpr, body: XQExpr, depth: int) -> MAExpr:
+    """for and let: the body runs once per tree of src, with the
+    environment extended by a binding of the next level to it."""
+    name = _var_name(depth + 1)
+    bind = Union(Proj("1"),
+                 Compose(TupleCons((("N", Const(name)),
+                                    ("V", Proj("2")))), Sng()))
+    return compose(
+        TupleCons((("1", Id()), ("2", _ma(src, depth)))),
+        PairWith("2"),
+        FlatMap(Compose(bind, _ma(body, depth + 1))))
+
+
+def _ma_if(q: If, depth: int) -> MAExpr:
+    return compose(
+        TupleCons((("1", Id()),
+                   ("2", Compose(_ma(q.cond, depth), TrueOp())))),
+        PairWith("2"),
+        FlatMap(Compose(Proj("1"), _ma(q.then, depth))))
+
+
+def _ma_var_eq(q: VarEq, depth: int) -> MAExpr:
+    if q.mode == ATOMIC:
+        cond = PathEqPath(("1", "V", "label"), ("2", "V", "label"), ATOMIC)
+    else:
+        cond = PathEqPath(("1", "V"), ("2", "V"), DEEP)
+    return compose(
+        TupleCons((("1", Select(PathEqConst(("N",), _var_name(q.i),
+                                            ATOMIC))),
+                   ("2", Select(PathEqConst(("N",), _var_name(q.j),
+                                            ATOMIC))))),
+        PairWith("1"),
+        FlatMap(PairWith("2")),
+        Select(cond),
+        Map(_YES))
+
+
+_MA = {
+    EmptySeq: lambda q, depth: EmptyColl(),
+    Seq: lambda q, depth: Union(_ma(q.a, depth), _ma(q.b, depth)),
+    EmptyElem: lambda q, depth: _ma_node(q.label, EmptyColl()),
+    Elem: lambda q, depth: _ma_node(q.label, _ma(q.body, depth)),
+    Var: lambda q, depth: _lookup_ma(q.i),
+    AxisStep: _ma_step,
+    For: lambda q, depth: _ma_bind(q.source, q.body, depth),
+    Let: lambda q, depth: _ma_bind(q.bound, q.body, depth),
+    If: _ma_if,
+    Not: lambda q, depth: compose(_ma(q.a, depth), Map(UnitTuple()), NotOp(),
+                                  Map(_YES)),
+    VarEq: _ma_var_eq,
+}
 
 
 def initial_env(doc: Tree) -> Value:
@@ -180,15 +199,25 @@ def check_thm62(q: XQExpr, doc: Tree) -> bool:
 def ma_to_xq(q: MAExpr, t: Type) -> XQExpr:
     """Translate a core list-monad query (tuples, lists, atoms; plus
     deep-equality selections) on inputs of type t. The output query
-    expects $root bound to the T-image of the input value."""
+    expects $root bound to the T-image of the input value. q is type
+    checked first, so an ill-typed query fails with the type error."""
+    ma.infer_type(q, t, LIST)
     return _xq(q, t, 1, 1)
 
 
+def _xq(q: MAExpr, t: Type, x: int, k: int) -> XQExpr:
+    """q on the tree bound to $x, of type t; k is the number of
+    variables in scope."""
+    rule = _XQ.get(type(q))
+    if rule is None:
+        raise ValueError_("cannot translate %r; desugar to the core first"
+                          % (q,))
+    return rule(q, t, x, k)
+
+
 def _tag(tt: TupleType, label: str) -> str:
-    for i, (l, _) in enumerate(tt.fields):
-        if l == label:
-            return "a%d" % (i + 1)
-    raise ValueError_("no field %r in %s" % (label, tt))
+    """The wrapper tag of a field of a tuple of type tt."""
+    return "a%d" % (tt.labels().index(label) + 1)
 
 
 def _field_members(x: int, tag: str) -> XQExpr:
@@ -196,81 +225,65 @@ def _field_members(x: int, tag: str) -> XQExpr:
     return PathExpr(x, ((CHILD, tag), (CHILD, STAR)))
 
 
-def _xq(q: MAExpr, t: Type, x: int, k: int) -> XQExpr:
-    if isinstance(q, Id):
-        return Var(x)
-    if isinstance(q, Const):
-        return EmptyElem(q.label)
-    if isinstance(q, EmptyColl):
-        return EmptyElem("list")
-    if isinstance(q, UnitTuple):
+def _list_members(x: int, tag: str) -> XQExpr:
+    """$x/<tag>/list/*: the members of the list stored under a field."""
+    return PathExpr(x, ((CHILD, tag), (CHILD, "list"), (CHILD, STAR)))
+
+
+def _tup(parts: list) -> XQExpr:
+    """A <tup> over the field wrappers parts, in a left-leaning Seq."""
+    return Elem("tup", reduce(Seq, parts))
+
+
+def _known(t: Type, what: str) -> Type:
+    """t, which the type check leaves unknown only for the members of
+    the constant empty list, where the translation cannot place fields."""
+    if isinstance(t, AnyType):
+        raise ValueError_("expected a %s type, got %r" % (what, t))
+    return t
+
+
+def _xq_compose(q, t, x, k):
+    tf = ma.infer_type(q.f, t, LIST)
+    u, y = k + 1, k + 2
+    return Let(Elem("list", _xq(q.f, t, x, k)),
+               For(AxisStep(u, CHILD, STAR), _xq(q.g, tf, y, y)))
+
+
+def _xq_tuple(q, t, x, k):
+    if not q.fields:
         return EmptyElem("tup")
-    if isinstance(q, Sng):
-        return Elem("list", Var(x))
-    if isinstance(q, ma.Flatten):
-        return Elem("list", PathExpr(x, ((CHILD, "list"), (CHILD, STAR))))
-    if isinstance(q, Compose):
-        tf = ma.infer_type(q.f, t, LIST)
-        u, y = k + 1, k + 2
-        return Let(Elem("list", _xq(q.f, t, x, k)),
-                   For(AxisStep(u, CHILD, STAR), _xq(q.g, tf, y, y)))
-    if isinstance(q, TupleCons):
-        if not q.fields:
-            return EmptyElem("tup")
-        body = None
-        for i, (_, f) in enumerate(q.fields):
-            part = Elem("a%d" % (i + 1), _xq(f, t, x, k))
-            body = part if body is None else Seq(body, part)
-        return Elem("tup", body)
-    if isinstance(q, Proj):
-        tt = _tuple_type(t)
-        return _field_members(x, _tag(tt, q.label))
-    if isinstance(q, Map):
-        ct = _list_type(t)
-        y = k + 1
-        return Elem("list", For(AxisStep(x, CHILD, STAR),
-                                _xq(q.f, ct.elem, y, y)))
-    if isinstance(q, Union):
-        return Elem("list", Seq(_side(q.f, t, x, k), _side(q.g, t, x, k)))
-    if isinstance(q, UnionT):
-        tt = _tuple_type(t)
-        if tt.labels() != ("1", "2"):
-            raise ValueError_("union input must have fields 1, 2")
-        return Elem("list", Seq(
-            PathExpr(x, ((CHILD, "a1"), (CHILD, "list"), (CHILD, STAR))),
-            PathExpr(x, ((CHILD, "a2"), (CHILD, "list"), (CHILD, STAR)))))
-    if isinstance(q, PairWith):
-        tt = _tuple_type(t)
-        i = list(tt.labels()).index(q.label)
-        y = k + 1
-        body = None
-        for j in range(len(tt.fields)):
-            tag = "a%d" % (j + 1)
-            if j == i:
-                part = Elem(tag, Var(y))
-            else:
-                part = Elem(tag, _field_members(x, tag))
-            body = part if body is None else Seq(body, part)
-        return Elem("list", For(
-            PathExpr(x, ((CHILD, "a%d" % (i + 1)), (CHILD, "list"),
-                         (CHILD, STAR))),
-            Elem("tup", body)))
-    if isinstance(q, Select):
-        c = q.cond
-        if not (isinstance(c, PathEqPath) and c.mode == DEEP
-                and len(c.p) == 1 and len(c.q) == 1):
-            raise ValueError_("only single-field deep-equality selections "
-                              "translate")
-        ct = _list_type(t)
-        tt = _tuple_type(ct.elem)
-        y = k + 1
-        return Elem("list", For(
-            AxisStep(x, CHILD, STAR),
-            If(QueryEq(_field_members(y, _tag(tt, c.p[0])),
-                       _field_members(y, _tag(tt, c.q[0])), DEEP),
-               Var(y))))
-    raise ValueError_("cannot translate %r; desugar to the core first"
-                      % (q,))
+    return _tup([Elem("a%d" % (i + 1), _xq(f, t, x, k))
+                 for i, (_, f) in enumerate(q.fields)])
+
+
+def _xq_map(q, t, x, k):
+    y = k + 1
+    return Elem("list", For(AxisStep(x, CHILD, STAR),
+                            _xq(q.f, _known(t, "list").elem, y, y)))
+
+
+def _xq_pairwith(q, t, x, k):
+    tag, y = _tag(t, q.label), k + 1
+    tags = ["a%d" % (i + 1) for i in range(len(t.fields))]
+    parts = [Elem(a, Var(y) if a == tag else _field_members(x, a))
+             for a in tags]
+    return Elem("list", For(_list_members(x, tag), _tup(parts)))
+
+
+def _xq_select(q, t, x, k):
+    c = q.cond
+    if not (isinstance(c, PathEqPath) and c.mode == DEEP
+            and len(c.p) == 1 and len(c.q) == 1):
+        raise ValueError_("only single-field deep-equality selections "
+                          "translate")
+    tt = _known(_known(t, "list").elem, "tuple")
+    y = k + 1
+    return Elem("list", For(
+        AxisStep(x, CHILD, STAR),
+        If(QueryEq(_field_members(y, _tag(tt, c.p[0])),
+                   _field_members(y, _tag(tt, c.q[0])), DEEP),
+           Var(y))))
 
 
 def _side(f: MAExpr, t: Type, x: int, k: int) -> XQExpr:
@@ -281,16 +294,25 @@ def _side(f: MAExpr, t: Type, x: int, k: int) -> XQExpr:
                For(AxisStep(u, CHILD, STAR), AxisStep(y, CHILD, STAR)))
 
 
-def _tuple_type(t: Type) -> TupleType:
-    if not isinstance(t, TupleType):
-        raise ValueError_("expected a tuple type, got %r" % (t,))
-    return t
-
-
-def _list_type(t: Type) -> CollType:
-    if not isinstance(t, CollType) or t.kind != LIST:
-        raise ValueError_("expected a list type, got %r" % (t,))
-    return t
+_XQ = {
+    Id: lambda q, t, x, k: Var(x),
+    Const: lambda q, t, x, k: EmptyElem(q.label),
+    EmptyColl: lambda q, t, x, k: EmptyElem("list"),
+    UnitTuple: lambda q, t, x, k: EmptyElem("tup"),
+    Sng: lambda q, t, x, k: Elem("list", Var(x)),
+    ma.Flatten: lambda q, t, x, k: Elem(
+        "list", PathExpr(x, ((CHILD, "list"), (CHILD, STAR)))),
+    Compose: _xq_compose,
+    TupleCons: _xq_tuple,
+    Proj: lambda q, t, x, k: _field_members(x, _tag(t, q.label)),
+    Map: _xq_map,
+    Union: lambda q, t, x, k: Elem("list", Seq(_side(q.f, t, x, k),
+                                               _side(q.g, t, x, k))),
+    UnionT: lambda q, t, x, k: Elem("list", Seq(_list_members(x, "a1"),
+                                                _list_members(x, "a2"))),
+    PairWith: _xq_pairwith,
+    Select: _xq_select,
+}
 
 
 def check_thm63(q: MAExpr, v: Value, t: Optional[Type] = None) -> bool:

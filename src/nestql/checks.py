@@ -38,7 +38,8 @@ def suite_oracles(seed: int = 42, cases: int = 300,
                   bool_cases: int = 200) -> SuiteResult:
     """Closed core queries evaluated three ways: directly, on path sets,
     and through the compiled logic program; plus Boolean queries with
-    negation compared between the direct evaluator and the program goal.
+    negation, whose path sets decode to the direct result and whose
+    program goal holds iff that result is nonempty.
     """
     res = SuiteResult("oracle agreement")
     rng = random.Random(seed)
@@ -59,13 +60,17 @@ def suite_oracles(seed: int = 42, cases: int = 300,
     for _ in range(bool_cases):
         res.cases += 1
         q = gen.gen_bool_query(rng, 3, LIST)
-        direct = bool(ma.eval_ma(q, UNIT, LIST).elems)
+        lt = detree.listify_type(ma.infer_type(q, UNIT_T, LIST))
+        direct = ma.eval_ma(q, UNIT, LIST)
+        d1 = detree.decode_det(
+            detree.eval_closed(q, empty_markers=True), lt)
         prog = lp.compile_lp(q, empty_markers=True)
         rels, _ = lp.eval_lp(prog)
         got = lp.goal_true(prog, rels)
-        if direct != got:
-            res.failures.append("%s: direct %s, program goal %s"
-                                % (print_ma(q), direct, got))
+        if not (direct == d1 and bool(direct.elems) == got):
+            res.failures.append("%s: direct %s, paths %s, program goal %s"
+                                % (print_ma(q), print_value(direct),
+                                   print_value(d1), got))
     return res
 
 

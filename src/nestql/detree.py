@@ -11,8 +11,9 @@ spelled like a marker never equals one (in text, such an atom is
 quoted). Whether a label names a field or an index is decided only when
 decoding, by the type if one is given.
 
-Queries in the atomic-equality core are evaluated directly on path sets
-by :func:`eval_det`, mirroring the rule-per-operation semantics used by
+Queries in the atomic-equality core, with not and true but without the
+bag-only monus and unique, are evaluated directly on path sets by
+:func:`eval_det`, mirroring the rule-per-operation semantics used by
 the logic-program compilation. No path tuple is ever sliced: a path set
 is held as a trie, a dict from each first step to the trie of the rests
 after it, in which the key None (never a step) marks that a path ends
@@ -404,6 +405,21 @@ def _d_eq_atomic(q, em):
     return run
 
 
+def _d_test(q, em):
+    """not and true: s.<> when the input has no member (not) or has one
+    (true), else nothing ("[]" with markers). A member is a step other
+    than None below which a nonempty path goes."""
+    want = type(q) is ma.TrueOp
+    yes = {"s": {MARK_UNIT: _LEAF}}
+    no = {MARK_EMPTY: _LEAF} if em else _NONE
+
+    def run(t):
+        member = any(s is not None and (len(sub) > 1 or None not in sub)
+                     for s, sub in t.items())
+        return yes if member == want else no
+    return run
+
+
 def _d_map(q, em):
     f = _compile(q.f, em)
 
@@ -450,6 +466,7 @@ _COMPILE = {
     ma.Sng: _d_sng, ma.Compose: _d_compose, ma.Proj: _d_proj,
     ma.TupleCons: _d_tuple, ma.Flatten: _d_flatten, ma.UnionT: _d_union_t,
     ma.EqAtomic: _d_eq_atomic, ma.Map: _d_map, ma.PairWith: _d_pairwith,
+    ma.NotOp: _d_test, ma.TrueOp: _d_test,
     ma.Id: lambda q, em: _same,
     ma.Union: lambda q, em: _compile(ma.union_pair(q.f, q.g), em),
     ma.Const: lambda q, em: _d_leaf(q.label),

@@ -4,10 +4,11 @@ Predicates are binary, p(X, v): X is a path prefix naming a node of the
 deterministic tree and v one of the root-to-leaf paths below that node.
 Each core operation becomes one or two rules; map descends into members
 with a begin_map rule that extends the prefix and an end_map rule that
-returns. The boolean "not" operation uses stratified negation over two
-auxiliary unary predicates per negated subquery: set_p(X) holds for
-every prefix where the subquery's input node exists, and ne_p(X) holds
-where the subquery has at least one member.
+returns. The Boolean "not" and "true" operations read two auxiliary
+unary predicates of their input p: set_p(X) holds for every prefix
+where the input's node exists, and ne_p(X) holds where the input has
+at least one member. "true" holds where ne_p does; "not" uses
+stratified negation, holding where set_p does and ne_p does not.
 
 A closed program starts from the base fact input(e, dummy) and its goal
 predicate is true iff some goal fact at the empty prefix has a path of
@@ -182,7 +183,7 @@ class _Compiler:
                 self.emit("O(X, []) :- I(X, []).", "map over empty",
                           O=out, I=inp)
             return out
-        if kind is ma.NotOp:
+        if kind in _TEST_RULES:
             set_p, ne_p = "set_" + inp, "ne_" + inp
             if inp not in self.witnessed:
                 # they depend on inp and its frame alone, and a second
@@ -192,11 +193,9 @@ class _Compiler:
                           F=frame)
                 self.emit("N(X) :- I(X, i.v).", "nonempty", N=ne_p, I=inp)
             out = self.fresh()
-            self.emit("O(X, s.<>) :- S(X), not N(X).", "not",
-                      O=out, S=set_p, N=ne_p)
-            if self.empty_markers:
-                self.emit("O(X, []) :- N(X).", "not of nonempty",
-                          O=out, N=ne_p)
+            for text, what, markers_only in _TEST_RULES[kind]:
+                if self.empty_markers or not markers_only:
+                    self.emit(text, what, O=out, S=set_p, N=ne_p)
             return out
         raise ValueError_("cannot compile %r; desugar to the core first"
                           % (q,))
@@ -229,6 +228,16 @@ _OPERATOR_RULES = {
         ("O(X, i.k\\L.w) :- I(X, L.i.v), I(X, k\\L.w).", "pairwith_%s",
          False),
         ("O(X, []) :- I(X, L.[]).", "pairwith_%s over empty", True)]),
+}
+
+
+# not and true, which read the witnesses S (the input's node exists at
+# X) and N (the input has a member at X): their rules in the same form.
+_TEST_RULES = {
+    ma.NotOp: [("O(X, s.<>) :- S(X), not N(X).", "not", False),
+               ("O(X, []) :- N(X).", "not of nonempty", True)],
+    ma.TrueOp: [("O(X, s.<>) :- N(X).", "true", False),
+                ("O(X, []) :- S(X), not N(X).", "true of empty", True)],
 }
 
 

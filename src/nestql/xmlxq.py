@@ -5,9 +5,12 @@ Trees carry a label and an ordered children sequence; no attributes or
 text nodes. The query language has element constructors, sequence
 concatenation, variables, child/descendant axis steps, for, let,
 conditionals, equality tests and negation. The derived forms (and,
-or, some, every, multi-step paths) have one meaning: the core query
-:func:`xq_desugar` rewrites them to. The evaluator and the translation
-to the algebra both run on that core.
+or, some, every, multi-step paths) have one meaning: the one-step core
+form that the table _DERIVED gives each, which :func:`xq_desugar`
+applies until only core nodes are left. The evaluator and the
+translation to the algebra both run on that core. :func:`eval_xq`
+compiles it once per call into one closure per node, looked up by the
+node's type in one table, as the algebra's evaluators do.
 
 Variables are de Bruijn levels: the variable bound by the k-th
 enclosing binder (counting the pre-bound document variable $root as
@@ -39,7 +42,7 @@ class Tree:
 
 
 def tree_nodes(t: Tree) -> int:
-    return 1 + sum(tree_nodes(c) for c in t.children)
+    return 1 + len(_descendants(t))
 
 
 # ---------------------------------------------------------------------------
@@ -213,48 +216,45 @@ def is_singleton_form(q: XQExpr) -> bool:
 
 def xq_desugar(q: XQExpr, depth: int = 1) -> XQExpr:
     """Remove the derived forms; depth is the number of variables in
-    scope (binders introduced here bind level depth + 1). This is the
-    only definition of the derived forms: "a and b" is "if (a) then b",
-    "a or b" is "a b", "some" is "for", "every $x in s satisfies c" is
-    "not(some $x in s satisfies not(c))", and a multi-step path is a
-    chain of for loops over single axis steps."""
-    if isinstance(q, And):
-        return If(xq_desugar(q.a, depth), xq_desugar(q.b, depth))
-    if isinstance(q, Or):
-        return Seq(xq_desugar(q.a, depth), xq_desugar(q.b, depth))
-    if isinstance(q, Not):
-        return Not(xq_desugar(q.a, depth))
-    if isinstance(q, Some):
-        return For(xq_desugar(q.source, depth),
-                   xq_desugar(q.body, depth + 1))
-    if isinstance(q, Every):
-        return xq_desugar(Not(Some(q.source, Not(q.body))), depth)
-    if isinstance(q, PathExpr):
-        return _expand_path(q.var, q.steps, depth)
-    if isinstance(q, Seq):
-        return Seq(xq_desugar(q.a, depth), xq_desugar(q.b, depth))
-    if isinstance(q, Elem):
-        return Elem(q.label, xq_desugar(q.body, depth))
-    if isinstance(q, For):
-        return For(xq_desugar(q.source, depth),
-                   xq_desugar(q.body, depth + 1))
-    if isinstance(q, Let):
-        return Let(xq_desugar(q.bound, depth),
-                   xq_desugar(q.body, depth + 1))
-    if isinstance(q, If):
-        return If(xq_desugar(q.cond, depth), xq_desugar(q.then, depth))
-    if isinstance(q, QueryEq):
-        return QueryEq(xq_desugar(q.a, depth), xq_desugar(q.b, depth),
-                       q.mode)
-    return q
+    scope (binders introduced here bind level depth + 1). _DERIVED is
+    the only definition of the derived forms."""
+    derive = _DERIVED.get(type(q))
+    if derive is not None:
+        q = derive(q, depth)
+    subqueries = _SUBQUERIES.get(type(q))
+    if subqueries is None:
+        return q
+    fields = dict(vars(q))
+    for name, shift in subqueries.items():
+        fields[name] = xq_desugar(fields[name], depth + shift)
+    return type(q)(**fields)
 
 
-def _expand_path(var: int, steps, depth: int) -> XQExpr:
-    axis, test = steps[0]
-    step = AxisStep(var, axis, test)
-    if len(steps) == 1:
-        return step
-    return For(step, _expand_path(depth + 1, steps[1:], depth + 1))
+def _path_step(q: PathExpr, depth: int) -> XQExpr:
+    (axis, test), rest = q.steps[0], q.steps[1:]
+    step = AxisStep(q.var, axis, test)
+    return For(step, PathExpr(depth + 1, rest)) if rest else step
+
+
+# Each derived form one step toward the core, its subqueries left for
+# xq_desugar: "a and b" is "if (a) then b", "a or b" is "a b", "some" is
+# "for", "every $x in s satisfies c" is "not(some $x in s satisfies
+# not(c))", and a path $x/s1/s2/... is "for $y in $x/s1 return $y/s2/...".
+_DERIVED = {
+    And: lambda q, depth: If(q.a, q.b),
+    Or: lambda q, depth: Seq(q.a, q.b),
+    Some: lambda q, depth: For(q.source, q.body),
+    Every: lambda q, depth: Not(For(q.source, Not(q.body))),
+    PathExpr: _path_step,
+}
+
+# The fields of each core node that hold a subquery, with how many more
+# variables are in scope there than at the node.
+_SUBQUERIES = {
+    Elem: {"body": 0}, Seq: {"a": 0, "b": 0}, For: {"source": 0, "body": 1},
+    Let: {"bound": 0, "body": 1}, If: {"cond": 0, "then": 0},
+    QueryEq: {"a": 0, "b": 0}, Not: {"a": 0},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -265,56 +265,109 @@ Env = Tup[Tree, ...]
 
 def eval_xq(q: XQExpr, env: Env) -> list:
     """Evaluate q in env; the derived forms mean what xq_desugar makes
-    of them."""
-    return _eval(xq_desugar(q, len(env)), env)
+    of them. The core query is compiled once per call into one closure
+    per node, dispatched on its type, and the closures run on env."""
+    return _compile(xq_desugar(q, len(env)))(env)
 
 
-def _eval(q: XQExpr, env: Env) -> list:
-    if isinstance(q, EmptyElem):
-        return [Tree(q.label)]
-    if isinstance(q, Elem):
-        return [Tree(q.label, tuple(_eval(q.body, env)))]
-    if isinstance(q, EmptySeq):
-        return []
-    if isinstance(q, Seq):
-        return _eval(q.a, env) + _eval(q.b, env)
-    if isinstance(q, Var):
-        return [_lookup(q.i, env)]
-    if isinstance(q, AxisStep):
-        t = _lookup(q.var, env)
-        if q.axis == CHILD:
-            nodes = list(t.children)
-        else:
-            nodes = _descendants(t)
-        if q.test != STAR:
-            nodes = [n for n in nodes if n.label == q.test]
-        return nodes
-    if isinstance(q, For):
+def _compile(q: XQExpr):
+    """q as a function from an environment to its result sequence."""
+    return _COMPILE.get(type(q), _x_unknown)(q)
+
+
+def _x_unknown(q):
+    def run(env):
+        raise ValueError_("cannot evaluate %r" % (q,))
+    return run
+
+
+def _x_empty_elem(q):
+    label = q.label
+    return lambda env: [Tree(label)]
+
+
+def _x_empty_seq(q):
+    return lambda env: []
+
+
+def _x_elem(q):
+    label, body = q.label, _compile(q.body)
+    return lambda env: [Tree(label, tuple(body(env)))]
+
+
+def _x_seq(q):
+    a, b = _compile(q.a), _compile(q.b)
+    return lambda env: a(env) + b(env)
+
+
+def _x_var(q):
+    i = q.i
+    return lambda env: [_lookup(i, env)]
+
+
+def _x_step(q):
+    var, child, test = q.var, q.axis == CHILD, q.test
+
+    def run(env):
+        t = _lookup(var, env)
+        found = list(t.children) if child else _descendants(t)
+        return found if test == STAR else [n for n in found if n.label == test]
+    return run
+
+
+def _x_for(q):
+    source, body = _compile(q.source), _compile(q.body)
+
+    def run(env):
         out = []
-        for t in _eval(q.source, env):
-            out.extend(_eval(q.body, env + (t,)))
+        for t in source(env):
+            out.extend(body(env + (t,)))
         return out
-    if isinstance(q, Let):
-        r = _eval(q.bound, env)
+    return run
+
+
+def _x_let(q):
+    bound, body = _compile(q.bound), _compile(q.body)
+
+    def run(env):
+        r = bound(env)
         if len(r) != 1:
             raise ValueError_("let-bound expression produced %d trees"
                               % len(r))
-        return _eval(q.body, env + (r[0],))
-    if isinstance(q, If):
-        if _eval(q.cond, env):
-            return _eval(q.then, env)
-        return []
-    if isinstance(q, VarEq):
-        a, b = _lookup(q.i, env), _lookup(q.j, env)
-        return _yes(_tree_eq(a, b, q.mode))
-    if isinstance(q, QueryEq):
-        ra, rb = _eval(q.a, env), _eval(q.b, env)
-        ok = (len(ra) == len(rb)
-              and all(_tree_eq(x, y, q.mode) for x, y in zip(ra, rb)))
-        return _yes(ok)
-    if isinstance(q, Not):
-        return _yes(not _eval(q.a, env))
-    raise ValueError_("cannot evaluate %r" % (q,))
+        return body(env + (r[0],))
+    return run
+
+
+def _x_if(q):
+    cond, then = _compile(q.cond), _compile(q.then)
+    return lambda env: then(env) if cond(env) else []
+
+
+def _x_var_eq(q):
+    i, j, mode = q.i, q.j, q.mode
+    return lambda env: _yes(_tree_eq(_lookup(i, env), _lookup(j, env), mode))
+
+
+def _x_query_eq(q):
+    a, b, mode = _compile(q.a), _compile(q.b), q.mode
+
+    def run(env):
+        ra, rb = a(env), b(env)
+        return _yes(len(ra) == len(rb)
+                    and all(_tree_eq(x, y, mode) for x, y in zip(ra, rb)))
+    return run
+
+
+def _x_not(q):
+    a = _compile(q.a)
+    return lambda env: _yes(not a(env))
+
+
+_COMPILE = {
+    EmptyElem: _x_empty_elem, Elem: _x_elem, EmptySeq: _x_empty_seq,
+    Seq: _x_seq, Var: _x_var, AxisStep: _x_step, For: _x_for, Let: _x_let,
+    If: _x_if, VarEq: _x_var_eq, QueryEq: _x_query_eq, Not: _x_not,
+}
 
 
 def _yes(ok: bool) -> list:
@@ -328,10 +381,14 @@ def _lookup(i: int, env: Env) -> Tree:
 
 
 def _descendants(t: Tree) -> list:
+    """The nodes below t in document order, walked with an explicit
+    stack so deep trees do not reach the recursion limit."""
     out = []
-    for c in t.children:
-        out.append(c)
-        out.extend(_descendants(c))
+    todo = list(reversed(t.children))
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        todo.extend(reversed(n.children))
     return out
 
 

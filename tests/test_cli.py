@@ -149,6 +149,21 @@ def test_untranslatable_queries_exit_2(files, cmd, text, args, want):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s\n" % want)
 
 
+@pytest.mark.parametrize("text, t, want", [
+    ("pairwith[Z]", "<A: [Dom]>", "pairwith[Z]: no such field in <A: [Dom]>"),
+    ("pairwith[A]", "<A: Dom>",
+     "pairwith field A: expected a list collection, got Dom"),
+    ("empty ; map(map(id))", "Dom", "expected a list type, got AnyType()"),
+    ("empty ; select[A = B]", "Dom", "expected a tuple type, got AnyType()"),
+])
+def test_ma2xq_type_checks_before_it_translates(files, text, t, want):
+    """The pairwith queries fail the type check. The members of the
+    constant empty list pass it with no type, and the translation
+    cannot place their fields."""
+    r = run_cli("ma2xq", "--query", files("q.ma", text), "--type", t)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s\n" % want)
+
+
 def test_ma2lp_desugars_extended_operators(files):
     q = files("q.ma", "tup[A = 'a', B = 'a'] ; sng ; select[A = B]")
     r = run_cli("ma2lp", "--query", q)
@@ -189,6 +204,37 @@ def test_deep_comparison_with_a_constant_runs_on_every_route(files):
         dec = run_cli("detree-decode", "--paths", files("o.paths", r.stdout),
                       "--type", t)
         assert dec.stdout == direct.stdout
+
+
+def test_a_disjunctive_selection_runs_on_every_route(files):
+    """The desugared || holds a true and a not, which both path routes
+    once refused."""
+    v = files("v.val", "[<A: a, B: c>, <A: d, B: b>, <A: d, B: d>]")
+    q = files("q.ma", "select[A = 'a' || B = 'b']")
+    t = "[<A: Dom, B: Dom>]"
+    direct = run_cli("eval-ma", "--query", q, "--input", v,
+                     "--semantics", "list")
+    assert direct.stdout == "[<A: a, B: c>, <A: d, B: b>]\n"
+    paths = files("v.paths", run_cli("detree-encode", "--input", v).stdout)
+    for r in (run_cli("eval-lp", "--query", q, "--input", v),
+              run_cli("detree-eval", "--query", q, "--paths", paths,
+                      "--type", t)):
+        assert (r.returncode, r.stderr) == (0, "")
+        dec = run_cli("detree-decode", "--paths", files("o.paths", r.stdout),
+                      "--type", t)
+        assert dec.stdout == direct.stdout
+
+
+@pytest.mark.parametrize("text, want, marked", [
+    ("sng ; not", "\n", "[]\n"), ("sng ; true", "s.<>\n", "s.<>\n")])
+def test_detree_eval_runs_not_and_true_as_eval_lp_does(files, text, want,
+                                                      marked):
+    q = files("q.ma", text)
+    for flags, out in (((), want), (("--empty-markers",), marked)):
+        det = run_cli("detree-eval", "--query", q, *flags)
+        prog = run_cli("eval-lp", "--query", q, *flags)
+        assert (det.returncode, det.stderr, det.stdout) == (0, "", out)
+        assert (prog.returncode, prog.stderr, prog.stdout) == (0, "", out)
 
 
 def test_detree_encode_eval_decode(files):

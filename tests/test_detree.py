@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nestql import gen
+from nestql import detree, gen, ma
 from nestql.detree import (
     MARK_EMPTY, MARK_UNIT, check_deterministic, decode_det, encode_det,
     eval_closed, eval_det, listify_type, parse_pathset, print_pathset,
@@ -12,6 +12,7 @@ from nestql.detree import (
 from nestql.ma import (
     UNIT_T, EqAtomic, Flatten, Id, Map, Proj, desugar, eval_ma, infer_type,
 )
+from nestql.lp import compile_lp, run_lp
 from nestql.ma_text import parse_ma
 from nestql.reductions import flat_encode, gen_vprime
 from nestql.ma import ANY
@@ -264,3 +265,48 @@ def test_decoding_is_pinned():
     assert failed >= 3000, failed
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DECODE
+
+
+# one instance of each core operator the path routes run; the bag-only
+# Monus and Unique have no list meaning
+CORE_SAMPLES = [
+    ma.Id(), ma.Const("a"), ma.EmptyColl(), ma.UnitTuple(), ma.Sng(),
+    ma.Map(ma.Id()), ma.Flatten(), ma.PairWith("A"),
+    ma.TupleCons((("A", ma.Id()),)), ma.Proj("A"),
+    ma.Compose(ma.Sng(), ma.Flatten()), ma.Union(ma.Id(), ma.Id()),
+    ma.UnionT(), ma.EqAtomic(("A",), ("B",)), ma.NotOp(), ma.TrueOp(),
+]
+
+
+def test_every_core_operator_runs_on_both_path_routes():
+    assert ({type(q) for q in CORE_SAMPLES}
+            == set(ma.CORE_NODES) - {ma.Monus, ma.Unique})
+    for q in CORE_SAMPLES:
+        assert type(q) in detree._COMPILE
+        compile_lp(q, closed=False)
+
+
+def _closed_tests():
+    """Boolean draws, and each closed collection draw followed by
+    map(sng ; not) and by map(sng ; true)."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        yield gen.gen_bool_query(rng, 3, LIST), True
+        q = gen.gen_closed_query(rng, 3, LIST)
+        if isinstance(infer_type(q, UNIT_T, LIST), CollType):
+            for test in (ma.NotOp(), ma.TrueOp()):
+                yield ma.Compose(q, Map(ma.Compose(ma.Sng(), test))), False
+
+
+def test_negation_and_true_agree_on_every_route():
+    """not and true give the logic program's path sets, and decode to
+    the direct result. With empty markers, an eqatom that holds leaves
+    the marker "[]" in the program's path set but not in eval_det's, so
+    the path sets of the mapped forms are compared without markers."""
+    for q, with_markers in _closed_tests():
+        for em in (False, True) if with_markers else (False,):
+            assert eval_closed(q, em) == run_lp(q, empty_markers=em)
+        lt = listify_type(infer_type(q, UNIT_T, LIST))
+        want = eval_ma(q, UNIT, LIST)
+        assert decode_det(eval_closed(q, True), lt) == want
+        assert decode_det(run_lp(q, empty_markers=True), lt) == want

@@ -273,3 +273,14 @@ def test_tree_queries_and_translations_are_pinned():
         lines += _tree_query_lines(q, DERIVED_DOC)
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == XQ_DIGEST
+
+
+def test_descendant_steps_and_node_counts_take_deep_trees():
+    """A chain 5,000 deep once failed on the recursion limit in both."""
+    leaf = chain = Tree("t")
+    for _ in range(5000):
+        chain = Tree("a", (chain,))
+    got = run(AxisStep(1, DESCENDANT, "t"), chain)
+    assert len(got) == 1 and got[0] is leaf
+    assert tree_nodes(chain) == 5001
+    assert len(run(parse_xq("$root/descendant::*"), chain)) == 5000
