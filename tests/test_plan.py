@@ -7,8 +7,10 @@ unions and selections over generated inputs under set, list and bag
 semantics; some draws are ill-typed on purpose, and those must fail
 with the same exception and message. A second generator draws
 selections by Boolean subqueries, as the machine query spells its
-equalities out, for rule 5 of the plan. The last tests take their
-queries from the Turing machine acceptance query.
+equalities out, for rule 5 of the plan. A third draws unions of
+selections over one shared input, whose conditions start with constant
+equalities. The last tests take their queries from the Turing machine
+acceptance query.
 """
 
 import dataclasses
@@ -29,7 +31,8 @@ from nestql.ma import (
 from nestql.ma_text import parse_ma
 from nestql.values import (
     ATOMIC, BAG, DEEP, DOM, KINDS, LIST, MON, SET, UNIT, Atom, Coll,
-    CollType, TupleType, ValueError_, make_coll, parse_value, print_value,
+    CollType, TupleType, ValueError_, make_coll, make_tuple, parse_value,
+    print_value,
 )
 
 PAIR_T = TupleType((("1", DOM), ("2", DOM)))
@@ -286,14 +289,175 @@ def _assert_canonical(v):
 
 @pytest.mark.parametrize("sem", KINDS)
 def test_results_are_canonical(sem):
-    for seed in range(500):
-        q, v = _draw(seed, sem)
+    """Over the drawn pipelines, and the selections over a shared input
+    that test_shared_selections_are_pinned draws."""
+    draws = [_draw(seed, sem) for seed in range(500)]
+    for seed in range(600):
+        qs, v = _shared_draw(seed, sem)
+        draws += [(q, v) for q in qs]
+    for q, v in draws:
         for run in (lambda: eval_ma(q, v, sem), lambda: _plain(q, v, sem)):
             try:
                 out = run()
             except (ma.MATypeError, ValueError_):
                 continue
             _assert_canonical(out)
+
+
+MODES = (ATOMIC, ATOMIC, MON, DEEP)
+
+
+def _const_eqs(rng, paths):
+    """Constant equalities on paths, in mixed modes."""
+    return [PathEqConst(p, rng.choice(ATOMS), rng.choice(MODES))
+            for p in paths]
+
+
+def _one_path_or(rng, p):
+    """A disjunction of 2-3 constant equalities on the path p."""
+    return reduce(COr, _const_eqs(rng, [p] * rng.randint(2, 3)))
+
+
+def _shared_cond(rng, t, shared):
+    """A condition on elements of type t that starts with 1-3 constant
+    equalities, on the draw's shared paths mostly, or with a
+    disjunction of constants on one path; then now and then more."""
+    atoms = [p for p, pt in _paths(t) if pt == DOM] or [p for p, _ in
+                                                         _paths(t)]
+    every = [p for p, _ in _paths(t)]
+    if rng.random() < 0.2:
+        parts = [_one_path_or(rng, rng.choice(shared))]
+    else:
+        paths = shared
+        if rng.random() < 0.3:
+            paths = [rng.choice(atoms if rng.random() < 0.8 else every)
+                     for _ in range(rng.randint(1, 3))]
+        parts = _const_eqs(rng, paths)
+        if rng.random() < 0.2:
+            parts.append(_one_path_or(rng, rng.choice(atoms)))
+    if rng.random() < 0.4:
+        parts.append(_cond(rng, t))
+    return reduce(CAnd, parts)
+
+
+def _shared_selects(rng, t):
+    """A union of 2-4 selections over one input, most of them starting
+    with constant equalities on the same paths."""
+    atoms = [p for p, pt in _paths(t) if pt == DOM] or [p for p, _ in
+                                                         _paths(t)]
+    shared = [rng.choice(atoms) for _ in range(rng.randint(1, 3))]
+    sels = [Select(_shared_cond(rng, t, shared))
+            for _ in range(rng.randint(2, 4))]
+    return reduce(Union, sels)
+
+
+def _spoil(rng, x):
+    """A member in place of x that breaks a walk to an atom: a
+    non-tuple, a tuple with a field missing, or one with a non-atom
+    where an atom may be."""
+    r = rng.random()
+    if r < 0.3 or len(x.labels) < 2 and r < 0.6:
+        return Atom(rng.choice(ATOMS))
+    i = rng.randrange(len(x.labels))
+    if r < 0.6:
+        return make_tuple(f for j, f in enumerate(x.fields) if j != i)
+    other = rng.choice((parse_value("<1: a, 2: b>"), parse_value("{a}"),
+                        parse_value("[]")))
+    return make_tuple((l, other if j == i else y)
+                      for j, (l, y) in enumerate(x.fields))
+
+
+def _shared_draw(seed, sem):
+    """Two queries that run selections over one shared input (a union of
+    them, and a product followed by such a union, which rule 1
+    distributes over the product), and a collection to run them on."""
+    rng = random.Random(seed)
+    t = _elem_type(rng, sem)
+    kind = sem if rng.random() < 0.95 else rng.choice(KINDS)
+    xs = [gen_value(rng, _with_kind(t, kind))
+          for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(xs))
+        xs[i] = _spoil(rng, xs[i])
+    v = make_coll(kind, xs)
+    pair = TupleType((("1", t), ("2", t)))
+    return (_shared_selects(rng, t),
+            compose(CartProd(Id(), Id()), _shared_selects(rng, pair))), v
+
+
+# hand-written selections over a shared input: (query, value, semantics,
+# the printed value)
+SHARED_CASES = [
+    # conflicting constants on one path
+    ("union(select[A = 'a' && A = 'b'], select[A = 'a' && A =atom 'a'])",
+     "{<A: a>, <A: b>}", SET, "{<A: a>}"),
+    ("cart(id, id) ; union(select[1.A = 'a' && 1.A = 'b'], "
+     "select[1.A = 'a' && 2.A = 'b'])",
+     "{<A: a>, <A: b>}", SET, "{<1: <A: a>, 2: <A: b>>}"),
+    # a list input under set semantics: the results are sorted
+    ("union(select[A = 'b' && B = 'c'], select[A = 'b' && B =mon 'c'])",
+     "[<A: b, B: c>, <A: a, B: c>, <A: b, B: c>]", SET, "{<A: b, B: c>}"),
+    ("union(select[A = 'b'], select[A = 'a' || A = 'b'])",
+     "[<A: b, B: d>, <A: a, B: c>, <A: b, B: c>]", SET,
+     "{<A: a, B: c>, <A: b, B: c>, <A: b, B: d>}"),
+    ("union(select[A = 'b'], select[A = 'b' && B = 'c'])",
+     "[<A: b, B: d>, <A: a, B: c>, <A: b, B: c>]", LIST,
+     "[<A: b, B: d>, <A: b, B: c>, <A: b, B: c>]"),
+    # a selection in a map body: its input changes with every member
+    ("map(union(select[A = 'a'], select[A = 'a' && B = 'b']))",
+     "{{<A: a, B: b>, <A: b, B: b>}, {<A: a, B: c>}, {}}", SET,
+     "{{}, {<A: a, B: b>}, {<A: a, B: c>}}"),
+    ("map(select[A = 'a'] ; union(select[B = 'b'], select[B = 'c']))",
+     "{{<A: a, B: b>, <A: a, B: c>}, {<A: a, B: c>}}", SET,
+     "{{<A: a, B: c>}, {<A: a, B: b>, <A: a, B: c>}}"),
+    # a member without the field: the plain loop raises on it
+    ("union(select[A = 'a'], select[A = 'b'])", "{<A: a>, <B: a>}", SET,
+     "ValueError_ no field 'A' in tuple with fields ['B']"),
+    # a conjunct that is never tested on a member its constants drop
+    ("union(select[A = 'a' && B =atom 'x'], select[A = 'a'])",
+     "{<A: a, B: x>, <A: b, B: <>>}", SET, "{<A: a, B: x>}"),
+    # one path to a tuple: each disjunct compares as its mode says
+    ("union(select[A =mon 'a' || A =mon 'b'], select[A = 'a' || A = 'b'])",
+     "{<A: <B: a>>}", SET, "{}"),
+    ("union(select[A = 'a' || A =atom 'b'], select[A = 'a'])",
+     "{<A: <B: a>>}", SET,
+     "ValueError_ atomic equality on non-atom <B: a>"),
+]
+
+
+def _shared_outcome(query, value, sem):
+    q, v = parse_ma(query), parse_value(value)
+    got = _outcome(lambda: eval_ma(q, v, sem))
+    assert got == _outcome(lambda: _plain(q, v, sem)), query
+    return got[1] if got[0] == "value" else "%s %s" % got
+
+
+@pytest.mark.parametrize("query, value, sem, want", SHARED_CASES)
+def test_shared_selections(query, value, sem, want):
+    assert _shared_outcome(query, value, sem) == want
+
+
+# sha256 of the outcomes of the _shared_draw queries through the plain
+# evaluator and through eval_ma, one per line, then of SHARED_CASES
+SHARED_SELECT_DIGEST = (
+    "ac2786698b4ee606ef5611afc2b0b126"
+    "1ead4e7db416d417cc9f578242cc5f55")
+
+
+def test_shared_selections_are_pinned():
+    """Values and errors of selections that share their input, under
+    each semantics, members that hold no atom at a compared path
+    included."""
+    lines = []
+    for sem in KINDS:
+        for seed in range(600):
+            qs, v = _shared_draw(seed, sem)
+            for q in qs:
+                for run in (_plain, eval_ma):
+                    lines.append("%s %s" % _outcome(lambda: run(q, v, sem)))
+    lines += [_shared_outcome(*case[:3]) for case in SHARED_CASES]
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == SHARED_SELECT_DIGEST
 
 
 @pytest.mark.parametrize("query, value, want", [
