@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Run the bundled machines through the generated acceptance queries
 and compare each decision with the direct simulation over 2^K steps.
+
+Each line gives the decision's time and, beside it, the time that
+planning the same query takes on its own (ma.plan), which the decision
+includes.
 """
 
 import argparse
 import time
 
 from nestql.checks import TM_WORDS
+from nestql.ma import plan
 from nestql.reductions import (
-    BUNDLED, MAX_CONFIG_PAIRS, decide_tm_query, simulate_ntm, tm_config_space,
-    tm_query_sizes,
+    BUNDLED, MAX_CONFIG_PAIRS, decide_tm_query, gen_tm_query, simulate_ntm,
+    tm_config_space, tm_query_sizes,
 )
 
 
@@ -36,11 +41,15 @@ def main():
             t0 = time.monotonic()
             got = decide_tm_query(tm, word, a.k)
             dt = time.monotonic() - t0
+            q = gen_tm_query(tm, word, a.k)
+            t0 = time.monotonic()
+            plan(q)
+            dp = time.monotonic() - t0
             want = simulate_ntm(tm, word, 2 ** a.k)
             mark = "ok" if got == want else "MISMATCH"
             print("%s on %-8r K=%d: query %-5s simulation %-5s %s "
-                  "(%.2fs, sizes %d/%d)"
-                  % (name, ",".join(word), a.k, got, want, mark, dt,
+                  "(%.3fs, plan %.3fs, sizes %d/%d)"
+                  % (name, ",".join(word), a.k, got, want, mark, dt, dp,
                      sizes[0], sizes[1]))
 
 

@@ -664,7 +664,15 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
 class _Compiler:
     """One compilation under semantics sem. Each distinct conjunct of the
     selection conditions is compiled once: the plan makes many equal
-    copies of them."""
+    copies of them.
+
+    The branches of a distributed plan filter one product side each for
+    constants at a few paths. A selection whose condition starts with
+    constant equalities runs its plain loop and records its input in
+    ``seen``; one that meets that input again looks its constants up in
+    an :func:`_index` of it, which ``index`` keeps, with the input, for
+    every selection on the same paths (one input per path tuple).
+    """
 
     def __init__(self, sem: str):
         if sem not in _BOOLS:
@@ -673,6 +681,8 @@ class _Compiler:
         self.yes, self.no = _BOOLS[sem]
         self.cart = False   # whether a product was compiled
         self._tests = {}   # conjunct -> test
+        self.seen = None   # the last input of a selection with a head
+        self.index = {}   # head paths -> (input, its index or None)
 
     def __call__(self, q: MAExpr):
         """q as a function from its input to its value."""
@@ -680,13 +690,17 @@ class _Compiler:
 
     def pred(self, c: SelCond):
         """Selection condition c as a test on one element."""
+        return _all(self.tests(_conjuncts(c)))
+
+    def tests(self, xs: list) -> list:
+        """The conjuncts xs as tests on one element."""
         tests = []
-        for x in _conjuncts(c):
+        for x in xs:
             t = self._tests.get(x)
             if t is None:
                 t = self._tests[x] = _PRED.get(type(x), _p_unknown)(x, self)
             tests.append(t)
-        return tests[0] if len(tests) == 1 else _all(tests)
+        return tests
 
 
 def _expected(v: Value, ctx: str, what: str):
@@ -953,17 +967,66 @@ def _c_eq(q, cc):
 
 
 def _c_select(q, cc):
-    test, sem = cc.pred(q.cond), cc.sem
+    xs = _conjuncts(q.cond)
+    tests, sem = cc.tests(xs), cc.sem
+    test = _all(tests)
+    # None: no constant equality comes first; (): not split yet
+    split = () if type(xs[0]) is PathEqConst else None
 
     def run(v):
+        nonlocal split
         if type(v) is not Coll:
             _expected(v, "select", "collection")
-        out = [x for x in v.elems if test(x)]
+        out = None
+        if split is not None and v is not cc.seen:
+            cc.seen = v
+        elif split is not None:
+            split = split or _split(xs, tests)   # on second sight, once
+            paths, labels, rest = split
+            hit = cc.index.get(paths)
+            if hit is None or hit[0] is not v:
+                hit = cc.index[paths] = v, _index(v, paths)
+            if hit[1] is not None:
+                out = hit[1].get(labels, [])
+                out = out if rest is None else [x for x in out if rest(x)]
+        if out is None:
+            out = [x for x in v.elems if test(x)]
         if v.kind == sem:
             # a subsequence of a canonical collection is canonical
             return Coll(sem, tuple(out))
         return make_coll(sem, out)
     return run
+
+
+def _split(xs: list, tests: list) -> tuple:
+    """The paths and labels of the constant equalities that the conjuncts
+    xs start with, and the test of the others (None for none)."""
+    n = 0
+    while n < len(xs) and type(xs[n]) is PathEqConst:
+        n += 1
+    return (tuple([x.p for x in xs[:n]]), tuple([x.label for x in xs[:n]]),
+            _all(tests[n:]) if xs[n:] else None)
+
+
+def _index(v: Coll, paths: tuple) -> Optional[dict]:
+    """The members of v by the labels of their atoms at paths, in v's
+    order; None when a member has no atom at one of them. Every equality
+    mode compares two atoms by label, so the members under a selection's
+    constants are those its plain loop tests the rest of it on."""
+    index = {}
+    for x in v.elems:
+        key = []
+        for p in paths:
+            y = x
+            for l in p:
+                if type(y) is not Tuple or l not in y.labels:
+                    return None
+                y = y.vals[y.labels.index(l)]
+            if type(y) is not Atom:
+                return None
+            key.append(y.label)
+        index.setdefault(tuple(key), []).append(x)
+    return index
 
 
 def _c_subseteq(q, cc):
@@ -1066,6 +1129,10 @@ _COMPILE = {
 
 
 def _all(tests: list):
+    """The conjunction of tests, which must not be empty."""
+    if len(tests) == 1:
+        return tests[0]
+
     def test(v):
         for t in tests:
             if not t(v):
@@ -1081,14 +1148,25 @@ def _p_unknown(c, cc):
 
 
 def _p_any(c, cc):
-    tests = [cc.pred(x) for x in _conjuncts(c, COr)]
+    xs = _conjuncts(c, COr)
+    tests = [cc.pred(x) for x in xs]
 
     def test(v):
         for t in tests:
             if t(v):
                 return True
         return False
-    return test
+    if {type(x) for x in xs} != {PathEqConst} or len({x.p for x in xs}) > 1:
+        return test
+    # constants on one path: one walk, then a set lookup on an atom
+    get, labels = _getter(xs[0].p), frozenset([x.label for x in xs])
+
+    def one_path(v):
+        a = get(v)
+        if type(a) is Atom:
+            return a.label in labels
+        return test(v)
+    return one_path
 
 
 def _p_not(c, cc):
@@ -1196,6 +1274,10 @@ def type_of(v: Value, sem: str = SET) -> Type:
 # atomic equality atomic and both paths of a mon equality
 # collection-free, so no condition raises a mode error and native ==
 # decides every key; no run-time error is there to be reordered.
+# Rule 1's branch copies push the same conditions through the same maps
+# and joins, so one plan call computes each _implied, _side and _moved
+# (with its _paths) once per argument object: _memo keys them on the
+# identities of their arguments in a dict made for that call alone.
 
 _MAX_BRANCHES = 1024   # rule 1 stops copying beyond this many branches
 
@@ -1203,7 +1285,18 @@ _MAX_BRANCHES = 1024   # rule 1 stops copying beyond this many branches
 def plan(q: MAExpr) -> MAExpr:
     """The tree :func:`eval_ma` evaluates for q, which must type-check
     against the type of its input."""
-    return _pushdown(q)
+    return _pushdown(q, {})
+
+
+def _memo(m: dict, fn, *args):
+    """fn(m, *args), computed once per plan call for arguments of the
+    same identities. m, the call's memo, holds the arguments, so no id
+    is reused while the call runs."""
+    key = (fn, *map(id, args))
+    hit = m.get(key)
+    if hit is None:
+        hit = m[key] = fn(m, *args), args
+    return hit[0]
 
 
 def _has_cart(q: MAExpr) -> bool:
@@ -1289,38 +1382,38 @@ def _resolve(f: MAExpr, p: Path) -> Optional[Path]:
     return None
 
 
-def _pushdown(q: MAExpr) -> MAExpr:
-    """The rules, everywhere in q."""
+def _pushdown(q: MAExpr, m: dict) -> MAExpr:
+    """The rules, everywhere in q; m is the plan call's memo."""
     t = type(q)
     if t is Compose:
-        return compose(*_chain(_lift(_flat(q, Compose))))
+        return compose(*_chain(_lift(_flat(q, Compose)), m))
     if t in (Union, CartProd):
-        return t(_pushdown(q.f), _pushdown(q.g))
+        return t(_pushdown(q.f, m), _pushdown(q.g, m))
     if t in (Map, FlatMap):
-        return t(_pushdown(q.f))
+        return t(_pushdown(q.f, m))
     if t is TupleCons:
-        return TupleCons(tuple((l, _pushdown(f)) for l, f in q.fields))
+        return TupleCons(tuple((l, _pushdown(f, m)) for l, f in q.fields))
     return q
 
 
-def _chain(stages: list, acc: list = ()) -> list:
+def _chain(stages: list, m: dict, acc: list = ()) -> list:
     """The stages of acc ; stages, each of stages moved into acc as far
     as the rules allow. Rule 5 has split stages; the stages of acc are
     already rewritten."""
     acc = list(acc)
     for s in stages:
         if type(s) is Select:
-            acc = _push(acc, s.cond)
+            acc = _push(acc, s.cond, m)
             continue
         i = _suffix(acc) if type(s) is Union else None
         if i is not None:
             branches = [_lift(_flat(b, Compose)) for b in _flat(s, Union)]
             if (len(branches) * len(_flat(acc[i], Union)) <= _MAX_BRANCHES
                     and all(type(b[0]) is Select for b in branches)):
-                acc[i:] = [_union([compose(*_chain(b, acc[i:]))
+                acc[i:] = [_union([compose(*_chain(b, m, acc[i:]))
                                    for b in branches])]
                 continue
-        acc.append(_pushdown(s))
+        acc.append(_pushdown(s, m))
     return acc
 
 
@@ -1437,7 +1530,7 @@ def _suffix(acc: list) -> Optional[int]:
     return None
 
 
-def _push(acc: list, c: SelCond) -> list:
+def _push(acc: list, c: SelCond, m: dict) -> list:
     """The stages of acc ; select[c], the selection moved into acc as far
     as rules 2-4 allow. A selection that c moves past takes what of c
     stops right before it."""
@@ -1457,21 +1550,21 @@ def _push(acc: list, c: SelCond) -> list:
         elif type(s) is Map:
             moved, kept = [], []
             for x in _conjuncts(c):
-                there = {p: _resolve(s.f, p) for p in _paths(x)}
-                if None in there.values():
+                y = _memo(m, _moved, s.f, x)
+                if y is None:
                     kept.append(x)
                 else:
-                    moved.append(_on_paths(x, there.get))
+                    moved.append(y)
             if kept:
                 stop(_and(kept))
             tail.append(acc.pop())
             c = _and(moved) if moved else None
         elif type(s) is Union:
-            acc[-1] = _union([compose(*_push(_flat(b, Compose), c))
+            acc[-1] = _union([compose(*_push(_flat(b, Compose), c, m))
                               for b in _flat(s, Union)])
             break
         elif type(s) in (CartProd, HashJoin):
-            acc[-1] = _hash_join(s, c)
+            acc[-1] = _hash_join(s, c, m)
             break
         else:
             stop(c)
@@ -1479,7 +1572,14 @@ def _push(acc: list, c: SelCond) -> list:
     return acc + tail[::-1]
 
 
-def _hash_join(s: MAExpr, c: SelCond) -> HashJoin:
+def _moved(m: dict, f: MAExpr, c: SelCond) -> Optional[SelCond]:
+    """c read on the input x of f, where it reads f(x), or None when f
+    does not map each path of c back (rule 3)."""
+    there = {p: _resolve(f, p) for p in _paths(c)}
+    return None if None in there.values() else _on_paths(c, there.get)
+
+
+def _hash_join(s: MAExpr, c: SelCond, m: dict) -> HashJoin:
     """s ; select[c] as one HashJoin, for s a product or a HashJoin
     (rule 4): c's join keys and other cross-side conjuncts follow those
     of s, and what c implies of each side filters that side."""
@@ -1492,33 +1592,35 @@ def _hash_join(s: MAExpr, c: SelCond) -> HashJoin:
         key = _join_key(x)
         if key:
             keys.append(key)
-        elif _side(x) is None:
+        elif _memo(m, _side, x) is None:
             rest.append(x)
-    f, g = ((e if d is None else compose(*_push(_flat(e, Compose), d)))
-            for e, d in zip((s.f, s.g), _implied(c)))
+    f, g = ((e if d is None else compose(*_push(_flat(e, Compose), d, m)))
+            for e, d in zip((s.f, s.g), _memo(m, _implied, c)))
     return HashJoin(f, g, tuple(keys), _and(rest) if rest else None)
 
 
-def _side(c: SelCond) -> Optional[str]:
+def _side(m: dict, c: SelCond) -> Optional[str]:
     """The side of a product ("1" or "2") that all paths of c read, or
     None."""
     heads = {p[:1] for p in _paths(c)}
     return heads.pop()[0] if heads in ({("1",)}, {("2",)}) else None
 
 
-def _implied(c: SelCond) -> list:
+def _implied(m: dict, c: SelCond) -> list:
     """For side 1 and side 2 of a product, a condition on its elements
     that holds there for every pair that satisfies c, or None for none
     found."""
     t = type(c)
+    if t in (COr, CAnd):
+        pairs = zip(_memo(m, _implied, c.a), _memo(m, _implied, c.b))
     if t is COr:
         return [None if a is None or b is None else COr(a, b)
-                for a, b in zip(_implied(c.a), _implied(c.b))]
+                for a, b in pairs]
     if t is CAnd:
         return [b if a is None else a if b is None else CAnd(a, b)
-                for a, b in zip(_implied(c.a), _implied(c.b))]
+                for a, b in pairs]
     out = [None, None]
-    side = _side(c)
+    side = _memo(m, _side, c)
     if side is not None:
         out[int(side) - 1] = _on_paths(c, lambda p: p[1:])
     return out

@@ -460,6 +460,59 @@ def test_shared_selections_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SHARED_SELECT_DIGEST
 
 
+def test_each_input_is_indexed_once_per_path_tuple(monkeypatch):
+    """In a built-in K=1 acceptor decision the branch copies filter one
+    configuration set for constants on a few path tuples: each (input,
+    paths) index is built at most once."""
+    builds = []   # (input, paths): holding the input keeps its id
+    real = ma._index
+
+    def counted(v, paths):
+        builds.append((v, paths))
+        return real(v, paths)
+    monkeypatch.setattr(ma, "_index", counted)
+    tm = reductions.ACCEPTOR
+    assert reductions.decide_tm_query(tm, ("1",), 1) == \
+        reductions.simulate_ntm(tm, ("1",), 2)
+    keys = [(id(v), paths) for v, paths in builds]
+    assert keys and len(set(keys)) == len(keys), keys
+
+
+@pytest.mark.parametrize("mode, value, want", [
+    ("=atom", "{<A: <B: a>>}", "ValueError_ atomic equality on non-atom "
+                               "<B: a>"),
+    ("=mon", "{<A: <B: a>>}", "{}"),
+    ("=", "{<A: <B: a>>}", "{}"),
+    ("=mon", "{<A: {a}>}", "ValueError_ mon equality on collection-bearing "
+                           "value {a}"),
+    ("=", "{<A: <B: a>>, <A: b>}", "{<A: b>}"),
+])
+def test_one_path_disjunction_on_a_non_atom(mode, value, want):
+    """A disjunction of constants on one path that ends on a tuple runs
+    its disjuncts in order, each as its mode says."""
+    query = "select[A %s 'a' || A %s 'b']" % (mode, mode)
+    assert _shared_outcome(query, value, SET) == want
+
+
+def test_a_plan_that_raises_leaves_nothing_behind(monkeypatch):
+    """What one plan call computes dies with it, also when it raises:
+    the next call gives the same plan."""
+    q = reductions.gen_tm_query(reductions.ACCEPTOR, ("1",), 1)
+    want = repr(plan(q))
+    real, calls = ma._implied, []
+
+    def failing(m, c):
+        calls.append(c)
+        if len(calls) == 40:
+            raise RuntimeError("stop")
+        return real(m, c)
+    monkeypatch.setattr(ma, "_implied", failing)
+    with pytest.raises(RuntimeError):
+        plan(q)
+    monkeypatch.undo()
+    assert repr(plan(q)) == want
+
+
 @pytest.mark.parametrize("query, value, want", [
     # equal members of a bag: side 2's run repeats, out of order
     ("cart(id, id)", "{|a, a, b|}",

@@ -3,6 +3,7 @@ is left out: it runs the full randomized suites, which the acceptance
 tests already cover."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,5 +40,9 @@ def test_script_runs(args):
         rss = [float(row[5][:-2]) for row in rows if row[5].endswith("MB")]
         assert len(rss) == 3 and 0 < rss[0] <= rss[1] <= rss[2]
     if args[0] == "tm_demo.py":
-        # each decision agrees with the simulation
-        assert all(" ok (" in line for line in r.stdout.splitlines())
+        # each decision agrees with the simulation, and gives its time
+        # and the time of its plan
+        lines = r.stdout.splitlines()
+        assert all(" ok (" in line for line in lines)
+        col = re.compile(r" ok \((\d+\.\d{3})s, plan (\d+\.\d{3})s, ")
+        assert all(col.search(line) for line in lines), lines
