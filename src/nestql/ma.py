@@ -671,8 +671,7 @@ class _Compiler:
     constant equalities runs its plain loop and records its input in
     ``seen``; one that meets that input again looks its constants up in
     an :func:`_index` of it, which ``index`` keeps, with the input, for
-    every selection on the same paths (one input per path tuple).
-    """
+    every selection on the same paths (one input per path tuple)."""
 
     def __init__(self, sem: str):
         if sem not in _BOOLS:
@@ -970,8 +969,7 @@ def _c_select(q, cc):
     xs = _conjuncts(q.cond)
     tests, sem = cc.tests(xs), cc.sem
     test = _all(tests)
-    # None: no constant equality comes first; (): not split yet
-    split = () if type(xs[0]) is PathEqConst else None
+    split = () if type(xs[0]) is PathEqConst else None   # (): not yet
 
     def run(v):
         nonlocal split
@@ -1001,9 +999,8 @@ def _c_select(q, cc):
 def _split(xs: list, tests: list) -> tuple:
     """The paths and labels of the constant equalities that the conjuncts
     xs start with, and the test of the others (None for none)."""
-    n = 0
-    while n < len(xs) and type(xs[n]) is PathEqConst:
-        n += 1
+    n = next((i for i, x in enumerate(xs) if type(x) is not PathEqConst),
+             len(xs))
     return (tuple([x.p for x in xs[:n]]), tuple([x.label for x in xs[:n]]),
             _all(tests[n:]) if xs[n:] else None)
 
@@ -1289,9 +1286,8 @@ def plan(q: MAExpr) -> MAExpr:
 
 
 def _memo(m: dict, fn, *args):
-    """fn(m, *args), computed once per plan call for arguments of the
-    same identities. m, the call's memo, holds the arguments, so no id
-    is reused while the call runs."""
+    """fn(m, *args), once per plan call and identities of args: m, the
+    call's memo, holds the args, so no id is reused while it runs."""
     key = (fn, *map(id, args))
     hit = m.get(key)
     if hit is None:
@@ -1595,7 +1591,7 @@ def _hash_join(s: MAExpr, c: SelCond, m: dict) -> HashJoin:
         elif _memo(m, _side, x) is None:
             rest.append(x)
     f, g = ((e if d is None else compose(*_push(_flat(e, Compose), d, m)))
-            for e, d in zip((s.f, s.g), _memo(m, _implied, c)))
+            for e, d in zip((s.f, s.g), _implied(m, c)))
     return HashJoin(f, g, tuple(keys), _and(rest) if rest else None)
 
 
@@ -1609,21 +1605,31 @@ def _side(m: dict, c: SelCond) -> Optional[str]:
 def _implied(m: dict, c: SelCond) -> list:
     """For side 1 and side 2 of a product, a condition on its elements
     that holds there for every pair that satisfies c, or None for none
-    found."""
-    t = type(c)
-    if t in (COr, CAnd):
-        pairs = zip(_memo(m, _implied, c.a), _memo(m, _implied, c.b))
-    if t is COr:
-        return [None if a is None or b is None else COr(a, b)
-                for a, b in pairs]
-    if t is CAnd:
-        return [b if a is None else a if b is None else CAnd(a, b)
-                for a, b in pairs]
-    out = [None, None]
-    side = _memo(m, _side, c)
-    if side is not None:
-        out[int(side) - 1] = _on_paths(c, lambda p: p[1:])
-    return out
+    found; kept in m per node as _memo keeps results, and found on an
+    explicit stack, so a long chain of conjuncts needs no deep stack."""
+    todo = [c]
+    while todo:
+        x = todo.pop()
+        if (_implied, id(x)) in m:
+            continue
+        if type(x) in (COr, CAnd):
+            a, b = (m.get((_implied, id(y)), (None,))[0] for y in (x.a, x.b))
+            if a is None or b is None:
+                todo += (x, x.b, x.a)   # the operands first
+                continue
+            if type(x) is COr:
+                out = [None if u is None or w is None else COr(u, w)
+                       for u, w in zip(a, b)]
+            else:
+                out = [w if u is None else u if w is None else CAnd(u, w)
+                       for u, w in zip(a, b)]
+        else:
+            out = [None, None]
+            side = _memo(m, _side, x)
+            if side is not None:
+                out[int(side) - 1] = _on_paths(x, lambda p: p[1:])
+        m[_implied, id(x)] = out, (x,)
+    return m[_implied, id(c)][0]
 
 
 def _join_key(c: SelCond):

@@ -499,14 +499,14 @@ def test_a_plan_that_raises_leaves_nothing_behind(monkeypatch):
     the next call gives the same plan."""
     q = reductions.gen_tm_query(reductions.ACCEPTOR, ("1",), 1)
     want = repr(plan(q))
-    real, calls = ma._implied, []
+    real, calls = ma._moved, []
 
-    def failing(m, c):
+    def failing(m, f, c):
         calls.append(c)
-        if len(calls) == 40:
+        if len(calls) == 10:
             raise RuntimeError("stop")
-        return real(m, c)
-    monkeypatch.setattr(ma, "_implied", failing)
+        return real(m, f, c)
+    monkeypatch.setattr(ma, "_moved", failing)
     with pytest.raises(RuntimeError):
         plan(q)
     monkeypatch.undo()
@@ -754,6 +754,20 @@ def test_atomic_conjuncts_all_lift(query, cond):
     v = parse_value("{<A: a, B: a, C: a>, <A: a, B: b, C: a>, "
                     "<A: b, B: b, C: c>}")
     assert print_value(_same_as_plain(q, v)) == "{<A: a, B: a, C: a>}"
+
+
+def test_a_long_conjunction_after_a_product_gets_its_plan():
+    """What a condition implies of each side of a product is found on an
+    explicit stack, so 2,000 conjuncts plan, and the plan gives the
+    plain value."""
+    q = parse_ma("cart(id, id) ; select[%s]" % " && ".join(
+        ["1.A = 'a'", "2.B = 'b'"] * 1000))
+    p = plan(q)
+    assert type(ma._flat(p, Compose)[0]) is HashJoin
+    v = parse_value("{<A: a, B: a>, <A: a, B: b>, <A: b, B: b>}")
+    want = _plain(q, v, SET)
+    assert print_value(ma._Compiler(SET)(p)(v)) == print_value(want)
+    assert len(want.elems) == 4
 
 
 def test_branch_copies_are_capped():
