@@ -680,8 +680,8 @@ class _Compiler:
         self.yes, self.no = _BOOLS[sem]
         self.cart = False   # whether a product was compiled
         self._tests = {}   # conjunct -> test
-        self.seen = None   # the last input of a selection with a head
-        self.index = {}   # head paths -> (input, its index or None)
+        self.seen = None   # the last input of such a selection
+        self.index = {}   # path tuple -> (input, its index or None)
 
     def __call__(self, q: MAExpr):
         """q as a function from its input to its value."""
