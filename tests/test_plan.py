@@ -9,8 +9,10 @@ with the same exception and message. A second generator draws
 selections by Boolean subqueries, as the machine query spells its
 equalities out, for rule 5 of the plan. A third draws unions of
 selections over one shared input, whose conditions start with constant
-equalities. The last tests take their queries from the Turing machine
-acceptance query.
+equalities. Other tests take their queries from the Turing machine
+acceptance query. The last generator draws filters by equalities
+spelled out as the machine query spells them, over inputs that repeat
+the labels the filters read.
 """
 
 import dataclasses
@@ -869,3 +871,148 @@ def test_no_selection_follows_a_product():
                 after = ma._flat(x.g, Compose)[0]
                 assert not (type(before) in (CartProd, HashJoin)
                             and type(after) is Select), q
+
+
+# Filters by spelled-out equalities over inputs that repeat label tuples
+
+NESTED = (DOM, PAIR_T, TupleType((("1", PAIR_T), ("2", PAIR_T))))
+
+
+def _eq_bool(rng, t, depth=2):
+    """A Boolean subquery on elements of type t, built as the machine
+    query spells equality out: eqatom on drawn paths, _mon_eq_bool at
+    depth 0-2, and conjunctions of them by _conj_bool."""
+    if depth and rng.random() < 0.3:
+        return reductions._conj_bool(_eq_bool(rng, t, depth - 1),
+                                     _eq_bool(rng, t, depth - 1))
+    paths = _paths(t)
+    if rng.random() < 0.5:
+        d = rng.randint(0, 2)
+        fit = [p for p, pt in paths if pt == NESTED[d]]
+        if not fit or rng.random() < 0.1:
+            # anything goes: often ill-typed
+            fit = [p for p, _ in paths]
+        return reductions._mon_eq_bool(rng.choice(fit), rng.choice(fit), d)
+    dom = [p for p, pt in paths if pt == DOM]
+    if not dom or rng.random() < 0.1:
+        dom = [p for p, _ in paths] + [("Z",)]
+    return EqAtomic(rng.choice(dom), rng.choice(dom))
+
+
+def _spoil_below(rng, x):
+    """x with a member that breaks a walk to an atom, at the top or
+    further down: a non-tuple, a missing field or a non-atom."""
+    if type(x) is not ma.Tuple or not x.labels:
+        return rng.choice((parse_value("<1: a, 2: b>"), parse_value("{a}"),
+                           parse_value("[]")))
+    if rng.random() < 0.4:
+        return _spoil(rng, x)
+    i = rng.randrange(len(x.labels))
+    return make_tuple((l, _spoil_below(rng, y) if j == i else y)
+                      for j, (l, y) in enumerate(x.fields))
+
+
+def _repeating(rng, t, kind):
+    """A collection of kind whose members repeat a few drawn ones, now
+    and then with one field drawn again, so that many share their labels
+    at the paths a filter reads; now and then one member is spoilt."""
+    base = [gen_value(rng, t) for _ in range(rng.randint(1, 3))]
+    xs = []
+    for _ in range(rng.randint(2, 7)):
+        x = rng.choice(base)
+        if rng.random() < 0.3:
+            i = rng.randrange(len(x.labels))
+            ft = t.fields[i][1]
+            x = make_tuple((l, gen_value(rng, ft) if j == i else y)
+                           for j, (l, y) in enumerate(x.fields))
+        xs.append(x)
+    if rng.random() < 0.35:
+        i = rng.randrange(len(xs))
+        xs[i] = _spoil_below(rng, xs[i])
+    return make_coll(kind, xs)
+
+
+def _eq_filter_draw(seed, sem):
+    """Two filters by spelled-out equalities, one on the input and one
+    after cart(id, id), and a collection to run them on."""
+    rng = random.Random(seed)
+    t = TupleType(tuple((l, rng.choice(NESTED))
+                        for l in ("A", "B", "C")[:rng.randint(2, 3)]))
+    kind = sem if rng.random() < 0.9 else rng.choice(KINDS)
+    v = _repeating(rng, t, kind)
+    pair = TupleType((("1", t), ("2", t)))
+    return (reductions._filter(_eq_bool(rng, t)),
+            compose(CartProd(Id(), Id()),
+                    reductions._filter(_eq_bool(rng, pair)))), v
+
+
+# hand-written filters: (query, value, semantics, the printed outcome)
+FILTER_CASES = [
+    # a subquery that reads its whole input
+    ("flatmap(tup[1 = id, 2 = sng ; select[A = 'a']] ; pairwith[2] ; "
+     "map(pi[1]))",
+     "[<A: a, B: x>, <A: b, B: x>, <A: a, B: x>, <A: a, B: y>]", LIST,
+     "[<A: a, B: x>, <A: a, B: x>, <A: a, B: y>]"),
+    # a subquery that raises on a later key, after repeats of the first
+    ("flatmap(tup[1 = id, 2 = union(eqatom[A, B], eqatom[A, B] ; not ; "
+     "map(pi[Z]))] ; pairwith[2] ; map(pi[1]))",
+     "[<A: a, B: a, C: x>, <A: a, B: a, C: y>, <A: a, B: b, C: x>]", LIST,
+     "ValueError_ no field 'Z' in tuple with fields []"),
+    ("cart(id, id) ; flatmap(tup[1 = id, 2 = union(eqatom[1.A, 2.A], "
+     "eqatom[1.A, 2.A] ; not ; map(pi[Z]))] ; pairwith[2] ; map(pi[1]))",
+     "{<A: a>, <A: b>}", SET,
+     "ValueError_ no field 'Z' in tuple with fields []"),
+    # a subquery whose value is not a collection
+    ("flatmap(tup[1 = id, 2 = pi[A]] ; pairwith[2] ; map(pi[1]))",
+     "{<A: a>}", SET, "ValueError_ pairwith field: expected collection, "
+                      "got a"),
+    # a subquery with two members keeps its member twice in a bag
+    ("flatmap(tup[1 = id, 2 = union(eqatom[A, B], eqatom[A, B])] ; "
+     "pairwith[2] ; map(pi[1]))",
+     "{|<A: a, B: a, C: x>, <A: a, B: a, C: y>, <A: a, B: b, C: x>|}", BAG,
+     "{|<A: a, B: a, C: x>, <A: a, B: a, C: x>, <A: a, B: a, C: y>, "
+     "<A: a, B: a, C: y>|}"),
+    # filters inside a map body: one member's key recurs in another's
+    ("map(flatmap(tup[1 = id, 2 = eqatom[A, B]] ; pairwith[2] ; "
+     "map(pi[1])))",
+     "{{<A: a, B: a>, <A: a, B: b>}, {<A: a, B: a, C: c>}, {<A: b, B: b>}}",
+     SET, "{{<A: a, B: a>}, {<A: b, B: b>}, {<A: a, B: a, C: c>}}"),
+    ("map(cart(id, id) ; flatmap(tup[1 = id, 2 = cart(eqatom[1.A, 2.A], "
+     "eqatom[1.B, 2.B]) ; map(unit)] ; pairwith[2] ; map(pi[1])))",
+     "{{<A: a, B: b>, <A: a, B: c>}, {<A: a, B: b, C: c>}}", SET,
+     "{{<1: <A: a, B: b, C: c>, 2: <A: a, B: b, C: c>>}, "
+     "{<1: <A: a, B: b>, 2: <A: a, B: b>>, <1: <A: a, B: c>, "
+     "2: <A: a, B: c>>}}"),
+    # a member with a tuple where the others have an atom
+    ("flatmap(tup[1 = id, 2 = eqmon[A, B]] ; pairwith[2] ; map(pi[1]))",
+     "[<A: a, B: a>, <A: <1: a>, B: <1: a>>, <A: a, B: a>]", LIST,
+     "[<A: a, B: a>, <A: <1: a>, B: <1: a>>, <A: a, B: a>]"),
+]
+
+
+@pytest.mark.parametrize("query, value, sem, want", FILTER_CASES)
+def test_filters(query, value, sem, want):
+    assert _shared_outcome(query, value, sem) == want
+
+
+# sha256 of the outcomes of the _eq_filter_draw queries through the plain
+# evaluator and through eval_ma, one per line, then of FILTER_CASES
+FILTER_DIGEST = (
+    "68fa28380dc59b6b0942d31f28a6c5f9"
+    "c063452f54237c69c38621945dc7f0b8")
+
+
+def test_filter_outcomes_are_pinned():
+    """Values and errors of filters by spelled-out equalities under each
+    semantics, on members that repeat their labels, and on members with
+    a non-atom, a missing field or a non-tuple where the filter reads."""
+    lines = []
+    for sem in KINDS:
+        for seed in range(600):
+            qs, v = _eq_filter_draw(seed, sem)
+            for q in qs:
+                for run in (_plain, eval_ma):
+                    lines.append("%s %s" % _outcome(lambda: run(q, v, sem)))
+    lines += [_shared_outcome(*case[:3]) for case in FILTER_CASES]
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == FILTER_DIGEST
