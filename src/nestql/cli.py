@@ -187,7 +187,9 @@ def cmd_gen_tm(a) -> int:
         # equalities into selections (join keys at K=1), but at K >= 2
         # the zoom's keep branches still filter by a nested equality,
         # not a selection, so the branches are not distributed over the
-        # product and every configuration pair is built
+        # product and every configuration pair is built. The filters
+        # run that equality once per distinct labels it reads, not once
+        # per pair, so the pairs are what this guard bounds
         _guard(reductions.tm_config_space(tm, a.k), "the configuration space")
     else:
         # the plan joins the pairs on their equalities and builds the

@@ -671,7 +671,8 @@ class _Compiler:
     constant equalities runs its plain loop and records its input in
     ``seen``; one that meets that input again looks its constants up in
     an :func:`_index` of it, which ``index`` keeps, with the input, for
-    every selection on the same paths (one input per path tuple)."""
+    every selection on the same paths (one input per path tuple). A
+    filter keeps its subquery's sizes by labels read (:func:`_c_filter`)."""
 
     def __init__(self, sem: str):
         if sem not in _BOOLS:
@@ -791,6 +792,10 @@ def _c_map(q, cc):
 
 def _c_flatmap(q, cc):
     """map(f) ; flatten, without the mapped collection between them."""
+    g = _filter_gamma(q.f)
+    paths = None if g is None else _reads(g)
+    if paths is not None:
+        return _c_filter(q.f, cc(g), paths, cc)
     f, sem = cc(q.f), cc.sem
 
     def run(v):
@@ -808,6 +813,44 @@ def _c_flatmap(q, cc):
         # collection
         for y in make_coll(sem, ys).elems:
             _as_coll(y, "flatten member")
+    return run
+
+
+def _c_filter(body, g, paths: tuple, cc):
+    """The flatmap of a filter's body whose subquery g reads only paths:
+    g runs on the first member with given labels there, in input order,
+    and its size is how often each member with those labels is kept
+    (once under set semantics); one without atoms there runs the body."""
+    counts, f, sem = {}, None, cc.sem   # counts: labels -> g's size
+
+    def run(v):
+        nonlocal f
+        if type(v) is not Coll:
+            _expected(v, "map", "collection")
+        out = []
+        for x in v.elems:
+            k = []
+            try:   # a non-tuple has no labels, a non-atom no label
+                for p in paths:
+                    y = x
+                    for l in p:
+                        y = y.vals[y.labels.index(l)]
+                    k.append(y.label)
+                k = tuple(k)
+            except (AttributeError, ValueError):
+                k = None
+            if k is None:
+                f = f or cc(body)
+                out += f(x).elems
+                continue
+            n = counts.get(k)
+            if n is None:
+                c = g(x)
+                if type(c) is not Coll:
+                    _expected(c, "pairwith field", "collection")
+                n = counts[k] = len(c.elems)
+            out += [x] * (min(n, 1) if sem == SET else n)
+        return make_coll(sem, out)
     return run
 
 
@@ -1264,6 +1307,7 @@ def type_of(v: Value, sem: str = SET) -> Type:
 #      by the selection by the other conjuncts, if any. Each lifted
 #      conjunct yields at most one <>, so the filter's multiplicity, the
 #      product of its conjuncts' sizes, and its list order are kept.
+#      That filter runs its subquery once per labels it reads (_c_filter).
 # _pushdown applies rule 5 (_lift) to the stages of each chain, _chain
 # rule 1 and _push rules 2-4, in one pass: a selection becomes a join
 # where it reaches its product. None of them needs types: a query gets a plan
@@ -1363,19 +1407,65 @@ def _on_paths(c: SelCond, fn) -> SelCond:
 
 
 def _resolve(f: MAExpr, p: Path) -> Optional[Path]:
-    """A path r with x.r = f(x).p for every x, or None."""
-    if type(f) is Id:
-        return p
-    if type(f) is Proj:
-        return (f.label,) + p
-    if type(f) is Compose:
-        r = _resolve(f.g, p)
-        return None if r is None else _resolve(f.f, r)
-    if type(f) is TupleCons and p:
-        for l, g in f.fields:
-            if l == p[0]:
-                return _resolve(g, p[1:])
-    return None
+    """A path r with x.r = f(x).p for every x, or None (on a stack)."""
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        if type(f) is Proj:
+            p = (f.label,) + p
+        elif type(f) is Compose:
+            todo += (f.f, f.g)
+        elif type(f) is TupleCons and p:
+            for l, g in f.fields:
+                if l == p[0]:
+                    todo.append(g)
+                    break
+            else:
+                return None
+            p = p[1:]
+        elif type(f) is not Id:
+            return None
+    return p
+
+
+def _reads(g: MAExpr) -> Optional[tuple]:
+    """The paths of its input that g reads, sorted: g has one value or
+    error on all inputs with atoms of the same labels there; None when g
+    reads it whole (path ()), as all nodes do but projections, path
+    equalities, constants, and tuples, products, unions, hash joins and
+    chains of them. Through a stage that only moves values, a chain reads
+    the next stages' paths moved back (_resolve); its own need only exist."""
+    order, todo = [], [g]   # order: every node before the nodes below it
+    through = (Compose, TupleCons, CartProd, Union, HashJoin)
+    while todo:
+        q = todo.pop()
+        t = type(q)
+        parts = (_flat(q, Compose) if t is Compose else
+                 _subexprs(q) if t in through else ())
+        order.append((q, t, parts))
+        todo += parts
+    done = {}   # id of a node -> (its paths, whether it only moves values)
+    for q, t, parts in reversed(order):
+        if t is Compose:
+            paths, moves = done[id(parts[-1])]
+            for s in reversed(parts[:-1]):
+                own, s_moves = done[id(s)]
+                rs = [_resolve(s, r) for r in paths] if s_moves else [None]
+                paths = own if None in rs else set(rs) | {
+                    p for p in own if p and all(r[:len(p)] != p for r in rs)}
+                moves = moves and s_moves
+        elif t in through:
+            paths = set().union(*(done[id(x)][0] for x in parts))
+            moves = t is TupleCons and all(done[id(x)][1] for x in parts)
+        elif t in _EQ_OPS:
+            paths, moves = {q.pa, q.pb}, False
+        elif t is Proj:
+            paths, moves = {(q.label,)}, True
+        else:
+            moves = t in (Id, Const, EmptyColl, UnitTuple)
+            paths = {()} if t is Id or not moves else set()
+        done[id(q)] = paths, moves
+    return None if () in paths else tuple(sorted(paths))   # g's, done last
 
 
 def _pushdown(q: MAExpr, m: dict) -> MAExpr:
@@ -1452,7 +1542,7 @@ def _filter_gamma(body: MAExpr) -> Optional[MAExpr]:
     """g when body is tup[1 = id, 2 = g] ; pairwith[2] ; map(pi[1]), or
     None."""
     s = _flat(body, Compose)
-    if (s[1:] == [PairWith("2"), Map(Proj("1"))] and type(s[0]) is TupleCons
+    if (type(s[0]) is TupleCons and s[1:] == [PairWith("2"), Map(Proj("1"))]
             and len(s[0].fields) == 2 and s[0].fields[0] == ("1", Id())
             and s[0].fields[1][0] == "2"):
         return s[0].fields[1][1]

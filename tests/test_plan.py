@@ -1016,3 +1016,102 @@ def test_filter_outcomes_are_pinned():
     lines += [_shared_outcome(*case[:3]) for case in FILTER_CASES]
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == FILTER_DIGEST
+
+
+def _counted_filters(monkeypatch):
+    """A list that gets [members filtered, runs of g] for each filter
+    that ma._c_filter compiles from now on."""
+    sites, real = [], ma._c_filter
+
+    def counted(body, g, paths, cc):
+        site = [0, 0]
+        sites.append(site)
+
+        def counted_g(x):
+            site[1] += 1
+            return g(x)
+        run = real(body, counted_g, paths, cc)
+
+        def counted_run(v):
+            site[0] += len(v.elems)
+            return run(v)
+        return counted_run
+    monkeypatch.setattr(ma, "_c_filter", counted)
+    return sites
+
+
+@pytest.mark.parametrize("tm, word, members, runs", [
+    (reductions.ACCEPTOR, ("1",), 450, 324),
+    (reductions.GUESSER, ("1",), 567, 324),
+    (reductions.REJECTOR, (), 80, 64),
+])
+def test_the_spelled_out_doubling_runs_g_once_per_label_tuple(
+        monkeypatch, tm, word, members, runs):
+    """At K=1 the doubling's filter meets more joined pairs than there
+    are distinct labels at the tape paths its subquery reads."""
+    sites = _counted_filters(monkeypatch)
+    assert reductions.decide_tm_query(tm, word, 1, expand_eq=True) == \
+        reductions.simulate_ntm(tm, word, 2)
+    assert max(sites) == [members, runs]
+
+
+def test_a_subquery_that_reads_its_whole_input_is_not_memoised(
+        monkeypatch):
+    whole = parse_ma("sng ; select[A = 'a']")
+    assert ma._reads(whole) is None
+    assert ma._reads(parse_ma("pi[A] ; sng ; flatten")) == (("A",),)
+    assert ma._reads(reductions._mon_eq_bool(("A",), ("B",), 1)) == (
+        ("A", "1"), ("A", "2"), ("B", "1"), ("B", "2"))
+    sites = _counted_filters(monkeypatch)
+    q, v = FILTER_CASES[0][:2]
+    assert _shared_outcome(q, v, LIST) == FILTER_CASES[0][3]
+    assert sites == []
+
+
+# filters whose subquery needs a field it does not compare, or builds a
+# tuple field by a node that reads its whole input: (query, list value,
+# the printed outcome)
+READ_CASES = [
+    ("tup[A = pi[A], B = pi[B]] ; eqatom[A, A]", "[<A: a, B: a>, <A: a>]",
+     "ValueError_ no field 'B' in tuple with fields ['A']"),
+    ("tup[A = pi[A], B = pi[A] ; pairwith[W]] ; eqatom[A.V, A.V]",
+     "[<A: <V: a, W: [c]>>, <A: <V: a, W: b>>]",
+     "ValueError_ pairwith field: expected collection, got b"),
+    ("tup[A = pi[A], B = pi[A] ; pairwith[W]] ; eqatom[A.V, A.V]",
+     "[<A: <V: a, W: [c]>>, <A: <V: a, W: [c, d]>>]",
+     "[<A: <V: a, W: [c]>>, <A: <V: a, W: [c, d]>>]"),
+]
+
+
+@pytest.mark.parametrize("g, value, want", READ_CASES)
+def test_a_key_holds_all_that_the_subquery_needs(g, value, want):
+    """The flatmap gives what the plain loop of map ; flatten gives."""
+    g, v = parse_ma(g), parse_value(value)
+    for q in (reductions._filter(g), ma._sigma(g)):
+        got = _outcome(lambda: _plain(q, v, LIST))
+        assert (got[1] if got[0] == "value" else "%s %s" % got) == want
+
+
+def test_the_read_set_of_a_long_chain_is_found_on_a_stack():
+    """5,000 stages that move two fields, at the top of the subquery and
+    inside a tuple field."""
+    swap = parse_ma("tup[A = pi[B], B = pi[A]]")
+    top = compose(*[swap] * 5000, EqAtomic(("A",), ("B",)))
+    same = parse_ma("tup[V = id] ; pi[V]")
+    inner = compose(TupleCons((("A", compose(Proj("A"), *[same] * 2500)),
+                               ("B", Proj("B")))),
+                    EqAtomic(("A",), ("B",)))
+    v = parse_value("{<A: a, B: a>, <A: a, B: b>, <A: b, B: b>}")
+    for g in (top, inner):
+        assert ma._reads(g) == (("A",), ("B",))
+        got = _plain(reductions._filter(g), v, SET)
+        assert print_value(got) == "{<A: a, B: a>, <A: b, B: b>}"
+
+
+def test_nothing_carries_over_between_evaluations(monkeypatch):
+    sites = _counted_filters(monkeypatch)
+    q = reductions.gen_tm_query(reductions.REJECTOR, (), 1, expand_eq=True)
+    for _ in range(2):
+        assert not eval_ma(q, UNIT, SET).elems
+    runs = [site for site in sites if site[0]]
+    assert len(runs) == 4 and runs[:2] == runs[2:], runs
