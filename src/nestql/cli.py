@@ -377,6 +377,10 @@ def main(argv=None) -> int:
             RecursionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory (the input or the result is too large "
+              "for the memory this process may use)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple as Tup
 
-from .values import Value, ValueError_, _Scanner, print_atom
+from .values import Value, ValueError_, _Scanner, print_atom, record
 from . import ma
 from .ma import MAExpr
 from .detree import (
@@ -59,7 +59,7 @@ from .detree import (
 # ---------------------------------------------------------------------------
 # Rules
 
-@dataclass(frozen=True)
+@record
 class Rule:
     """One rule, as parse_lp reads it and compile_lp emits it.
 

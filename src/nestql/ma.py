@@ -25,15 +25,14 @@ compiled into Python closures once per call before it runs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Optional, Tuple as Tup
 
 from .values import (
     ATOMIC, BAG, DEEP, KINDS, LIST, MON, SET,
     Atom, Coll, CollType, DomType, DOM, Tuple, TupleType, Type, UNIT, UNIT_T,
-    Value, ValueError_, make_coll, make_tuple, print_type, print_value,
-    value_equal,
+    Value, ValueError_, make_coll, make_tuple, make_tuple_type, print_type,
+    print_value, record, value_equal,
 )
 
 Path = Tup[str, ...]
@@ -46,213 +45,213 @@ class MATypeError(Exception):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+@record
 class MAExpr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Id(MAExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Const(MAExpr):
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class EmptyColl(MAExpr):
     """The constant empty collection."""
 
 
-@dataclass(frozen=True)
+@record
 class UnitTuple(MAExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Sng(MAExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Map(MAExpr):
     f: MAExpr
 
 
-@dataclass(frozen=True)
+@record
 class Flatten(MAExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PairWith(MAExpr):
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class TupleCons(MAExpr):
     fields: Tup[Tup[str, MAExpr], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Proj(MAExpr):
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class Compose(MAExpr):
     f: MAExpr
     g: MAExpr
 
 
-@dataclass(frozen=True)
+@record
 class Union(MAExpr):
     f: MAExpr
     g: MAExpr
 
 
-@dataclass(frozen=True)
+@record
 class UnionT(MAExpr):
     """Union of the two collection fields of a tuple <1: X, 2: Y>."""
 
 
-@dataclass(frozen=True)
+@record
 class EqAtomic(MAExpr):
     pa: Path
     pb: Path
 
 
-@dataclass(frozen=True)
+@record
 class NotOp(MAExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TrueOp(MAExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Monus(MAExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Unique(MAExpr):
     pass
 
 
 # extended operators, removed by desugar()
 
-@dataclass(frozen=True)
+@record
 class EqMon(MAExpr):
     pa: Path
     pb: Path
 
 
-@dataclass(frozen=True)
+@record
 class EqDeep(MAExpr):
     pa: Path
     pb: Path
 
 
-@dataclass(frozen=True)
+@record
 class SelCond:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CAnd(SelCond):
     a: SelCond
     b: SelCond
 
 
-@dataclass(frozen=True)
+@record
 class COr(SelCond):
     a: SelCond
     b: SelCond
 
 
-@dataclass(frozen=True)
+@record
 class CNot(SelCond):
     a: SelCond
 
 
-@dataclass(frozen=True)
+@record
 class CIff(SelCond):
     a: SelCond
     b: SelCond
 
 
-@dataclass(frozen=True)
+@record
 class PathEqPath(SelCond):
     p: Path
     q: Path
     mode: str = DEEP
 
 
-@dataclass(frozen=True)
+@record
 class PathEqConst(SelCond):
     p: Path
     label: str
     mode: str = ATOMIC
 
 
-@dataclass(frozen=True)
+@record
 class PathInSet(SelCond):
     p: Path
     labels: Tup[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Select(MAExpr):
     cond: SelCond
 
 
-@dataclass(frozen=True)
+@record
 class Diff(MAExpr):
     """Difference of the two collection fields of <1: R, 2: S>."""
 
 
-@dataclass(frozen=True)
+@record
 class Intersect(MAExpr):
     """Intersection of the two collection fields of <1: R, 2: S>."""
 
 
-@dataclass(frozen=True)
+@record
 class SubsetEq(MAExpr):
     pa: Path
     pb: Path
 
 
-@dataclass(frozen=True)
+@record
 class MemberOf(MAExpr):
     pa: Path
     pb: Path
 
 
-@dataclass(frozen=True)
+@record
 class Nest(MAExpr):
     label: str
     grouped: Tup[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CartProd(MAExpr):
     f: MAExpr
     g: MAExpr
 
 
-@dataclass(frozen=True)
+@record
 class FlatMap(MAExpr):
     f: MAExpr
 
 
 # built by plan() only, never parsed, printed, typed or desugared
 
-@dataclass(frozen=True)
+@record
 class HashJoin(MAExpr):
     """``cart(f, g) ; select[c]`` as evaluated: the pairs <1: x, 2: y>
     with x.p == y.q for each (p, q) in keys, that satisfy cond (None: no
@@ -310,7 +309,7 @@ def union_pair(f: MAExpr, g: MAExpr) -> MAExpr:
 # ---------------------------------------------------------------------------
 # Typing
 
-@dataclass(frozen=True)
+@record
 class AnyType(Type):
     """Element type of an empty collection literal; joins with anything."""
 
@@ -414,7 +413,7 @@ def _t_tuple(q, t, sem):
     fields = []
     for l, f in q.fields:
         fields.append((l, (yield f, t)))
-    return TupleType(tuple(fields))
+    return make_tuple_type(fields)
 
 
 def _t_union(q, t, sem):
@@ -645,20 +644,19 @@ def eval_ma(q: MAExpr, v: Value, sem: str = SET) -> Value:
     value; the type check takes composition chains of any length. Any
     other query is evaluated as written. Only a query that fails the
     type check can fail at run time, so every error and its message are
-    what evaluating q as written gives. Compiling q shows whether it has
-    a product.
+    what evaluating q as written gives. Only the tree evaluated is
+    compiled.
     """
     cc = _Compiler(sem)
-    run = cc(q)
-    if cc.cart:
+    if _has_cart(q):
         try:
             t = type_of(v, sem)
             infer_type(q, t, sem)
         except (MATypeError, ValueError_, RecursionError):
             pass
         else:
-            run = _Compiler(sem)(plan(q))
-    return run(v)
+            q = plan(q)
+    return cc(q)(v)
 
 
 class _Compiler:
@@ -679,7 +677,6 @@ class _Compiler:
             raise ValueError_("bad collection kind %r" % (sem,))
         self.sem = sem
         self.yes, self.no = _BOOLS[sem]
-        self.cart = False   # whether a product was compiled
         self._tests = {}   # conjunct -> test
         self.seen = None   # the last input of such a selection
         self.index = {}   # path tuple -> (input, its index or None)
@@ -1114,7 +1111,6 @@ _PAIR = ("1", "2")
 
 def _c_cart(q, cc):
     fa, fb, sem = cc(q.f), cc(q.g), cc.sem
-    cc.cart = True
 
     def run(v):
         a = _as_coll(fa(v), "cart")

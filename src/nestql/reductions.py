@@ -27,13 +27,12 @@ head with a marked copy, so the working alphabet internally doubles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Sequence, Tuple as Tup
 
 from .values import (
     ATOMIC, Atom, Coll, MON, SET, Tuple, UNIT, Value, ValueError_,
-    make_coll, make_tuple, _Scanner,
+    make_coll, make_tuple, record, _Scanner,
 )
 from . import ma
 from .ma import (
@@ -59,7 +58,7 @@ def marker(sym: str) -> str:
 Transition = Tup[str, str, str, str, int]
 
 
-@dataclass(frozen=True)
+@record
 class TMSpec:
     """A nondeterministic Turing machine over atoms.
 

@@ -1,6 +1,10 @@
 """Complex values: atoms, tuples with labeled fields, and collections.
 
-Values are immutable. Collections come in three kinds: sets (canonical,
+Values, like every record of this package (see :func:`record`), are
+immutable by convention: nothing assigns a field once a record is
+built. No guard enforces it on each construction, which would cost more
+than building the record; ``tests/test_values.py`` checks the source
+instead. Collections come in three kinds: sets (canonical,
 duplicate-free), lists (ordered, duplicates kept) and bags (multiplicities
 kept, order canonical). A small text format with tuple brackets ``<...>``,
 set braces ``{...}``, list brackets ``[...]`` and bag braces ``{|...|}``
@@ -17,11 +21,11 @@ Each tuple and collection node also stores what would otherwise mean
 walking its whole subtree: its canonical sort key (:func:`sort_key`),
 its hash, whether it is free of collections (the mon-equality check) and
 its node count (:func:`value_nodes`). Each is built on first use from
-the members' stored ones, so a node computes it once; the node count is
-stored by a walk with an explicit stack, as deep values are legal. Native ``hash`` is
-the stored hash and native ``==`` compares labels and members, so both
-are structural, which holds only because every set and bag is in
-canonical order (see :class:`Coll`). Stored hashes depend on
+the members' stored ones, so a node computes it once, and is stored by a
+walk with an explicit stack (:func:`_stored`), as deep values are legal.
+Native ``hash`` is the stored hash and native ``==`` compares labels and
+members, so both are structural, which holds only because every set and
+bag is in canonical order (see :class:`Coll`). Stored hashes depend on
 ``PYTHONHASHSEED``, so values must not be pickled or persisted.
 """
 
@@ -51,38 +55,29 @@ _CLOSE = {SET: "}", LIST: "]", BAG: "|}"}
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_#+\-]+")
 
 
-class _once:
-    """A per-node fact, computed on first use and stored on the node.
+def record(cls):
+    """cls as a dataclass: its instances compare field by field, print
+    as the dataclass repr and hash on their fields, or by the class's
+    own ``__hash__`` where its body writes one.
 
-    The result becomes an instance attribute, which shadows this
-    non-data descriptor from then on. It is set with
-    ``object.__setattr__`` (the dataclasses are frozen) rather than
-    through ``__dict__``: that would turn the instance's inline attribute
-    values into a dict and slow every later attribute read. Unlike
-    ``functools.cached_property`` on Python 3.11 it takes no lock.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, v, cls):
-        out = self.fn(v)
-        object.__setattr__(v, self.name, out)
-        return out
+    A record is immutable by convention (see the module docstring). A
+    frozen dataclass would guard that on every construction by setting
+    each field through the base object's setter, which costs twice or
+    more what building the record does."""
+    return dataclass(cls, unsafe_hash="__hash__" not in cls.__dict__)
 
 
-@dataclass(frozen=True)
+@record
 class Value:
     """A value node. Equality is the dataclass's field-by-field
-    comparison. Tuples and collections return their stored hash; the
-    decorator keeps a ``__hash__`` only when it is written in that
-    class's own body."""
+    comparison. Tuples and collections return their stored hash.
 
-    _nodes = 0   # the node count, once value_nodes has stored it
+    The facts a tuple or collection stores are None until stored."""
+
+    _key = _hash = _set_free = _nodes = None
 
 
-@dataclass(frozen=True)
+@record
 class Atom(Value):
     label: str
 
@@ -96,7 +91,7 @@ class Atom(Value):
         return (0, self.label)
 
 
-@dataclass(frozen=True)
+@record
 class Tuple(Value):
     """A tuple: its labels, and its members in the same order. The label
     tuple is shared by the tuples of one shape that one operator builds:
@@ -123,23 +118,11 @@ class Tuple(Value):
         return tuple(zip(self.labels, self.vals))
 
     def __hash__(self):
-        return self._hash
-
-    @_once
-    def _key(self):
-        return (1, self.labels, tuple([x._key for x in self.vals]))
-
-    @_once
-    def _hash(self):
-        return hash((self.labels, self.vals))
-
-    @_once
-    def _set_free(self):
-        return all(x._set_free for x in self.vals)
+        h = self._hash
+        return _stored(self, "_hash", _hash_of) if h is None else h
 
 
-
-@dataclass(frozen=True)
+@record
 class Coll(Value):
     """A collection. Native ``==`` and ``hash`` are structural equality
     only because sets and bags are in canonical form: sets deduped, sets
@@ -163,26 +146,67 @@ class Coll(Value):
     _set_free = False
 
     def __hash__(self):
-        return self._hash
-
-    @_once
-    def _key(self):
-        return (2, _KIND_RANK[self.kind], len(self.elems),
-                tuple([x._key for x in self.elems]))
-
-    @_once
-    def _hash(self):
-        return hash((self.kind, self.elems))
-
+        h = self._hash
+        return _stored(self, "_hash", _hash_of) if h is None else h
 
 
 UNIT = Tuple((), ())
 
 
+def _stored(v: Value, name: str, fact):
+    """The fact called name of v, stored first on v and on every node
+    below it that has none yet; fact(x) builds it from the stored facts
+    of x's members. The walk keeps an explicit stack, so a deep value
+    does not reach the recursion limit, and stores the fact of each node
+    whose members' facts are all stored, bottom-up; a subtree whose fact
+    is stored is not entered again, nor is an atom, whose facts need no
+    walk."""
+    todo = [v]
+    while todo:
+        x = todo[-1]
+        n = len(todo)
+        for y in (x.vals if type(x) is Tuple else x.elems):
+            if type(y) is not Atom and getattr(y, name) is None:
+                todo.append(y)
+        if len(todo) == n:
+            # a member given twice is pushed twice, and stored twice
+            del todo[-1]
+            setattr(x, name, fact(x))
+    return getattr(v, name)
+
+
+def _key_of(x: Value) -> tuple:
+    if type(x) is Tuple:
+        return (1, x.labels, tuple([y._key for y in x.vals]))
+    return (2, _KIND_RANK[x.kind], len(x.elems),
+            tuple([y._key for y in x.elems]))
+
+
+def _hash_of(x: Value) -> int:
+    return hash((x.labels, x.vals) if type(x) is Tuple
+                else (x.kind, x.elems))
+
+
+def _set_free_of(x: Value) -> bool:
+    return all([y._set_free for y in x.vals])
+
+
+def _nodes_of(x: Value) -> int:
+    return 1 + sum([y._nodes for y in
+                    (x.vals if type(x) is Tuple else x.elems)])
+
+
 def sort_key(v: Value):
     """Total order on values: atoms < tuples < collections. The key is
     stored on the node, so sorting never walks a member twice."""
-    return v._key
+    k = v._key
+    return _stored(v, "_key", _key_of) if k is None else k
+
+
+def set_free(v: Value) -> bool:
+    """Whether v holds no collection, stored on the node."""
+    out = v._set_free
+    return _stored(v, "_set_free", _set_free_of) if out is None else out
 
 
 def make_coll(kind: str, elems: Iterable[Value]) -> Coll:
@@ -215,59 +239,37 @@ def make_tuple(fields: Iterable[Tup[str, Value]]) -> Tuple:
 
 def value_nodes(v: Value) -> int:
     """Number of nodes in the value tree (atoms count 1, tuples and
-    collections count 1 plus their members), stored on the node.
-
-    A node's count is 0 until stored. The walk keeps an explicit stack,
-    so a deep value does not reach the recursion limit, and stores the
-    count of each node whose members' counts are all stored, bottom-up;
-    a subtree whose count is stored is not entered again."""
-    if v._nodes:
-        return v._nodes
-    todo = [v]
-    while todo:
-        x = todo.pop()
-        if x is None:
-            # the members of the node below are stored now
-            x = todo.pop()
-        elif x._nodes:
-            continue   # a shared member, stored since it was pushed
-        members = x.vals if type(x) is Tuple else x.elems
-        counts = [y._nodes for y in members]
-        if 0 in counts:
-            todo += (x, None)
-            todo += [y for y, n in zip(members, counts) if not n]
-        else:
-            object.__setattr__(x, "_nodes", 1 + sum(counts))
-    return v._nodes
+    collections count 1 plus their members), stored on the node."""
+    n = v._nodes
+    return _stored(v, "_nodes", _nodes_of) if n is None else n
 
 
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
+@record
 class Type:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DomType(Type):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CollType(Type):
     kind: str
     elem: Type
 
 
-@dataclass(frozen=True)
+@record
 class TupleType(Type):
+    """A tuple type. Its labels must be distinct: :func:`make_tuple_type`
+    checks labels that come from outside (type text, a ``tup[...]``
+    being typed); the type check builds the other tuple types it needs
+    directly from checked ones."""
     fields: Tup[Tup[str, Type], ...]
-
-    def __post_init__(self):
-        labels = [l for l, _ in self.fields]
-        if len(set(labels)) != len(labels):
-            raise ValueError_("duplicate tuple type label in %r" % (labels,))
 
     def field(self, label: str) -> Type:
         for l, t in self.fields:
@@ -281,6 +283,16 @@ class TupleType(Type):
 
 DOM = DomType()
 UNIT_T = TupleType(())
+
+
+def make_tuple_type(fields: Iterable[Tup[str, Type]]) -> TupleType:
+    """A tuple type of the given (label, type) pairs; the labels must be
+    distinct."""
+    fields = tuple(fields)
+    labels = [l for l, _ in fields]
+    if len(set(labels)) != len(labels):
+        raise ValueError_("duplicate tuple type label in %r" % (labels,))
+    return TupleType(fields)
 
 
 def print_type(t: Type) -> str:
@@ -346,7 +358,7 @@ def value_equal(a: Value, b: Value, mode: str = DEEP) -> bool:
                               % print_value(bad))
     elif mode == MON:
         for v in (a, b):
-            if not v._set_free:
+            if not set_free(v):
                 raise ValueError_("mon equality on collection-bearing value %s"
                                   % print_value(v))
     elif mode != DEEP:
@@ -563,7 +575,7 @@ def _parse_type(sc: _Scanner) -> Type:
                 if sc.try_tok(">"):
                     break
                 sc.expect(",")
-        return TupleType(tuple(fields))
+        return make_tuple_type(fields)
     if sc.peek(2) == "{|":
         sc.expect("{|")
         t = _parse_type(sc)

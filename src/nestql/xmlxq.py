@@ -24,10 +24,9 @@ one-element sequence [<yes/>] when they hold and to [] otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple as Tup
 
-from .values import ATOMIC, DEEP, ValueError_, _Scanner
+from .values import ATOMIC, DEEP, ValueError_, _Scanner, record
 
 
 CHILD = "child"
@@ -35,7 +34,7 @@ DESCENDANT = "descendant"
 STAR = "*"
 
 
-@dataclass(frozen=True)
+@record
 class Tree:
     label: str
     children: Tup["Tree", ...] = ()
@@ -88,72 +87,72 @@ def _parse_tree(sc: _Scanner) -> Tree:
 # ---------------------------------------------------------------------------
 # Query AST
 
-@dataclass(frozen=True)
+@record
 class XQExpr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class EmptyElem(XQExpr):
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class Elem(XQExpr):
     label: str
     body: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class EmptySeq(XQExpr):
     """The empty sequence; used as the body of <a></a> written <a>{}</a>
     does not occur, but the constructor body may be empty."""
 
 
-@dataclass(frozen=True)
+@record
 class Seq(XQExpr):
     a: XQExpr
     b: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class Var(XQExpr):
     i: int
 
 
-@dataclass(frozen=True)
+@record
 class AxisStep(XQExpr):
     var: int
     axis: str
     test: str  # a tag name or STAR
 
 
-@dataclass(frozen=True)
+@record
 class For(XQExpr):
     source: XQExpr
     body: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class Let(XQExpr):
     bound: XQExpr
     body: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class If(XQExpr):
     cond: XQExpr
     then: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class VarEq(XQExpr):
     i: int
     j: int
     mode: str = DEEP
 
 
-@dataclass(frozen=True)
+@record
 class QueryEq(XQExpr):
     """Pointwise deep equality of two result sequences; an extension of
     the core grammar needed to express translated selections (negation
@@ -163,38 +162,38 @@ class QueryEq(XQExpr):
     mode: str = DEEP
 
 
-@dataclass(frozen=True)
+@record
 class Not(XQExpr):
     a: XQExpr
 
 
 # derived forms, removed by xq_desugar
 
-@dataclass(frozen=True)
+@record
 class And(XQExpr):
     a: XQExpr
     b: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class Or(XQExpr):
     a: XQExpr
     b: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class Some(XQExpr):
     source: XQExpr
     body: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class Every(XQExpr):
     source: XQExpr
     body: XQExpr
 
 
-@dataclass(frozen=True)
+@record
 class PathExpr(XQExpr):
     """A multi-step path $x/s1/s2/...; one step is just an AxisStep."""
     var: int

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from nestql import cli, ma
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -65,6 +67,17 @@ def test_eval_ma_guards_a_deeply_nested_result(files, depth):
     r = run_cli("eval-ma", "--query", q, "--semantics", "list")
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == "[" * depth + "<>" + "]" * depth + "\n"
+
+
+def test_a_hash_join_on_a_deeply_nested_key_runs(files):
+    """The join hashes a set nested 260 deep as its key; hashes are
+    stored on an explicit stack, not by recursion."""
+    s = "{" * 260 + "a" + "}" * 260
+    q = files("q.ma", "cart(id, id) ; select[1 = 2]")
+    v = files("v.txt", "{%s}" % s)
+    r = run_cli("eval-ma", "--query", q, "--input", v)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "{<1: %s, 2: %s>}\n" % (s, s)
 
 
 def test_identical_invocations_are_byte_identical(files):
@@ -315,6 +328,20 @@ def test_gen_tm_decide_exit_codes():
     r = run_cli("gen-tm", "--machine", "rejector", "--word", "",
                 "--k", "1", "--decide")
     assert (r.returncode, r.stdout) == (1, "false\n")
+
+
+def test_running_out_of_memory_exits_2(monkeypatch, capsys):
+    """A MemoryError is reported like any other run-time error: a
+    message on standard error, nothing on standard output, exit 2."""
+    def exhausted(*args):
+        raise MemoryError()
+    monkeypatch.setattr(ma, "eval_ma", exhausted)
+    argv = ["gen-tm", "--machine", "guesser", "--word", "1", "--k", "1",
+            "--decide"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: out of memory")
 
 
 def test_gen_tm_decide_guards_what_the_evaluation_builds():

@@ -1,18 +1,22 @@
+import ast
 import contextlib
+import dataclasses
 import hashlib
+import importlib
 import io
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nestql import cli, gen
-from nestql.ma import eval_ma
+from nestql import cli, gen, values
+from nestql.ma import eval_ma, infer_type
 from nestql.ma_text import parse_ma
 from nestql.reductions import gen_doubly_exp
 from nestql.values import (
-    ATOMIC, BAG, DEEP, KINDS, LIST, MON, SET, UNIT, Atom, Coll, Tuple,
-    ValueError_, make_coll, make_tuple, parse_type, parse_value, print_atom,
+    ATOMIC, BAG, DEEP, KINDS, LIST, MON, SET, UNIT, UNIT_T, Atom, Coll,
+    Tuple, ValueError_, make_coll, make_tuple, parse_type, parse_value, print_atom,
     print_chunks, print_type, print_value, sort_key, value_equal,
     value_nodes,
 )
@@ -290,6 +294,81 @@ def test_mon_equality_check_names_the_first_offender():
                                 % print_value(bad))
     assert value_equal(t, parse_value("<A: a>"), MON)
     assert not value_equal(t, parse_value("<A: b>"), MON)
+
+
+def test_a_set_nested_400_deep_hashes_and_has_a_sort_key():
+    """Hashes and keys are stored bottom-up on an explicit stack; the
+    recursive ones took three frames per level."""
+    v = w = Atom("a")
+    for _ in range(400):
+        v, w = make_coll(SET, [v]), make_coll(SET, [w])
+    assert hash(v) == hash(w) == hash((SET, v.elems))
+    assert sort_key(v) == sort_key(w)
+    assert sort_key(v)[:3] == (2, 0, 1) and sort_key(v.elems[0])[:3] == (
+        2, 0, 1)
+
+
+def test_tuple_type_labels_are_checked_where_they_come_in():
+    with pytest.raises(ValueError_) as e:
+        parse_type("<A: Dom, A: Dom>")
+    assert str(e.value) == "duplicate tuple type label in ['A', 'A']"
+    with pytest.raises(ValueError_) as e:
+        infer_type(parse_ma("tup[A = id, A = id]"), UNIT_T)
+    assert str(e.value) == "duplicate tuple type label in ['A', 'A']"
+
+
+SRC = pathlib.Path(values.__file__).parent
+# what values stores on a node after building it; none is a field
+STORED_FACTS = {"_key", "_hash", "_set_free", "_nodes"}
+
+
+def _is_record(c: ast.ClassDef) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "record"
+               for d in c.decorator_list)
+
+
+def _writes(node, cls=None):
+    """(innermost enclosing class, object written, attribute name, line)
+    for each attribute under node that is assigned, augmented or deleted,
+    and each literal name given to setattr, delattr, __setattr__ or
+    __delattr__ (object None)."""
+    for x in ast.iter_child_nodes(node):
+        inner = x if isinstance(x, ast.ClassDef) else cls
+        if (isinstance(x, ast.Attribute)
+                and isinstance(x.ctx, (ast.Store, ast.Del))):
+            yield inner, x.value, x.attr, x.lineno
+        elif isinstance(x, ast.Call) and getattr(
+                x.func, "id", getattr(x.func, "attr", None)) in (
+                "setattr", "delattr", "__setattr__", "__delattr__"):
+            for a in x.args:
+                if isinstance(a, ast.Constant) and isinstance(a.value, str):
+                    yield inner, None, a.value, x.lineno
+        yield from _writes(x, inner)
+
+
+def test_records_are_not_assigned_after_construction():
+    """Records are immutable by convention, not by a frozen dataclass's
+    guard (see values.record): no module of the package writes a field
+    of a record class, except on self in a class that is not a record."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    records = [(m, c) for m, t in trees.items() for c in ast.walk(t)
+               if isinstance(c, ast.ClassDef) and _is_record(c)]
+    fields = {s.target.id for _, c in records for s in c.body
+              if isinstance(s, ast.AnnAssign)}
+    for m, c in records:
+        cls = getattr(importlib.import_module("nestql." + m), c.name)
+        assert {f.name for f in dataclasses.fields(cls)} <= fields
+    assert {"Tuple", "Coll", "TupleType", "Compose", "Rule", "TMSpec"} <= {
+        c.name for _, c in records}
+    assert not fields & STORED_FACTS
+    names = {c.name for _, c in records}
+    bad = ["%s.py:%d %s" % (m, line, attr)
+           for m, t in trees.items() for cls, obj, attr, line in _writes(t)
+           if attr in fields and not (
+               getattr(obj, "id", None) == "self" and cls is not None
+               and cls.name not in names)]
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------
