@@ -721,3 +721,122 @@ def test_extended_operators_desugar_to_their_meaning(text, value, want,
     assert is_core(got) is core and _core_but_deep_eq(got)
     assert print_value(eval_ma(q, v, SET)) == want
     assert print_value(eval_ma(got, v, SET)) == want
+
+
+# (query, input type) pairs beyond EXTENDED_CASES and ILL_TYPED: every
+# condition form, with each equality mode on atoms, on collection-free
+# tuples and on collection-bearing types, and each extended operator on
+# more input types; the types are written with set brackets
+EXTENDED_TYPINGS = [
+    ("select[A = 'a' || B = 'b']", "{<A: Dom, B: Dom>}"),
+    ("select[A = 'a' || A = 'b' || A = 'c']", "{<A: Dom, B: Dom>}"),
+    ("select[!(A = 'a')]", "{<A: Dom, B: Dom>}"),
+    ("select[!A =atom B]", "{<A: Dom, B: Dom>}"),
+    ("select[(A = 'a' <=> B = 'b') <=> !A = B]", "{<A: Dom, B: Dom>}"),
+    ("select[A = B && C in {a} || !(C = 'b')]",
+     "{<A: Dom, B: Dom, C: Dom>}"),
+    ("select[A in {a}]", "{<A: Dom>}"),
+    ("select[A.X in {a, b, c}]", "{<A: <X: Dom>>}"),
+    ("select[A = 'c']", "{<A: <B: Dom>>}"),
+    ("select[A = 'c']", "{<A: {Dom}>}"),
+    ("select[A =mon 'a']", "{<A: <B: Dom>>}"),
+    ("select[A =atom 'a']", "{<A: <B: Dom>>}"),
+    ("select[A =mon 'a']", "{<A: {Dom}>}"),
+    ("select[A =atom B]", "{<A: Dom, B: Dom>}"),
+    ("select[A.X =atom B]", "{<A: <X: Dom>, B: Dom>}"),
+    ("select[A =mon B]", "{<A: Dom, B: Dom>}"),
+    ("select[A =mon B]", "{<A: <X: Dom, Y: Dom>, B: <X: Dom, Y: Dom>>}"),
+    ("select[A = B]", "{<A: <X: Dom>, B: <X: Dom>>}"),
+    ("select[A = B]", "{<A: {Dom}, B: {Dom}>}"),
+    ("select[A = B]", "{<A: <X: {Dom}>, B: <X: {Dom}>>}"),
+    ("select[A = B]", "{<A: Dom, B: {Dom}>}"),
+    ("map(tup[A = empty, B = sng]) ; select[A = B]", "{Dom}"),
+    ("map(tup[A = empty, B = sng]) ; select[A =mon B]", "{Dom}"),
+    ("map(tup[A = empty]) ; select[A = 'a']", "{Dom}"),
+    ("empty ; select[A = 'a' || B = 'b']", "<>"),
+    ("cart(id, id) ; select[1.A = 2.A && 1.B = 'b']", "{<A: Dom, B: Dom>}"),
+    ("select[A = 'a' && Z = 'b']", "{<A: Dom>}"),
+    ("select[!(Z = 'a')]", "{<A: Dom>}"),
+    ("select[A = 'a' <=> B.C = 'b']", "{<A: Dom, B: Dom>}"),
+    ("select[A = 'a' || B =atom C]", "{<A: Dom, B: <X: Dom>, C: Dom>}"),
+    ("select[A = 'a']", "{Dom}"),
+    ("select[A = 'a']", "{{Dom}}"),
+    ("diff", "<1: {Dom}, 2: {Dom}>"),
+    ("diff", "<1: {<A: Dom>}, 2: {<A: Dom>}>"),
+    ("cap", "<1: {{Dom}}, 2: {{Dom}}>"),
+    ("cap", "<1: {<A: Dom>}, 2: {<A: Dom>}>"),
+    ("tup[1 = empty, 2 = empty] ; diff", "<>"),
+    ("tup[1 = empty, 2 = sng] ; cap", "Dom"),
+    ("subseteq[A, B]", "<A: {<X: Dom>}, B: {<X: Dom>}>"),
+    ("subseteq[A.X, B]", "<A: <X: {{Dom}}>, B: {{Dom}}>"),
+    ("in[A, B]", "<A: {Dom}, B: {{Dom}}>"),
+    ("in[A, B.C]", "<A: <X: Dom>, B: <C: {<X: Dom>}>>"),
+    ("nest[C = (A, B)]", "{<A: Dom, B: Dom>}"),
+    ("nest[D = (B)]", "{<A: {Dom}, B: Dom, C: <X: Dom>>}"),
+    ("empty ; nest[C = (B)]", "<>"),
+    ("eqmon[A, B]", "<A: Dom, B: Dom>"),
+    ("eqmon[A, B]", "<A: <X: Dom>, B: <X: Dom>>"),
+    ("eq[A.X, B]", "<A: <X: Dom>, B: Dom>"),
+    ("eq[A, B]", "<A: <X: {Dom}>, B: <X: {Dom}>>"),
+    ("tup[A = empty, B = empty] ; eq[A, B]", "<>"),
+    ("tup[A = empty, B = sng] ; eqmon[A, B]", "Dom"),
+    ("flatmap(sng)", "{Dom}"),
+    ("cart(id, map(pi[A]))", "{<A: Dom>}"),
+    ("monus", "<1: {Dom}, 2: {Dom}>"),
+    ("unique", "{Dom}"),
+]
+
+
+def _extended_typings():
+    """(query, input type, sem): EXTENDED_CASES on the types of their
+    values, EXTENDED_TYPINGS and ILL_TYPED, and conditions on empty
+    paths, which have no text, under each semantics."""
+    bare = [(Select(c), t) for c, t in (
+        (PathEqConst((), "a", ATOMIC), "{Dom}"),
+        (PathEqConst((), "a", MON), "{<A: Dom>}"),
+        (PathEqConst((), "a", DEEP), "{{Dom}}"),
+        (PathInSet((), ("a", "b")), "{Dom}"),
+        (PathInSet((), ("a",)), "{<A: Dom>}"),
+        (PathEqPath((), (), ATOMIC), "{Dom}"),
+        (PathEqPath((), (), MON), "{<A: Dom>}"),
+        (PathEqPath((), (), DEEP), "{Dom}"),
+        (PathEqPath((), (), DEEP), "{<A: Dom>}"),
+        (PathEqPath((), (), DEEP), "{{Dom}}"),
+        (PathEqPath((), ("A",), DEEP), "{<A: Dom>}"),
+        (COr(PathEqConst((), "a", ATOMIC), PathInSet((), ("b",))), "{Dom}"),
+    )]
+    texts = [(text, print_type(type_of(parse_value(value), SET)))
+             for text, value, _, _ in EXTENDED_CASES]
+    texts += EXTENDED_TYPINGS + ILL_TYPED
+    kinds = {SET: ("{", "}"), LIST: ("[", "]"), BAG: ("{|", "|}")}
+    for sem, (op, cl) in kinds.items():
+        for q, t in [(parse_ma(a), b) for a, b in texts] + bare:
+            yield q, parse_type(t.replace("{", "\0").replace("}", cl)
+                                .replace("\0", op)), sem
+
+
+# sha256 of "print_ma(q) | print_type(t) | sem | the type or the error |
+# the printed core form or the error" of infer_type and desugar on
+# _extended_typings, recorded while conditions were typed and desugared
+# by their own recursive walks
+EXTENDED_DESUGAR_DIGEST = (
+    "2a8025a4c905605e659c0f6c5d4d548b"
+    "7ddb0047f3516e4663635f1f79c3d026")
+
+
+def _shown(run, show):
+    """show(run()), or the error it raises."""
+    try:
+        return show(run())
+    except Exception as e:   # the error itself is the outcome pinned
+        return "%s %s" % (type(e).__name__, e)
+
+
+def test_extended_desugared_forms_are_pinned():
+    h = hashlib.sha256()
+    for q, t, sem in _extended_typings():
+        typed = _shown(lambda: infer_type(q, t, sem), print_type)
+        core = _shown(lambda: desugar(q, t, sem), print_ma)
+        h.update(("%s | %s | %s | %s | %s\n" % (
+            print_ma(q), print_type(t), sem, typed, core)).encode())
+    assert h.hexdigest() == EXTENDED_DESUGAR_DIGEST
