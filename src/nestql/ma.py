@@ -364,34 +364,36 @@ def infer_type(q: MAExpr, t: Type, sem: str = SET) -> Type:
     return _walk(q, t, sem, False)[1]
 
 
-def _walk(q: MAExpr, t: Type, sem: str, core: bool):
+def _walk(q, t: Type, sem: str, core: bool):
     """(q's core form on input type t if core, else None; q's type on t).
 
-    A node with subexpressions is typed by a _TYPE rule that yields
-    (subexpression, input type) pairs and is sent back their types, on
-    an explicit stack; other nodes are typed where they are met. With
-    core set, the former get their _CORE form, the latter _expand's."""
-    stack, kids = [], []
-    rule = node = None   # the innermost node with subexpressions
+    Each node and each condition (typed on the members it tests, as a
+    Boolean) has a _TYPE rule. The rule of one with operands yields
+    (operand, input type) pairs and is sent back their types, on an
+    explicit stack; with core set, its _CORE form is made of theirs.
+    Any other rule returns (its core form, its type), and builds a form
+    that is not q itself only with core set."""
+    stack, kids, rules, forms = [], [], _TYPE, _CORE
+    rule = node = None   # the innermost node with operands
     while True:
-        if type(q) in _CORE:
+        if type(q) in forms:
             stack.append((rule, node, kids))
-            rule, node, kids = _TYPE[type(q)](q, t, sem), q, []
+            rule, node, kids = rules[type(q)](q, t, sem), q, []
             out = None   # starts the rule
         else:
-            leaf = _TYPE.get(type(q))
+            leaf = rules.get(type(q))
             if leaf is None:
                 raise MATypeError("cannot type %r" % (q,))
-            out = leaf(q, t, sem)
+            form, out = leaf(q, t, sem, core)
             if core:
-                kids.append(_expand(q, t, sem))
+                kids.append(form)
         while rule is not None:
             try:
                 q, t = rule.send(out)
                 break
             except StopIteration as stop:
                 out = stop.value
-            done = _CORE[type(node)](node, kids) if core else None
+            done = forms[type(node)](node, kids, sem) if core else None
             rule, node, kids = stack.pop()
             kids.append(done)
         else:
@@ -406,7 +408,7 @@ def _t_map(q, t, sem):
     flat = type(q) is FlatMap
     ct = _need_coll(t, sem, "flatmap" if flat else "map")
     out = CollType(sem, (yield q.f, ct.elem))
-    return _t_flatten(q, out, sem) if flat else out
+    return _flattened(out, sem) if flat else out
 
 
 def _t_tuple(q, t, sem):
@@ -430,7 +432,21 @@ def _t_cart(q, t, sem):
     return CollType(sem, TupleType((("1", a.elem), ("2", b.elem))))
 
 
-def _t_flatten(q, t, sem):
+def _t_select(q, t, sem):
+    ct = _need_coll(t, sem, "select")
+    if type(ct.elem) is not AnyType:   # else no member to test
+        yield q.cond, ct.elem
+    return ct
+
+
+def _t_connective(c, t, sem):
+    yield c.a, t
+    if type(c) is not CNot:
+        yield c.b, t
+    return bool_type(sem)
+
+
+def _flattened(t: Type, sem: str) -> CollType:
     ct = _need_coll(t, sem, "flatten")
     return CollType(sem, _need_coll(ct.elem, sem, "flatten (inner)").elem)
 
@@ -443,20 +459,20 @@ def _field(tt: TupleType, label: str, op: str) -> Type:
                           % (op, label, print_type(tt)))
 
 
-def _t_pairwith(q, t, sem):
+def _t_pairwith(q, t, sem, core):
     tt = _need_tuple(t, "pairwith")
     fc = _need_coll(_field(tt, q.label, "pairwith"), sem,
                     "pairwith field %s" % q.label)
     elem = TupleType(tuple(
         (l, fc.elem if l == q.label else x) for l, x in tt.fields))
-    return CollType(sem, elem)
+    return q, CollType(sem, elem)
 
 
-def _t_proj(q, t, sem):
-    return _field(_need_tuple(t, "pi[%s]" % q.label), q.label, "pi")
+def _t_proj(q, t, sem, core):
+    return q, _field(_need_tuple(t, "pi[%s]" % q.label), q.label, "pi")
 
 
-def _t_pair(q, t, sem):
+def _t_pair(q, t, sem, core):
     name = _PAIR_OPS[type(q)][0]
     if type(q) is Monus and sem != BAG:
         raise MATypeError("monus is only available under bag semantics")
@@ -466,32 +482,33 @@ def _t_pair(q, t, sem):
                           % (name, print_type(tt)))
     a = _coerce_coll(tt.field("1"), sem)
     b = _coerce_coll(tt.field("2"), sem)
-    return type_join(a, b, name)
+    out = type_join(a, b, name)
+    return _derived(q, t, sem, core), out
 
 
-def _t_eqatom(q, t, sem):
+def _t_eqatom(q, t, sem, core):
     for p in (q.pa, q.pb):
         pt = path_type(_need_tuple(t, "eqatom"), p, "eqatom")
-        if not isinstance(pt, (DomType, AnyType)):
+        if not _atomic(pt):
             raise MATypeError("eqatom: path %s has non-atomic type %s"
                               % (".".join(p), print_type(pt)))
-    return bool_type(sem)
+    return q, bool_type(sem)
 
 
-def _t_test(q, t, sem):
+def _t_test(q, t, sem, core):
     if type(q) is TrueOp and sem == SET:
         raise MATypeError("true is not available under set semantics")
     _need_coll(t, sem, "true" if type(q) is TrueOp else "not")
-    return bool_type(sem)
+    return q, bool_type(sem)
 
 
-def _t_unique(q, t, sem):
+def _t_unique(q, t, sem, core):
     if sem != BAG:
         raise MATypeError("unique is only available under bag semantics")
-    return _need_coll(t, sem, "unique")
+    return q, _need_coll(t, sem, "unique")
 
 
-def _t_eq(q, t, sem):
+def _t_eq(q, t, sem, core):
     name = "eqmon" if type(q) is EqMon else "eq"
     ta = path_type(_need_tuple(t, name), q.pa, name)
     tb = path_type(_need_tuple(t, name), q.pb, name)
@@ -499,32 +516,27 @@ def _t_eq(q, t, sem):
     if type(q) is EqMon:
         _mon_type(ta, name)
         _mon_type(tb, name)
-    return bool_type(sem)
+    if core and (type(q) is EqMon or _is_mon_type(ta)):
+        return _mon_eq(q.pa, q.pb, ta), bool_type(sem)
+    return q, bool_type(sem)   # deep equality stays on collections
 
 
-def _t_select(q, t, sem):
-    ct = _need_coll(t, sem, "select")
-    if not isinstance(ct.elem, AnyType):
-        _check_cond(q.cond, ct.elem, sem)
-    return ct
-
-
-def _t_subseteq(q, t, sem):
+def _t_subseteq(q, t, sem, core):
     tt = _need_tuple(t, "subseteq")
     for p in (q.pa, q.pb):
         _need_coll(path_type(tt, p, "subseteq"), sem, "subseteq")
-    return bool_type(sem)
+    return _derived(q, t, sem, core), bool_type(sem)
 
 
-def _t_member(q, t, sem):
+def _t_member(q, t, sem, core):
     tt = _need_tuple(t, "in")
     elem = path_type(tt, q.pa, "in")
     cb = _need_coll(path_type(tt, q.pb, "in"), sem, "in")
     type_join(elem, cb.elem, "in")
-    return bool_type(sem)
+    return _derived(q, t, sem, core), bool_type(sem)
 
 
-def _t_nest(q, t, sem):
+def _t_nest(q, t, sem, core):
     ct = _need_coll(t, sem, "nest")
     tt = _need_tuple(ct.elem, "nest")
     missing = [g for g in q.grouped if g not in tt.labels()]
@@ -535,22 +547,90 @@ def _t_nest(q, t, sem):
     grouped = tuple((l, x) for l, x in tt.fields if l in q.grouped)
     if q.label in [l for l, _ in keys]:
         raise MATypeError("nest: new label %s collides" % q.label)
-    return CollType(sem, TupleType(
+    out = CollType(sem, TupleType(
         keys + ((q.label, CollType(sem, TupleType(grouped))),)))
+    if not core:
+        return None, out
+    conds = [PathEqPath(("1", l), ("2", l), DEEP) for l, _ in keys]
+    key_eq = _and(conds) if conds else PathEqPath((), (), DEEP)
+    group = compose(
+        TupleCons((("1", Proj("1")), ("2", Proj("2")))),
+        PairWith("2"),
+        Select(key_eq),
+        Map(Compose(Proj("2"),
+                    TupleCons(tuple((g, Proj(g)) for g in q.grouped)))))
+    body = compose(
+        TupleCons((("1", Id()), ("2", Id()))),
+        PairWith("1"),
+        Map(TupleCons(
+            tuple((l, Compose(Proj("1"), Proj(l))) for l, _ in keys)
+            + ((q.label, group),))))
+    return desugar(body, t, sem), out
+
+
+def _cond_path(t: Type, p: Path) -> Type:
+    """The type at path p of a member of type t that a condition tests."""
+    return path_type(_need_tuple(t, "select"), p, "select") if p else t
+
+
+def _t_eq_path(c, t, sem, core):
+    ta, tb = _cond_path(t, c.p), _cond_path(t, c.q)
+    # both sides decide the expansion: one may be an empty literal of
+    # unknown element type while the other is a collection
+    tj = type_join(ta, tb, "select")
+    if c.mode == ATOMIC:
+        for pt, p in ((ta, c.p), (tb, c.q)):
+            if not _atomic(pt):
+                raise MATypeError("select: atomic comparison on %s at %s"
+                                  % (print_type(pt), ".".join(p)))
+    if c.mode == MON:
+        _mon_type(ta, "select")
+        _mon_type(tb, "select")
+    if not core:
+        form = None
+    elif c.mode == ATOMIC:
+        form = EqAtomic(c.p, c.q) if c.p and c.q else \
+            _pair_eq(Proj_chain(c.p), Proj_chain(c.q))
+    elif c.mode == MON or _is_mon_type(tj):
+        form = _mon_eq(c.p, c.q, tj)
+    else:
+        form = EqDeep(c.p, c.q)
+    return form, bool_type(sem)
+
+
+def _t_eq_const(c, t, sem, core):
+    """p = 'c' under each mode, and p in {c, ...}."""
+    pt = _cond_path(t, c.p)
+    if _atomic(pt):
+        # on an atom, every mode of equality is atomic equality
+        labels = c.labels if type(c) is PathInSet else (c.label,)
+        return (_disj([_pair_eq(Proj_chain(c.p), Const(l)) for l in labels],
+                      sem) if core else None), bool_type(sem)
+    if type(c) is PathInSet:
+        raise MATypeError("select: membership test on %s" % print_type(pt))
+    if c.mode == ATOMIC:
+        raise MATypeError("select: atomic comparison on %s" % print_type(pt))
+    if c.mode == MON:
+        _mon_type(pt, "select")
+    # no tuple or collection is an atom
+    return EmptyColl() if core else None, bool_type(sem)
 
 
 _TYPE = {
-    Id: lambda q, t, sem: t, Const: lambda q, t, sem: DOM,
-    EmptyColl: lambda q, t, sem: _any_coll(sem),
-    UnitTuple: lambda q, t, sem: UNIT_T,
-    Sng: lambda q, t, sem: CollType(sem, t),
+    Id: lambda q, t, sem, core: (q, t),
+    Const: lambda q, t, sem, core: (q, DOM),
+    EmptyColl: lambda q, t, sem, core: (q, _any_coll(sem)),
+    UnitTuple: lambda q, t, sem, core: (q, UNIT_T),
+    Sng: lambda q, t, sem, core: (q, CollType(sem, t)),
+    Flatten: lambda q, t, sem, core: (q, _flattened(t, sem)),
     Compose: _t_compose, Map: _t_map, FlatMap: _t_map, TupleCons: _t_tuple,
-    Union: _t_union, CartProd: _t_cart, Flatten: _t_flatten,
+    Union: _t_union, CartProd: _t_cart, Select: _t_select,
+    **dict.fromkeys((CAnd, COr, CNot, CIff), _t_connective),
     PairWith: _t_pairwith, Proj: _t_proj, UnionT: _t_pair, Monus: _t_pair,
     Diff: _t_pair, Intersect: _t_pair, EqAtomic: _t_eqatom, NotOp: _t_test,
     TrueOp: _t_test, Unique: _t_unique, EqMon: _t_eq, EqDeep: _t_eq,
-    Select: _t_select, SubsetEq: _t_subseteq, MemberOf: _t_member,
-    Nest: _t_nest,
+    SubsetEq: _t_subseteq, MemberOf: _t_member, Nest: _t_nest,
+    PathEqPath: _t_eq_path, PathEqConst: _t_eq_const, PathInSet: _t_eq_const,
 }
 
 
@@ -582,42 +662,6 @@ def _need_tuple(t: Type, ctx: str) -> TupleType:
         raise MATypeError("%s: expected a tuple, got %s"
                           % (ctx, print_type(t)))
     return t
-
-
-def _check_cond(c: SelCond, t: Type, sem: str):
-    if isinstance(c, (CAnd, COr, CIff)):
-        _check_cond(c.a, t, sem)
-        _check_cond(c.b, t, sem)
-    elif isinstance(c, CNot):
-        _check_cond(c.a, t, sem)
-    elif isinstance(c, PathEqPath):
-        tt = _need_tuple(t, "select") if c.p or c.q else t
-        ta = path_type(tt, c.p, "select") if c.p else t
-        tb = path_type(tt, c.q, "select") if c.q else t
-        type_join(ta, tb, "select")
-        if c.mode == ATOMIC:
-            for pt, p in ((ta, c.p), (tb, c.q)):
-                if not isinstance(pt, (DomType, AnyType)):
-                    raise MATypeError(
-                        "select: atomic comparison on %s at %s"
-                        % (print_type(pt), ".".join(p)))
-        if c.mode == MON:
-            _mon_type(ta, "select")
-            _mon_type(tb, "select")
-    elif isinstance(c, (PathEqConst, PathInSet)):
-        pt = path_type(t, c.p, "select") if isinstance(t, TupleType) \
-            else (t if not c.p else path_type(_need_tuple(t, "select"),
-                                              c.p, "select"))
-        if isinstance(c, PathEqConst) and c.mode == ATOMIC:
-            if not isinstance(pt, (DomType, AnyType)):
-                raise MATypeError("select: atomic comparison on %s"
-                                  % print_type(pt))
-        if isinstance(c, PathEqConst) and c.mode == MON:
-            _mon_type(pt, "select")
-        if isinstance(c, PathInSet) and not isinstance(pt, (DomType, AnyType)):
-            raise MATypeError("select: membership test on %s" % print_type(pt))
-    else:
-        raise MATypeError("bad selection condition %r" % (c,))
 
 
 # ---------------------------------------------------------------------------
@@ -826,16 +870,7 @@ def _c_filter(body, g, paths: tuple, cc):
             _expected(v, "map", "collection")
         out = []
         for x in v.elems:
-            k = []
-            try:   # a non-tuple has no labels, a non-atom no label
-                for p in paths:
-                    y = x
-                    for l in p:
-                        y = y.vals[y.labels.index(l)]
-                    k.append(y.label)
-                k = tuple(k)
-            except (AttributeError, ValueError):
-                k = None
+            k = _labels(x, paths)
             if k is None:
                 f = f or cc(body)
                 out += f(x).elems
@@ -1052,18 +1087,26 @@ def _index(v: Coll, paths: tuple) -> Optional[dict]:
     constants are those its plain loop tests the rest of it on."""
     index = {}
     for x in v.elems:
-        key = []
+        key = _labels(x, paths)
+        if key is None:
+            return None
+        index.setdefault(key, []).append(x)
+    return index
+
+
+def _labels(x: Value, paths: tuple) -> Optional[tuple]:
+    """The labels of the atoms of x at paths, or None when x has no atom
+    at one of them."""
+    key = []
+    try:   # a non-tuple has no labels, a non-atom no label
         for p in paths:
             y = x
             for l in p:
-                if type(y) is not Tuple or l not in y.labels:
-                    return None
                 y = y.vals[y.labels.index(l)]
-            if type(y) is not Atom:
-                return None
             key.append(y.label)
-        index.setdefault(tuple(key), []).append(x)
-    return index
+    except (AttributeError, ValueError):
+        return None
+    return tuple(key)
 
 
 def _c_subseteq(q, cc):
@@ -1755,10 +1798,8 @@ def _cart(f: MAExpr, g: MAExpr) -> MAExpr:
 def _disj(parts, sem: str) -> MAExpr:
     parts = list(parts)
     out = reduce(Union, parts)
-    if len(parts) > 1 and sem == LIST:
-        out = Compose(out, TrueOp())
-    if len(parts) > 1 and sem == BAG:
-        out = Compose(out, Unique())
+    if len(parts) > 1 and sem != SET:
+        out = Compose(out, TrueOp() if sem == LIST else Unique())
     return out
 
 
@@ -1767,7 +1808,7 @@ def _negate(pred: MAExpr) -> MAExpr:
 
 
 def _leaf_paths(t: Type) -> list:
-    if isinstance(t, (DomType, AnyType)):
+    if _atomic(t):
         return [()]
     assert isinstance(t, TupleType)
     out = []
@@ -1788,58 +1829,26 @@ def _sigma(gamma: MAExpr) -> MAExpr:
     return compose(Map(filter_body(Compose(Id(), gamma))), Flatten())
 
 
-def _cond_pred(c: SelCond, t: Type, sem: str) -> MAExpr:
-    """Compile a selection condition into a core predicate on elements
-    of type t."""
-    if isinstance(c, CAnd):
-        return _conj([_cond_pred(c.a, t, sem), _cond_pred(c.b, t, sem)])
-    if isinstance(c, COr):
-        return _disj([_cond_pred(c.a, t, sem), _cond_pred(c.b, t, sem)], sem)
-    if isinstance(c, CNot):
-        return _negate(_cond_pred(c.a, t, sem))
-    if isinstance(c, CIff):
-        a = _cond_pred(c.a, t, sem)
-        b = _cond_pred(c.b, t, sem)
-        return _disj([_conj([a, b]), _conj([_negate(a), _negate(b)])], sem)
-    if isinstance(c, PathEqPath):
-        # both sides decide the expansion: one may be an empty literal
-        # of unknown element type while the other is a collection
-        ta = type_join(path_type(t, c.p, "select"),
-                       path_type(t, c.q, "select"), "select")
-        if c.mode == ATOMIC:
-            return EqAtomic(c.p, c.q) if (c.p and c.q) else \
-                _pair_eq(Proj_chain(c.p), Proj_chain(c.q))
-        if c.mode == MON or (c.mode == DEEP and _is_mon_type(ta)):
-            return Compose(TupleCons((("A", Proj_chain(c.p)),
-                                      ("B", Proj_chain(c.q)))),
-                           expand_mon_eq(_concrete(ta)))
-        return EqDeep(c.p, c.q)
-    if isinstance(c, PathEqConst):
-        if not isinstance(path_type(t, c.p, "select"), (DomType, AnyType)):
-            return EmptyColl()   # a tuple or collection is never an atom
-        # on an atom, every mode of equality is atomic equality
-        return _pair_eq(Proj_chain(c.p), Const(c.label))
-    if isinstance(c, PathInSet):
-        return _disj([_cond_pred(PathEqConst(c.p, l, ATOMIC), t, sem)
-                      for l in c.labels], sem)
-    raise MATypeError("bad selection condition %r" % (c,))
-
-
 def _pair_eq(fa, fb):
     return Compose(TupleCons((("A", fa), ("B", fb))),
                    EqAtomic(("A",), ("B",)))
 
 
+def _mon_eq(pa: Path, pb: Path, t: Type) -> MAExpr:
+    """Componentwise equality of the values of collection-free type t at
+    the paths pa and pb."""
+    return Compose(TupleCons((("A", Proj_chain(pa)), ("B", Proj_chain(pb)))),
+                   expand_mon_eq(t))
+
+
+def _atomic(t: Type) -> bool:
+    return isinstance(t, (DomType, AnyType))
+
+
 def _is_mon_type(t: Type) -> bool:
-    if isinstance(t, (DomType, AnyType)):
-        return True
     if isinstance(t, TupleType):
         return all(_is_mon_type(x) for _, x in t.fields)
-    return False
-
-
-def _concrete(t: Type) -> Type:
-    return DOM if isinstance(t, AnyType) else t
+    return _atomic(t)
 
 
 def Proj_chain(p: Path) -> MAExpr:
@@ -1855,96 +1864,66 @@ def desugar(q: MAExpr, t: Type, sem: str = SET) -> MAExpr:
     the other nonmonotone extras but not reducible to atomic equality)
     and conditions compiled from negations use the core "not".
 
-    It types the query in infer_type's own walk, which has no depth
-    limit, so an ill-typed query fails as infer_type fails on it.
+    It is infer_type's walk, which has no depth limit, and each form is
+    built by the rule that types it, so an ill-typed query fails as
+    infer_type fails on it.
     """
     return _walk(q, t, sem, True)[0]
 
 
-# the core form of a node with subexpressions, from its children's
+# the core form of a node or condition with operands, from its
+# operands' core forms
 _CORE = {
-    Compose: lambda q, fs: Compose(*fs),
-    Map: lambda q, fs: Map(*fs),
-    FlatMap: lambda q, fs: Compose(Map(*fs), Flatten()),
-    TupleCons: lambda q, fs: TupleCons(tuple(
+    Compose: lambda q, fs, sem: Compose(*fs),
+    Map: lambda q, fs, sem: Map(*fs),
+    FlatMap: lambda q, fs, sem: Compose(Map(*fs), Flatten()),
+    TupleCons: lambda q, fs, sem: TupleCons(tuple(
         (l, f) for (l, _), f in zip(q.fields, fs))),
-    Union: lambda q, fs: union_pair(*fs),
-    CartProd: lambda q, fs: _cart(*fs),
+    Union: lambda q, fs, sem: union_pair(*fs),
+    CartProd: lambda q, fs, sem: _cart(*fs),
+    # no condition: members of unknown type, so the collection is empty
+    Select: lambda q, fs, sem: _sigma(*fs) if fs else Id(),
+    CAnd: lambda q, fs, sem: _conj(fs),
+    COr: lambda q, fs, sem: _disj(fs, sem),
+    CNot: lambda q, fs, sem: _negate(*fs),
+    CIff: lambda q, fs, sem: _disj([_conj(fs), _conj(map(_negate, fs))], sem),
 }
 
 
-def _expand(q: MAExpr, t: Type, sem: str) -> MAExpr:
-    """The core form of q, an operator without subexpressions, on input
-    type t."""
-    if isinstance(q, CORE_NODES):
-        # the core nodes with subexpressions are handled by _walk
-        return q
-    if isinstance(q, Select):
-        ct = _need_coll(t, sem, "select")
-        if isinstance(ct.elem, AnyType):
-            return Id()   # members of unknown type: the collection is empty
-        return _sigma(_cond_pred(q.cond, ct.elem, sem))
-    if isinstance(q, EqMon):
-        ta = path_type(_need_tuple(t, "eqmon"), q.pa, "eqmon")
-        return Compose(TupleCons((("A", Proj_chain(q.pa)),
-                                  ("B", Proj_chain(q.pb)))),
-                       expand_mon_eq(_concrete(ta)))
-    if isinstance(q, EqDeep):
-        ta = path_type(_need_tuple(t, "eq"), q.pa, "eq")
-        if _is_mon_type(ta):
-            return _expand(EqMon(q.pa, q.pb), t, sem)
-        return q
-    if isinstance(q, Diff):
-        # keep the members of field 1 with no deep-equal partner in field 2;
-        # the emptiness filter on the partner set uses the core "not"
-        inner = compose(
+def _derived(q: MAExpr, t: Type, sem: str, core: bool) -> MAExpr:
+    """q's core form on input type t if core, else q: q itself, or its
+    _BODY desugared."""
+    body = _BODY.get(type(q)) if core else None
+    return q if body is None else desugar(body(q), t, sem)
+
+
+# the operators defined by a query in other operators, which desugars
+# further. diff keeps the members of field 1 with no deep-equal partner
+# in field 2; the emptiness filter on the partner set uses the core "not".
+_BODY = {
+    Diff: lambda q: compose(
+        PairWith("1"),
+        Map(TupleCons((("1", Proj("1")), ("m", compose(
             TupleCons((("1", Proj("1")), ("2", Proj("2")))),
             PairWith("2"),
-            Select(PathEqPath(("1",), ("2",), DEEP)))
-        empty_m = Compose(Proj("m"), NotOp())
-        body = compose(
-            PairWith("1"),
-            Map(TupleCons((("1", Proj("1")), ("m", inner)))),
-            _sigma(empty_m),
-            Map(Proj("1")))
-    elif isinstance(q, Intersect):
-        body = compose(
-            _cart(Proj("1"), Proj("2")),
-            Select(PathEqPath(("1",), ("2",), DEEP)),
-            Map(Proj("1")))
-    elif isinstance(q, SubsetEq):
-        body = Compose(
-            TupleCons((("A", Proj_chain(q.pa)),
-                       ("A2", Compose(TupleCons((("1", Proj_chain(q.pa)),
-                                                 ("2", Proj_chain(q.pb)))),
-                                      Intersect())))),
-            EqDeep(("A",), ("A2",)))
-    elif isinstance(q, MemberOf):
-        body = Compose(
-            TupleCons((("1", Compose(Proj_chain(q.pa), Sng())),
-                       ("2", Proj_chain(q.pb)))),
-            SubsetEq(("1",), ("2",)))
-    elif isinstance(q, Nest):
-        ct = _need_coll(t, sem, "nest")
-        tt = _need_tuple(_concrete(ct.elem), "nest")
-        keys = [l for l in tt.labels() if l not in q.grouped]
-        conds = [PathEqPath(("1", l), ("2", l), DEEP) for l in keys]
-        key_eq = _and(conds) if conds else PathEqPath((), (), DEEP)
-        group = compose(
-            TupleCons((("1", Proj("1")), ("2", Proj("2")))),
-            PairWith("2"),
-            Select(key_eq),
-            Map(Compose(Proj("2"),
-                        TupleCons(tuple((g, Proj(g)) for g in q.grouped)))))
-        body = compose(
-            TupleCons((("1", Id()), ("2", Id()))),
-            PairWith("1"),
-            Map(TupleCons(
-                tuple((l, Compose(Proj("1"), Proj(l))) for l in keys)
-                + ((q.label, group),))))
-    else:
-        raise MATypeError("cannot desugar %r" % (q,))
-    return desugar(body, t, sem)
+            Select(PathEqPath(("1",), ("2",), DEEP))))))),
+        _sigma(Compose(Proj("m"), NotOp())),
+        Map(Proj("1"))),
+    Intersect: lambda q: compose(
+        _cart(Proj("1"), Proj("2")),
+        Select(PathEqPath(("1",), ("2",), DEEP)),
+        Map(Proj("1"))),
+    SubsetEq: lambda q: Compose(
+        TupleCons((("A", Proj_chain(q.pa)),
+                   ("A2", Compose(TupleCons((("1", Proj_chain(q.pa)),
+                                             ("2", Proj_chain(q.pb)))),
+                                  Intersect())))),
+        EqDeep(("A",), ("A2",))),
+    MemberOf: lambda q: Compose(
+        TupleCons((("1", Compose(Proj_chain(q.pa), Sng())),
+                   ("2", Proj_chain(q.pb)))),
+        SubsetEq(("1",), ("2",))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1955,13 +1934,9 @@ def size_bound(q: MAExpr, n: int) -> int:
     of node count n. Constant factors are pinned to 1."""
     if isinstance(q, (Const, EmptyColl, UnitTuple)):
         return 1
-    if isinstance(q, Id):
-        return n
     if isinstance(q, Sng):
         return n + 1
-    if isinstance(q, (Flatten, Proj, UnionT, Monus, Unique)):
-        return n
-    if isinstance(q, Select):
+    if isinstance(q, (Id, Flatten, Proj, UnionT, Monus, Unique, Select)):
         return n
     if isinstance(q, (EqAtomic, NotOp, TrueOp)):
         return 2

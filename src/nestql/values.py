@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple as Tup
+from typing import Iterable, Tuple as Tup
 
 
 class ValueError_(Exception):
@@ -306,38 +306,6 @@ def print_type(t: Type) -> str:
         return "<%s>" % ", ".join("%s: %s" % (print_atom(l), print_type(x))
                                   for l, x in t.fields)
     return "?"
-
-
-def check_type(v: Value, t: Type, path: str = "") -> Tup[bool, Optional[str]]:
-    """Check whether v inhabits t; on mismatch return the path to the
-    first offending sub-value."""
-    where = path or "<root>"
-    if isinstance(t, DomType):
-        if isinstance(v, Atom):
-            return True, None
-        return False, "%s: expected atom" % where
-    if isinstance(t, CollType):
-        if not isinstance(v, Coll) or v.kind != t.kind:
-            return False, "%s: expected %s collection" % (where, t.kind)
-        for i, e in enumerate(v.elems):
-            ok, diag = check_type(e, t.elem, "%s.%d" % (path, i + 1) if path
-                                  else str(i + 1))
-            if not ok:
-                return False, diag
-        return True, None
-    assert isinstance(t, TupleType)
-    if not isinstance(v, Tuple) or v.labels != t.labels():
-        return False, "%s: expected tuple with fields %r" % (
-            where, list(t.labels()))
-    for l, e, (_, ft) in zip(v.labels, v.vals, t.fields):
-        ok, diag = check_type(e, ft, "%s.%s" % (path, l) if path else l)
-        if not ok:
-            return False, diag
-    return True, None
-
-
-def type_ok(v: Value, t: Type) -> bool:
-    return check_type(v, t)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ from nestql.ma import (
     CAnd, CIff, CNot, CORE_NODES, COr, CartProd, Compose, Const, Diff,
     EmptyColl, EqAtomic, EqDeep, EqMon, FlatMap, Flatten, HashJoin, Id,
     Intersect, MAExpr, MATypeError, Map, MemberOf, Monus, Nest, NotOp,
-    PairWith, PathEqConst, PathEqPath, PathInSet, Proj, Proj_chain, Select,
-    Sng, SubsetEq, TrueOp, TupleCons, Union, UnionT, Unique, UnitTuple,
-    _CORE, _TYPE, _subexprs, _walk, ast_size, compose, desugar, eval_ma,
-    expand_mon_eq, infer_type, is_core, size_bound, type_of,
+    PairWith, PathEqConst, PathEqPath, PathInSet, Proj, Proj_chain, SelCond,
+    Select, Sng, SubsetEq, TrueOp, TupleCons, Union, UnionT, Unique,
+    UnitTuple, _CORE, _TYPE, _subexprs, _walk, ast_size, compose, desugar,
+    eval_ma, expand_mon_eq, infer_type, is_core, size_bound, type_join,
+    type_of,
 )
 from nestql.ma_text import parse_ma, print_ma
 from nestql.values import (
@@ -71,8 +72,9 @@ def test_eval_matches_inferred_type(seed):
     t = gen.gen_type(rng, 3, SET)
     q = gen.gen_typed_query(rng, t, 3, SET)
     v = gen.gen_value(rng, t)
-    from nestql.values import type_ok
-    assert type_ok(eval_ma(q, v, SET), infer_type(q, t, SET))
+    want = infer_type(q, t, SET)
+    out = eval_ma(q, v, SET)
+    assert type_join(type_of(out, SET), want, "result") == want
 
 
 @given(st.integers(0, 10 ** 6))
@@ -618,14 +620,18 @@ def test_the_desugaring_walk_types_each_query_as_infer_type_does():
 
 
 def test_every_operator_has_a_type_rule_and_each_nesting_a_core_form():
-    """No operator can be parsed without a type rule, nor one with
-    subexpressions desugared without a core form. HashJoin is built by
-    the plan only, and never typed."""
+    """No operator or selection condition can be parsed without a type
+    rule, nor one with operands desugared without a core form. HashJoin
+    is built by the plan only, and never typed."""
     ops = set(MAExpr.__subclasses__()) - {HashJoin}
-    assert set(_TYPE) == ops
+    conds = set(SelCond.__subclasses__())
+    assert set(_TYPE) == ops | conds
     nesting = {c for c in ops
                if any("MAExpr" in f.type for f in dataclasses.fields(c))}
-    assert set(_CORE) == nesting
+    connectives = {c for c in conds
+                   if any("SelCond" in f.type for f in dataclasses.fields(c))}
+    assert connectives == {CAnd, COr, CNot, CIff}
+    assert set(_CORE) == nesting | {Select} | connectives
     for c in nesting:
         sub = (("A", Id()),) if c is TupleCons else Id()
         assert _subexprs(c(*[sub] * len(dataclasses.fields(c))))

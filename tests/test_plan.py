@@ -772,6 +772,24 @@ def test_a_long_conjunction_after_a_product_gets_its_plan():
     assert len(want.elems) == 4
 
 
+def test_eval_ma_plans_a_long_conjunction_after_a_product(monkeypatch):
+    """Conditions are typed and desugared on the typing walk's explicit
+    stack, so a selection of 2,000 conjuncts after a product type-checks
+    and desugars, and eval_ma evaluates its plan, which gives the plain
+    value."""
+    q = parse_ma("cart(id, id) ; select[%s]" % " && ".join(
+        ["1.A = 'a'", "2.B = 'b'"] * 1000))
+    v = parse_value("{<A: a, B: a>, <A: a, B: b>, <A: b, B: b>}")
+    t = type_of(v, SET)
+    assert infer_type(q, t, SET) == CollType(SET, TupleType(
+        (("1", t.elem), ("2", t.elem))))
+    assert ma.is_core(ma.desugar(q, t, SET))
+    planned, real = [], ma.plan
+    monkeypatch.setattr(ma, "plan", lambda q: planned.append(q) or real(q))
+    assert print_value(eval_ma(q, v, SET)) == print_value(_plain(q, v, SET))
+    assert planned == [q]
+
+
 def test_branch_copies_are_capped():
     """Twelve unions of two selections after a product would make 4,096
     branches; the copying stops at ma._MAX_BRANCHES."""
