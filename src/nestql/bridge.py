@@ -22,7 +22,6 @@ node's type.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Optional
 
 from .values import (
     ATOMIC, Atom, Coll, DEEP, LIST, Tuple, TupleType, Type, Value,
@@ -315,11 +314,9 @@ _XQ = {
 }
 
 
-def check_thm63(q: MAExpr, v: Value, t: Optional[Type] = None) -> bool:
+def check_thm63(q: MAExpr, v: Value, t: Type) -> bool:
     """T of the monad algebra result equals the (singleton) result of the
-    translated tree query on T of the input."""
-    if t is None:
-        t = ma.type_of(v, LIST)
+    translated tree query on T of the input, of type t."""
     lhs = encode_T(ma.eval_ma(q, v, LIST))
     r = eval_xq(ma_to_xq(q, t), (encode_T(v),))
     return len(r) == 1 and r[0] == lhs

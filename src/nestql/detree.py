@@ -297,8 +297,11 @@ def _compile(q: MAExpr, em: bool):
 
 
 def _d_unknown(q, em):
+    why = ("it is bag-only, and path sets run list semantics"
+           if type(q) in (ma.Monus, ma.Unique) else "desugar first")
+
     def run(t):
-        raise ValueError_("eval_det cannot handle %r; desugar first" % (q,))
+        raise ValueError_("eval_det cannot handle %r; %s" % (q, why))
     return run
 
 

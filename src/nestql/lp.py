@@ -33,8 +33,7 @@ the 17,596 rules of an lp-paths benchmark round share 12 functions. A
 function joins the body atoms as nested loops: an atom whose prefix
 earlier atoms have bound reads only the facts under that prefix, from
 the relation's prefix index (a unary one is a membership test); any
-other atom scans its relation. Where a variable dies, the live bindings
-are gathered into a set first. See the Evaluation section.
+other atom scans its relation. See the Evaluation section.
 
 In rule text, identifiers i, j, k, u, v, w (optionally digit-suffixed)
 are variables, X is the prefix variable and e is the empty prefix;
@@ -197,6 +196,9 @@ class _Compiler:
                 if self.empty_markers or not markers_only:
                     self.emit(text, what, O=out, S=set_p, N=ne_p)
             return out
+        if kind in (ma.Monus, ma.Unique):
+            raise ValueError_("cannot compile %r; it is bag-only, and "
+                              "logic programs run list semantics" % (q,))
         raise ValueError_("cannot compile %r; desugar to the core first"
                           % (q,))
 
@@ -293,11 +295,6 @@ def compile_lp(q: MAExpr, closed: bool = True,
 #   - any other atom (every first atom with a prefix variable, and atoms
 #     with a prefix extension or a prefix variable not bound yet) loops
 #     over its whole relation.
-# Where a variable dies after an atom (no later atom and not the head
-# reads it), the bindings of the live variables are collected into a set
-# and the next atom loops over that set: the join then runs once per
-# distinct live binding, not once per fact that only differs in a dead
-# variable. Heads are sets, so the projection changes no result.
 #
 # Rules are assumed safe: compile_lp emits only safe rules, and parse_lp
 # rejects the others (see _check_safe).
@@ -367,7 +364,7 @@ class _RuleSource:
     """Writes the Python source of the function that runs every rule of
     one shape; see the comment above. Locals: cN constants, pN and sN the
     prefix and path of body atom N's fact, xN variable N, tN pair steps,
-    dN sets of live bindings, relN, ixN and unN the relations read."""
+    dN sets of bindings, relN, ixN and unN the relations read."""
 
     def __init__(self, shape):
         body, head = shape
@@ -378,19 +375,14 @@ class _RuleSource:
         self.loops = 0     # loops enclosing it
         self.names: Dict[int, str] = {}   # bound variable -> local
         self.ntemp = 0
-        uses = [sum(_vars(a), []) for a in body + (head,)]
+        uses = Counter(v for a in body + (head,) for v in sum(_vars(a), []))
         # a variable used once is bound nowhere else and read by nothing
-        self.once = {v for v, n in Counter(sum(uses, [])).items() if n == 1}
+        self.once = {v for v, n in uses.items() if n == 1}
         for i, atom in enumerate(body):
             self.join(i, atom)
-            if i < len(body) - 1:
-                later = set().union(*uses[i + 1:])
-                held = set(self.names)
-                if not held <= later:
-                    self.collect(i, sorted(held & later))
-                elif self.loops >= 16:
-                    # CPython nests at most 20 blocks
-                    self.collect(i, sorted(held))
+            if i < len(body) - 1 and self.loops >= 16:
+                # CPython nests at most 20 blocks
+                self.collect(i, sorted(self.names))
         if head[3] is None:
             self.emit("add(%s)" % self.prefix(head))
         else:
@@ -497,8 +489,9 @@ class _RuleSource:
             self.bind(rest, "%s[%d:]" % (s, n) if n else s)
 
     def collect(self, i: int, live: List[int]) -> None:
-        """Gather the distinct bindings of the live variables into a set
-        and loop over it."""
+        """Gather the distinct bindings of the variables bound so far into
+        a set and loop over it, so the next atom's loops nest from the
+        top again."""
         d, key = "d%d" % i, [self.names[v] for v in live]
         self.top.append("%s = set()" % d)
         self.emit("%s.add(%s)" % (d, key[0] if len(key) == 1 else

@@ -508,19 +508,6 @@ def _t_unique(q, t, sem, core):
     return q, _need_coll(t, sem, "unique")
 
 
-def _t_eq(q, t, sem, core):
-    name = "eqmon" if type(q) is EqMon else "eq"
-    ta = path_type(_need_tuple(t, name), q.pa, name)
-    tb = path_type(_need_tuple(t, name), q.pb, name)
-    type_join(ta, tb, name)
-    if type(q) is EqMon:
-        _mon_type(ta, name)
-        _mon_type(tb, name)
-    if core and (type(q) is EqMon or _is_mon_type(ta)):
-        return _mon_eq(q.pa, q.pb, ta), bool_type(sem)
-    return q, bool_type(sem)   # deep equality stays on collections
-
-
 def _t_subseteq(q, t, sem, core):
     tt = _need_tuple(t, "subseteq")
     for p in (q.pa, q.pb):
@@ -568,24 +555,26 @@ def _t_nest(q, t, sem, core):
     return desugar(body, t, sem), out
 
 
-def _cond_path(t: Type, p: Path) -> Type:
+def _cond_path(t: Type, p: Path, ctx: str = "select") -> Type:
     """The type at path p of a member of type t that a condition tests."""
-    return path_type(_need_tuple(t, "select"), p, "select") if p else t
+    return path_type(_need_tuple(t, ctx), p, ctx) if p else t
 
 
-def _t_eq_path(c, t, sem, core):
-    ta, tb = _cond_path(t, c.p), _cond_path(t, c.q)
+def _t_eq_path(c, t, sem, core, ctx: str = "select"):
+    """p = q under each mode; also eqmon[p, q] and eq[p, q] (ctx their
+    name), which test it on a tuple."""
+    ta, tb = _cond_path(t, c.p, ctx), _cond_path(t, c.q, ctx)
     # both sides decide the expansion: one may be an empty literal of
     # unknown element type while the other is a collection
-    tj = type_join(ta, tb, "select")
+    tj = type_join(ta, tb, ctx)
     if c.mode == ATOMIC:
         for pt, p in ((ta, c.p), (tb, c.q)):
             if not _atomic(pt):
                 raise MATypeError("select: atomic comparison on %s at %s"
                                   % (print_type(pt), ".".join(p)))
     if c.mode == MON:
-        _mon_type(ta, "select")
-        _mon_type(tb, "select")
+        _mon_type(ta, ctx)
+        _mon_type(tb, ctx)
     if not core:
         form = None
     elif c.mode == ATOMIC:
@@ -628,9 +617,13 @@ _TYPE = {
     **dict.fromkeys((CAnd, COr, CNot, CIff), _t_connective),
     PairWith: _t_pairwith, Proj: _t_proj, UnionT: _t_pair, Monus: _t_pair,
     Diff: _t_pair, Intersect: _t_pair, EqAtomic: _t_eqatom, NotOp: _t_test,
-    TrueOp: _t_test, Unique: _t_unique, EqMon: _t_eq, EqDeep: _t_eq,
-    SubsetEq: _t_subseteq, MemberOf: _t_member, Nest: _t_nest,
+    TrueOp: _t_test, Unique: _t_unique, SubsetEq: _t_subseteq,
+    MemberOf: _t_member, Nest: _t_nest,
     PathEqPath: _t_eq_path, PathEqConst: _t_eq_const, PathInSet: _t_eq_const,
+    EqMon: lambda q, t, sem, core: _t_eq_path(PathEqPath(
+        q.pa, q.pb, MON), _need_tuple(t, "eqmon"), sem, core, "eqmon"),
+    EqDeep: lambda q, t, sem, core: _t_eq_path(PathEqPath(
+        q.pa, q.pb, DEEP), _need_tuple(t, "eq"), sem, core, "eq"),
 }
 
 
@@ -739,7 +732,7 @@ class _Compiler:
         for x in xs:
             t = self._tests.get(x)
             if t is None:
-                t = self._tests[x] = _PRED.get(type(x), _p_unknown)(x, self)
+                t = self._tests[x] = _COMPILE.get(type(x), _p_unknown)(x, self)
             tests.append(t)
         return tests
 
@@ -1008,14 +1001,11 @@ def _c_pair(q, cc):
     return run
 
 
-def _c_not(q, cc):
-    yes, no = cc.yes, cc.no
-    return lambda v: no if _as_coll(v, "not").elems else yes
-
-
-def _c_true(q, cc):
-    yes, no = cc.yes, cc.no
-    return lambda v: yes if _as_coll(v, "true").elems else no
+def _c_test(q, cc):
+    """true and not: whether their input has a member, and whether not."""
+    name, full, empty = (("true", cc.yes, cc.no) if type(q) is TrueOp
+                         else ("not", cc.no, cc.yes))
+    return lambda v: full if _as_coll(v, name).elems else empty
 
 
 def _c_unique(q, cc):
@@ -1023,15 +1013,23 @@ def _c_unique(q, cc):
     return lambda v: make_coll(sem, dict.fromkeys(_as_coll(v, "unique").elems))
 
 
-# the path equalities: the name in messages, and the comparison mode
-_EQ_OPS = {EqAtomic: ("eqatom", ATOMIC), EqMon: ("eq", MON),
-           EqDeep: ("eq", DEEP)}
+# the Boolean tests of the values at the two paths pa and pb of a tuple:
+# the name in messages, and the test from the getters of those paths
+_TUPLE_TESTS = {
+    EqAtomic: ("eqatom", lambda ga, gb: _eq_test(ga, gb, ATOMIC)),
+    EqMon: ("eq", lambda ga, gb: _eq_test(ga, gb, MON)),
+    EqDeep: ("eq", lambda ga, gb: _eq_test(ga, gb, DEEP)),
+    SubsetEq: ("subseteq", lambda ga, gb: lambda t: (
+        set(_as_coll(ga(t), "subseteq").elems)
+        <= set(_as_coll(gb(t), "subseteq").elems))),
+    MemberOf: ("in", lambda ga, gb: lambda t: (
+        ga(t) in _as_coll(gb(t), "in").elems)),
+}
 
 
-def _c_eq(q, cc):
-    name, mode = _EQ_OPS[type(q)]
-    test = _p_eq_path(PathEqPath(q.pa, q.pb, mode), cc)
-    yes, no = cc.yes, cc.no
+def _c_tuple_test(q, cc):
+    name, build = _TUPLE_TESTS[type(q)]
+    test, yes, no = build(_getter(q.pa), _getter(q.pb)), cc.yes, cc.no
 
     def run(v):
         if type(v) is not Tuple:
@@ -1109,27 +1107,6 @@ def _labels(x: Value, paths: tuple) -> Optional[tuple]:
     return tuple(key)
 
 
-def _c_subseteq(q, cc):
-    ga, gb, yes, no = _getter(q.pa), _getter(q.pb), cc.yes, cc.no
-
-    def run(v):
-        t = _as_tuple(v, "subseteq")
-        a = _as_coll(ga(t), "subseteq")
-        b = _as_coll(gb(t), "subseteq")
-        return yes if set(a.elems) <= set(b.elems) else no
-    return run
-
-
-def _c_member(q, cc):
-    ga, gb, yes, no = _getter(q.pa), _getter(q.pb), cc.yes, cc.no
-
-    def run(v):
-        t = _as_tuple(v, "in")
-        x = ga(t)
-        return yes if x in _as_coll(gb(t), "in").elems else no
-    return run
-
-
 def _c_nest(q, cc):
     label, grouped, sem = q.label, q.grouped, cc.sem
 
@@ -1152,26 +1129,20 @@ def _c_nest(q, cc):
 _PAIR = ("1", "2")
 
 
-def _c_cart(q, cc):
-    fa, fb, sem = cc(q.f), cc(q.g), cc.sem
-
-    def run(v):
-        a = _as_coll(fa(v), "cart")
-        b = _as_coll(fb(v), "cart")
-        out = [Tuple(_PAIR, (x, y)) for x in a.elems for y in b.elems]
-        return _product(sem, a, b, out)
-    return run
-
-
 def _c_hash_join(q, cc):
+    """A hash join, and a product as the join with no keys and no test."""
     fa, fb, sem = cc(q.f), cc(q.g), cc.sem
     ka = _key([p for p, _ in q.keys])
     kb = _key([r for _, r in q.keys])
     test = None if q.cond is None else cc.pred(q.cond)
+    product = not q.keys and test is None
 
     def run(v):
         a = _as_coll(fa(v), "cart")
         b = _as_coll(fb(v), "cart")
+        if product:
+            return _product(sem, a, b, [
+                Tuple(_PAIR, (x, y)) for x in a.elems for y in b.elems])
         match = {}
         for y in b.elems:
             match.setdefault(kb(y), []).append(y)
@@ -1193,18 +1164,6 @@ def _product(sem: str, a: Coll, b: Coll, pairs: list) -> Coll:
     if sem == SET and a.kind == SET and b.kind == SET:
         return Coll(SET, tuple(pairs))
     return make_coll(sem, pairs)
-
-
-_COMPILE = {
-    Id: _c_id, Const: _c_const, EmptyColl: _c_empty, UnitTuple: _c_unit,
-    Sng: _c_sng, Map: _c_map, FlatMap: _c_flatmap, Flatten: _c_flatten,
-    PairWith: _c_pairwith, TupleCons: _c_tuple, Proj: _c_proj,
-    Compose: _c_compose, Union: _c_union, NotOp: _c_not, TrueOp: _c_true,
-    Unique: _c_unique, Select: _c_select, SubsetEq: _c_subseteq,
-    MemberOf: _c_member, Nest: _c_nest, CartProd: _c_cart,
-    HashJoin: _c_hash_join, **dict.fromkeys(_PAIR_OPS, _c_pair),
-    **dict.fromkeys(_EQ_OPS, _c_eq),
-}
 
 
 def _all(tests: list):
@@ -1259,8 +1218,11 @@ def _p_iff(c, cc):
 
 
 def _p_eq_path(c, cc):
-    ga, gb, mode = _getter(c.p), _getter(c.q), c.mode
+    return _eq_test(_getter(c.p), _getter(c.q), c.mode)
 
+
+def _eq_test(ga, gb, mode):
+    """The test that the values that ga and gb get are equal under mode."""
     def test(v):
         a, b = ga(v), gb(v)
         # atoms are equal under every mode iff their labels are
@@ -1296,8 +1258,20 @@ def _p_in_set(c, cc):
     return test
 
 
-_PRED = {COr: _p_any, CNot: _p_not, CIff: _p_iff, PathEqPath: _p_eq_path,
-         PathEqConst: _p_eq_const, PathInSet: _p_in_set}
+# each node as a function of its input, and each condition but a
+# conjunction (see _Compiler.tests) as a test on one member
+_COMPILE = {
+    Id: _c_id, Const: _c_const, EmptyColl: _c_empty, UnitTuple: _c_unit,
+    Sng: _c_sng, Map: _c_map, FlatMap: _c_flatmap, Flatten: _c_flatten,
+    PairWith: _c_pairwith, TupleCons: _c_tuple, Proj: _c_proj,
+    Compose: _c_compose, Union: _c_union, NotOp: _c_test, TrueOp: _c_test,
+    Unique: _c_unique, Select: _c_select, Nest: _c_nest,
+    CartProd: lambda q, cc: _c_hash_join(HashJoin(q.f, q.g, (), None), cc),
+    HashJoin: _c_hash_join, **dict.fromkeys(_PAIR_OPS, _c_pair),
+    **dict.fromkeys(_TUPLE_TESTS, _c_tuple_test),
+    COr: _p_any, CNot: _p_not, CIff: _p_iff, PathEqPath: _p_eq_path,
+    PathEqConst: _p_eq_const, PathInSet: _p_in_set,
+}
 
 
 def type_of(v: Value, sem: str = SET) -> Type:
@@ -1470,9 +1444,9 @@ def _resolve(f: MAExpr, p: Path) -> Optional[Path]:
 def _reads(g: MAExpr) -> Optional[tuple]:
     """The paths of its input that g reads, sorted: g has one value or
     error on all inputs with atoms of the same labels there; None when g
-    reads it whole (path ()), as all nodes do but projections, path
-    equalities, constants, and tuples, products, unions, hash joins and
-    chains of them. Through a stage that only moves values, a chain reads
+    reads it whole (path ()), as all nodes do but projections, the tests
+    on two paths of a tuple, constants, and tuples, products, unions,
+    hash joins and chains of them. Through a stage that only moves values, a chain reads
     the next stages' paths moved back (_resolve); its own need only exist."""
     order, todo = [], [g]   # order: every node before the nodes below it
     through = (Compose, TupleCons, CartProd, Union, HashJoin)
@@ -1496,7 +1470,7 @@ def _reads(g: MAExpr) -> Optional[tuple]:
         elif t in through:
             paths = set().union(*(done[id(x)][0] for x in parts))
             moves = t is TupleCons and all(done[id(x)][1] for x in parts)
-        elif t in _EQ_OPS:
+        elif t in _TUPLE_TESTS:
             paths, moves = {q.pa, q.pb}, False
         elif t is Proj:
             paths, moves = {(q.label,)}, True

@@ -620,10 +620,10 @@ def _vname(i: int) -> str:
 
 
 def print_xq(q: XQExpr, depth: int = 1) -> str:
-    return _px(q, depth, top=True)
+    return _px(q, depth)
 
 
-def _px(q: XQExpr, k: int, top: bool = False) -> str:
+def _px(q: XQExpr, k: int) -> str:
     if isinstance(q, EmptyElem):
         return "<%s/>" % q.label
     if isinstance(q, Elem):

@@ -184,6 +184,20 @@ def test_ma2lp_desugars_extended_operators(files):
     assert ":-" in r.stdout and "% goal:" in r.stdout
 
 
+@pytest.mark.parametrize("cmd, text, want", [
+    ("ma2lp", "monus", "cannot compile Monus(); it is bag-only, and logic "
+     "programs run list semantics"),
+    ("detree-eval", "unique", "eval_det cannot handle Unique(); it is "
+     "bag-only, and path sets run list semantics"),
+])
+def test_the_path_routes_refuse_the_bag_only_operators(files, cmd, text,
+                                                       want):
+    """monus and unique are core, so no desugaring removes them, and both
+    path routes run list semantics."""
+    r = run_cli(cmd, "--query", files("q.ma", text))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s\n" % want)
+
+
 @pytest.mark.parametrize("text", ["map(tup[A = id]) ; select[A = A]",
                                   "pi[A] ; select[B = C]"])
 def test_an_open_input_needs_a_type_to_desugar(files, text):

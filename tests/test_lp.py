@@ -371,6 +371,18 @@ b(e, n).
 dup(X, i.w) :- a(X, i.v), b(X, w).
 """, ["a(e, 1.x)", "a(e, 1.y)", "a(e, 2.z)", "b(e, m)", "b(e, n)",
       "dup(e, 1.m)", "dup(e, 1.n)", "dup(e, 2.m)", "dup(e, 2.n)"]),
+    # the join variable v is dead after the second of three atoms: u = x
+    # reaches the third atom once per binding of v, u = y not at all
+    "dead join variable": ("""\
+a(e, x.1).
+a(e, x.2).
+a(e, y.3).
+b(e, 1).
+b(e, 2).
+c(e, x.z).
+h(X, u.w) :- a(X, u.v), b(X, v), c(X, u.w).
+""", ["a(e, x.1)", "a(e, x.2)", "a(e, y.3)", "b(e, 1)", "b(e, 2)",
+      "c(e, x.z)", "h(e, x.z)"]),
     # pair steps built by a head and taken apart by bodies, one holding
     # a label
     "pair steps": ("""\

@@ -12,7 +12,7 @@ from nestql.ma import (
     Intersect, MAExpr, MATypeError, Map, MemberOf, Monus, Nest, NotOp,
     PairWith, PathEqConst, PathEqPath, PathInSet, Proj, Proj_chain, SelCond,
     Select, Sng, SubsetEq, TrueOp, TupleCons, Union, UnionT, Unique,
-    UnitTuple, _CORE, _TYPE, _subexprs, _walk, ast_size, compose, desugar,
+    UnitTuple, _COMPILE, _CORE, _TYPE, _subexprs, _walk, ast_size, compose, desugar,
     eval_ma, expand_mon_eq, infer_type, is_core, size_bound, type_join,
     type_of,
 )
@@ -635,6 +635,15 @@ def test_every_operator_has_a_type_rule_and_each_nesting_a_core_form():
     for c in nesting:
         sub = (("A", Id()),) if c is TupleCons else Id()
         assert _subexprs(c(*[sub] * len(dataclasses.fields(c))))
+
+
+def test_every_operator_and_condition_compiles_by_one_table():
+    """Every node, HashJoin included, compiles to a function of its input
+    and every condition to a test on one member; a conjunction is
+    flattened into its conjuncts, which are compiled one by one."""
+    ops = set(MAExpr.__subclasses__())
+    conds = set(SelCond.__subclasses__()) - {CAnd}
+    assert set(_COMPILE) == ops | conds
 
 
 # 4,003 stages whose type stays shallow

@@ -137,6 +137,37 @@ def test_expanded_acceptance_query_matches_simulation(name):
                 == simulate_ntm(tm, word, 2)), word
 
 
+# moves right onto the first input cell, then left back onto the boundary
+# iff that cell holds a 1; no bundled machine moves left
+LEFT_MOVER = parse_tm("""\
+states: q0 q1 qa
+alphabet: #b # 1
+start: q0
+final: qa
+delta: q0 #b -> q1 #b +1
+delta: q1 1 -> qa 1 -1
+delta: q1 # -> q1 # 0
+delta: qa #b -> qa #b 0
+delta: qa # -> qa # 0
+delta: qa 1 -> qa 1 0
+""")
+
+
+@pytest.mark.parametrize("expand_eq", [False, True])
+@pytest.mark.parametrize("word", [(), ("1",), (BLANK,)])
+def test_a_left_move_decides_as_the_simulation(word, expand_eq):
+    want = simulate_ntm(LEFT_MOVER, word, 2)
+    assert want == (word == ("1",))
+    assert decide_tm_query(LEFT_MOVER, word, 1, expand_eq) == want
+
+
+@pytest.mark.parametrize("word, want", [(("1", BLANK), True),
+                                        ((BLANK, "1"), False)])
+def test_a_left_move_decides_as_the_simulation_at_k2(word, want):
+    assert simulate_ntm(LEFT_MOVER, word, 4) == want
+    assert decide_tm_query(LEFT_MOVER, word, 2) == want
+
+
 def test_query_sizes_are_deterministic_and_grow():
     s1 = tm_query_sizes(ACCEPTOR, ("1",), 1)
     s2 = tm_query_sizes(ACCEPTOR, ("1",), 2)

@@ -132,6 +132,23 @@ def test_query_print_parse_roundtrip(seed):
     assert eval_xq(q2, (doc,)) == eval_xq(q, (doc,))
 
 
+@pytest.mark.parametrize("text", [
+    "{}",
+    "<x>{}</x>",
+    "every $y in $root/* satisfies $y/t",
+    "$root/descendant::t",
+    "$root/descendant::*",
+    "<x>{for $y in $root/a return $y} <z/></x>",
+    "some $y in $root/* satisfies ($y/a or $y/t)",
+])
+def test_printed_forms_the_drawn_queries_miss_round_trip(text):
+    q = parse_xq(text)
+    q2 = parse_xq(print_xq(q))
+    assert print_xq(q2) == print_xq(q)
+    for doc in (DOC, parse_xml("<r><a><t/></a><b><t/></b></r>")):
+        assert eval_xq(q2, (doc,)) == eval_xq(q, (doc,))
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=60)
 def test_desugared_query_agrees(seed):
