@@ -38,7 +38,8 @@ from typing import Iterable, Optional, Tuple as Tup, Union
 
 from .values import (
     Atom, CollType, DomType, LIST, Tuple, TupleType, Type, UNIT,
-    Value, ValueError_, make_coll, make_tuple, print_atom, _Scanner,
+    Value, ValueError_, make_coll, make_tuple, print_atom, read_lines,
+    read_whole, _Scanner,
 )
 from . import ma
 from .ma import ANY, AnyType, MAExpr
@@ -133,18 +134,17 @@ def parse_path(text: str) -> Path:
     """Parse a dotted path. Steps are plain labels or parenthesised
     pairs; whether a label names a tuple field or a member index is
     left to decoding (see :func:`decode_det`)."""
-    sc = _Scanner(text)
-    steps = [_parse_step(sc)]
-    while sc.try_tok("."):
-        steps.append(_parse_step(sc))
-    if not sc.at_end():
-        sc.error("trailing input")
-    return tuple(steps)
+    def steps(sc):
+        out = [_parse_step(sc)]
+        while sc.try_tok("."):
+            out.append(_parse_step(sc))
+        return tuple(out)
+    return read_whole(text, steps)
 
 
 def parse_pathset(text: str) -> PathSet:
-    paths = [parse_path(line) for line in text.splitlines() if line.strip()]
-    return frozenset(paths)
+    """One path a line, read as it stands: positions count its blanks."""
+    return frozenset(read_lines(text, parse_path))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple as Tup
 
-from .values import Value, ValueError_, _Scanner, print_atom, record
+from .values import (
+    Value, ValueError_, _Scanner, print_atom, read_whole, record,
+)
 from . import ma
 from .ma import MAExpr
 from .detree import (
@@ -708,11 +710,10 @@ def _parse_rule(line: str, raw: str) -> Rule:
         raise ValueError_("rule must end with '.': %r" % raw)
     head_s, body_s = _split(line[:-1], ":-")
     rd = _Reader()
-    body = () if body_s is None else rd.atoms(body_s)
-    sc = _Scanner(head_s.strip())
-    pred, head = rd.atom(sc, True)
-    if not sc.at_end():
-        sc.error("trailing input in atom")
+    body = () if body_s is None else read_whole(
+        body_s, rd.atoms, "trailing input in rule body")
+    pred, head = read_whole(head_s.strip(), lambda sc: rd.atom(sc, True),
+                            "trailing input in atom")
     if head[3] is None and head[4]:
         raise ValueError_("negated head in %r" % raw)
     return Rule(pred, (body, head), tuple(rd.consts), tuple(rd.ids),
@@ -751,13 +752,10 @@ class _Reader:
         self.consts.append(c)
         return len(self.consts) - 1
 
-    def atoms(self, s: str) -> tuple:
-        sc = _Scanner(s)
+    def atoms(self, sc: _Scanner) -> tuple:
         out = [self.atom(sc)[1]]
         while sc.try_tok(","):
             out.append(self.atom(sc)[1])
-        if not sc.at_end():
-            sc.error("trailing input in rule body")
         return tuple(out)
 
     def atom(self, sc: _Scanner, head: bool = False):

@@ -19,7 +19,9 @@ membership "p in {a, b}".
 
 from __future__ import annotations
 
-from .values import ValueError_, _Scanner, print_atom, ATOMIC, MON, DEEP
+from .values import (
+    ValueError_, _Scanner, print_atom, read_whole, ATOMIC, MON, DEEP,
+)
 from .ma import (
     CAnd, CIff, CNot, COr, CartProd, Compose, Const, Diff, EmptyColl,
     EqAtomic, EqDeep, EqMon, FlatMap, Flatten, Id, Intersect, MAExpr, Map,
@@ -45,11 +47,7 @@ _BY_PATH_WORD = {w: node for node, w in _PATH_WORDS.items()}
 
 
 def parse_ma(text: str) -> MAExpr:
-    sc = _Scanner(text)
-    q = _parse_seq(sc)
-    if not sc.at_end():
-        sc.error("trailing input")
-    return q
+    return read_whole(text, _parse_seq)
 
 
 def _parse_seq(sc: _Scanner) -> MAExpr:

@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple as Tup
 
 from .values import (
     ATOMIC, Atom, Coll, MON, SET, Tuple, UNIT, Value, ValueError_,
-    make_coll, make_tuple, record, _Scanner,
+    make_coll, make_tuple, read_lines, read_whole, record,
 )
 from . import ma
 from .ma import (
@@ -127,32 +127,32 @@ def parse_tm(text: str) -> TMSpec:
     start = None
     finals: List[str] = []
     delta: List[Transition] = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if ":" not in line:
-            raise ValueError_("line %d: expected 'key: ...'" % ln)
-        key, rest = line.split(":", 1)
+    lists = {"states": states, "alphabet": alphabet, "final": finals}
+
+    def read(line):
+        nonlocal start
+        key, colon, rest = line.strip().partition(":")
+        if key.startswith("%"):
+            return
+        if not colon:
+            raise ValueError_("expected 'key: ...'")
         words = rest.split()
-        if key == "states":
-            states.extend(words)
-        elif key == "alphabet":
-            alphabet.extend(words)
+        if key in lists:
+            lists[key].extend(words)
         elif key == "start":
-            (start,) = words
-        elif key == "final":
-            finals.extend(words)
+            if len(words) != 1:
+                raise ValueError_("start names one state, got %d" % len(words))
+            start = words[0]
         elif key == "delta":
             if len(words) != 6 or words[2] != "->":
-                raise ValueError_(
-                    "line %d: expected 'delta: q s -> q2 s2 move'" % ln)
+                raise ValueError_("expected 'delta: q s -> q2 s2 move'")
             mv = {"-1": -1, "0": 0, "+1": 1}.get(words[5])
             if mv is None:
-                raise ValueError_("line %d: bad move %s" % (ln, words[5]))
+                raise ValueError_("bad move %s" % words[5])
             delta.append((words[0], words[1], words[3], words[4], mv))
         else:
-            raise ValueError_("line %d: unknown key %s" % (ln, key))
+            raise ValueError_("unknown key %s" % key)
+    read_lines(text, read)
     if start is None:
         raise ValueError_("missing start state")
     if BOUNDARY not in alphabet:
@@ -615,11 +615,8 @@ def print_flat(db: Value) -> str:
 def parse_flat(text: str) -> Value:
     rels: Dict[str, list] = {"atomic": [], "set": [], "pair": []}
     arity = {"atomic": 2, "set": 2, "pair": 3}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        sc = _Scanner(line)
+
+    def fact(sc):
         name = sc.atom()
         if name not in rels:
             sc.error("unknown relation %s" % name)
@@ -630,10 +627,15 @@ def parse_flat(text: str) -> Value:
         sc.expect(")")
         sc.expect(".")
         if len(args) != arity[name]:
-            raise ValueError_("line %d: %s expects %d arguments"
-                              % (ln, name, arity[name]))
+            raise ValueError_("%s expects %d arguments" % (name, arity[name]))
         rels[name].append(make_tuple(
             (str(i + 1), Atom(a)) for i, a in enumerate(args)))
+
+    def read(line):
+        line = line.strip()
+        if not line.startswith("%"):
+            read_whole(line, fact)
+    read_lines(text, read)
     return make_tuple((("atomic", make_coll(SET, rels["atomic"])),
                        ("set", make_coll(SET, rels["set"])),
                        ("pair", make_coll(SET, rels["pair"]))))

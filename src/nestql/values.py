@@ -48,11 +48,15 @@ KINDS = (SET, LIST, BAG)
 
 _KIND_RANK = {SET: 0, LIST: 1, BAG: 2}
 
-# the brackets of each kind of collection, in value and type text
-_OPEN = {SET: "{", LIST: "[", BAG: "{|"}
-_CLOSE = {SET: "}", LIST: "]", BAG: "|}"}
+# the brackets of each kind of collection, and of a tuple (None), in
+# value and type text
+_OPEN = {None: "<", SET: "{", LIST: "[", BAG: "{|"}
+_CLOSE = {None: ">", SET: "}", LIST: "]", BAG: "|}"}
 
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_#+\-]+")
+# a quoted atom, and a backslash escape inside one
+_QUOTED = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
 
 
 def record(cls):
@@ -432,10 +436,7 @@ class _Scanner:
         raise ValueError_("%s at position %d" % (msg, self.pos))
 
     def expect(self, tok: str):
-        self.skip_ws()
-        if self.text.startswith(tok, self.pos):
-            self.pos += len(tok)
-        else:
+        if not self.try_tok(tok):
             self.error("expected %r" % tok)
 
     def try_tok(self, tok: str) -> bool:
@@ -448,19 +449,12 @@ class _Scanner:
     def atom(self) -> str:
         self.skip_ws()
         if self.peek() == '"':
-            self.pos += 1
-            out = []
-            while self.pos < len(self.text) and self.text[self.pos] != '"':
-                c = self.text[self.pos]
-                if c == "\\" and self.pos + 1 < len(self.text):
-                    self.pos += 1
-                    c = self.text[self.pos]
-                out.append(c)
-                self.pos += 1
-            if self.pos >= len(self.text):
+            m = _QUOTED.match(self.text, self.pos)
+            if not m:
+                self.pos = len(self.text)
                 self.error("unterminated quoted atom")
-            self.pos += 1
-            return "".join(out)
+            self.pos = m.end()
+            return _ESCAPE.sub(r"\1", m.group(1))
         m = _BARE_ATOM.match(self.text, self.pos)
         if not m:
             self.error("expected atom")
@@ -472,91 +466,91 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def _parse_items(sc: _Scanner, closer: str):
-    elems = []
-    sc.skip_ws()
-    if sc.try_tok(closer):
-        return elems
+def read_whole(text: str, read, trailing: str = "trailing input"):
+    """What read(sc) reads from a scanner over text, which must be all of
+    it: anything but blanks after it is refused with the message
+    trailing, at its position."""
+    sc = _Scanner(text)
+    out = read(sc)
+    if not sc.at_end():
+        sc.error(trailing)
+    return out
+
+
+def read_lines(text: str, read) -> list:
+    """read(line) of each line of text that is not blank, in order. A
+    ValueError_ it raises gets "line N: " in front, N counted from 1
+    over every line."""
+    out = []
+    for n, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                out.append(read(line))
+            except ValueError_ as e:
+                raise ValueError_("line %d: %s" % (n, e)) from None
+    return out
+
+
+_KIND_OF = {o: kind for kind, o in _OPEN.items()}
+
+
+def _read(sc: _Scanner, typed: bool):
+    """The value, or with typed the type, that sc reads next. Open
+    brackets wait on an explicit stack, each as [its kind, or None for a
+    tuple, its members so far, the label of the member being read], so
+    deep nesting does not reach the recursion limit."""
+    stack = []
+    text = sc.text
     while True:
-        elems.append(_parse(sc))
-        if sc.try_tok(closer):
-            return elems
-        sc.expect(",")
-
-
-def _parse(sc: _Scanner) -> Value:
-    sc.skip_ws()
-    c = sc.peek()
-    if c == "<":
-        sc.expect("<")
-        fields = []
-        if not sc.try_tok(">"):
-            while True:
-                label = sc.atom()
-                sc.expect(":")
-                fields.append((label, _parse(sc)))
-                if sc.try_tok(">"):
-                    break
+        sc.skip_ws()
+        pos = sc.pos
+        # "{|" is looked up before "{"
+        kind = _KIND_OF.get(text[pos:pos + 2],
+                            _KIND_OF.get(text[pos:pos + 1], False))
+        if typed and text.startswith("Dom", pos):
+            sc.pos += 3
+            item = DOM
+        elif kind is False:
+            if typed:
+                sc.error("expected type")
+            item = Atom(sc.atom())
+        else:
+            sc.pos += len(_OPEN[kind])
+            # a type collection holds one member, and no type is empty
+            if typed and kind or not sc.try_tok(_CLOSE[kind]):
+                stack.append([kind, [], None if kind else sc.atom()])
+                if kind is None:
+                    sc.expect(":")
+                continue
+            item = _made(kind, [], typed)
+        # add the whole item to the open brackets, closing each it ends
+        while stack:
+            kind, members, label = top = stack[-1]
+            members.append(item if kind else (label, item))
+            if typed and kind:
+                sc.expect(_CLOSE[kind])
+            elif not sc.try_tok(_CLOSE[kind]):
                 sc.expect(",")
-        return make_tuple(fields)
-    if sc.peek(2) == "{|":
-        sc.expect("{|")
-        return make_coll(BAG, _parse_items(sc, "|}"))
-    if c == "{":
-        sc.expect("{")
-        return make_coll(SET, _parse_items(sc, "}"))
-    if c == "[":
-        sc.expect("[")
-        return make_coll(LIST, _parse_items(sc, "]"))
-    return Atom(sc.atom())
+                if kind is None:
+                    top[2] = sc.atom()
+                    sc.expect(":")
+                break
+            del stack[-1]
+            item = _made(kind, members, typed)
+        else:
+            return item
+
+
+def _made(kind, members: list, typed: bool):
+    """The tuple (kind None) or collection of members, or its type."""
+    if kind is None:
+        return (make_tuple_type if typed else make_tuple)(members)
+    return CollType(kind, members[0]) if typed else make_coll(kind, members)
 
 
 def parse_value(text: str) -> Value:
-    sc = _Scanner(text)
-    v = _parse(sc)
-    if not sc.at_end():
-        sc.error("trailing input")
-    return v
+    return read_whole(text, lambda sc: _read(sc, False))
 
 
 def parse_type(text: str) -> Type:
-    sc = _Scanner(text)
-    t = _parse_type(sc)
-    if not sc.at_end():
-        sc.error("trailing input")
-    return t
-
-
-def _parse_type(sc: _Scanner) -> Type:
-    sc.skip_ws()
-    if sc.try_tok("Dom"):
-        return DOM
-    c = sc.peek()
-    if c == "<":
-        sc.expect("<")
-        fields = []
-        if not sc.try_tok(">"):
-            while True:
-                label = sc.atom()
-                sc.expect(":")
-                fields.append((label, _parse_type(sc)))
-                if sc.try_tok(">"):
-                    break
-                sc.expect(",")
-        return make_tuple_type(fields)
-    if sc.peek(2) == "{|":
-        sc.expect("{|")
-        t = _parse_type(sc)
-        sc.expect("|}")
-        return CollType(BAG, t)
-    if c == "{":
-        sc.expect("{")
-        t = _parse_type(sc)
-        sc.expect("}")
-        return CollType(SET, t)
-    if c == "[":
-        sc.expect("[")
-        t = _parse_type(sc)
-        sc.expect("]")
-        return CollType(LIST, t)
-    sc.error("expected type")
+    return read_whole(text, lambda sc: _read(sc, True))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Tuple as Tup
 
-from .values import ATOMIC, DEEP, ValueError_, _Scanner, record
+from .values import ATOMIC, DEEP, ValueError_, _Scanner, read_whole, record
 
 
 CHILD = "child"
@@ -56,11 +56,7 @@ def print_xml(t: Tree) -> str:
 
 
 def parse_xml(text: str) -> Tree:
-    sc = _Scanner(text)
-    t = _parse_tree(sc)
-    if not sc.at_end():
-        sc.error("trailing input after document")
-    return t
+    return read_whole(text, _parse_tree, "trailing input after document")
 
 
 def _parse_tree(sc: _Scanner) -> Tree:
@@ -421,11 +417,8 @@ _KEYWORDS = {"for", "let", "if", "then", "return", "in", "satisfies",
 
 def parse_xq(text: str) -> XQExpr:
     """Parse a query; $root (level 1) is pre-bound to the document."""
-    p = _XQParser(text)
-    q = p.parse_seq({"root": 1}, 1)
-    if not p.sc.at_end():
-        p.sc.error("trailing input")
-    return q
+    return read_whole(text,
+                      lambda sc: _XQParser(sc).parse_seq({"root": 1}, 1))
 
 
 def _seq(items: list) -> XQExpr:
@@ -437,8 +430,8 @@ def _seq(items: list) -> XQExpr:
 
 
 class _XQParser:
-    def __init__(self, text: str):
-        self.sc = _Scanner(text)
+    def __init__(self, sc: _Scanner):
+        self.sc = sc
 
     def parse_seq(self, scope: dict, depth: int) -> XQExpr:
         items = [self.parse_item(scope, depth)]

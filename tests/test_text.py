@@ -3,13 +3,21 @@ queries, XML documents, single paths and logic programs."""
 
 import hashlib
 import random
+import subprocess
+import sys
+
+import pytest
 
 from nestql import gen
-from nestql.detree import MARK_EMPTY, MARK_UNIT, parse_path, print_path
+from nestql.detree import (
+    MARK_EMPTY, MARK_UNIT, parse_path, parse_pathset, print_path,
+)
 from nestql.lp import compile_lp, parse_lp, print_lp
 from nestql.ma_text import parse_ma, print_ma
+from nestql.reductions import parse_flat, parse_tm
 from nestql.values import (
-    LIST, SET, parse_type, parse_value, print_type, print_value,
+    DOM, LIST, SET, ValueError_, parse_type, parse_value, print_type,
+    print_value,
 )
 from nestql.xmlxq import parse_xml, parse_xq, print_xml, print_xq
 
@@ -170,3 +178,61 @@ def test_reader_outcomes_are_pinned():
             lines.append(_outcome(read, show, text))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGEST
+
+
+def test_values_and_types_nested_3000_deep_parse():
+    """The value and type reader keeps its open brackets on a stack."""
+    v = parse_value("{" * 3000 + "a" + "}" * 3000)
+    for _ in range(3000):
+        (v,) = v.elems
+    assert v.label == "a"
+    v = parse_value("<A: " * 3000 + "a" + ">" * 3000)
+    for _ in range(3000):
+        v = v.field("A")
+    assert v.label == "a"
+    t = parse_type("[" * 3000 + "Dom" + "]" * 3000)
+    for _ in range(3000):
+        assert t.kind == LIST
+        t = t.elem
+    assert t == DOM
+
+
+def test_the_recursive_readers_keep_their_depth():
+    """These readers still take a frame or two per level; reading a
+    whole text through one shared frame costs them no level of these.
+    A fresh interpreter counts the depth from the bottom of its stack,
+    as the CLI does."""
+    script = """if True:
+        from nestql.detree import parse_path
+        from nestql.ma_text import parse_ma
+        from nestql.xmlxq import parse_xml, parse_xq
+        parse_xml("<a>" * 900 + "</a>" * 900)
+        parse_xq("<a>" * 480 + "</a>" * 480)
+        parse_path("(a." * 900 + "b" + ")" * 900)
+        parse_ma("map(" * 450 + "id" + ")" * 450)
+    """
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (parse_pathset, "a.b\n\n  a.(b\n", "line 3: expected ')' at position 6"),
+    (parse_pathset, "a\n% b\n", "line 2: expected atom at position 0"),
+    (parse_flat, "atomic(1, a).\n\n set(1)x.\n",
+     "line 3: expected '.' at position 6"),
+    (parse_flat, "% c\natomic(1, a). pair(1, 2, 3).\n",
+     "line 2: trailing input at position 14"),
+    (parse_flat, "set(1, a, b).\n", "line 1: set expects 2 arguments"),
+    (parse_flat, "sets(1, a).\n", "line 1: unknown relation sets at "
+     "position 4"),
+    (parse_tm, "states: q\n% c\nstart:\n", "line 3: start names one "
+     "state, got 0"),
+    (parse_tm, "states: q r\nstart: q r\n", "line 2: start names one "
+     "state, got 2"),
+], ids=["pathset", "pathset-comment", "flat", "flat-trailing", "flat-arity",
+        "flat-relation", "tm-start-none", "tm-start-two"])
+def test_line_formats_name_the_line_of_an_error(read, text, message):
+    with pytest.raises(ValueError_) as e:
+        read(text)
+    assert str(e.value) == message
