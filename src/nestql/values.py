@@ -380,9 +380,22 @@ def print_chunks(v: Value) -> list:
 
 
 def _print(v: Value, memo: dict) -> str:
-    """The text of v, kept in the memo under its id."""
-    out = memo[id(v)] = "".join(_parts(v, memo))
-    return out
+    """The text of v, kept in the memo under its id, as is the text of
+    each node below it. The walk keeps an explicit stack, as
+    :func:`_stored` does, and prints a node once its members' texts are
+    in the memo, so :func:`_parts` finds them there."""
+    todo = [v]
+    while todo:
+        x = todo[-1]
+        n = len(todo)
+        if type(x) is not Atom:
+            for y in (x.vals if type(x) is Tuple else x.elems):
+                if type(y) is not Atom and id(y) not in memo:
+                    todo.append(y)
+        if len(todo) == n:
+            del todo[-1]
+            memo[id(x)] = "".join(_parts(x, memo))
+    return memo[id(v)]
 
 
 def _parts(v: Value, memo: dict) -> list:

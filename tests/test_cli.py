@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nestql import cli, ma
+from nestql import cli, ma, values
 
 
 def run_cli(*args, env_extra=None):
@@ -300,15 +300,39 @@ def test_detree_decode_orders_tied_steps_under_any_hash_seed(
     assert outs == {"[a, b]\n"}
 
 
-def test_a_print_that_fails_late_writes_nothing(files):
-    """Decoding a list nested 600 deep takes a frame per level, printing
-    it two: the print fails after 999 shallow members are printed, and
-    stdout stays empty."""
-    shallow = "".join("%d.a%d\n" % (i, i) for i in range(1, 1000))
-    p = files("v.paths", shallow + "1000." + "1." * 600 + "z\n")
-    r = run_cli("detree-decode", "--paths", p)
-    assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr.startswith("error: maximum recursion depth exceeded")
+def test_a_print_that_fails_late_writes_nothing(files, monkeypatch,
+                                                capsys):
+    """The print fails on the last of 1,000 members, after 999 are
+    printed, and stdout stays empty."""
+    p = files("v.paths", "".join("%d.a%d\n" % (i, i)
+                                 for i in range(1, 1001)))
+    print_atom, calls = values.print_atom, []
+
+    def failing(label):
+        calls.append(label)
+        if len(calls) == 1000:
+            raise values.ValueError_("no room for %s" % label)
+        return print_atom(label)
+    monkeypatch.setattr(values, "print_atom", failing)
+    assert cli.main(["detree-decode", "--paths", p]) == 2
+    assert capsys.readouterr() == ("", "error: no room for a1000\n")
+
+
+@pytest.mark.parametrize("query, value", [
+    ("id", "{" * 500 + "a" + "}" * 500),
+    ("id", "<A: " * 1500 + "a" + ">" * 1500),
+    (" ; ".join(["sng"] * 500), None),
+], ids=["set-500", "tuple-1500", "sng-500"])
+def test_eval_ma_reads_and_prints_deep_values(files, query, value):
+    """Reading and printing values keep their open brackets on a stack,
+    so deep values in and out do not reach the recursion limit."""
+    args = ["--query", files("q.ma", query)]
+    if value:
+        args += ["--input", files("v.txt", value)]
+    r = run_cli("eval-ma", *args)
+    assert (r.returncode, r.stderr) == (0, "")
+    want = value or "{" * 500 + "<>" + "}" * 500
+    assert r.stdout == want + "\n"
 
 
 def test_type_error_with_unknown_element_type_exits_2(files):
