@@ -720,7 +720,7 @@ class _Compiler:
 
     def __call__(self, q: MAExpr):
         """q as a function from its input to its value."""
-        return _COMPILE.get(type(q), _c_unknown)(q, self)
+        return _NODE_RULES.get(type(q), _c_unknown)(q, self)
 
     def pred(self, c: SelCond):
         """Selection condition c as a test on one element."""
@@ -732,7 +732,8 @@ class _Compiler:
         for x in xs:
             t = self._tests.get(x)
             if t is None:
-                t = self._tests[x] = _COMPILE.get(type(x), _p_unknown)(x, self)
+                t = self._tests[x] = _COND_RULES.get(type(x),
+                                                     _p_unknown)(x, self)
             tests.append(t)
         return tests
 
@@ -1272,6 +1273,10 @@ _COMPILE = {
     COr: _p_any, CNot: _p_not, CIff: _p_iff, PathEqPath: _p_eq_path,
     PathEqConst: _p_eq_const, PathInSet: _p_in_set,
 }
+# its rules for nodes and for conditions apart, so that a condition is
+# no node to evaluate and a node no condition to test
+_NODE_RULES = {t: f for t, f in _COMPILE.items() if issubclass(t, MAExpr)}
+_COND_RULES = {t: f for t, f in _COMPILE.items() if issubclass(t, SelCond)}
 
 
 def type_of(v: Value, sem: str = SET) -> Type:

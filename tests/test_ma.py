@@ -483,6 +483,23 @@ def test_flatmap_fails_on_the_first_member_flatten_meets(value, sem, bad):
     assert str(e.value) == "flatten member: expected collection, got " + bad
 
 
+@pytest.mark.parametrize("q, message", [
+    (Select(Id()), "bad selection condition Id()"),
+    (PathEqPath(("A",), ("A",)),
+     "cannot evaluate PathEqPath(p=('A',), q=('A',), mode='deep')"),
+    (Select(Map(Id())), "bad selection condition Map(f=Id())"),
+])
+def test_a_node_is_no_condition_and_a_condition_no_node(q, message):
+    """Nodes and conditions share one compile table, but each is looked
+    up only among its own kind, and refused when it runs."""
+    v = parse_value("{<A: a>}")
+    with pytest.raises(ValueError_) as e:
+        eval_ma(q, v)
+    assert str(e.value) == message
+    # refused when it runs: a map over no member runs neither
+    assert eval_ma(Compose(EmptyColl(), Map(q)), v) == make_coll(SET, ())
+
+
 @pytest.mark.parametrize("text", [
     "empty ; map(sng ; flatten ; sng)",
     "empty ; flatmap(sng ; flatten ; sng)",
