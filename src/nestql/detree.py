@@ -298,7 +298,10 @@ def _compile(q: MAExpr, em: bool):
 
 def _d_unknown(q, em):
     why = ("it is bag-only, and path sets run list semantics"
-           if type(q) in (ma.Monus, ma.Unique) else "desugar first")
+           if type(q) in (ma.Monus, ma.Unique) else
+           # desugar keeps it on collections only
+           "deep equality on collections has no path-set rule"
+           if type(q) is ma.EqDeep else "desugar first")
 
     def run(t):
         raise ValueError_("eval_det cannot handle %r; %s" % (q, why))

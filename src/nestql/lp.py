@@ -201,6 +201,9 @@ class _Compiler:
         if kind in (ma.Monus, ma.Unique):
             raise ValueError_("cannot compile %r; it is bag-only, and "
                               "logic programs run list semantics" % (q,))
+        if kind is ma.EqDeep:   # desugar keeps it on collections only
+            raise ValueError_("cannot compile %r; deep equality on "
+                              "collections has no logic-program rule" % (q,))
         raise ValueError_("cannot compile %r; desugar to the core first"
                           % (q,))
 

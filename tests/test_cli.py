@@ -198,6 +198,23 @@ def test_the_path_routes_refuse_the_bag_only_operators(files, cmd, text,
     assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s\n" % want)
 
 
+@pytest.mark.parametrize("cmd, want", [
+    ("ma2lp", "cannot compile EqDeep(pa=('A',), pb=('A2',)); deep equality "
+     "on collections has no logic-program rule"),
+    ("eval-lp", "cannot compile EqDeep(pa=('A',), pb=('A2',)); deep equality "
+     "on collections has no logic-program rule"),
+    ("detree-eval", "eval_det cannot handle EqDeep(pa=('A',), pb=('A2',)); "
+     "deep equality on collections has no path-set rule"),
+])
+def test_the_path_routes_name_deep_equality_on_collections(files, cmd, want):
+    """subseteq on collections desugars to eq on collections, which
+    desugar keeps as it is and no path route has a rule for; desugaring
+    again would not help."""
+    q = files("q.ma", "tup[A = 'a' ; sng, B = 'a' ; sng] ; subseteq[A, B]")
+    r = run_cli(cmd, "--query", q)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s\n" % want)
+
+
 @pytest.mark.parametrize("text", ["map(tup[A = id]) ; select[A = A]",
                                   "pi[A] ; select[B = C]"])
 def test_an_open_input_needs_a_type_to_desugar(files, text):
