@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from nestql import cli, ma, values
+from nestql import cli, ma, reductions, values
+from nestql.ma_text import print_ma
+from nestql.values import parse_type
 
 
 def run_cli(*args, env_extra=None):
@@ -376,6 +378,70 @@ def test_gen_dexp_eval_and_node_guard():
     assert "NESTQL_MAX_VALUE_NODES" in r.stderr
 
 
+def test_gen_dexp_prints_its_query_without_eval(capsys):
+    assert cli.main(["gen-dexp", "--m", "2"]) == 0
+    assert capsys.readouterr() == (
+        "union('0' ; sng, '1' ; sng) ; cart(id, id) ; cart(id, id)\n", "")
+
+
+def test_a_limit_that_is_no_integer_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("NESTQL_MAX_VALUE_NODES", "lots")
+    assert cli.main(["gen-dexp", "--m", "2", "--eval"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: NESTQL_MAX_VALUE_NODES is not an integer: 'lots'\n")
+
+
+# a machine that accepts at once, and edits of its spec, each with the
+# error it gives: every message of parse_tm and of validate_tm that a
+# spec file can reach (parse_tm adds the boundary, and reads only the
+# three moves), and a word symbol outside the alphabet
+GOOD_SPEC = """\
+states: q0 qa
+alphabet: # 1
+start: q0
+final: qa
+delta: q0 #b -> qa #b 0
+delta: qa #b -> qa #b 0
+delta: qa # -> qa # 0
+delta: qa 1 -> qa 1 0
+"""
+
+
+@pytest.mark.parametrize("old, new, word, want", [
+    ("states:", "states", "", "line 1: expected 'key: ...'"),
+    ("start: q0", "start:", "", "line 3: start names one state, got 0"),
+    ("start: q0", "start: q0 qa", "",
+     "line 3: start names one state, got 2"),
+    ("q0 #b -> qa", "q0 #b qa", "",
+     "line 5: expected 'delta: q s -> q2 s2 move'"),
+    ("qa #b 0\ndelta: qa #b", "qa #b +2\ndelta: qa #b", "",
+     "line 5: bad move +2"),
+    ("final: qa", "final: qa\ncolour: red", "", "line 5: unknown key colour"),
+    ("start: q0", "% start: q0", "", "missing start state"),
+    ("alphabet: # 1", "alphabet: 1", "",
+     "machine alphabet must contain the blank #"),
+    ("alphabet: # 1", "alphabet: # 1 m#1", "",
+     "symbol m#1 collides with the marker prefix"),
+    ("start: q0", "start: q9", "", "unknown start state q9"),
+    ("final: qa", "final: qa q9", "", "unknown final state q9"),
+    ("q0 #b -> qa", "q0 #b -> q9", "",
+     "transition uses unknown state: q0 -> q9"),
+    ("q0 #b -> qa", "q0 2 -> qa", "",
+     "transition uses unknown symbol: 2 -> #b"),
+    ("delta: qa 1 -> qa 1 0\n", "", "",
+     "final state qa lacks a self-loop on 1"),
+    ("", "", "1,2", "bad input symbol 2"),
+])
+def test_gen_tm_refuses_a_malformed_machine(files, capsys, old, new, word,
+                                             want):
+    spec = files("m.tm", GOOD_SPEC.replace(old, new, 1) if old else GOOD_SPEC)
+    argv = ["gen-tm", "--machine", spec, "--word", word, "--k", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % want)
+    assert cli.main(["gen-tm", "--machine", files("ok.tm", GOOD_SPEC),
+                     "--k", "1", "--decide"]) == 0
+
+
 def test_gen_tm_decide_exit_codes():
     r = run_cli("gen-tm", "--machine", "acceptor", "--word", "1",
                 "--k", "1", "--decide")
@@ -434,6 +500,15 @@ def test_flat_and_vtau(files):
     assert "atomic(3, a)." in r.stdout and "pair(8, 9, 11)." in r.stdout
     r2 = run_cli("vtau", "--type", "{<1: Dom, 2: Dom>}", "--prime")
     assert r2.returncode == 0 and "pairwith" in r2.stdout
+
+
+def test_vtau_prints_the_reassembly_query(capsys):
+    """Without --prime, the query of the reassembled value itself."""
+    assert cli.main(["vtau", "--type", "{<1: Dom, 2: Dom>}"]) == 0
+    t = parse_type("{<1: Dom, 2: Dom>}")
+    want = print_ma(reductions.gen_vtau(t))
+    assert want != print_ma(reductions.gen_vprime(t))
+    assert capsys.readouterr() == (want + "\n", "")
 
 
 def test_check_commands_run_small_suites():

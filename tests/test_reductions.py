@@ -22,6 +22,20 @@ def test_machine_spec_print_parse_roundtrip():
         assert parse_tm(print_tm(tm)) == tm
 
 
+@pytest.mark.parametrize("alphabet, move, want", [
+    ((BLANK,), 0, "machine alphabet must contain the boundary #b"),
+    ((BOUNDARY, BLANK), 2, "bad move 2"),
+])
+def test_machine_validation_refuses_what_no_spec_file_reaches(
+        alphabet, move, want):
+    """parse_tm adds the boundary, and reads only the moves -1, 0, +1."""
+    tm = TMSpec(states=("q0",), alphabet=alphabet, start="q0", finals=(),
+                delta=(("q0", BLANK, "q0", BLANK, move),))
+    with pytest.raises(ValueError_) as e:
+        validate_tm(tm)
+    assert str(e.value) == want
+
+
 def test_machine_validation_rejects_non_idling_finals():
     tm = TMSpec(states=("q0", "qa"), alphabet=(BOUNDARY, BLANK),
                 start="q0", finals=("qa",), delta=())

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in scripts/ on small inputs. oracle_sweep.py
-is left out: it runs the full randomized suites, which the acceptance
-tests already cover."""
+runs every randomized suite, at 20 cases each; it is the only runner of
+the machine and flat reassembly suites (checks.suite_tm and
+checks.suite_flat)."""
 
 import os
 import re
@@ -18,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["tm_demo.py", "--k", "1", "--machine", "rejector"],
     ["growth_demo.py", "--m-max", "2"],
     ["tm_demo.py", "--k", "2", "--machine", "rejector"],
+    ["oracle_sweep.py", "--cases", "20"],
 ])
 def test_script_runs(args):
     env = dict(os.environ)
@@ -39,6 +41,10 @@ def test_script_runs(args):
         assert all(t.endswith("s") for row in rows for t in row[3:5])
         rss = [float(row[5][:-2]) for row in rows if row[5].endswith("MB")]
         assert len(rss) == 3 and 0 < rss[0] <= rss[1] <= rss[2]
+    if args[0] == "oracle_sweep.py":
+        # one summary line per suite, each with no failure
+        lines = r.stdout.splitlines()
+        assert len(lines) == 8 and all(" (ok)  [" in line for line in lines)
     if args[0] == "tm_demo.py":
         # each decision agrees with the simulation, and gives its time
         # and the time of its plan
