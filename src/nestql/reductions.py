@@ -124,25 +124,23 @@ def parse_tm(text: str) -> TMSpec:
     """
     states: List[str] = []
     alphabet: List[str] = []
-    start = None
+    starts: List[str] = []
     finals: List[str] = []
     delta: List[Transition] = []
-    lists = {"states": states, "alphabet": alphabet, "final": finals}
+    lists = {"states": states, "alphabet": alphabet, "start": starts,
+             "final": finals}
 
     def read(line):
-        nonlocal start
         key, colon, rest = line.strip().partition(":")
         if key.startswith("%"):
             return
         if not colon:
             raise ValueError_("expected 'key: ...'")
         words = rest.split()
+        if key == "start" and len(words) != 1:
+            raise ValueError_("start names one state, got %d" % len(words))
         if key in lists:
             lists[key].extend(words)
-        elif key == "start":
-            if len(words) != 1:
-                raise ValueError_("start names one state, got %d" % len(words))
-            start = words[0]
         elif key == "delta":
             if len(words) != 6 or words[2] != "->":
                 raise ValueError_("expected 'delta: q s -> q2 s2 move'")
@@ -153,11 +151,11 @@ def parse_tm(text: str) -> TMSpec:
         else:
             raise ValueError_("unknown key %s" % key)
     read_lines(text, read)
-    if start is None:
+    if not starts:
         raise ValueError_("missing start state")
     if BOUNDARY not in alphabet:
         alphabet.append(BOUNDARY)
-    tm = TMSpec(tuple(states), tuple(alphabet), start, tuple(finals),
+    tm = TMSpec(tuple(states), tuple(alphabet), starts[-1], tuple(finals),
                 tuple(delta))
     validate_tm(tm)
     return tm

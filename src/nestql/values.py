@@ -449,7 +449,10 @@ class _Scanner:
         raise ValueError_("%s at position %d" % (msg, self.pos))
 
     def expect(self, tok: str):
-        if not self.try_tok(tok):
+        self.skip_ws()
+        if self.text.startswith(tok, self.pos):
+            self.pos += len(tok)
+        else:
             self.error("expected %r" % tok)
 
     def try_tok(self, tok: str) -> bool:
@@ -517,9 +520,9 @@ def _read(sc: _Scanner, typed: bool):
     while True:
         sc.skip_ws()
         pos = sc.pos
-        # "{|" is looked up before "{"
-        kind = _KIND_OF.get(text[pos:pos + 2],
-                            _KIND_OF.get(text[pos:pos + 1], False))
+        kind = _KIND_OF.get(text[pos:pos + 1], False)
+        if kind is SET and text.startswith("{|", pos):
+            kind = BAG
         if typed and text.startswith("Dom", pos):
             sc.pos += 3
             item = DOM

@@ -572,15 +572,12 @@ class _XQParser:
 
     def _cond_not(self, scope: dict, depth: int) -> XQExpr:
         sc = self.sc
-        sc.skip_ws()
-        if sc.text.startswith("not", sc.pos):
-            save = sc.pos
-            sc.pos += 3
-            if sc.try_tok("("):
-                c = self.parse_cond(scope, depth)
-                sc.expect(")")
-                return Not(c)
-            sc.pos = save
+        save = sc.pos
+        if sc.try_tok("not") and sc.try_tok("("):
+            c = self.parse_cond(scope, depth)
+            sc.expect(")")
+            return Not(c)
+        sc.pos = save
         if sc.try_tok("("):
             c = self.parse_cond(scope, depth)
             sc.expect(")")
