@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nestql import cli, gen, values
+from nestql import bridge, checks, cli, gen, lp, ma, reductions, values, xmlxq
 from nestql.ma import eval_ma, infer_type
 from nestql.ma_text import parse_ma
 from nestql.reductions import gen_doubly_exp
@@ -369,6 +369,142 @@ def test_records_are_not_assigned_after_construction():
                getattr(obj, "id", None) == "self" and cls is not None
                and cls.name not in names)]
     assert bad == []
+
+
+# ---------------------------------------------------------------------------
+# Records pinned by their text, hash and equality
+
+def _record_classes():
+    """Every record class of the package, by module and name."""
+    out = []
+    for m in sorted(p.stem for p in SRC.glob("*.py")):
+        mod = importlib.import_module("nestql." + m)
+        out += [(m, c) for c in vars(mod).values()
+                if isinstance(c, type) and c.__module__ == mod.__name__
+                and "__match_args__" in vars(c)]
+    return out
+
+
+def _result(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
+# every extended operator and condition, in the text of the algebra and
+# of tree queries
+RECORD_TEXTS = (
+    "monus ; unique ; diff ; cap ; union ; true ; not ; eqmon[A, B] ; "
+    "eq[A.B, C] ; subseteq[A, B] ; in[A, B] ; nest[C = (A, B)] ; "
+    "flatmap(cart(pi[A.B], 'c')) ; select[!(A = B || A =mon 'a') "
+    "<=> A.B =atom C && A in {a, b}]",
+    "every $x in $root/a/* satisfies (some $y in $x/descendant::b "
+    "satisfies ($x = $y and ($y/c or not(<d>{$x}</d>))))",
+)
+
+
+def _record_corpus():
+    """The plans of the twelve machine acceptance queries; drawn algebra
+    and tree queries, their types, translations and logic programs; drawn
+    values and documents; the bundled machines; and the errors whose
+    text holds a record's repr."""
+    out = [ma.plan(reductions.gen_tm_query(tm, word, K, expand))
+           for tm, word in ((reductions.ACCEPTOR, ("1",)),
+                            (reductions.GUESSER, ("1",)),
+                            (reductions.REJECTOR, ()))
+           for K in (1, 2) for expand in (False, True)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        sem = KINDS[seed % 3]
+        t = gen.gen_type(rng, 2, sem)
+        q = gen.gen_typed_query(rng, t, 3, sem)
+        out += [t, q, gen.gen_value(rng, t), infer_type(q, t, sem),
+                _result(ma.desugar, q, t, sem)]
+        c = gen.gen_closed_query(rng, 3)
+        out += [c, gen.gen_bool_query(rng, 2), _result(lp.compile_lp, c)]
+        pt = gen.gen_pairlist_type(rng, 2)
+        p = gen.gen_pairlist_query(rng, pt, 3)
+        out += [pt, p, _result(bridge.ma_to_xq, p, pt)]
+        x = gen.gen_tree_query(rng, 5)
+        out += [x, gen.gen_doc(rng, 20), _result(xmlxq.xq_desugar, x),
+                _result(bridge.xq_to_ma, x)]
+    out += [parse_ma(RECORD_TEXTS[0]), xmlxq.parse_xq(RECORD_TEXTS[1]),
+            xmlxq.EmptySeq(), values.Value(), values.Type(), ma.MAExpr(),
+            ma.SelCond(), xmlxq.XQExpr(),
+            bridge.ma_to_xq(parse_ma("select[A = B]"),
+                            parse_type("[<A: Dom, B: Dom>]")),
+            lp.parse_lp("p(X.a) :- input(X).\n"),
+            checks.suite_thm62(1, 2), sorted(reductions.BUNDLED.items())]
+    out += [
+        _result(ma.eval_ma, ma.Select(ma.Id()), make_coll(SET, [UNIT]), SET),
+        _result(bridge.ma_to_xq, ma.CartProd(ma.Id(), ma.Id()),
+                parse_type("[<A: Dom>]")),
+        _result(bridge.ma_to_xq, parse_ma("empty ; map(map(id))"),
+                parse_type("Dom")),
+        _result(bridge.xq_to_ma, xmlxq.parse_xq("($root/a = $root/b)")),
+        _result(bridge.decode_C, make_tuple((("A", Atom("a")),))),
+        _result(lp.compile_lp, parse_ma("monus")),
+        _result(ma.infer_type, ma.HashJoin(ma.Id(), ma.Id(), (), None),
+                UNIT_T, SET),
+    ]
+    return out
+
+
+def _records_in(xs):
+    """Every record object inside xs, parents first."""
+    todo = list(reversed(xs))
+    while todo:
+        x = todo.pop()
+        if type(x) in (tuple, list):
+            todo.extend(reversed(x))
+        elif "__match_args__" in vars(type(x)):
+            yield x
+            todo.extend(reversed([getattr(x, n)
+                                  for n in type(x).__match_args__]))
+
+
+# sha256 of the field names of every record class, then of the repr of
+# each object of _record_corpus(), one per line
+RECORD_DIGEST = (
+    "9f41597dc2c0b2529be08bdc912d1300"
+    "154f94f3ac12408ea53a224aebc64b7e")
+
+
+def test_records_are_pinned():
+    """A record prints as its class and fields, hashes as the tuple of
+    its fields, and equals a record of the same class and fields only."""
+    classes = _record_classes()
+    lines = ["%s.%s%r" % (m, c.__name__, c.__match_args__)
+             for m, c in classes]
+    corpus = _record_corpus()
+    lines += map(repr, corpus)
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORD_DIGEST
+    by_fields = {}
+    for _, c in classes:
+        by_fields.setdefault(c.__match_args__, []).append(c)
+    seen = {}
+    for x in _records_in(corpus):
+        cls = type(x)
+        if seen.get(cls, 0) == 5:
+            continue
+        seen[cls] = seen.get(cls, 0) + 1
+        fields = tuple(getattr(x, n) for n in cls.__match_args__)
+        try:
+            want = hash(fields)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == want
+        assert x == cls(*fields) and not x != cls(*fields)
+        assert x.__eq__(fields) is NotImplemented and x != fields
+        for other in by_fields[cls.__match_args__]:
+            if other is not cls:
+                assert x != other(*fields)
+    assert len(seen) >= 50
 
 
 # ---------------------------------------------------------------------------
