@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple as Tup
 
 from .values import (
@@ -86,7 +85,7 @@ class Rule:
     comment: str = ""
 
 
-@dataclass
+@record
 class LogicProgram:
     """rules is the evaluation order: no rule reads its own head or the
     head of a later rule, so each relation is complete before a rule

@@ -32,7 +32,6 @@ bag is in canonical order (see :class:`Coll`). Stored hashes depend on
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Tuple as Tup
 
 
@@ -60,20 +59,69 @@ _ESCAPE = re.compile(r"\\(.)", re.S)
 
 
 def record(cls):
-    """cls as a dataclass: its instances compare field by field, print
-    as the dataclass repr and hash on their fields, or by the class's
-    own ``__hash__`` where its body writes one.
+    """cls with its annotated fields, inherited ones first, as the tuple
+    ``__match_args__``, and the methods a record has unless its body
+    writes them: ``__init__`` takes the fields in order (those given a
+    value in the body default to it), ``==`` holds between records of
+    the same class with equal fields, ``hash`` is the hash of the field
+    tuple and ``repr`` is ``Class(field=value, ...)``.
 
-    A record is immutable by convention (see the module docstring). A
-    frozen dataclass would guard that on every construction by setting
-    each field through the base object's setter, which costs twice or
-    more what building the record does."""
-    return dataclass(cls, unsafe_hash="__hash__" not in cls.__dict__)
+    The records of one tuple of field names share one ``__init__``,
+    ``__eq__`` and ``__hash__`` (a class with defaults gets a copy of
+    the ``__init__`` that holds them), and every record shares one
+    ``__repr__``, so making a class generates no code of its own.
+
+    A record is immutable by convention (see the module docstring): a
+    guard that refused assignment would cost more than building the
+    record does."""
+    names = getattr(cls, "__match_args__", ())
+    names += tuple(n for n in vars(cls).get("__annotations__", ())
+                   if n not in names)
+    init, eq, hash_ = _SHAPES.get(names) or _shape(names)
+    defaults = tuple(vars(cls)[n] for n in names if n in vars(cls))
+    if defaults:
+        init = type(init)(init.__code__, init.__globals__, init.__name__,
+                          defaults)
+    for name, fn in (("__init__", init), ("__eq__", eq),
+                     ("__hash__", hash_), ("__repr__", _record_repr)):
+        if name not in vars(cls):
+            setattr(cls, name, fn)
+    cls.__match_args__ = names
+    return cls
+
+
+# the __init__, __eq__ and __hash__ of each tuple of field names
+_SHAPES = {}
+
+
+def _shape(names: tuple) -> tuple:
+    """The methods of the records whose fields are names, as record
+    describes them, written as Python once."""
+    mine = "(%s)" % "".join("self.%s, " % n for n in names)
+    ns = {}
+    exec("def __init__(self, %s):%s\n"
+         "def __eq__(self, other):\n"
+         "    if other.__class__ is self.__class__:\n"
+         "        return %s == %s\n"
+         "    return NotImplemented\n"
+         "def __hash__(self):\n"
+         "    return hash(%s)\n"
+         % (", ".join(names),
+            "".join("\n    self.%s = %s" % (n, n) for n in names)
+            or "\n    pass",
+            mine, mine.replace("self.", "other."), mine), ns)
+    out = _SHAPES[names] = (ns["__init__"], ns["__eq__"], ns["__hash__"])
+    return out
+
+
+def _record_repr(self) -> str:
+    return "%s(%s)" % (type(self).__qualname__, ", ".join(
+        ["%s=%r" % (n, getattr(self, n)) for n in self.__match_args__]))
 
 
 @record
 class Value:
-    """A value node. Equality is the dataclass's field-by-field
+    """A value node. Equality is the record's field-by-field
     comparison. Tuples and collections return their stored hash.
 
     The facts a tuple or collection stores are None until stored."""

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -644,14 +643,16 @@ def test_every_operator_has_a_type_rule_and_each_nesting_a_core_form():
     conds = set(SelCond.__subclasses__())
     assert set(_TYPE) == ops | conds
     nesting = {c for c in ops
-               if any("MAExpr" in f.type for f in dataclasses.fields(c))}
+               if any("MAExpr" in c.__annotations__[f]
+                      for f in c.__match_args__)}
     connectives = {c for c in conds
-                   if any("SelCond" in f.type for f in dataclasses.fields(c))}
+                   if any("SelCond" in c.__annotations__[f]
+                          for f in c.__match_args__)}
     assert connectives == {CAnd, COr, CNot, CIff}
     assert set(_CORE) == nesting | {Select} | connectives
     for c in nesting:
         sub = (("A", Id()),) if c is TupleCons else Id()
-        assert _subexprs(c(*[sub] * len(dataclasses.fields(c))))
+        assert _subexprs(c(*[sub] * len(c.__match_args__)))
 
 
 def test_every_operator_and_condition_compiles_by_one_table():

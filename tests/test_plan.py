@@ -15,7 +15,6 @@ spelled out as the machine query spells them, over inputs that repeat
 the labels the filters read.
 """
 
-import dataclasses
 import hashlib
 import random
 from functools import reduce
@@ -858,9 +857,9 @@ def _canon(x):
         return "and[%s]" % ", ".join(map(_canon, parts))
     if type(x) is tuple:
         return "(%s)" % ", ".join(map(_canon, x))
-    if dataclasses.is_dataclass(x):
+    if hasattr(type(x), "__match_args__"):
         return "%s(%s)" % (type(x).__name__, ", ".join(
-            _canon(getattr(x, f.name)) for f in dataclasses.fields(x)))
+            _canon(getattr(x, f)) for f in type(x).__match_args__))
     return repr(x)
 
 

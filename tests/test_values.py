@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -358,7 +357,7 @@ def test_records_are_not_assigned_after_construction():
               if isinstance(s, ast.AnnAssign)}
     for m, c in records:
         cls = getattr(importlib.import_module("nestql." + m), c.name)
-        assert {f.name for f in dataclasses.fields(cls)} <= fields
+        assert set(cls.__match_args__) <= fields
     assert {"Tuple", "Coll", "TupleType", "Compose", "Rule", "TMSpec"} <= {
         c.name for _, c in records}
     assert not fields & STORED_FACTS
