@@ -13,8 +13,9 @@ import argparse
 import os
 import sys
 
-from . import bridge, checks, detree, lp, ma, reductions, xmlxq
-from .ma_text import parse_ma, print_ma
+# main catches the errors of values and ma, so those two are imported
+# here; every handler imports the other modules it runs when it runs
+from . import ma
 from .values import (
     BAG, LIST, SET, UNIT, ValueError_, parse_type, parse_value,
     print_chunks, value_nodes,
@@ -71,7 +72,8 @@ def _out_value(v):
 # Subcommand bodies. Each returns the process exit code.
 
 def cmd_eval_ma(a) -> int:
-    q = parse_ma(_read(a.query))
+    from . import ma_text
+    q = ma_text.parse_ma(_read(a.query))
     v = parse_value(_read(a.input)) if a.input else UNIT
     out = ma.eval_ma(q, v, a.semantics)
     _guard(value_nodes(out), "the result")
@@ -80,6 +82,7 @@ def cmd_eval_ma(a) -> int:
 
 
 def cmd_eval_xq(a) -> int:
+    from . import xmlxq
     q = xmlxq.parse_xq(_read(a.query))
     doc = xmlxq.parse_xml(_read(a.doc))
     trees = xmlxq.eval_xq(q, (doc,))
@@ -89,6 +92,7 @@ def cmd_eval_xq(a) -> int:
 
 
 def cmd_decide_xq(a) -> int:
+    from . import xmlxq
     q = xmlxq.parse_xq(_read(a.query))
     doc = xmlxq.parse_xml(_read(a.doc))
     ok = xmlxq.decide_xq(q, doc)
@@ -97,13 +101,15 @@ def cmd_decide_xq(a) -> int:
 
 
 def cmd_xq2ma(a) -> int:
+    from . import bridge, ma_text, xmlxq
     q = xmlxq.parse_xq(_read(a.query))
-    _out(print_ma(bridge.xq_to_ma(q)))
+    _out(ma_text.print_ma(bridge.xq_to_ma(q)))
     return 0
 
 
 def cmd_ma2xq(a) -> int:
-    q = parse_ma(_read(a.query))
+    from . import bridge, ma_text, xmlxq
+    q = ma_text.parse_ma(_read(a.query))
     t = parse_type(a.type)
     _out(xmlxq.print_xq(bridge.ma_to_xq(q, t)))
     return 0
@@ -121,7 +127,8 @@ def _core(q, t):
 
 
 def cmd_ma2lp(a) -> int:
-    q = parse_ma(_read(a.query))
+    from . import lp, ma_text
+    q = ma_text.parse_ma(_read(a.query))
     t = parse_type(a.type) if a.type else None if a.open else ma.UNIT_T
     prog = lp.compile_lp(_core(q, t), closed=not a.open,
                          input_pred=a.input_pred,
@@ -131,7 +138,8 @@ def cmd_ma2lp(a) -> int:
 
 
 def cmd_eval_lp(a) -> int:
-    q = parse_ma(_read(a.query))
+    from . import detree, lp, ma_text
+    q = ma_text.parse_ma(_read(a.query))
     v = parse_value(_read(a.input)) if a.input else None
     t = ma.type_of(v, LIST) if v is not None else ma.UNIT_T
     paths = lp.run_lp(_core(q, t), v, empty_markers=a.empty_markers)
@@ -140,13 +148,15 @@ def cmd_eval_lp(a) -> int:
 
 
 def cmd_detree_encode(a) -> int:
+    from . import detree
     v = parse_value(_read(a.input))
     _out(detree.print_pathset(detree.encode_det(v)))
     return 0
 
 
 def cmd_detree_eval(a) -> int:
-    q = parse_ma(_read(a.query))
+    from . import detree, ma_text
+    q = ma_text.parse_ma(_read(a.query))
     if a.paths:
         V = detree.parse_pathset(_read(a.paths))
         t = parse_type(a.type) if a.type else None
@@ -159,13 +169,15 @@ def cmd_detree_eval(a) -> int:
 
 
 def cmd_detree_decode(a) -> int:
+    from . import detree
     V = detree.parse_pathset(_read(a.paths))
     t = parse_type(a.type) if a.type else None
     _out_value(detree.decode_det(V, t))
     return 0
 
 
-def _load_tm(spec: str) -> reductions.TMSpec:
+def _load_tm(spec: str):
+    from . import reductions
     if spec in reductions.BUNDLED:
         return reductions.BUNDLED[spec]
     return reductions.parse_tm(_read(spec))
@@ -176,11 +188,12 @@ def _parse_word(raw: str):
 
 
 def cmd_gen_tm(a) -> int:
+    from . import ma_text, reductions
     tm = _load_tm(a.machine)
     word = _parse_word(a.word)
     q = reductions.gen_tm_query(tm, word, a.k, expand_eq=a.expand_eq)
     if not a.decide:
-        _out(print_ma(q))
+        _out(ma_text.print_ma(q))
         return 0
     if a.expand_eq:
         # the plan lifts the atomic conjuncts of the spelled-out
@@ -201,9 +214,10 @@ def cmd_gen_tm(a) -> int:
 
 
 def cmd_gen_dexp(a) -> int:
+    from . import ma_text, reductions
     q = reductions.gen_doubly_exp(a.m)
     if not a.eval:
-        _out(print_ma(q))
+        _out(ma_text.print_ma(q))
         return 0
     # 2^(2^m) nested pairs of depth m, each a full binary tree of
     # 2^(m+1) - 1 nodes, inside one set node.
@@ -214,16 +228,18 @@ def cmd_gen_dexp(a) -> int:
 
 
 def cmd_flat(a) -> int:
+    from . import reductions
     v = parse_value(_read(a.input))
     _out(reductions.print_flat(reductions.flat_encode(v)))
     return 0
 
 
 def cmd_vtau(a) -> int:
+    from . import ma_text, reductions
     t = parse_type(a.type)
     q = (reductions.gen_vprime(t) if a.prime
          else reductions.gen_vtau(t))
-    _out(print_ma(q))
+    _out(ma_text.print_ma(q))
     return 0
 
 
@@ -238,19 +254,33 @@ def _run_suites(results) -> int:
 
 
 def cmd_check_thm62(a) -> int:
+    from . import checks
     return _run_suites([checks.suite_thm62(a.seed, a.cases)])
 
 
 def cmd_check_thm63(a) -> int:
+    from . import checks
     return _run_suites([checks.suite_thm63(a.seed, a.cases)])
 
 
 def cmd_check_oracles(a) -> int:
+    from . import checks
     return _run_suites([
         checks.suite_oracles(a.seed, a.cases, min(a.cases, 200))])
 
 
 # ---------------------------------------------------------------------------
+
+class _MachineHelp(str):
+    """Help text that names the bundled machines, looked up only when
+    argparse fills in the text's %-fields to print it, so that building
+    the parser does not import reductions."""
+
+    def __mod__(self, params):
+        from . import reductions
+        return str(self) % dict(params, bundled=", ".join(
+            sorted(reductions.BUNDLED)))
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -328,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("gen-tm", cmd_gen_tm,
              "generate the machine acceptance query")
     sp.add_argument("--machine", required=True,
-                    help="bundled name (%s) or a spec file"
-                    % ", ".join(sorted(reductions.BUNDLED)))
+                    help=_MachineHelp("bundled name (%(bundled)s) or a "
+                                      "spec file"))
     sp.add_argument("--word", default="",
                     help="comma-separated input symbols")
     sp.add_argument("--k", type=int, required=True,

@@ -82,6 +82,40 @@ def test_a_hash_join_on_a_deeply_nested_key_runs(files):
     assert r.stdout == "{<1: %s, 2: %s>}\n" % (s, s)
 
 
+# runs cli.main on its arguments in a fresh interpreter, then prints the
+# exit code and the names of the loaded modules
+LOADED = """
+import sys
+from nestql import cli
+code = cli.main(sys.argv[1:])
+print(code, " ".join(sorted(sys.modules)))
+"""
+
+
+def _loaded(*args):
+    r = subprocess.run([sys.executable, "-c", LOADED, *args],
+                       capture_output=True, text=True, env=dict(os.environ))
+    code, names = r.stdout.splitlines()[-1].split(" ", 1)
+    return int(code), set(names.split())
+
+
+def test_a_command_imports_only_the_modules_it_runs(files):
+    """eval-ma needs values, ma and ma_text; records are built without
+    dataclasses (or the inspect module it imports). gen-tm --decide
+    adds reductions, and no other route's module."""
+    code, names = _loaded("eval-ma", "--query", files("q.ma", "sng"))
+    assert code == 0
+    assert {"nestql.values", "nestql.ma", "nestql.ma_text"} <= names
+    assert not names & {"nestql." + m for m in (
+        "lp", "detree", "xmlxq", "bridge", "checks", "reductions", "gen")}
+    assert not names & {"dataclasses", "inspect"}
+    code, names = _loaded("gen-tm", "--machine", "acceptor", "--word", "1",
+                          "--k", "1", "--decide")
+    assert code == 0
+    assert "nestql.reductions" in names
+    assert not names & {"nestql.lp", "nestql.detree", "nestql.xmlxq"}
+
+
 def test_identical_invocations_are_byte_identical(files):
     q = files("q.ma", "union('b' ; sng, 'a' ; sng)")
     a = run_cli("eval-ma", "--query", q)
