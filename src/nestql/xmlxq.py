@@ -48,11 +48,22 @@ def tree_nodes(t: Tree) -> int:
 # XML subset
 
 def print_xml(t: Tree) -> str:
-    if not t.children:
-        return "<%s/>" % t.label
-    return "<%s>%s</%s>" % (t.label,
-                            "".join(print_xml(c) for c in t.children),
-                            t.label)
+    """The document text of t. Trees and closing tags still to write
+    wait on an explicit stack, so deep trees do not reach the recursion
+    limit."""
+    out = []
+    todo = [t]
+    while todo:
+        n = todo.pop()
+        if type(n) is str:
+            out.append(n)
+        elif n.children:
+            out.append("<%s>" % n.label)
+            todo.append("</%s>" % n.label)
+            todo.extend(reversed(n.children))
+        else:
+            out.append("<%s/>" % n.label)
+    return "".join(out)
 
 
 def parse_xml(text: str) -> Tree:

@@ -148,6 +148,16 @@ def test_eval_xq_lists_result_trees(files):
     assert r.stdout == "<c/>\n<c/>\n"
 
 
+@pytest.mark.parametrize("depth", [400, 900])
+def test_eval_xq_reprints_a_deeply_nested_document(files, depth):
+    """The document printer keeps an explicit stack: printing by
+    recursion failed at 400 deep, on documents parse_xml reads at 900."""
+    doc = "<a>" * depth + "<b/>" + "</a>" * depth
+    r = run_cli("eval-xq", "--query", files("q.xq", "$root"),
+                "--doc", files("d.xml", doc))
+    assert (r.returncode, r.stdout, r.stderr) == (0, doc + "\n", "")
+
+
 def test_eval_xq_result_node_guard(files):
     d = files("d.xml", "<r><a/><b/><c/></r>")
     q = files("q.xq", "for $x2 in $root/* return <w>{$root}</w>")
