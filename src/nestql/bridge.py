@@ -29,9 +29,9 @@ from .values import (
 )
 from . import ma
 from .ma import (
-    AnyType, Compose, Const, EmptyColl, FlatMap, Id, MAExpr, Map, NotOp,
-    PairWith, PathEqConst, PathEqPath, Proj, Select, Sng, TrueOp, TupleCons,
-    Union, UnionT, UnitTuple, compose,
+    AnyType, Compose, Const, EmptyColl, EqAtomic, FlatMap, Id, MAExpr, Map,
+    NotOp, PairWith, Path, PathEqConst, PathEqPath, Proj, Select, Sng, TrueOp,
+    TupleCons, Union, UnionT, UnitTuple, compose,
 )
 from . import xmlxq as xq
 from .xmlxq import (
@@ -209,6 +209,7 @@ def _xq(q: MAExpr, t: Type, x: int, k: int) -> XQExpr:
     variables in scope."""
     rule = _XQ.get(type(q))
     if rule is None:
+        # each core operator that types under list semantics has a rule
         raise ValueError_("cannot translate %r; desugar to the core first"
                           % (q,))
     return rule(q, t, x, k)
@@ -222,6 +223,23 @@ def _tag(tt: TupleType, label: str) -> str:
 def _field_members(x: int, tag: str) -> XQExpr:
     """$x/<tag>/*: the single T-image stored under a tuple field."""
     return PathExpr(x, ((CHILD, tag), (CHILD, STAR)))
+
+
+def _path_members(x: int, tt: Type, p: Path) -> XQExpr:
+    """$x/<tag>/*/<tag>/*...: the T-image at the field path p of the
+    tuple of type tt bound to $x."""
+    steps = ()
+    for label in p:
+        tt = _known(tt, "tuple")
+        steps += ((CHILD, _tag(tt, label)), (CHILD, STAR))
+        tt = tt.field(label)
+    return PathExpr(x, steps)
+
+
+def _if_unit(cond: XQExpr) -> XQExpr:
+    """The T-image of [<>] when cond holds, and of [] when not: the
+    truth values of the tests."""
+    return Elem("list", If(cond, EmptyElem("tup")))
 
 
 def _list_members(x: int, tag: str) -> XQExpr:
@@ -276,12 +294,12 @@ def _xq_select(q, t, x, k):
             and len(c.p) == 1 and len(c.q) == 1):
         raise ValueError_("only single-field deep-equality selections "
                           "translate")
-    tt = _known(_known(t, "list").elem, "tuple")
+    tt = _known(t, "list").elem
     y = k + 1
     return Elem("list", For(
         AxisStep(x, CHILD, STAR),
-        If(QueryEq(_field_members(y, _tag(tt, c.p[0])),
-                   _field_members(y, _tag(tt, c.q[0])), DEEP),
+        If(QueryEq(_path_members(y, tt, c.p), _path_members(y, tt, c.q),
+                   DEEP),
            Var(y))))
 
 
@@ -311,6 +329,10 @@ _XQ = {
                                                 _list_members(x, "a2"))),
     PairWith: _xq_pairwith,
     Select: _xq_select,
+    EqAtomic: lambda q, t, x, k: _if_unit(QueryEq(
+        _path_members(x, t, q.pa), _path_members(x, t, q.pb), ATOMIC)),
+    TrueOp: lambda q, t, x, k: _if_unit(AxisStep(x, CHILD, STAR)),
+    NotOp: lambda q, t, x, k: _if_unit(Not(AxisStep(x, CHILD, STAR))),
 }
 
 

@@ -9,7 +9,8 @@ from nestql.bridge import (
     ma_to_xq, xq_to_ma,
 )
 from nestql.ma import eval_ma
-from nestql.values import LIST, parse_value
+from nestql.ma_text import parse_ma
+from nestql.values import LIST, parse_type, parse_value, print_value
 from nestql.xmlxq import (
     eval_xq, parse_xml, parse_xq, print_xml, print_xq,
 )
@@ -93,3 +94,28 @@ def test_comparisons_and_negations_as_items_translate(text):
     doc = parse_xml("<r><a/><b/></r>")
     assert [print_xml(t) for t in eval_xq(q, (doc,))][:1] == ["<yes/>"]
     assert check_thm62(q, doc)
+
+
+@pytest.mark.parametrize("text, t, vals", [
+    ("eqatom[A, B]", "<A: Dom, B: Dom>", ["<A: a, B: a>", "<A: a, B: b>"]),
+    ("eqatom[A.C, B.C]", "<A: <C: Dom>, B: <C: Dom, D: Dom>>",
+     ["<A: <C: a>, B: <C: a, D: b>>", "<A: <C: b>, B: <C: a, D: b>>"]),
+    ("map(eqatom[A, B]) ; flatten", "[<A: Dom, B: Dom>]",
+     ["[<A: a, B: a>, <A: a, B: b>, <A: b, B: b>]", "[]"]),
+    ("true", "[Dom]", ["[]", "[a]", "[a, b]"]),
+    ("not", "[Dom]", ["[]", "[a]", "[a, b]"]),
+    ("map(eqatom[A, B]) ; flatten ; true ; not", "[<A: Dom, B: Dom>]",
+     ["[<A: a, B: a>, <A: a, B: b>]", "[<A: a, B: b>]", "[]"]),
+    ("map(tup[A = id, B = not]) ; map(pairwith[B]) ; flatten", "[[Dom]]",
+     ["[[], [a]]", "[[a], [b]]"]),
+])
+def test_the_core_tests_translate_to_tree_queries(text, t, vals):
+    """eqatom, true and not: each yields the T-image of [<>] or of [],
+    the translation as the algebra does, on inputs where the test holds
+    and where it fails."""
+    q, t = parse_ma(text), parse_type(t)
+    outs = set()
+    for v in map(parse_value, vals):
+        assert check_thm63(q, v, t)
+        outs.add(print_value(eval_ma(q, v, LIST)))
+    assert len(outs) == 2

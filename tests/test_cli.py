@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from nestql import cli, ma, reductions, values
-from nestql.ma_text import print_ma
+from nestql.ma_text import parse_ma, print_ma
 from nestql.values import parse_type
 
 
@@ -189,14 +189,14 @@ def test_ma2xq_translates_back(files):
      "b=AxisStep(var=1, axis='child', test='b'), mode='deep')"),
     ("xq2ma", "$root/descendant::a", (),
      "only the child axis can be translated"),
-    ("ma2xq", "eqatom[A, B]", ("--type", "<A: Dom, B: Dom>"),
-     "cannot translate EqAtomic(pa=('A',), pb=('B',)); desugar to the "
-     "core first"),
+    ("ma2xq", "cart(id, id)", ("--type", "[<A: Dom>]"),
+     "cannot translate CartProd(f=Id(), g=Id()); desugar to the core "
+     "first"),
     ("ma2xq", "select[A = B && A = B]", ("--type", "[<A: Dom, B: Dom>]"),
      "only single-field deep-equality selections translate"),
     ("eval-xq", "let $x := {<a/> <b/>} return $x", ("--doc", None),
      "let binds a non-singleton form at position 22"),
-], ids=["xq2ma-queryeq", "xq2ma-descendant", "ma2xq-eqatom",
+], ids=["xq2ma-queryeq", "xq2ma-descendant", "ma2xq-cart",
         "ma2xq-select", "eval-xq-let"])
 def test_untranslatable_queries_exit_2(files, cmd, text, args, want):
     """A let bound to two trees is refused by the parser, so the CLI
@@ -206,6 +206,34 @@ def test_untranslatable_queries_exit_2(files, cmd, text, args, want):
     args = [files("d.xml", "<r><a/></r>") if a is None else a for a in args]
     r = run_cli(cmd, "--query", q, *args)
     assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s\n" % want)
+
+
+def test_ma2xq_translates_the_core_tests(files):
+    """eqatom, not and true are core operators with tree-query rules; an
+    extended operator is the one that must be desugared first."""
+    q = files("q.ma", "tup[A = 'a', B = 'a'] ; eqatom[A, B] ; not ; true")
+    r = run_cli("ma2xq", "--query", q, "--type", "<>")
+    assert (r.returncode, r.stderr) == (0, "")
+    r = run_cli("eval-xq", "--query", files("q.xq", r.stdout),
+                "--doc", files("d.xml", "<tup/>"))
+    assert (r.returncode, r.stdout) == (0, "<list/>\n")
+
+
+def test_the_rejector_is_decided_through_the_tree_language(files):
+    """gen-tm's query for the K=1 rejector, desugared under list
+    semantics, goes through ma2xq and decide-xq to the decision of the
+    simulator. The desugared query tests by eqatom and true."""
+    r = run_cli("gen-tm", "--machine", "rejector", "--k", "1")
+    q = ma.desugar(parse_ma(r.stdout), values.UNIT_T, values.LIST)
+    assert {ma.EqAtomic, ma.TrueOp} <= {type(x) for x in ma._nodes(q)}
+    r = run_cli("ma2xq", "--query", files("q.ma", print_ma(q)),
+                "--type", "<>")
+    assert (r.returncode, r.stderr) == (0, "")
+    r = run_cli("decide-xq", "--query", files("q.xq", r.stdout),
+                "--doc", files("d.xml", "<tup/>"))
+    ok = reductions.simulate_ntm(reductions.REJECTOR, (), 2)
+    assert (r.returncode, r.stdout) == ((0, "true\n") if ok
+                                        else (1, "false\n"))
 
 
 @pytest.mark.parametrize("text, t, want", [
