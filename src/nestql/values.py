@@ -66,10 +66,14 @@ def record(cls):
     the same class with equal fields, ``hash`` is the hash of the field
     tuple and ``repr`` is ``Class(field=value, ...)``.
 
-    The records of one tuple of field names share one ``__init__``,
-    ``__eq__`` and ``__hash__`` (a class with defaults gets a copy of
-    the ``__init__`` that holds them), and every record shares one
-    ``__repr__``, so making a class generates no code of its own.
+    The ``__init__``, ``__eq__`` and ``__hash__`` of one tuple of field
+    names are compiled once, and each class gets functions over a copy
+    of their code (``__init__`` with the class's defaults), so making a
+    class compiles nothing. Each class has its own copy because the
+    interpreter keeps its attribute caches on the code object, and
+    classes sharing one evict each other's (``Atom`` shares its field
+    names with ``Proj`` and ``Const``). Every record shares one
+    ``__repr__``.
 
     A record is immutable by convention (see the module docstring): a
     guard that refused assignment would cost more than building the
@@ -77,15 +81,14 @@ def record(cls):
     names = getattr(cls, "__match_args__", ())
     names += tuple(n for n in vars(cls).get("__annotations__", ())
                    if n not in names)
-    init, eq, hash_ = _SHAPES.get(names) or _shape(names)
     defaults = tuple(vars(cls)[n] for n in names if n in vars(cls))
-    if defaults:
-        init = type(init)(init.__code__, init.__globals__, init.__name__,
-                          defaults)
-    for name, fn in (("__init__", init), ("__eq__", eq),
-                     ("__hash__", hash_), ("__repr__", _record_repr)):
-        if name not in vars(cls):
-            setattr(cls, name, fn)
+    for fn, dflt in zip(_SHAPES.get(names) or _shape(names),
+                        (defaults or None, None, None)):
+        if fn.__name__ not in vars(cls):
+            setattr(cls, fn.__name__, type(fn)(
+                fn.__code__.replace(), fn.__globals__, fn.__name__, dflt))
+    if "__repr__" not in vars(cls):
+        cls.__repr__ = _record_repr
     cls.__match_args__ = names
     return cls
 
