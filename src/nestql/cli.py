@@ -176,20 +176,14 @@ def cmd_detree_decode(a) -> int:
     return 0
 
 
-def _load_tm(spec: str):
-    from . import reductions
-    if spec in reductions.BUNDLED:
-        return reductions.BUNDLED[spec]
-    return reductions.parse_tm(_read(spec))
-
-
 def _parse_word(raw: str):
     return tuple(s for s in raw.split(",") if s)
 
 
 def cmd_gen_tm(a) -> int:
     from . import ma_text, reductions
-    tm = _load_tm(a.machine)
+    tm = (reductions.BUNDLED.get(a.machine)
+          or reductions.parse_tm(_read(a.machine)))
     word = _parse_word(a.word)
     q = reductions.gen_tm_query(tm, word, a.k, expand_eq=a.expand_eq)
     if not a.decide:
